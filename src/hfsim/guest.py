@@ -5,6 +5,11 @@ which consults the hypervisor's protection registry and vetoes the write
 whole if it touches any protected page. Reads are never mediated. A
 privileged write path exists for hypervisor-side setup (module loading)
 and for test harnesses that need to model bugs bypassing protection.
+
+Memory is sparse: a page is materialised on its first write, and pages
+never written read as zeros. Every applied write also records which
+registered objects it touched, so checkers can skip objects whose bytes
+cannot have changed.
 """
 
 from __future__ import annotations
@@ -106,14 +111,17 @@ class GuestMachine:
             )
         self.page_count = page_count
         self.page_size = page_size
-        self._mem = bytearray(page_count * page_size)
+        self.size = page_count * page_size  # bytes of guest-physical memory
+        self._pages: dict[int, bytearray] = {}  # materialised pages by index
         self.idtr = Idtr(0, 0)  # unset sentinel
         self.objects: dict[int, KernelObjectDescriptor] = {}
         self.module: Optional[ModuleRegion] = None
         self._next_object_id = 0
-        # write-epoch per object, bumped whenever its bytes may have changed;
-        # lets digest layers memoize without rehashing untouched objects
-        self._epochs: dict[int, int] = {}
+        # ids of objects any applied write has overlapped, as a set and in
+        # first-touch order; an object outside it still holds the bytes it
+        # had when registered
+        self.touched: set[int] = set()
+        self.touch_log: list[int] = []
         self._starts: list[int] = []
         self._index: list[tuple[int, int, int]] = []  # (addr, end, id), sorted
         self._index_stale = False
@@ -122,10 +130,6 @@ class GuestMachine:
     # ------------------------------------------------------------------
     # memory access
     # ------------------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.page_count * self.page_size
 
     def _check_range(self, addr: int, length: int) -> None:
         if addr < 0 or length < 0 or addr + length > self.size:
@@ -136,7 +140,26 @@ class GuestMachine:
     def read(self, addr: int, length: int) -> bytes:
         """Unmediated read; protection never affects reads."""
         self._check_range(addr, length)
-        return bytes(self._mem[addr : addr + length])
+        ps = self.page_size
+        index, offset = divmod(addr, ps)
+        if offset + length <= ps:
+            page = self._pages.get(index)
+            return bytes(length) if page is None else bytes(page[offset : offset + length])
+        out = bytearray(length)
+        for pos, index, offset, n in self._spans(addr, length):
+            page = self._pages.get(index)
+            if page is not None:
+                out[pos : pos + n] = page[offset : offset + n]
+        return bytes(out)
+
+    def _spans(self, addr: int, length: int) -> Iterator[tuple[int, int, int, int]]:
+        """(position in the range, page index, offset in page, byte count) per page."""
+        pos = 0
+        while pos < length:
+            index, offset = divmod(addr + pos, self.page_size)
+            n = min(self.page_size - offset, length - pos)
+            yield pos, index, offset, n
+            pos += n
 
     def guest_write(
         self,
@@ -169,10 +192,15 @@ class GuestMachine:
         self._store(addr, data)
 
     def _store(self, addr: int, data: bytes) -> None:
-        self._mem[addr : addr + len(data)] = data
-        if self._epochs:
-            for oid in self.objects_overlapping(addr, len(data)):
-                self._epochs[oid] += 1
+        for pos, index, offset, n in self._spans(addr, len(data)):
+            page = self._pages.get(index)
+            if page is None:
+                page = self._pages[index] = bytearray(self.page_size)
+            page[offset : offset + n] = data[pos : pos + n]
+        for oid in self.objects_overlapping(addr, len(data)):
+            if oid not in self.touched:
+                self.touched.add(oid)
+                self.touch_log.append(oid)
 
     def _classify_write(self, addr: int, length: int) -> TrapKind:
         end = addr + length
@@ -244,8 +272,7 @@ class GuestMachine:
     def idt_entry(self, vector: int) -> int:
         """Read the handler address for a vector through the current IDTR."""
         entry_addr = self._vector_addr(vector)
-        self._check_range(entry_addr, IDT_ENTRY_SIZE)
-        return int.from_bytes(self._mem[entry_addr : entry_addr + IDT_ENTRY_SIZE], "little")
+        return int.from_bytes(self.read(entry_addr, IDT_ENTRY_SIZE), "little")
 
     # ------------------------------------------------------------------
     # module and kernel objects
@@ -297,14 +324,10 @@ class GuestMachine:
         oid = self._next_object_id
         self._next_object_id += 1
         self.objects[oid] = KernelObjectDescriptor(oid, name, addr, length)
-        self._epochs[oid] = 0
         self._index_stale = True
         if length > self._max_obj_len:
             self._max_obj_len = length
         return oid
-
-    def object_epoch(self, object_id: int) -> int:
-        return self._epochs[object_id]
 
     def objects_overlapping(self, addr: int, length: int) -> list[int]:
         """Ids of registered objects intersecting [addr, addr+length)."""
@@ -327,13 +350,12 @@ class GuestMachine:
 
     def snapshot(self) -> bytes:
         """Full memory image (used by veto-atomicity and golden-file tests)."""
-        return bytes(self._mem)
+        return self.read(0, self.size)
 
     def page(self, index: int) -> Page:
         if index < 0 or index >= self.page_count:
             raise AddressError(f"page {index} outside machine of {self.page_count} pages")
-        start = index * self.page_size
-        return Page(index, bytes(self._mem[start : start + self.page_size]))
+        return Page(index, self.read(index * self.page_size, self.page_size))
 
     def pages(self) -> Iterator[Page]:
         for i in range(self.page_count):

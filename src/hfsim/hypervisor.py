@@ -192,7 +192,7 @@ class InterruptReport:
 
     time: Ticks
     duration: Ticks
-    checked: list = field(default_factory=list)
+    objects_checked: int = 0
     violations: list = field(default_factory=list)
     hash_cost: Ticks = 0
     subverted: bool = False
@@ -204,7 +204,7 @@ class VmexitReport:
 
     time: Ticks
     duration: Ticks
-    checked: list
+    objects_checked: int
     violations: list
     pages_mapped: int
     map_cost: Ticks
@@ -264,7 +264,7 @@ def fire_interrupt(
     return InterruptReport(
         time=now,
         duration=delivery + report.duration,
-        checked=report.checked,
+        objects_checked=report.objects_checked,
         violations=report.violations,
         hash_cost=report.duration,
     )
@@ -282,18 +282,21 @@ def on_control_register_write(
 
     Charges the exit/entry transitions plus one page-remap per distinct
     page touched by the batch (the in-hypervisor checker cannot read guest
-    memory natively). The batch cursor advances round-robin.
+    memory natively). The batch cursor advances round-robin. The page
+    count of each (cursor, k) window is computed once per table.
     """
     if k <= 0:
         raise ConfigurationError(f"batch size must be >= 1, got {k}")
-    batch = table.peek_batch(k)
-    pages = set()
-    for oid in batch:
-        obj = machine.objects[oid]
-        first = obj.addr // machine.page_size
-        last = (obj.end - 1) // machine.page_size
-        pages.update(range(first, last + 1))
-    map_cost = len(pages) * costs.t_map_page
+    window = (table.cursor, k)
+    pages_mapped = table.batch_pages.get(window)
+    if pages_mapped is None:
+        ps = machine.page_size
+        pages = set()
+        for oid in table.peek_batch(k):
+            obj = machine.objects[oid]
+            pages.update(range(obj.addr // ps, (obj.end - 1) // ps + 1))
+        pages_mapped = table.batch_pages[window] = len(pages)
+    map_cost = pages_mapped * costs.t_map_page
     start = now + costs.t_vmexit + map_cost
     report = integrity.check_batch(
         machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=start
@@ -302,9 +305,9 @@ def on_control_register_write(
     return VmexitReport(
         time=now,
         duration=duration,
-        checked=report.checked,
+        objects_checked=report.objects_checked,
         violations=report.violations,
-        pages_mapped=len(pages),
+        pages_mapped=pages_mapped,
         map_cost=map_cost,
         hash_cost=report.duration,
         cycle_completed=report.cycle_completed,

@@ -7,13 +7,18 @@ or over a round-robin batch per call (the in-hypervisor path). The hash is
 64-bit FNV-1a behind a pluggable digest function; digest-collision forgery
 is out of scope for this model.
 
-Current digests are memoized against each object's write epoch, so a check
-only rehashes objects whose bytes may have changed since the last check.
+A check costs O(touched objects in its range), not O(objects checked).
+The guest records every object a write has touched; an untouched object
+still holds its baseline bytes, so only touched objects are rehashed. The
+simulated hash cost and each violation's timestamp come from prefix sums
+of object lengths in check order, never from a walk over the range.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import ConfigurationError
@@ -63,20 +68,25 @@ class Violation:
 
 @dataclass
 class CheckReport:
-    """What one check pass looked at, what it found, and what it cost."""
+    """How many objects one check pass covered, what it found, what it cost."""
 
-    checked: list = field(default_factory=list)
+    objects_checked: int = 0
     violations: list = field(default_factory=list)
     duration: Ticks = 0
     cycle_completed: bool = False
 
 
 class BaselineTable:
-    """Precomputed per-object digests plus the round-robin check cursor."""
+    """Precomputed per-object digests plus the round-robin check cursor.
+
+    Entries must be the digests of the objects' bytes at snapshot time:
+    an object the guest has not touched since is taken to still match.
+    """
 
     def __init__(
         self,
         entries: dict[int, int],
+        lengths: dict[int, int],
         idtr_baseline: tuple[int, int],
         digest_fn: DigestFn = compute_digest,
     ):
@@ -85,21 +95,31 @@ class BaselineTable:
         self.digest_fn = digest_fn
         self.order: list[int] = sorted(self.entries)
         self.cursor = 0
-        self._cache: dict[int, tuple[int, int]] = {}
+        # _bytes_before[p]: total length of the objects before position p in order
+        self._bytes_before = list(accumulate((lengths[oid] for oid in self.order), initial=0))
+        # distinct pages of the batch at (cursor, k), filled by the VMExit path
+        self.batch_pages: dict[tuple[int, int], int] = {}
+        self._touched: list[int] = []  # sorted positions in order
+        self._log_seen = 0  # machine.touch_log entries folded in so far
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def current_digest(self, machine: "GuestMachine", object_id: int) -> int:
-        """Digest of the object's current bytes, memoized by write epoch."""
-        epoch = machine.object_epoch(object_id)
-        cached = self._cache.get(object_id)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
+        """Digest of the object's current bytes; untouched objects are not read."""
+        if object_id not in machine.touched:
+            return self.entries[object_id]
         obj = machine.objects[object_id]
-        digest = self.digest_fn(machine.read(obj.addr, obj.length))
-        self._cache[object_id] = (epoch, digest)
-        return digest
+        return self.digest_fn(machine.read(obj.addr, obj.length))
+
+    def _touched_positions(self, machine: "GuestMachine") -> list[int]:
+        """Sorted positions in `order` of the objects the guest has touched."""
+        log = machine.touch_log
+        for oid in log[self._log_seen :]:
+            if oid in self.entries:
+                insort(self._touched, bisect_left(self.order, oid))
+        self._log_seen = len(log)
+        return self._touched
 
     def peek_batch(self, k: int) -> list[int]:
         """Object ids the next check_batch(k) call will cover."""
@@ -130,6 +150,7 @@ def snapshot_baselines(
         entries[oid] = digest
     return BaselineTable(
         entries=entries,
+        lengths={oid: obj.length for oid, obj in machine.objects.items()},
         idtr_baseline=(machine.idtr.base, machine.idtr.limit),
         digest_fn=digest_fn,
     )
@@ -145,6 +166,33 @@ def verify_idtr(
     return Violation(
         target=IDTR_TARGET, expected=table.idtr_baseline, found=current, time=now
     )
+
+
+def _check_positions(
+    machine: "GuestMachine",
+    table: BaselineTable,
+    start: int,
+    stop: int,
+    time_at_start: Ticks,
+    ticks_per_byte: Ticks,
+    violations: list,
+) -> None:
+    """Rehash the touched objects at positions [start, stop) of `order`.
+
+    A violation is stamped when its object's hash ends: `time_at_start`
+    plus the hash time of every byte from `start` up to and including it.
+    """
+    before = table._bytes_before
+    positions = table._touched_positions(machine)
+    for i in range(bisect_left(positions, start), bisect_left(positions, stop)):
+        p = positions[i]
+        oid = table.order[p]
+        found = table.current_digest(machine, oid)
+        if found != table.entries[oid]:
+            time = time_at_start + (before[p + 1] - before[start]) * ticks_per_byte
+            violations.append(
+                Violation(target=oid, expected=table.entries[oid], found=found, time=time)
+            )
 
 
 def check_batch(
@@ -164,30 +212,23 @@ def check_batch(
         raise ConfigurationError(f"batch size must be >= 1, got {k}")
     n = len(table.order)
     k_eff = min(k, n)
-    report = CheckReport()
-    duration = 0
-    wrapped = False
-    for i in range(k_eff):
-        idx = (table.cursor + i) % n
-        if idx == n - 1:
-            wrapped = True
-        oid = table.order[idx]
-        duration += machine.objects[oid].length * hash_ticks_per_byte
-        found = table.current_digest(machine, oid)
-        report.checked.append(oid)
-        if found != table.entries[oid]:
-            report.violations.append(
-                Violation(target=oid, expected=table.entries[oid], found=found,
-                          time=now + duration)
-            )
-    if wrapped:
-        report.checked.append(IDTR_TARGET)
-        violation = verify_idtr(machine, table, now=now + duration)
+    cursor, end = table.cursor, table.cursor + k_eff
+    before = table._bytes_before
+    report = CheckReport(objects_checked=k_eff, cycle_completed=end >= n)
+    _check_positions(machine, table, cursor, min(end, n), now,
+                     hash_ticks_per_byte, report.violations)
+    if end > n:
+        tail_ticks = (before[n] - before[cursor]) * hash_ticks_per_byte
+        _check_positions(machine, table, 0, end - n, now + tail_ticks,
+                         hash_ticks_per_byte, report.violations)
+        report.duration = tail_ticks + before[end - n] * hash_ticks_per_byte
+    else:
+        report.duration = (before[end] - before[cursor]) * hash_ticks_per_byte
+    if report.cycle_completed:
+        violation = verify_idtr(machine, table, now=now + report.duration)
         if violation is not None:
             report.violations.append(violation)
-    table.cursor = (table.cursor + k_eff) % n
-    report.duration = duration
-    report.cycle_completed = wrapped
+    table.cursor = end % n
     return report
 
 
@@ -200,20 +241,14 @@ def check_all(
     """Check every object once plus the IDTR; the cursor is untouched."""
     if not table.entries:
         raise ConfigurationError("baseline table is empty")
-    report = CheckReport(cycle_completed=True)
-    duration = 0
-    for oid in table.order:
-        duration += machine.objects[oid].length * hash_ticks_per_byte
-        found = table.current_digest(machine, oid)
-        report.checked.append(oid)
-        if found != table.entries[oid]:
-            report.violations.append(
-                Violation(target=oid, expected=table.entries[oid], found=found,
-                          time=now + duration)
-            )
-    report.checked.append(IDTR_TARGET)
-    violation = verify_idtr(machine, table, now=now + duration)
+    n = len(table.order)
+    report = CheckReport(
+        objects_checked=n,
+        duration=table._bytes_before[n] * hash_ticks_per_byte,
+        cycle_completed=True,
+    )
+    _check_positions(machine, table, 0, n, now, hash_ticks_per_byte, report.violations)
+    violation = verify_idtr(machine, table, now=now + report.duration)
     if violation is not None:
         report.violations.append(violation)
-    report.duration = duration
     return report

@@ -561,7 +561,7 @@ class _ScenarioRun:
             self.strategy.batch_k, now=event.time,
         )
         self.counts["vmexits"] += 1
-        self.counts["objects_checked"] += sum(1 for c in report.checked if isinstance(c, int))
+        self.counts["objects_checked"] += report.objects_checked
         self.breakdown["vmexit"] += self.costs.t_vmexit
         self.breakdown["vmentry"] += self.costs.t_vmentry
         self.breakdown["map_page"] += report.map_cost
@@ -569,7 +569,9 @@ class _ScenarioRun:
         self.added_by_kind[op] += report.duration
         self._emit({
             "t": event.time, "kind": "vmexit_check",
-            "checked": len(report.checked), "violations": len(report.violations),
+            # targets checked: the IDTR rides along on a completed cycle
+            "checked": report.objects_checked + report.cycle_completed,
+            "violations": len(report.violations),
         })
         self._process_violations(report.violations, via="hrk_vmexit")
 
@@ -582,10 +584,12 @@ class _ScenarioRun:
         )
         self.breakdown["interrupt_delivery"] += self.costs.t_interrupt_delivery
         self.breakdown["hash"] += report.hash_cost
-        self.counts["objects_checked"] += sum(1 for c in report.checked if isinstance(c, int))
+        self.counts["objects_checked"] += report.objects_checked
         self._emit({
             "t": event.time, "kind": "firing_end",
-            "checked": len(report.checked), "violations": len(report.violations),
+            # targets checked: every sweep that runs also checks the IDTR
+            "checked": report.objects_checked + (not report.subverted),
+            "violations": len(report.violations),
             "subverted": report.subverted,
         })
         self._process_violations(report.violations, via="hf_interrupt")

@@ -1,5 +1,6 @@
 """Shared helpers and independent oracles for the test suite."""
 
+from hfsim.integrity import CheckReport, Violation, verify_idtr
 from hfsim.simulation import MachineSpec, ObjectsSpec, SetupSpec
 
 
@@ -14,6 +15,75 @@ def fnv1a64_ref(data: bytes) -> int:
         h = h ^ byte
         h = (h * 0x100000001B3) % (2**64)
     return h
+
+
+def _ref_digest(machine, oid) -> int:
+    obj = machine.objects[oid]
+    return fnv1a64_ref(machine.read(obj.addr, obj.length))
+
+
+def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckReport:
+    """Walk-every-object batch check: the oracle for integrity.check_batch.
+
+    Rehashes each of the next k objects from the table's cursor with
+    fnv1a64_ref, charges and stamps violations object by object, lets the
+    IDTR ride along when the last object in id order is covered, then
+    advances the cursor.
+    """
+    n = len(table.order)
+    k_eff = min(k, n)
+    report = CheckReport(objects_checked=k_eff)
+    duration = 0
+    wrapped = False
+    for i in range(k_eff):
+        idx = (table.cursor + i) % n
+        if idx == n - 1:
+            wrapped = True
+        oid = table.order[idx]
+        duration += machine.objects[oid].length * hash_ticks_per_byte
+        found = _ref_digest(machine, oid)
+        if found != table.entries[oid]:
+            report.violations.append(
+                Violation(target=oid, expected=table.entries[oid], found=found,
+                          time=now + duration)
+            )
+    if wrapped:
+        violation = verify_idtr(machine, table, now=now + duration)
+        if violation is not None:
+            report.violations.append(violation)
+    table.cursor = (table.cursor + k_eff) % n
+    report.duration = duration
+    report.cycle_completed = wrapped
+    return report
+
+
+def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
+    """Walk-every-object sweep: the oracle for integrity.check_all."""
+    report = CheckReport(objects_checked=len(table.order), cycle_completed=True)
+    duration = 0
+    for oid in table.order:
+        duration += machine.objects[oid].length * hash_ticks_per_byte
+        found = _ref_digest(machine, oid)
+        if found != table.entries[oid]:
+            report.violations.append(
+                Violation(target=oid, expected=table.entries[oid], found=found,
+                          time=now + duration)
+            )
+    violation = verify_idtr(machine, table, now=now + duration)
+    if violation is not None:
+        report.violations.append(violation)
+    report.duration = duration
+    return report
+
+
+def batch_pages_ref(machine, table, k) -> int:
+    """Distinct pages the next k objects from the cursor occupy."""
+    pages = set()
+    for oid in table.peek_batch(k):
+        obj = machine.objects[oid]
+        pages.update(range(obj.addr // machine.page_size,
+                           (obj.end - 1) // machine.page_size + 1))
+    return len(pages)
 
 
 def make_setup(

@@ -1,0 +1,32 @@
+"""The behavioural contract: every bundled config's report.json, byte for byte.
+
+The digests were recorded before the touched-set check engine and sparse
+guest memory replaced the full-walk checker. A change that alters any of
+them changes simulated results and must say why.
+"""
+
+import hashlib
+
+import pytest
+
+from hfsim.cli import bundled_config_names, main
+
+REPORT_SHA256 = {
+    "paper_costs.cfg": "bb0ee1a49c7d144b1152b152b1425d346441537dcca352ebba8ee0e2f07a8f6f",
+    "paper_detection.cfg": "522f49193cb8bf4ee9de4850e9a3b3de9842136b2dd456be02f035b6a67523ce",
+    "paper_hf.cfg": "6a6359fdc75f11ca6d60ce037915738bb90f9525922bd15acab273a1afde061d",
+    "paper_hrk.cfg": "e4133524a4242112d0f00a0fc101e0edcf5368fb24fd873ac4c33cbcc68d5f3d",
+    "paper_overhead.cfg": "32184b1819c95b594d13a61d8bc6f38c8326ffd4ab14650b07cf52ea93cf9f89",
+}
+
+
+def test_every_bundled_config_has_a_recorded_digest():
+    assert sorted(REPORT_SHA256) == bundled_config_names()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_bundled_report_is_byte_identical(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", name, "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[name]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hfsim.cli import execute_config, main
+from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text
 from hfsim.report import build_report, diff_reports, render_text
 from hfsim.errors import ReportMismatchError
@@ -236,3 +236,18 @@ def test_render_text_contains_all_strategies(small_cfg):
     results, _ = execute_config(cfg)
     text = render_text(build_report(cfg, results))
     assert "hrk" in text and "hf" in text and "boom" in text
+
+
+def test_run_with_100m_pages_writes_both_reports(tmp_path, capsys):
+    # guest memory is sparse, so page_count does not size the run's memory
+    text = _load_config_text("paper_hrk.cfg")[0].replace(
+        "page_count = 15008", "page_count = 100000000"
+    )
+    assert "page_count = 100000000" in text
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    [run] = json.loads((out / "report.json").read_text())["strategies"]["hrk"]["runs"]
+    assert run["config_echo"]["machine"]["page_count"] == 100_000_000
+    assert (out / "report.txt").read_text()

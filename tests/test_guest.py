@@ -94,6 +94,32 @@ def test_fresh_machine_reads_zeros():
     assert new_machine(2, 64).read(0, 128) == bytes(128)
 
 
+def test_read_across_materialised_and_unwritten_pages():
+    m = new_machine(4, 64)
+    m.privileged_write(60, b"abcd")  # page 0 only; page 1 is never written
+    assert m.read(62, 8) == b"cd" + bytes(6)
+    m.privileged_write(192, b"wxyz")  # page 3; page 2 is never written
+    assert m.read(126, 70) == bytes(66) + b"wxyz"
+    assert m.read(60, 140) == b"abcd" + bytes(128) + b"wxyz" + bytes(4)
+
+
+def test_straddling_write_lands_on_both_pages():
+    m = new_machine(3, 64)
+    m.privileged_write(62, b"\x01\x02\x03\x04")
+    assert m.page(0).data[62:] == b"\x01\x02"
+    assert m.page(1).data[:2] == b"\x03\x04"
+    assert m.page(2).data == bytes(64)
+
+
+def test_huge_machine_is_sparse():
+    # 100M pages of 4 KiB: only written pages take memory
+    m = new_machine(100_000_000, 4096)
+    last = m.size - 4
+    m.privileged_write(last, b"tail")
+    assert m.read(last - 4, 8) == bytes(4) + b"tail"
+    assert m.read(0, 16) == bytes(16)
+
+
 # ---------------------------------------------------------------------------
 # load_module
 # ---------------------------------------------------------------------------

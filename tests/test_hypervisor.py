@@ -177,7 +177,8 @@ def test_redirected_idt_entry_yields_subversion_detection():
     report = fire_interrupt(device, m, reg, table, CostModel.zero())
     assert report.subverted
     assert [v.target for v in report.violations] == [HANDLER_TARGET]
-    assert report.checked == []  # sweep refused
+    assert report.objects_checked == 0  # sweep refused
+    assert report.hash_cost == 0
 
 
 def test_idtr_move_also_subverts_dispatch():
@@ -202,12 +203,20 @@ def test_fire_interrupt_requires_module():
 # on_control_register_write
 # ---------------------------------------------------------------------------
 
+def _tamper_all(m):
+    # every object diverges, so each exit reports exactly what it covered
+    for obj in m.objects.values():
+        m.privileged_write(obj.addr, b"\x01")
+
+
 def test_vmexit_round_robin_covers_all_objects():
     m, reg, table, _ = _hf_machine(n_objects=10, size=8)
+    _tamper_all(m)
     covered = set()
     for _ in range(4):  # ceil(10/3) = 4 exits
         report = on_control_register_write(m, reg, table, CostModel.zero(), k=3)
-        covered.update(c for c in report.checked if isinstance(c, int))
+        assert report.objects_checked == 3
+        covered.update(v.target for v in report.violations)
     assert covered == set(range(10))
     assert table.cursor == 2  # 12 mod 10
 
@@ -242,13 +251,14 @@ def test_vmexit_bad_k():
 def test_cursor_completeness_from_any_phase():
     # over any ceil(N/k) consecutive exits every object is checked at least once
     m, reg, table, _ = _hf_machine(n_objects=10, size=8)
+    _tamper_all(m)
     for phase in range(7):
         on_control_register_write(m, reg, table, CostModel.zero(), k=3)
         covered = set()
         cursor_before = table.cursor
         for _ in range(4):
             rep = on_control_register_write(m, reg, table, CostModel.zero(), k=3)
-            covered.update(c for c in rep.checked if isinstance(c, int))
+            covered.update(v.target for v in rep.violations)
         assert covered == set(range(10)), (phase, cursor_before)
 
 

@@ -65,8 +65,8 @@ def test_snapshot_then_check_all_is_clean():
     table = snapshot_baselines(m)
     report = check_all(m, table)
     assert report.violations == []
-    assert [c for c in report.checked if isinstance(c, int)] == [0, 1, 2, 3, 4]
-    assert IDTR_TARGET in report.checked
+    assert report.objects_checked == 5
+    assert report.cycle_completed  # the IDTR rides along on every sweep
 
 
 def test_single_fault_injection_yields_one_violation():
@@ -98,15 +98,33 @@ def test_snapshot_without_objects_is_config_error():
 # check_batch
 # ---------------------------------------------------------------------------
 
+def _tamper_all(m):
+    # every object diverges, so each check reports exactly what it covered
+    for obj in m.objects.values():
+        m.privileged_write(obj.addr, bytes([m.read(obj.addr, 1)[0] ^ 0xFF]))
+
+
 def test_batch_round_robin_wraps():
     m = _objects_machine(5)
     table = snapshot_baselines(m)
-    seen = []
+    _tamper_all(m)
+    seen, cycles = [], []
     for _ in range(3):
         report = check_batch(m, table, 2)
-        seen.append([c for c in report.checked if isinstance(c, int)])
+        assert report.objects_checked == 2
+        seen.append([v.target for v in report.violations])
+        cycles.append(report.cycle_completed)
     assert seen == [[0, 1], [2, 3], [4, 0]]
+    assert cycles == [False, False, True]
     assert table.cursor == 1
+
+
+def test_idtr_rides_along_only_on_the_wrapping_batch():
+    m = _objects_machine(5)
+    table = snapshot_baselines(m)
+    m.set_idtr(0, 512, privileged=False)
+    seen = [[v.target for v in check_batch(m, table, 2).violations] for _ in range(3)]
+    assert seen == [[], [], [IDTR_TARGET]]
 
 
 def test_violation_in_object_4_found_on_third_k2_call():
@@ -127,7 +145,7 @@ def test_k_at_least_n_behaves_as_check_all():
     table = snapshot_baselines(m)
     m.privileged_write(m.objects[1].addr, b"\x01")
     report = check_batch(m, table, 9)
-    assert [c for c in report.checked if isinstance(c, int)] == [0, 1, 2, 3]
+    assert report.objects_checked == 4  # k saturates at N
     assert [v.target for v in report.violations] == [1]
     assert table.cursor == 0  # advanced by exactly one full cycle
     assert report.cycle_completed

@@ -16,7 +16,7 @@ from .errors import (  # noqa: F401
     ReportMismatchError,
     SimulatorError,
 )
-from .guest import GuestMachine, new_machine  # noqa: F401
+from .guest import GuestMachine  # noqa: F401
 from .hypervisor import (  # noqa: F401
     FiringSchedule,
     ProtectionRegistry,
@@ -46,6 +46,5 @@ from .simulation import (  # noqa: F401
     SetupSpec,
     StrategyConfig,
     WorkloadSpec,
-    overhead_report,
     run_scenario,
 )

@@ -110,14 +110,18 @@ def _cmd_run(args) -> int:
         return EXIT_RUN
 
     # report is written only after every run has succeeded: no partial output
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report_to_json(report))
-    (out_dir / "report.txt").write_text(render_text(report))
-    for (name, seed), entries in traces.items():
-        trace_path = out_dir / f"trace-{name}-{seed}.jsonl"
-        with trace_path.open("w") as fh:
-            for entry in entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.json").write_text(report_to_json(report))
+        (out_dir / "report.txt").write_text(render_text(report))
+        for (name, seed), entries in traces.items():
+            trace_path = out_dir / f"trace-{name}-{seed}.jsonl"
+            with trace_path.open("w") as fh:
+                for entry in entries:
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"run failed: cannot write reports to {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_RUN
     print(f"ran {display}: {sum(len(r) for r in results.values())} run(s)")
     print(render_text(report, include_attacks=False))
     print(f"report written to {out_dir / 'report.json'}")

@@ -14,8 +14,7 @@ import configparser
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from . import threat
 from .errors import ConfigFileError, ConfigurationError
@@ -29,6 +28,7 @@ from .simulation import (
     SetupSpec,
     StrategyConfig,
     WorkloadSpec,
+    check_attacks,
     plan_layout,
 )
 from .timebase import Ticks, ticks_from_ns, ticks_from_seconds, ticks_from_us
@@ -151,18 +151,8 @@ def _positive(value) -> Optional[str]:
     return None if value > 0 else "must be > 0"
 
 
-def parse_config(source: Union[str, Path]) -> ScenarioConfig:
-    """Parse and fully validate a config from a path or raw text."""
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif "\n" in source or source.lstrip().startswith("["):
-        text = source
-    else:
-        text = Path(source).read_text()
-    return parse_config_text(text)
-
-
 def parse_config_text(text: str) -> ScenarioConfig:
+    """Parse and fully validate config text."""
     parser = configparser.ConfigParser(
         interpolation=None,
         delimiters=("=",),
@@ -242,7 +232,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
     attacks = []
     for name, section in attack_sections:
-        spec = _parse_attack(col, section, obj_count)
+        spec = _parse_attack(col, section)
         if spec is not None:
             attacks.append((name, spec))
 
@@ -305,7 +295,7 @@ def _parse_strategy(col: _Collector, section: str) -> Optional[StrategyConfig]:
     return StrategyConfig(kind="baseline")
 
 
-def _parse_attack(col: _Collector, section: str, obj_count: int):
+def _parse_attack(col: _Collector, section: str):
     kinds = ("persistent", "transient", "code", "idt", "idtr", "persistent_sweep")
     kind = col.get(section, "kind", _parse_choice(*kinds), True)
     spec = None
@@ -356,12 +346,6 @@ def _parse_attack(col: _Collector, section: str, obj_count: int):
         spec = threat.SweepSpec(count=count or 1, start=start or 0, step=step or 0,
                                 object_start=ostart or 0, object_stride=ostride or 1)
     col.reject_unconsumed(section)
-
-    if spec is not None and hasattr(spec, "object_index"):
-        if spec.object_index >= obj_count:
-            col.problem(f"{section}.object_index",
-                        f"object index {spec.object_index} >= objects.count {obj_count}")
-            return None
     return spec
 
 
@@ -372,9 +356,9 @@ def _cross_validate(config: ScenarioConfig) -> None:
     except ConfigurationError as exc:
         problems.append(("machine.page_count", str(exc)))
     try:
-        config.expanded_attacks()
-    except ConfigurationError as exc:
-        problems.append(("attacks", str(exc)))
+        check_attacks(config.setup(), config.expanded_attacks())
+    except ConfigFileError as exc:
+        problems.extend(exc.problems)
     if problems:
         raise ConfigFileError(problems)
 

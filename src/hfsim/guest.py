@@ -39,14 +39,6 @@ class Idtr:
 
 
 @dataclass(frozen=True)
-class Page:
-    """One page of guest-physical memory, as exported by snapshots."""
-
-    index: int
-    data: bytes
-
-
-@dataclass(frozen=True)
 class KernelObjectDescriptor:
     """A registered invariant kernel object: a named guest-physical range."""
 
@@ -351,17 +343,3 @@ class GuestMachine:
     def snapshot(self) -> bytes:
         """Full memory image (used by veto-atomicity and golden-file tests)."""
         return self.read(0, self.size)
-
-    def page(self, index: int) -> Page:
-        if index < 0 or index >= self.page_count:
-            raise AddressError(f"page {index} outside machine of {self.page_count} pages")
-        return Page(index, self.read(index * self.page_size, self.page_size))
-
-    def pages(self) -> Iterator[Page]:
-        for i in range(self.page_count):
-            yield self.page(i)
-
-
-def new_machine(page_count: int, page_size: int = 4096) -> GuestMachine:
-    """Zero-initialized machine with no objects, no module, IDTR unset."""
-    return GuestMachine(page_count, page_size)

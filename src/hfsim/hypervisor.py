@@ -15,9 +15,8 @@ guest-visible for experiments), and it drives both checking strategies:
 from __future__ import annotations
 
 import enum
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from . import integrity
@@ -87,11 +86,6 @@ class ProtectionRegistry:
         record = TrapRecord(time=time, addr=addr, length=length, page=page, kind=kind)
         self.trap_log.append(record)
         return record
-
-    def trap_log_json_lines(self) -> Iterable[str]:
-        """Trap log as JSON lines, one record per line."""
-        for record in self.trap_log:
-            yield json.dumps(record.to_json_dict(), sort_keys=True)
 
 
 class ScheduleMode(enum.Enum):
@@ -186,32 +180,6 @@ def install_virtual_device(
     return VirtualDevice(vector=vector, schedule=schedule)
 
 
-@dataclass
-class InterruptReport:
-    """Outcome of one device interrupt: the forced in-guest sweep."""
-
-    time: Ticks
-    duration: Ticks
-    objects_checked: int = 0
-    violations: list = field(default_factory=list)
-    hash_cost: Ticks = 0
-    subverted: bool = False
-
-
-@dataclass
-class VmexitReport:
-    """Outcome of one control-register-write VMExit batch check."""
-
-    time: Ticks
-    duration: Ticks
-    objects_checked: int
-    violations: list
-    pages_mapped: int
-    map_cost: Ticks
-    hash_cost: Ticks
-    cycle_completed: bool
-
-
 def fire_interrupt(
     device: VirtualDevice,
     machine: "GuestMachine",
@@ -220,12 +188,13 @@ def fire_interrupt(
     costs: "CostModel",
     now: Ticks = 0,
     trace: Optional[Callable[[dict], None]] = None,
-) -> InterruptReport:
+) -> integrity.CheckReport:
     """Unlock-dispatch-sweep-relock envelope for one device interrupt.
 
-    The handler address is read through the *current* IDTR before dispatch;
-    if it no longer points inside the module region the sweep is refused
-    and an integrity-subversion detection is reported instead. The envelope
+    The sweep starts once the interrupt is delivered. The handler address
+    is read through the *current* IDTR before dispatch; if it no longer
+    points inside the module region the sweep is refused and a subverted
+    report carries an integrity-subversion detection instead. The envelope
     is atomic with respect to guest events: no guest write can interleave
     between the unlock and the relock.
     """
@@ -244,12 +213,7 @@ def fire_interrupt(
             found=handler,
             time=now + delivery,
         )
-        return InterruptReport(
-            time=now,
-            duration=delivery,
-            violations=[violation],
-            subverted=True,
-        )
+        return integrity.CheckReport(violations=[violation], subverted=True)
 
     pages = list(module.page_range(machine.page_size))
     reg.unprotect_pages(pages)
@@ -261,13 +225,7 @@ def fire_interrupt(
     reg.protect_pages(pages)
     if trace is not None:
         trace({"t": now, "kind": "module_protect", "pages": pages})
-    return InterruptReport(
-        time=now,
-        duration=delivery + report.duration,
-        objects_checked=report.objects_checked,
-        violations=report.violations,
-        hash_cost=report.duration,
-    )
+    return report
 
 
 def on_control_register_write(
@@ -277,13 +235,14 @@ def on_control_register_write(
     costs: "CostModel",
     k: int,
     now: Ticks = 0,
-) -> VmexitReport:
+) -> integrity.CheckReport:
     """Model one MOV_CR* VMExit: map, check the next k objects, re-enter.
 
-    Charges the exit/entry transitions plus one page-remap per distinct
-    page touched by the batch (the in-hypervisor checker cannot read guest
-    memory natively). The batch cursor advances round-robin. The page
-    count of each (cursor, k) window is computed once per table.
+    The batch is checked after the exit and one page-remap per distinct
+    page it touches (the in-hypervisor checker cannot read guest memory
+    natively); the report counts those pages. The batch cursor advances
+    round-robin. The page count of each (cursor, k) window is computed
+    once per table.
     """
     if k <= 0:
         raise ConfigurationError(f"batch size must be >= 1, got {k}")
@@ -296,19 +255,9 @@ def on_control_register_write(
             obj = machine.objects[oid]
             pages.update(range(obj.addr // ps, (obj.end - 1) // ps + 1))
         pages_mapped = table.batch_pages[window] = len(pages)
-    map_cost = pages_mapped * costs.t_map_page
-    start = now + costs.t_vmexit + map_cost
+    start = now + costs.t_vmexit + pages_mapped * costs.t_map_page
     report = integrity.check_batch(
         machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=start
     )
-    duration = costs.t_vmexit + map_cost + report.duration + costs.t_vmentry
-    return VmexitReport(
-        time=now,
-        duration=duration,
-        objects_checked=report.objects_checked,
-        violations=report.violations,
-        pages_mapped=pages_mapped,
-        map_cost=map_cost,
-        hash_cost=report.duration,
-        cycle_completed=report.cycle_completed,
-    )
+    report.pages_mapped = pages_mapped
+    return report

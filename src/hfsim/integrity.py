@@ -68,12 +68,21 @@ class Violation:
 
 @dataclass
 class CheckReport:
-    """How many objects one check pass covered, what it found, what it cost."""
+    """What one check covered, what it found, and its hash time.
+
+    The same type serves a batch (`check_batch`, plus the pages a VMExit
+    mapped for it) and a sweep (`check_all`, or a forced interrupt whose
+    sweep was refused because its dispatch was `subverted`). `duration`
+    is the hash time alone; callers charge transitions, mapping and
+    delivery from their cost model.
+    """
 
     objects_checked: int = 0
     violations: list = field(default_factory=list)
     duration: Ticks = 0
     cycle_completed: bool = False
+    pages_mapped: int = 0
+    subverted: bool = False
 
 
 class BaselineTable:

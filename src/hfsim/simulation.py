@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 from . import threat
-from .errors import ConfigurationError
-from .guest import GuestMachine
+from .errors import ConfigFileError, ConfigurationError
+from .guest import IDT_ENTRY_SIZE, GuestMachine
 from .hypervisor import (
     FiringSchedule,
     ProtectionRegistry,
@@ -54,46 +54,24 @@ EVASION_GUARD_TICKS = 1_000
 class EventKind(enum.IntEnum):
     """Tie-break priority for simultaneous events (lower fires first)."""
 
-    TRAP = 0
     DEVICE_FIRING = 1
     ATTACK = 2
     WORKLOAD = 3
 
 
-@dataclass(frozen=True)
-class Event:
-    time: Ticks
-    kind: EventKind
-    seq: int
-    payload: tuple
-
-
 class EventQueue:
-    """Min-heap ordered by (time, kind priority, insertion sequence)."""
+    """Min-heap of (time, kind priority, insertion sequence, payload) tuples."""
 
     def __init__(self):
         self._heap: list[tuple[int, int, int, tuple]] = []
         self._seq = itertools.count()
 
     def push(self, time: Ticks, kind: EventKind, payload: tuple) -> None:
-        heapq.heappush(self._heap, (time, int(kind), next(self._seq), payload))
+        heapq.heappush(self._heap, (time, kind, next(self._seq), payload))
 
-    def pop(self) -> Optional[Event]:
-        if not self._heap:
-            return None
-        time, kind, seq, payload = heapq.heappop(self._heap)
-        return Event(time, EventKind(kind), seq, payload)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
-def next_event(queue: EventQueue) -> Event:
-    """Pop the next event; the queue must be non-empty."""
-    event = queue.pop()
-    if event is None:
-        raise ConfigurationError("next_event on an empty queue")
-    return event
+    def pop(self) -> Optional[tuple[int, int, int, tuple]]:
+        """The earliest event's heap tuple, or None when the queue is empty."""
+        return heapq.heappop(self._heap) if self._heap else None
 
 
 class Arrival(enum.Enum):
@@ -133,10 +111,6 @@ class CostModel:
         for name in self.__dataclass_fields__:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"cost {name} must be >= 0")
-
-    @classmethod
-    def zero(cls) -> "CostModel":
-        return cls()
 
 
 @dataclass(frozen=True)
@@ -230,6 +204,59 @@ def plan_layout(setup: SetupSpec) -> Layout:
     return Layout(idt_base, idt_limit, module_addr, addrs, pages_required)
 
 
+def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
+    """Validate labelled attack scripts against a setup before t=0.
+
+    Object tampers must name a registered object, IDT tampers a vector
+    inside the IDT, and IDTR tampers a table inside guest memory; no two
+    scripts may target the same object or the IDTR, since a detection
+    could not then be attributed. Returns {target: label} for the object
+    and IDTR tampers. Raises ConfigFileError with one problem per
+    offending script, keyed by its label.
+    """
+    memory = setup.machine.page_count * setup.machine.page_size
+    targets: dict = {}
+    problems = []
+    for label, script in scripts:
+        key = f"attack {label}"
+        if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
+            target = script.object_index
+            if not 0 <= target < setup.objects.count:
+                problems.append((f"{key}.object_index", f"object index {target} "
+                                 f"outside [0, {setup.objects.count})"))
+                continue
+        elif isinstance(script, threat.IdtTamper):
+            if not 0 <= script.vector < setup.idt_vectors:
+                problems.append((f"{key}.vector", f"vector {script.vector} outside "
+                                 f"the IDT of {setup.idt_vectors} entries"))
+            elif not 0 <= script.new_handler < 1 << 64:
+                problems.append((f"{key}.new_handler", "does not fit in 8 bytes"))
+            continue
+        elif isinstance(script, threat.IdtrTamper):
+            target = IDTR_TARGET
+            limit = script.new_limit
+            if limit is None:
+                limit = setup.idt_vectors * IDT_ENTRY_SIZE
+            elif limit < 0 or limit % IDT_ENTRY_SIZE:
+                problems.append((f"{key}.new_limit", "must be a non-negative "
+                                 f"multiple of {IDT_ENTRY_SIZE}"))
+                continue
+            if not 0 <= script.new_base <= memory - limit:
+                problems.append((f"{key}.new_base", f"IDTR [{script.new_base}, "
+                                 f"{script.new_base + limit}) outside memory of "
+                                 f"{memory} bytes"))
+                continue
+        else:
+            continue
+        if target in targets:
+            problems.append((key, f"targets the same object as attack {targets[target]!r}"))
+        else:
+            targets[target] = label
+    if problems:
+        raise ConfigFileError(problems)
+    return targets
+
+
 @dataclass(frozen=True)
 class DetectionRecord:
     """First detection of one divergence episode of a target."""
@@ -255,10 +282,7 @@ class ScenarioResult:
     seed: int
     strategy_kind: str
     horizon: Ticks
-    baseline_ticks: Ticks
     total_ticks: Ticks
-    overhead_ticks: Ticks
-    overhead_fraction: float
     cost_breakdown: dict
     workload_base: dict
     counts: dict
@@ -268,14 +292,19 @@ class ScenarioResult:
     attack_outcomes: list
     config_echo: dict
 
+    @property
+    def overhead_fraction(self) -> float:
+        """Charged ticks over the horizon, the run's baseline time."""
+        return (self.total_ticks - self.horizon) / self.horizon
+
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
             "strategy_kind": self.strategy_kind,
             "horizon": self.horizon,
-            "baseline_ticks": self.baseline_ticks,
+            "baseline_ticks": self.horizon,
             "total_ticks": self.total_ticks,
-            "overhead_ticks": self.overhead_ticks,
+            "overhead_ticks": self.total_ticks - self.horizon,
             "overhead_fraction": self.overhead_fraction,
             "cost_breakdown": dict(sorted(self.cost_breakdown.items())),
             "workload_base": dict(sorted(self.workload_base.items())),
@@ -286,37 +315,6 @@ class ScenarioResult:
             "attacks": [o.to_json_dict() for o in self.attack_outcomes],
             "config_echo": self.config_echo,
         }
-
-
-@dataclass(frozen=True)
-class OverheadSummary:
-    """Strategy-vs-baseline comparison for one (workload, seed) pair."""
-
-    total_overhead_pct: float
-    per_syscall_added_us: float
-    per_ctxswitch_added_us: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total_overhead_pct": self.total_overhead_pct,
-            "per_syscall_added_us": self.per_syscall_added_us,
-            "per_ctxswitch_added_us": self.per_ctxswitch_added_us,
-        }
-
-
-def overhead_report(result: ScenarioResult, baseline: ScenarioResult) -> OverheadSummary:
-    """Overhead percentages of a strategy run against a baseline run."""
-    for key in ("machine", "objects", "workload"):
-        if result.config_echo[key] != baseline.config_echo[key]:
-            raise ConfigurationError(f"results differ in {key}; cannot compare")
-    if result.seed != baseline.seed or result.horizon != baseline.horizon:
-        raise ConfigurationError("results differ in seed or horizon; cannot compare")
-    pct = 100.0 * (result.total_ticks - baseline.total_ticks) / baseline.total_ticks
-    return OverheadSummary(
-        total_overhead_pct=pct,
-        per_syscall_added_us=result.per_event_added["syscall"] / 1000.0,
-        per_ctxswitch_added_us=result.per_event_added["ctxswitch"] / 1000.0,
-    )
 
 
 def _arrival_times(
@@ -396,25 +394,11 @@ class _ScenarioRun:
             self.registry.protect_pages(self.machine.idt_pages())
 
         self.scripts = self._normalize_attacks(attacks)
+        self.target_label = check_attacks(setup, self.scripts)
         self.outcomes = {
             label: threat.AttackOutcome(label=label, kind=script.kind)
             for label, script in self.scripts
         }
-        self.target_label: dict = {}
-        for label, script in self.scripts:
-            if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
-                key = script.object_index
-            elif isinstance(script, threat.IdtrTamper):
-                key = IDTR_TARGET
-            else:
-                continue
-            if key in self.target_label:
-                raise ConfigurationError(
-                    f"attacks {self.target_label[key]!r} and {label!r} target "
-                    f"the same object"
-                )
-            self.target_label[key] = label
-        self._validate_scripts()
 
         # divergence episode per target: [dirty_since, episode_detected]
         self.state: dict = {oid: [None, False] for oid in self.machine.objects}
@@ -448,25 +432,6 @@ class _ScenarioRun:
                 label, script = f"attack-{i}", entry
             scripts.append((label, script))
         return scripts
-
-    def _validate_scripts(self) -> None:
-        n_objects = len(self.machine.objects)
-        for label, script in self.scripts:
-            if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
-                if not 0 <= script.object_index < n_objects:
-                    raise ConfigurationError(
-                        f"attack {label!r}: object index {script.object_index} "
-                        f"outside [0, {n_objects})"
-                    )
-            elif isinstance(script, threat.IdtTamper):
-                if not 0 <= script.vector < self.machine.idtr.vector_count:
-                    raise ConfigurationError(
-                        f"attack {label!r}: vector {script.vector} outside the IDT"
-                    )
-            elif isinstance(script, threat.IdtrTamper):
-                limit = script.new_limit if script.new_limit is not None else self.machine.idtr.limit
-                if script.new_base < 0 or script.new_base + limit > self.machine.size:
-                    raise ConfigurationError(f"attack {label!r}: new IDTR out of bounds")
 
     def _schedule_workload(self) -> None:
         sys_rng = random.Random(f"workload-syscall:{self.seed}")
@@ -529,64 +494,68 @@ class _ScenarioRun:
     # -- event dispatch --------------------------------------------------
 
     def run(self) -> ScenarioResult:
+        handlers = {
+            EventKind.WORKLOAD: self._on_workload,
+            EventKind.DEVICE_FIRING: self._on_firing,
+            EventKind.ATTACK: self._on_attack,
+        }
+        pop, horizon = self.queue.pop, self.horizon
         while True:
-            event = self.queue.pop()
-            if event is None or event.time > self.horizon:
+            event = pop()
+            if event is None or event[0] > horizon:
                 break
-            if event.kind is EventKind.WORKLOAD:
-                self._on_workload(event)
-            elif event.kind is EventKind.DEVICE_FIRING:
-                self._on_firing(event)
-            elif event.kind is EventKind.ATTACK:
-                self._on_attack(event)
+            time, kind, _, payload = event
+            handlers[kind](time, payload)
         return self._finish()
 
     def _emit(self, entry: dict) -> None:
         if self.trace is not None:
             self.trace(entry)
 
-    def _on_workload(self, event: Event) -> None:
-        op = event.payload[0]
+    def _on_workload(self, now: Ticks, payload: tuple) -> None:
+        op = payload[0]
+        costs = self.costs
         if op == "syscall":
             self.counts["syscalls"] += 1
-            self.base["syscall"] += self.costs.t_syscall_base
+            self.base["syscall"] += costs.t_syscall_base
         else:
             self.counts["ctxswitches"] += 1
-            self.base["ctxswitch"] += self.costs.t_ctxswitch_base
-        self._emit({"t": event.time, "kind": op})
+            self.base["ctxswitch"] += costs.t_ctxswitch_base
+        self._emit({"t": now, "kind": op})
         if self.strategy.kind != STRATEGY_HRK:
             return
         report = on_control_register_write(
-            self.machine, self.registry, self.table, self.costs,
-            self.strategy.batch_k, now=event.time,
+            self.machine, self.registry, self.table, costs,
+            self.strategy.batch_k, now=now,
         )
+        map_cost = report.pages_mapped * costs.t_map_page
         self.counts["vmexits"] += 1
         self.counts["objects_checked"] += report.objects_checked
-        self.breakdown["vmexit"] += self.costs.t_vmexit
-        self.breakdown["vmentry"] += self.costs.t_vmentry
-        self.breakdown["map_page"] += report.map_cost
-        self.breakdown["hash"] += report.hash_cost
-        self.added_by_kind[op] += report.duration
+        self.breakdown["vmexit"] += costs.t_vmexit
+        self.breakdown["vmentry"] += costs.t_vmentry
+        self.breakdown["map_page"] += map_cost
+        self.breakdown["hash"] += report.duration
+        self.added_by_kind[op] += costs.t_vmexit + map_cost + report.duration + costs.t_vmentry
         self._emit({
-            "t": event.time, "kind": "vmexit_check",
+            "t": now, "kind": "vmexit_check",
             # targets checked: the IDTR rides along on a completed cycle
             "checked": report.objects_checked + report.cycle_completed,
             "violations": len(report.violations),
         })
         self._process_violations(report.violations, via="hrk_vmexit")
 
-    def _on_firing(self, event: Event) -> None:
+    def _on_firing(self, now: Ticks, payload: tuple) -> None:
         self.counts["firings"] += 1
-        self._emit({"t": event.time, "kind": "firing_start"})
+        self._emit({"t": now, "kind": "firing_start"})
         report = fire_interrupt(
             self.device, self.machine, self.registry, self.table, self.costs,
-            now=event.time, trace=self.trace,
+            now=now, trace=self.trace,
         )
         self.breakdown["interrupt_delivery"] += self.costs.t_interrupt_delivery
-        self.breakdown["hash"] += report.hash_cost
+        self.breakdown["hash"] += report.duration
         self.counts["objects_checked"] += report.objects_checked
         self._emit({
-            "t": event.time, "kind": "firing_end",
+            "t": now, "kind": "firing_end",
             # targets checked: every sweep that runs also checks the IDTR
             "checked": report.objects_checked + (not report.subverted),
             "violations": len(report.violations),
@@ -594,23 +563,22 @@ class _ScenarioRun:
         })
         self._process_violations(report.violations, via="hf_interrupt")
 
-    def _on_attack(self, event: Event) -> None:
-        action, label = event.payload[0], event.payload[1]
+    def _on_attack(self, now: Ticks, payload: tuple) -> None:
+        action, label = payload[0], payload[1]
         outcome = self.outcomes[label]
-        now = event.time
         if action in (_ACT_WRITE, _ACT_RESTORE, _ACT_MODULE):
-            addr, data = event.payload[2], event.payload[3]
+            addr, data = payload[2], payload[3]
             result = self.machine.guest_write(self.registry, addr, data, now=now)
             self._account_write(outcome, result, now)
             if result.applied:
                 for oid in self.machine.objects_overlapping(addr, len(data)):
                     self._refresh_object_state(oid, now)
         elif action == _ACT_IDT:
-            vector, handler = event.payload[2], event.payload[3]
+            vector, handler = payload[2], payload[3]
             result = self.machine.set_idt_entry(vector, handler, self.registry, now=now)
             self._account_write(outcome, result, now)
         elif action == _ACT_IDTR:
-            base, limit = event.payload[2], event.payload[3]
+            base, limit = payload[2], payload[3]
             if limit is None:
                 limit = self.machine.idtr.limit
             self.machine.set_idtr(base, limit, privileged=False)
@@ -678,7 +646,6 @@ class _ScenarioRun:
         for outcome in self.outcomes.values():
             outcome.finalize()
         self.counts["traps"] = len(self.registry.trap_log)
-        overhead = sum(self.breakdown.values())
         per_event_added = {
             "syscall": (self.added_by_kind["syscall"] / self.counts["syscalls"])
             if self.counts["syscalls"] else 0.0,
@@ -709,10 +676,7 @@ class _ScenarioRun:
             seed=self.seed,
             strategy_kind=self.strategy.kind,
             horizon=self.horizon,
-            baseline_ticks=self.horizon,
-            total_ticks=self.horizon + overhead,
-            overhead_ticks=overhead,
-            overhead_fraction=overhead / self.horizon,
+            total_ticks=self.horizon + sum(self.breakdown.values()),
             cost_breakdown=self.breakdown,
             workload_base=self.base,
             counts=self.counts,

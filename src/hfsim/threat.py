@@ -195,9 +195,8 @@ def expand_attacks(
 ) -> list[tuple[str, AttackScript]]:
     """Flatten config-level attack specs into concrete scripts.
 
-    Sweeps become one labeled script per tamper point. Two scripts may not
-    target the same object (or the IDTR): detections could not be
-    attributed unambiguously.
+    Sweeps become one labeled script per tamper point. The scripts are
+    validated against the machine by `simulation.check_attacks`.
     """
     scripts: list[tuple[str, AttackScript]] = []
     for label, spec in specs:
@@ -206,18 +205,4 @@ def expand_attacks(
                 scripts.append((f"{label}[{i:03d}]", script))
         else:
             scripts.append((label, spec))
-
-    seen: dict[object, str] = {}
-    for label, script in scripts:
-        if isinstance(script, (PersistentTamper, TransientTamper)):
-            key = script.object_index
-        elif isinstance(script, IdtrTamper):
-            key = "idtr"
-        else:
-            continue
-        if key in seen:
-            raise ConfigurationError(
-                f"attacks {seen[key]!r} and {label!r} target the same object"
-            )
-        seen[key] = label
     return scripts

@@ -110,8 +110,9 @@ def make_setup(
 
 def assert_conservation(result) -> None:
     """The exact fixed-point accounting identity every run must satisfy."""
-    assert result.total_ticks == result.baseline_ticks + sum(
-        result.cost_breakdown.values()
-    )
-    assert result.overhead_ticks == sum(result.cost_breakdown.values())
-    assert result.baseline_ticks == result.horizon
+    charged = sum(result.cost_breakdown.values())
+    assert result.total_ticks == result.horizon + charged
+    data = result.to_json_dict()
+    assert data["overhead_ticks"] == charged
+    assert data["baseline_ticks"] == result.horizon
+    assert result.overhead_fraction == charged / result.horizon

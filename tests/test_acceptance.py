@@ -12,7 +12,7 @@ import time
 from conftest import assert_conservation, fnv1a64_ref, make_setup
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text
-from hfsim.guest import new_machine
+from hfsim.guest import GuestMachine
 from hfsim.hypervisor import FiringSchedule, ProtectionRegistry
 from hfsim.integrity import check_all, check_batch, compute_digest, snapshot_baselines
 from hfsim.simulation import CostModel, StrategyConfig, WorkloadSpec, Arrival, run_scenario
@@ -124,7 +124,7 @@ def test_criterion_3_trap_completeness_exhaustive():
     checked = 0
     for protected_mask in range(16):
         protected = {p for p in range(pages) if protected_mask & (1 << p)}
-        m = new_machine(pages, page_size)
+        m = GuestMachine(pages, page_size)
         reg = ProtectionRegistry(pages)
         reg.protect_pages(protected)
         for addr in range(size):
@@ -168,7 +168,7 @@ def test_criterion_4_protection_supremacy():
         StrategyConfig(kind="hf", schedule=FiringSchedule.periodic(4 * SEC)),
         WorkloadSpec(syscall_rate=0, ctxswitch_rate=0, arrival=Arrival.FIXED,
                      horizon=horizon_s * SEC),
-        attacks, CostModel.zero(), seed=4,
+        attacks, CostModel(), seed=4,
     )
     assert_conservation(result)
     assert len(result.attack_outcomes) == 1000
@@ -216,7 +216,7 @@ def _mimicry_trial(trial: int, schedule: FiringSchedule):
         make_setup(count=1), StrategyConfig(kind="hf", schedule=schedule),
         WorkloadSpec(syscall_rate=0, ctxswitch_rate=0, arrival=Arrival.FIXED,
                      horizon=_HORIZON),
-        [("mimic", script)], CostModel.zero(), seed=trial,
+        [("mimic", script)], CostModel(), seed=trial,
         trace=entries.append,
     )
     firings = [e for e in entries if e["kind"] == "firing_end"]
@@ -279,7 +279,7 @@ def test_criterion_5_mimicry_experiment():
 def test_criterion_6_batch_oracle_equivalence():
     combos = 0
     for n in range(1, 65):
-        m = new_machine(4, 4096)
+        m = GuestMachine(4, 4096)
         m.set_idtr(4096, 512, privileged=True)
         base = 3 * 4096
         for i in range(n):

@@ -1,8 +1,9 @@
 """The behavioural contract: every bundled config's report.json, byte for byte.
 
-The digests were recorded before the touched-set check engine and sparse
-guest memory replaced the full-walk checker. A change that alters any of
-them changes simulated results and must say why.
+The report digests were recorded before the touched-set check engine and
+sparse guest memory replaced the full-walk checker; the trace digests
+with that engine in place. A change that alters any of them changes
+simulated results or the `--trace` output and must say why.
 """
 
 import hashlib
@@ -19,6 +20,15 @@ REPORT_SHA256 = {
     "paper_overhead.cfg": "32184b1819c95b594d13a61d8bc6f38c8326ffd4ab14650b07cf52ea93cf9f89",
 }
 
+TRACE_SHA256 = {
+    ("paper_detection.cfg", "trace-hrk-20260810.jsonl"):
+        "aebae239810789b3c8229d57ad93571bf420842a12ee3def41e336cfb78c9c42",
+    ("paper_detection.cfg", "trace-hf-20260810.jsonl"):
+        "820b987caacd28d1aaad28de6bbbe70e293757ffa9d03e2b1f909feac926cd67",
+    ("paper_hf.cfg", "trace-hf-20260810.jsonl"):
+        "820b987caacd28d1aaad28de6bbbe70e293757ffa9d03e2b1f909feac926cd67",
+}
+
 
 def test_every_bundled_config_has_a_recorded_digest():
     assert sorted(REPORT_SHA256) == bundled_config_names()
@@ -30,3 +40,14 @@ def test_bundled_report_is_byte_identical(name, tmp_path, capsys):
     assert main(["run", name, "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
     assert digest == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in TRACE_SHA256}))
+def test_bundled_trace_is_byte_identical(name, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", name, "--out", str(out), "--trace"]) == 0
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[name]
+    for (config, trace), expected in TRACE_SHA256.items():
+        if config == name:
+            assert hashlib.sha256((out / trace).read_bytes()).hexdigest() == expected

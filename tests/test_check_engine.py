@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import batch_pages_ref, check_all_ref, check_batch_ref
-from hfsim.guest import new_machine
+from hfsim.guest import GuestMachine
 from hfsim.hypervisor import ProtectionRegistry, on_control_register_write
 from hfsim.integrity import check_all, snapshot_baselines
 from hfsim.simulation import CostModel
@@ -60,7 +60,7 @@ _operations = st.lists(
     operations=_operations,
 )
 def test_engine_matches_full_walk_oracle(spans, early_writes, phase, t_hash, t_map, operations):
-    m = new_machine(PAGE_COUNT, PAGE_SIZE)
+    m = GuestMachine(PAGE_COUNT, PAGE_SIZE)
     m.set_idtr(IDT_BASE, IDT_LIMIT, privileged=True)
     for i, (addr, length) in enumerate(spans):
         m.register_kernel_object(f"o{i}", addr, length)
@@ -88,7 +88,7 @@ def test_engine_matches_full_walk_oracle(spans, early_writes, phase, t_hash, t_m
             got = on_control_register_write(m, reg, table, costs, k, now=now)
             assert got.pages_mapped == pages
             assert got.violations == expected.violations
-            assert got.hash_cost == expected.duration
+            assert got.duration == expected.duration
             assert got.objects_checked == expected.objects_checked
             assert got.cycle_completed == expected.cycle_completed
             assert table.cursor == ref.cursor

@@ -149,13 +149,39 @@ def test_no_partial_report_on_run_failure(small_cfg, tmp_path, capsys):
 
 
 def test_engine_level_inconsistency_is_config_error(tmp_path, capsys):
-    # parses fine, but the IDT has no vector 100: caught while wiring the run
+    # the IDT has no vector 100: the engine's attack check rejects it
     cfg = tmp_path / "bad_vector.cfg"
     cfg.write_text(SMALL + "\n[attack stray]\nkind = idt\nvector = 100\n"
                    "new_handler = 64\nat_s = 1\n")
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("attack", [
+    "kind = idt\nvector = 100\nnew_handler = 64\nat_s = 1\n",  # the IDT holds 64
+    "kind = idtr\nnew_base = 999999999999\nat_s = 1\n",  # past the end of memory
+    "kind = idt\nvector = 3\nnew_handler = 0x10000000000000000\nat_s = 1\n",
+    "kind = idtr\nnew_base = 0\nnew_limit = 12\nat_s = 1\n",  # not whole entries
+], ids=["idt_vector_100", "idtr_past_memory", "idt_handler_too_wide", "idtr_partial_entry"])
+def test_validate_rejects_what_run_rejects(attack, tmp_path, capsys):
+    cfg = tmp_path / "bad_attack.cfg"
+    cfg.write_text(SMALL + "\n[attack stray]\n" + attack)
+    assert main(["validate", str(cfg)]) == 2
+    assert "attack stray" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "attack stray" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_3_with_one_line(small_cfg, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", str(small_cfg), "--out", str(blocker / "sub")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: cannot write reports to ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_mid_run_failure_exits_3_with_no_report(tmp_path, capsys):

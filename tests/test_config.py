@@ -3,12 +3,7 @@
 import pytest
 
 from hfsim.cli import _load_config_text, bundled_config_names
-from hfsim.config import (
-    config_digest,
-    parse_config,
-    parse_config_text,
-    serialize_config,
-)
+from hfsim.config import config_digest, parse_config_text, serialize_config
 from hfsim.errors import ConfigFileError
 from hfsim.timebase import TICKS_PER_SECOND as SEC
 
@@ -61,8 +56,8 @@ def test_all_bundled_configs_parse_and_round_trip():
 
 def test_paper_hf_round_trips_identically():
     text, _ = _load_config_text("paper_hf.cfg")
-    cfg = parse_config(text)
-    again = parse_config(serialize_config(cfg))
+    cfg = parse_config_text(text)
+    again = parse_config_text(serialize_config(cfg))
     assert serialize_config(again) == serialize_config(cfg)
 
 
@@ -160,7 +155,9 @@ kind = persistent
 object_index = 1
 at_s = 2
 """
-    assert "attacks" in _problems(text)
+    problems = _problems(text)
+    assert "attack b" in problems
+    assert "'a'" in problems["attack b"]
 
 
 def test_machine_too_small_for_layout():

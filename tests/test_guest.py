@@ -5,22 +5,22 @@ import itertools
 import pytest
 
 from hfsim.errors import AddressError, ConfigurationError
-from hfsim.guest import new_machine
+from hfsim.guest import GuestMachine
 from hfsim.hypervisor import ProtectionRegistry, TrapKind
 
 
 def _machine_with_idt(page_count=4, page_size=4096):
-    m = new_machine(page_count, page_size)
+    m = GuestMachine(page_count, page_size)
     m.set_idtr(page_size, 512, privileged=True)
     return m
 
 
 # ---------------------------------------------------------------------------
-# new_machine
+# construction
 # ---------------------------------------------------------------------------
 
 def test_new_machine_zero_initialized():
-    m = new_machine(4, 4096)
+    m = GuestMachine(4, 4096)
     assert m.size == 16384
     assert m.read(0, 16384) == bytes(16384)
     assert m.objects == {}
@@ -29,14 +29,14 @@ def test_new_machine_zero_initialized():
 
 
 def test_new_machine_smallest_legal():
-    m = new_machine(1, 64)
+    m = GuestMachine(1, 64)
     assert m.size == 64
 
 
 @pytest.mark.parametrize("pages,size", [(0, 4096), (-1, 4096), (4, 63), (4, 100), (4, 32)])
 def test_new_machine_bad_geometry(pages, size):
     with pytest.raises(ConfigurationError):
-        new_machine(pages, size)
+        GuestMachine(pages, size)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +44,7 @@ def test_new_machine_bad_geometry(pages, size):
 # ---------------------------------------------------------------------------
 
 def test_write_unprotected_applies_and_reads_back():
-    m = new_machine(4, 4096)
+    m = GuestMachine(4, 4096)
     reg = ProtectionRegistry(4)
     outcome = m.guest_write(reg, 100, b"\xab")
     assert outcome.applied and not outcome.trapped
@@ -52,7 +52,7 @@ def test_write_unprotected_applies_and_reads_back():
 
 
 def test_write_to_protected_page_is_trapped_and_memory_unchanged():
-    m = new_machine(4, 4096)
+    m = GuestMachine(4, 4096)
     reg = ProtectionRegistry(4)
     reg.protect_pages([1])
     before = m.snapshot()
@@ -64,7 +64,7 @@ def test_write_to_protected_page_is_trapped_and_memory_unchanged():
 
 def test_straddling_write_is_vetoed_whole():
     # 8 bytes crossing from unprotected page 0 into protected page 1
-    m = new_machine(4, 4096)
+    m = GuestMachine(4, 4096)
     reg = ProtectionRegistry(4)
     reg.protect_pages([1])
     before = m.snapshot()
@@ -74,7 +74,7 @@ def test_straddling_write_is_vetoed_whole():
 
 
 def test_write_out_of_bounds_is_address_error_not_trap():
-    m = new_machine(4, 4096)
+    m = GuestMachine(4, 4096)
     reg = ProtectionRegistry(4)
     with pytest.raises(AddressError):
         m.guest_write(reg, 16380, b"\x00" * 8)
@@ -83,7 +83,7 @@ def test_write_out_of_bounds_is_address_error_not_trap():
 
 
 def test_read_of_protected_page_succeeds():
-    m = new_machine(4, 4096)
+    m = GuestMachine(4, 4096)
     reg = ProtectionRegistry(4)
     m.guest_write(reg, 4096, b"data")
     reg.protect_pages([1])
@@ -91,11 +91,11 @@ def test_read_of_protected_page_succeeds():
 
 
 def test_fresh_machine_reads_zeros():
-    assert new_machine(2, 64).read(0, 128) == bytes(128)
+    assert GuestMachine(2, 64).read(0, 128) == bytes(128)
 
 
 def test_read_across_materialised_and_unwritten_pages():
-    m = new_machine(4, 64)
+    m = GuestMachine(4, 64)
     m.privileged_write(60, b"abcd")  # page 0 only; page 1 is never written
     assert m.read(62, 8) == b"cd" + bytes(6)
     m.privileged_write(192, b"wxyz")  # page 3; page 2 is never written
@@ -104,16 +104,16 @@ def test_read_across_materialised_and_unwritten_pages():
 
 
 def test_straddling_write_lands_on_both_pages():
-    m = new_machine(3, 64)
+    m = GuestMachine(3, 64)
     m.privileged_write(62, b"\x01\x02\x03\x04")
-    assert m.page(0).data[62:] == b"\x01\x02"
-    assert m.page(1).data[:2] == b"\x03\x04"
-    assert m.page(2).data == bytes(64)
+    assert m.read(0, 64)[62:] == b"\x01\x02"
+    assert m.read(64, 64)[:2] == b"\x03\x04"
+    assert m.read(128, 64) == bytes(64)
 
 
 def test_huge_machine_is_sparse():
     # 100M pages of 4 KiB: only written pages take memory
-    m = new_machine(100_000_000, 4096)
+    m = GuestMachine(100_000_000, 4096)
     last = m.size - 4
     m.privileged_write(last, b"tail")
     assert m.read(last - 4, 8) == bytes(4) + b"tail"
@@ -143,7 +143,7 @@ def test_load_module_requires_alignment_and_idt():
     m = _machine_with_idt()
     with pytest.raises(ConfigurationError):
         m.load_module(bytes(64), 8193, 0x20)
-    fresh = new_machine(4, 4096)
+    fresh = GuestMachine(4, 4096)
     with pytest.raises(ConfigurationError):
         fresh.load_module(bytes(64), 8192, 0x20)
 
@@ -221,7 +221,7 @@ def test_set_idtr_is_never_trapped():
 
 
 def test_set_idtr_validation():
-    m = new_machine(4, 4096)
+    m = GuestMachine(4, 4096)
     with pytest.raises(ConfigurationError):
         m.set_idtr(0, 12, privileged=True)  # not a multiple of 8
     with pytest.raises(AddressError):
@@ -229,7 +229,7 @@ def test_set_idtr_validation():
 
 
 def test_empty_idt_makes_any_dispatch_error():
-    m = new_machine(4, 4096)
+    m = GuestMachine(4, 4096)
     m.set_idtr(0, 0, privileged=True)
     with pytest.raises(ConfigurationError):
         m.idt_entry(0)
@@ -242,7 +242,7 @@ def test_empty_idt_makes_any_dispatch_error():
 def test_trap_iff_protected_page_touched_small_exhaustive():
     # 4-page machine with 64-byte pages, a sample of spans per protection set
     for protected in [set(), {0}, {2}, {0, 3}, {1, 2}, {0, 1, 2, 3}]:
-        m = new_machine(4, 64)
+        m = GuestMachine(4, 64)
         reg = ProtectionRegistry(4)
         reg.protect_pages(protected)
         for addr, length in itertools.product(range(0, 256, 13), (1, 5, 64, 65)):
@@ -267,18 +267,17 @@ def test_same_operation_sequence_gives_identical_machines():
         m.guest_write(reg, 0x3010, b"vetoed")
         return m.snapshot()
 
-    assert drive(new_machine(4, 4096)) == drive(new_machine(4, 4096))
+    assert drive(GuestMachine(4, 4096)) == drive(GuestMachine(4, 4096))
 
 
 def test_page_snapshot_export_golden():
-    m = new_machine(2, 64)
+    m = GuestMachine(2, 64)
     reg = ProtectionRegistry(2)
     m.guest_write(reg, 63, b"\x11\x22")  # straddles pages 0 and 1
     expected_page0 = bytearray(64)
     expected_page0[63] = 0x11
     expected_page1 = bytearray(64)
     expected_page1[0] = 0x22
-    pages = list(m.pages())
-    assert pages[0].data == bytes(expected_page0)
-    assert pages[1].data == bytes(expected_page1)
-    assert [p.index for p in pages] == [0, 1]
+    assert m.read(0, 64) == bytes(expected_page0)
+    assert m.read(64, 64) == bytes(expected_page1)
+    assert m.snapshot() == bytes(expected_page0 + expected_page1)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import fnv1a64_ref
 from hfsim.errors import ConfigurationError
-from hfsim.guest import new_machine
+from hfsim.guest import GuestMachine
 from hfsim.hypervisor import ProtectionRegistry
 from hfsim.integrity import (
     IDTR_TARGET,
@@ -19,7 +19,7 @@ from hfsim.integrity import (
 
 
 def _objects_machine(n, size=8, page_size=4096):
-    m = new_machine(4, page_size)
+    m = GuestMachine(4, page_size)
     m.set_idtr(page_size, 512, privileged=True)
     base = 3 * page_size
     for i in range(n):
@@ -79,7 +79,7 @@ def test_single_fault_injection_yields_one_violation():
 
 
 def test_snapshot_of_15000_synthetic_objects():
-    m = new_machine(240, 4096)
+    m = GuestMachine(240, 4096)
     m.set_idtr(4096, 512, privileged=True)
     for i in range(15000):
         m.register_kernel_object(f"obj{i}", 8192 + i * 64, 64)
@@ -89,7 +89,7 @@ def test_snapshot_of_15000_synthetic_objects():
 
 
 def test_snapshot_without_objects_is_config_error():
-    m = new_machine(1, 4096)
+    m = GuestMachine(1, 4096)
     with pytest.raises(ConfigurationError):
         snapshot_baselines(m)
 

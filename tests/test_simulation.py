@@ -14,8 +14,6 @@ from hfsim.simulation import (
     EventQueue,
     StrategyConfig,
     WorkloadSpec,
-    next_event,
-    overhead_report,
     run_scenario,
 )
 from hfsim.threat import CodeTamper, PersistentTamper
@@ -40,24 +38,18 @@ def test_tie_break_is_kind_priority_then_insertion():
     q.push(4 * SEC, EventKind.WORKLOAD, ("w1",))
     q.push(4 * SEC, EventKind.ATTACK, ("a1",))
     q.push(4 * SEC, EventKind.DEVICE_FIRING, ("f1",))
-    q.push(4 * SEC, EventKind.TRAP, ("t1",))
     q.push(4 * SEC, EventKind.ATTACK, ("a2",))
-    order = [next_event(q).payload[0] for _ in range(5)]
-    assert order == ["t1", "f1", "a1", "a2", "w1"]
+    order = [q.pop()[3][0] for _ in range(4)]
+    assert order == ["f1", "a1", "a2", "w1"]
 
 
 def test_times_pop_nondecreasing():
     q = EventQueue()
     for t in (5, 1, 3, 2, 4):
         q.push(t, EventKind.WORKLOAD, (t,))
-    times = [next_event(q).time for _ in range(5)]
+    times = [q.pop()[0] for _ in range(5)]
     assert times == sorted(times)
     assert q.pop() is None
-
-
-def test_next_event_on_empty_queue_raises():
-    with pytest.raises(ConfigurationError):
-        next_event(EventQueue())
 
 
 def test_firing_precedes_attack_at_same_instant_in_run():
@@ -66,7 +58,7 @@ def test_firing_precedes_attack_at_same_instant_in_run():
     run_scenario(
         make_setup(count=2), _hf(period_s=4), _workload(10),
         [("code", CodeTamper(offset=0, at=4 * SEC))],
-        CostModel.zero(), seed=1, trace=entries.append,
+        CostModel(), seed=1, trace=entries.append,
     )
     kinds = [e["kind"] for e in entries if e["t"] == 4 * SEC]
     assert kinds.index("firing_end") < kinds.index("attack")
@@ -91,7 +83,7 @@ def test_baseline_strategy_has_zero_overhead():
 def test_empty_workload_terminates_at_horizon():
     result = run_scenario(
         make_setup(count=2), StrategyConfig(kind="baseline"), _workload(7),
-        [], CostModel.zero(), seed=0,
+        [], CostModel(), seed=0,
     )
     assert result.total_ticks == 7 * SEC
     assert result.counts["syscalls"] == 0
@@ -136,7 +128,7 @@ def test_fixed_arrivals_exact_counts():
     result = run_scenario(
         make_setup(count=2), StrategyConfig(kind="baseline"),
         _workload(6, syscall_rate=80, ctx_rate=20),
-        [], CostModel.zero(), seed=0,
+        [], CostModel(), seed=0,
     )
     assert result.counts["syscalls"] == 480
     assert result.counts["ctxswitches"] == 120
@@ -180,7 +172,7 @@ def test_zero_cost_model_means_zero_overhead_everywhere():
         result = run_scenario(
             make_setup(count=4), strategy,
             _workload(5, syscall_rate=20, ctx_rate=5),
-            [], CostModel.zero(), seed=9,
+            [], CostModel(), seed=9,
         )
         assert result.overhead_fraction == 0.0
 
@@ -206,7 +198,7 @@ def test_overhead_monotone_in_every_cost_field():
 
 
 # ---------------------------------------------------------------------------
-# overhead_report
+# overhead against a baseline run
 # ---------------------------------------------------------------------------
 
 def test_overhead_report_against_baseline_run():
@@ -218,25 +210,11 @@ def test_overhead_report_against_baseline_run():
                                    workload, [], costs, seed=5)
     baseline_result = run_scenario(setup, StrategyConfig(kind="baseline"),
                                    workload, [], costs, seed=5)
-    summary = overhead_report(strategy_result, baseline_result)
+    assert baseline_result.total_ticks == baseline_result.horizon
     # 1000 exits * (100+100+100) us over 10 s = 3%
-    assert summary.total_overhead_pct == pytest.approx(3.0)
-    assert summary.per_syscall_added_us == pytest.approx(300.0)
-    assert summary.per_ctxswitch_added_us == 0.0
-
-
-def test_overhead_report_rejects_mismatched_runs():
-    setup = make_setup(count=4)
-    a = run_scenario(setup, StrategyConfig(kind="baseline"),
-                     _workload(10, syscall_rate=10), [], CostModel.zero(), seed=5)
-    b = run_scenario(setup, StrategyConfig(kind="baseline"),
-                     _workload(10, syscall_rate=10), [], CostModel.zero(), seed=6)
-    with pytest.raises(ConfigurationError):
-        overhead_report(a, b)
-    c = run_scenario(setup, StrategyConfig(kind="baseline"),
-                     _workload(9, syscall_rate=10), [], CostModel.zero(), seed=5)
-    with pytest.raises(ConfigurationError):
-        overhead_report(a, c)
+    assert 100.0 * strategy_result.overhead_fraction == pytest.approx(3.0)
+    assert strategy_result.per_event_added["syscall"] / 1000.0 == pytest.approx(300.0)
+    assert strategy_result.per_event_added["ctxswitch"] == 0.0
 
 
 # ---------------------------------------------------------------------------

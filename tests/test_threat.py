@@ -10,6 +10,7 @@ from hfsim.simulation import (
     CostModel,
     StrategyConfig,
     WorkloadSpec,
+    check_attacks,
     run_scenario,
 )
 from hfsim.threat import (
@@ -61,7 +62,7 @@ def test_identical_byte_tamper_never_diverges():
     result = run_scenario(
         make_setup(count=4), _hf(), _workload(10),
         [("noop", PersistentTamper(object_index=1, at=1 * SEC, xor_mask=0))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     (outcome,) = result.attack_outcomes
     assert outcome.applied == 1
@@ -74,7 +75,7 @@ def test_tamper_beyond_horizon_attempts_nothing():
     result = run_scenario(
         make_setup(count=4), _hf(), _workload(10),
         [("late", PersistentTamper(object_index=0, at=11 * SEC))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     (outcome,) = result.attack_outcomes
     assert outcome.attempted == 0
@@ -85,7 +86,7 @@ def test_persistent_tamper_under_baseline_strategy_evades():
     result = run_scenario(
         make_setup(count=4), StrategyConfig(kind="baseline"), _workload(10),
         [("t", PersistentTamper(object_index=0, at=1 * SEC))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     (outcome,) = result.attack_outcomes
     assert outcome.applied == 1
@@ -106,7 +107,7 @@ def test_visible_schedule_evasion_is_never_detected():
     script = TransientTamper(object_index=0, windows=windows,
                              knowledge=ScheduleKnowledge.GUEST_VISIBLE_ONLY)
     result = run_scenario(setup, strategy, _workload(14), [("evade", script)],
-                          CostModel.zero(), seed=3)
+                          CostModel(), seed=3)
     (outcome,) = result.attack_outcomes
     assert result.detections == []
     assert outcome.detected_at is None
@@ -125,7 +126,7 @@ def test_hidden_schedule_defeats_the_same_evasion_attacker():
     script = TransientTamper(object_index=0, windows=windows,
                              knowledge=ScheduleKnowledge.GUEST_VISIBLE_ONLY)
     result = run_scenario(setup, strategy, _workload(14), [("evade", script)],
-                          CostModel.zero(), seed=3)
+                          CostModel(), seed=3)
     assert len(result.detections) >= 1
     assert result.attack_outcomes[0].evaded is False
 
@@ -140,7 +141,7 @@ def test_window_avoiding_every_firing_evades_both_schedules():
             _workload(10),
             [("t", TransientTamper(object_index=0,
                                    windows=((int(4.5 * SEC), int(7.5 * SEC)),)))],
-            CostModel.zero(), seed=2,
+            CostModel(), seed=2,
         )
         assert result.detections == []
         assert result.attack_outcomes[0].evaded is True
@@ -172,7 +173,7 @@ def test_code_tamper_is_trapped_and_module_unchanged():
     result = run_scenario(
         setup, _hf(), _workload(10),
         [("code", CodeTamper(offset=0, at=2 * SEC))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     (outcome,) = result.attack_outcomes
     assert outcome.trapped == 1 and outcome.applied == 0
@@ -188,7 +189,7 @@ def test_code_tamper_at_exact_firing_instant_still_trapped():
     result = run_scenario(
         make_setup(count=2), _hf(period_s=4), _workload(10),
         [("code", CodeTamper(offset=16, at=4 * SEC))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     (outcome,) = result.attack_outcomes
     assert outcome.trapped == 1 and outcome.applied == 0
@@ -200,7 +201,7 @@ def test_write_one_byte_past_module_region_applies():
     result = run_scenario(
         setup, _hf(), _workload(10),
         [("edge", CodeTamper(offset=4096, at=2 * SEC, payload=b"\x00"))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     (outcome,) = result.attack_outcomes
     assert outcome.applied == 1 and outcome.trapped == 0
@@ -210,7 +211,7 @@ def test_idt_tamper_trapped():
     result = run_scenario(
         make_setup(count=2), _hf(), _workload(10),
         [("idt", IdtTamper(vector=0x20, new_handler=0x40, at=1 * SEC))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     (outcome,) = result.attack_outcomes
     assert outcome.trapped == 1 and outcome.applied == 0
@@ -241,7 +242,7 @@ def test_idtr_restore_to_original_is_no_violation():
     result = run_scenario(
         setup, _hf(), _workload(10),
         [("idtr", IdtrTamper(new_base=4096, at=1 * SEC))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     assert result.detections == []
     assert result.attack_outcomes[0].evaded is False
@@ -261,10 +262,10 @@ def test_sweep_expansion():
 
 def test_duplicate_targets_rejected():
     with pytest.raises(ConfigurationError):
-        expand_attacks(
+        check_attacks(
+            make_setup(count=4),
             [("a", PersistentTamper(object_index=1, at=0)),
              ("b", TransientTamper(object_index=1, windows=((1, 2),)))],
-            object_count=4,
         )
 
 
@@ -276,7 +277,7 @@ def test_supremacy_exhaustive_over_module_offsets():
         for off in range(64)
     ]
     result = run_scenario(setup, _hf(period_s=4), _workload(1),
-                          attacks, CostModel.zero(), seed=0)
+                          attacks, CostModel(), seed=0)
     for outcome in result.attack_outcomes:
         assert outcome.trapped == 1 and outcome.applied == 0
 
@@ -305,7 +306,7 @@ def test_attack_outcome_invariant_attempted_splits():
         [("a", PersistentTamper(object_index=0, at=1 * SEC)),
          ("b", CodeTamper(offset=0, at=2 * SEC)),
          ("c", TransientTamper(object_index=1, windows=((3 * SEC, 5 * SEC),)))],
-        CostModel.zero(), seed=1,
+        CostModel(), seed=1,
     )
     for outcome in result.attack_outcomes:
         assert outcome.attempted == outcome.applied + outcome.trapped

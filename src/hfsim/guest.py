@@ -7,16 +7,19 @@ privileged write path exists for hypervisor-side setup (module loading)
 and for test harnesses that need to model bugs bypassing protection.
 
 Memory is sparse: a page is materialised on its first write, and pages
-never written read as zeros. Every applied write also records which
-registered objects it touched, so checkers can skip objects whose bytes
-cannot have changed.
+never written read as zeros. Kernel objects are registered as runs of
+equal-length objects at a fixed stride, so registering, finding and
+counting the pages of objects is arithmetic, whatever their number.
+Every applied write also records which registered objects it touched, so
+checkers can skip objects whose bytes cannot have changed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import AddressError, ConfigurationError
 from .hypervisor import ProtectionRegistry, TrapKind, TrapRecord
@@ -40,16 +43,54 @@ class Idtr:
 
 @dataclass(frozen=True)
 class KernelObjectDescriptor:
-    """A registered invariant kernel object: a named guest-physical range."""
+    """A registered invariant kernel object: a guest-physical range."""
 
     object_id: int
-    name: str
     addr: int
     length: int
 
-    @property
-    def end(self) -> int:
-        return self.addr + self.length
+
+class ObjectRun(NamedTuple):
+    """`count` objects of `length` bytes at `base + i*stride`, ids from `first_id`."""
+
+    first_id: int
+    base: int
+    stride: int
+    length: int
+    count: int
+
+    def overlapping(self, addr: int, end: int) -> range:
+        """Ids of the run's objects intersecting [addr, end)."""
+        lo = max((addr - self.base - self.length) // self.stride + 1, 0)
+        hi = min(-((self.base - end) // self.stride), self.count)
+        return range(self.first_id + lo, self.first_id + max(lo, hi))
+
+
+class _ObjectView(Mapping):
+    """Read-only {id: KernelObjectDescriptor} over a machine's object runs.
+
+    It shares the machine's run lists rather than the machine, so a
+    machine is freed as soon as its last user drops it, without waiting
+    for the cyclic garbage collector.
+    """
+
+    def __init__(self, runs: list[ObjectRun], run_starts: list[int]):
+        self._runs = runs
+        self._run_starts = run_starts
+
+    def __len__(self) -> int:
+        return self._runs[-1].first_id + self._runs[-1].count if self._runs else 0
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self)))
+
+    def __getitem__(self, oid: int) -> KernelObjectDescriptor:
+        if not 0 <= oid < len(self):
+            raise KeyError(oid)
+        run = self._runs[bisect_right(self._run_starts, oid) - 1]
+        return KernelObjectDescriptor(
+            oid, run.base + (oid - run.first_id) * run.stride, run.length
+        )
 
 
 @dataclass(frozen=True)
@@ -106,18 +147,19 @@ class GuestMachine:
         self.size = page_count * page_size  # bytes of guest-physical memory
         self._pages: dict[int, bytearray] = {}  # materialised pages by index
         self.idtr = Idtr(0, 0)  # unset sentinel
-        self.objects: dict[int, KernelObjectDescriptor] = {}
+        # registered objects, as runs in id order
+        self.runs: list[ObjectRun] = []
+        self._run_starts: list[int] = []  # first id of each run
+        self.object_count = 0
+        self.objects: Mapping[int, KernelObjectDescriptor] = _ObjectView(
+            self.runs, self._run_starts
+        )
         self.module: Optional[ModuleRegion] = None
-        self._next_object_id = 0
         # ids of objects any applied write has overlapped, as a set and in
         # first-touch order; an object outside it still holds the bytes it
         # had when registered
         self.touched: set[int] = set()
         self.touch_log: list[int] = []
-        self._starts: list[int] = []
-        self._index: list[tuple[int, int, int]] = []  # (addr, end, id), sorted
-        self._index_stale = False
-        self._max_obj_len = 0
 
     # ------------------------------------------------------------------
     # memory access
@@ -293,48 +335,91 @@ class GuestMachine:
                 raise ConfigurationError(
                     "module region may not share pages with the IDT"
                 )
-        for obj in self.objects.values():
-            if obj.addr < region.end and obj.end > region.addr:
-                raise ConfigurationError(
-                    f"module region overlaps object {obj.object_id} ({obj.name})"
-                )
+        overlap = self.objects_overlapping(region.addr, region.length)
+        if overlap:
+            raise ConfigurationError(f"module region overlaps object {overlap[0]}")
         self.privileged_write(addr, code)
         self.set_idt_entry(handler_vector, addr, privileged=True)
         self.module = region
         return region
 
-    def register_kernel_object(self, name: str, addr: int, length: int) -> int:
-        """Register an invariant object range; returns its sequential id."""
+    def register_kernel_object(
+        self, name: str, addr: int, length: int, count: int = 1,
+        stride: Optional[int] = None,
+    ) -> int:
+        """Register `count` objects of `length` bytes at `addr + i*stride`.
+
+        `stride` defaults to `length` (packed). Ids are sequential; returns
+        the first. `name` serves error messages only.
+        """
         if length <= 0:
             raise ConfigurationError(f"object length must be positive, got {length}")
-        self._check_range(addr, length)
-        if self.module is not None:
-            if addr < self.module.end and addr + length > self.module.addr:
-                raise ConfigurationError(
-                    f"object {name!r} overlaps the module region"
-                )
-        oid = self._next_object_id
-        self._next_object_id += 1
-        self.objects[oid] = KernelObjectDescriptor(oid, name, addr, length)
-        self._index_stale = True
-        if length > self._max_obj_len:
-            self._max_obj_len = length
-        return oid
+        if count < 1:
+            raise ConfigurationError(f"object count must be >= 1, got {count}")
+        if stride is None:
+            stride = length
+        elif stride < 1:
+            raise ConfigurationError(f"object stride must be >= 1, got {stride}")
+        self._check_range(addr, (count - 1) * stride + length)
+        run = ObjectRun(self.object_count, addr, stride, length, count)
+        if self.module is not None and run.overlapping(self.module.addr, self.module.end):
+            raise ConfigurationError(f"object {name!r} overlaps the module region")
+        self.runs.append(run)
+        self._run_starts.append(run.first_id)
+        self.object_count += count
+        return run.first_id
 
     def objects_overlapping(self, addr: int, length: int) -> list[int]:
         """Ids of registered objects intersecting [addr, addr+length)."""
-        if not self.objects or length <= 0:
+        if length <= 0:
             return []
-        if self._index_stale:
-            self._index = sorted(
-                (o.addr, o.end, o.object_id) for o in self.objects.values()
-            )
-            self._starts = [entry[0] for entry in self._index]
-            self._index_stale = False
-        end = addr + length
-        lo = bisect_left(self._starts, addr - self._max_obj_len + 1)
-        hi = bisect_right(self._starts, end - 1)
-        return [oid for s, e, oid in self._index[lo:hi] if e > addr and s < end]
+        ids: list[int] = []
+        for run in self.runs:
+            ids.extend(run.overlapping(addr, addr + length))
+        return ids
+
+    def objects_on_written_pages(self) -> set[int]:
+        """Ids of objects on materialised pages; every other object reads as zeros."""
+        ps = self.page_size
+        ids: set[int] = set()
+        for page in self._pages:
+            ids.update(self.objects_overlapping(page * ps, ps))
+        return ids
+
+    def object_pages(self, spans: list[tuple[int, int]]) -> int:
+        """Distinct pages occupied by the objects whose ids lie in the [start, stop) spans.
+
+        Pure arithmetic on the runs. Within a run whose gap (stride - length)
+        is under a page, a contiguous range of objects covers one contiguous
+        interval of pages; objects whose gap is a page or more share no
+        pages, and their per-object page counts are summed in closed form.
+        Pieces whose page intervals overlap are merged; only a sparse run
+        interleaved with another run's pages is enumerated object by object.
+        """
+        ps = self.page_size
+        pieces = []  # (first page, last page, page count, sparse objects or None)
+        for start, stop in spans:
+            for run in self.runs:
+                lo = max(start - run.first_id, 0)
+                hi = min(stop - run.first_id, run.count)
+                if lo >= hi:
+                    continue
+                first = (run.base + lo * run.stride) // ps
+                last = (run.base + (hi - 1) * run.stride + run.length - 1) // ps
+                if hi - lo == 1 or run.stride - run.length < ps:
+                    pieces.append((first, last, last - first + 1, None))
+                else:
+                    pieces.append((first, last, _sparse_pages(run, lo, hi, ps), (run, lo, hi)))
+        if len(pieces) == 1:
+            return pieces[0][2]
+        total, group, group_last = 0, [], -1
+        for piece in sorted(pieces, key=lambda piece: piece[0]):
+            if group and piece[0] > group_last:
+                total += _group_pages(group, group_last, ps)
+                group = []
+            group.append(piece)
+            group_last = max(group_last, piece[1])
+        return total + _group_pages(group, group_last, ps)
 
     # ------------------------------------------------------------------
     # snapshot export
@@ -343,3 +428,44 @@ class GuestMachine:
     def snapshot(self) -> bytes:
         """Full memory image (used by veto-atomicity and golden-file tests)."""
         return self.read(0, self.size)
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a*i + b) / m) for i in range(n)) for non-negative a, b."""
+    total = 0
+    while n:
+        q, a = divmod(a, m)
+        total += q * n * (n - 1) // 2
+        q, b = divmod(b, m)
+        total += q * n
+        y = a * n + b
+        if y < m:
+            break
+        n, b = divmod(y, m)
+        m, a = a, m
+    return total
+
+
+def _sparse_pages(run: ObjectRun, lo: int, hi: int, ps: int) -> int:
+    """Summed page counts of objects lo..hi-1 of a run, each a page or more apart."""
+    n, addr = hi - lo, run.base + lo * run.stride
+    return n + (_floor_sum(n, ps, run.stride, addr + run.length - 1)
+                - _floor_sum(n, ps, run.stride, addr))
+
+
+def _group_pages(group: list, last: int, ps: int) -> int:
+    """Distinct pages of pieces whose page intervals chain into one span."""
+    if len(group) == 1:
+        return group[0][2]
+    if all(sparse is None for *_, sparse in group):
+        return last - group[0][0] + 1
+    pages: set[int] = set()
+    for first, piece_last, _, sparse in group:
+        if sparse is None:
+            pages.update(range(first, piece_last + 1))
+            continue
+        run, lo, hi = sparse
+        for i in range(lo, hi):
+            addr = run.base + i * run.stride
+            pages.update(range(addr // ps, (addr + run.length - 1) // ps + 1))
+    return len(pages)

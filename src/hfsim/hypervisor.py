@@ -240,24 +240,19 @@ def on_control_register_write(
 
     The batch is checked after the exit and one page-remap per distinct
     page it touches (the in-hypervisor checker cannot read guest memory
-    natively); the report counts those pages. The batch cursor advances
-    round-robin. The page count of each (cursor, k) window is computed
-    once per table.
+    natively); the report counts those pages, computed from the object
+    layout. A batch that wraps past the last object covers two id spans.
+    The batch cursor advances round-robin.
     """
     if k <= 0:
         raise ConfigurationError(f"batch size must be >= 1, got {k}")
-    window = (table.cursor, k)
-    pages_mapped = table.batch_pages.get(window)
-    if pages_mapped is None:
-        ps = machine.page_size
-        pages = set()
-        for oid in table.peek_batch(k):
-            obj = machine.objects[oid]
-            pages.update(range(obj.addr // ps, (obj.end - 1) // ps + 1))
-        pages_mapped = table.batch_pages[window] = len(pages)
-    start = now + costs.t_vmexit + pages_mapped * costs.t_map_page
+    n = len(table)
+    start, stop = table.cursor, table.cursor + min(k, n)
+    spans = [(start, stop)] if stop <= n else [(start, n), (0, stop - n)]
+    pages_mapped = machine.object_pages(spans)
+    begin = now + costs.t_vmexit + pages_mapped * costs.t_map_page
     report = integrity.check_batch(
-        machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=start
+        machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=begin
     )
     report.pages_mapped = pages_mapped
     return report

@@ -16,9 +16,10 @@ of object lengths in check order, never from a walk over the range.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import ConfigurationError
@@ -85,34 +86,57 @@ class CheckReport:
     subverted: bool = False
 
 
-class BaselineTable:
-    """Precomputed per-object digests plus the round-robin check cursor.
+class _Baselines(Mapping):
+    """Read-only {id: baseline digest}: one default per object run plus overrides."""
 
-    Entries must be the digests of the objects' bytes at snapshot time:
-    an object the guest has not touched since is taken to still match.
+    def __init__(self, run_starts: list[int], defaults: list[int],
+                 overrides: dict[int, int], count: int):
+        self._run_starts = run_starts
+        self._defaults = defaults
+        self._overrides = overrides
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return iter(range(self._count))
+
+    def __getitem__(self, oid: int) -> int:
+        digest = self._overrides.get(oid)
+        if digest is not None:
+            return digest
+        if not 0 <= oid < self._count:
+            raise KeyError(oid)
+        return self._defaults[bisect_right(self._run_starts, oid) - 1]
+
+
+class BaselineTable:
+    """Per-object baseline digests plus the round-robin check cursor.
+
+    Objects are checked in id order. An object the guest has not touched
+    since the snapshot is taken to still match its baseline digest.
     """
 
     def __init__(
         self,
-        entries: dict[int, int],
-        lengths: dict[int, int],
+        entries: Mapping[int, int],
+        bytes_before: Sequence[int],
         idtr_baseline: tuple[int, int],
         digest_fn: DigestFn = compute_digest,
     ):
-        self.entries = dict(entries)
+        self.entries = entries
         self.idtr_baseline = idtr_baseline
         self.digest_fn = digest_fn
-        self.order: list[int] = sorted(self.entries)
+        self.order = range(len(entries))  # check order: position p holds object p
         self.cursor = 0
-        # _bytes_before[p]: total length of the objects before position p in order
-        self._bytes_before = list(accumulate((lengths[oid] for oid in self.order), initial=0))
-        # distinct pages of the batch at (cursor, k), filled by the VMExit path
-        self.batch_pages: dict[tuple[int, int], int] = {}
+        # _bytes_before[p]: total length of the objects before position p
+        self._bytes_before = bytes_before
         self._touched: list[int] = []  # sorted positions in order
         self._log_seen = 0  # machine.touch_log entries folded in so far
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.order)
 
     def current_digest(self, machine: "GuestMachine", object_id: int) -> int:
         """Digest of the object's current bytes; untouched objects are not read."""
@@ -123,19 +147,12 @@ class BaselineTable:
 
     def _touched_positions(self, machine: "GuestMachine") -> list[int]:
         """Sorted positions in `order` of the objects the guest has touched."""
-        log = machine.touch_log
+        log, n = machine.touch_log, len(self.order)
         for oid in log[self._log_seen :]:
-            if oid in self.entries:
-                insort(self._touched, bisect_left(self.order, oid))
+            if oid < n:  # objects registered after the snapshot are not checked
+                insort(self._touched, oid)
         self._log_seen = len(log)
         return self._touched
-
-    def peek_batch(self, k: int) -> list[int]:
-        """Object ids the next check_batch(k) call will cover."""
-        if k <= 0:
-            raise ConfigurationError(f"batch size must be >= 1, got {k}")
-        n = len(self.order)
-        return [self.order[(self.cursor + i) % n] for i in range(min(k, n))]
 
 
 def snapshot_baselines(
@@ -144,22 +161,40 @@ def snapshot_baselines(
     """Digest every registered object and snapshot the IDTR; cursor = 0.
 
     Meant to run during the trusted setup phase, before any attacker event.
-    Identical object contents share one digest computation.
+    Only objects on materialised pages are read; every other object holds
+    zeros and shares its run's digest of `bytes(length)`. Identical object
+    contents share one digest computation.
     """
-    if not machine.objects:
+    if not machine.object_count:
         raise ConfigurationError("cannot snapshot baselines: no objects registered")
     memo: dict[bytes, int] = {}
-    entries = {}
-    for oid, obj in machine.objects.items():
-        data = machine.read(obj.addr, obj.length)
-        digest = memo.get(data)
-        if digest is None:
-            digest = digest_fn(data)
-            memo[data] = digest
-        entries[oid] = digest
+
+    def digest(data: bytes) -> int:
+        value = memo.get(data)
+        if value is None:
+            value = memo[data] = digest_fn(data)
+        return value
+
+    runs = machine.runs
+    overrides = {}
+    for oid in sorted(machine.objects_on_written_pages()):
+        obj = machine.objects[oid]
+        overrides[oid] = digest(machine.read(obj.addr, obj.length))
+    lengths = {run.length for run in runs}
+    if len(lengths) == 1:
+        length = lengths.pop()
+        bytes_before = range(0, (machine.object_count + 1) * length, length)
+    else:
+        bytes_before = list(accumulate(
+            chain.from_iterable(repeat(run.length, run.count) for run in runs), initial=0
+        ))
+    entries = _Baselines(
+        [run.first_id for run in runs], [digest(bytes(run.length)) for run in runs],
+        overrides, machine.object_count,
+    )
     return BaselineTable(
         entries=entries,
-        lengths={oid: obj.length for oid, obj in machine.objects.items()},
+        bytes_before=bytes_before,
         idtr_baseline=(machine.idtr.base, machine.idtr.limit),
         digest_fn=digest_fn,
     )
@@ -194,14 +229,12 @@ def _check_positions(
     before = table._bytes_before
     positions = table._touched_positions(machine)
     for i in range(bisect_left(positions, start), bisect_left(positions, stop)):
-        p = positions[i]
-        oid = table.order[p]
+        oid = positions[i]  # position p holds object p
         found = table.current_digest(machine, oid)
-        if found != table.entries[oid]:
-            time = time_at_start + (before[p + 1] - before[start]) * ticks_per_byte
-            violations.append(
-                Violation(target=oid, expected=table.entries[oid], found=found, time=time)
-            )
+        expected = table.entries[oid]
+        if found != expected:
+            time = time_at_start + (before[oid + 1] - before[start]) * ticks_per_byte
+            violations.append(Violation(target=oid, expected=expected, found=found, time=time))
 
 
 def check_batch(

@@ -166,48 +166,53 @@ class SetupSpec:
 
 @dataclass(frozen=True)
 class Layout:
+    """Concrete placement; object i sits at `objects_base + i*objects_stride`."""
+
     idt_base: int
     idt_limit: int
     module_addr: int
-    objects_addrs: tuple[int, ...]
+    objects_base: int
+    objects_stride: int
     pages_required: int
+
+
+def _layout(setup: SetupSpec) -> Layout:
+    ps = setup.machine.page_size
+    idt_limit = setup.idt_vectors * IDT_ENTRY_SIZE
+    module_page = 1 + -(-idt_limit // ps)
+    first_obj_page = module_page + 1
+    objs = setup.objects
+    if objs.placement == "spread":
+        stride, obj_pages = ps, objs.count
+    else:
+        stride, obj_pages = objs.size_bytes, -(-objs.count * objs.size_bytes // ps)
+    return Layout(ps, idt_limit, module_page * ps, first_obj_page * ps, stride,
+                  first_obj_page + obj_pages)
 
 
 def plan_layout(setup: SetupSpec) -> Layout:
     """Compute (and validate) the concrete placement for a setup."""
-    ps = setup.machine.page_size
     if setup.idt_vectors < setup.handler_vector + 1:
         raise ConfigurationError(
             f"idt_vectors {setup.idt_vectors} cannot hold vector {setup.handler_vector}"
         )
-    idt_base = ps
-    idt_limit = setup.idt_vectors * 8
-    idt_pages = -(-idt_limit // ps)
-    module_page = 1 + idt_pages
-    module_addr = module_page * ps
-    first_obj_page = module_page + 1
     objs = setup.objects
-    if objs.placement == "spread":
-        if objs.size_bytes > ps:
-            raise ConfigurationError("spread placement requires size_bytes <= page_size")
-        addrs = tuple((first_obj_page + i) * ps for i in range(objs.count))
-        pages_required = first_obj_page + objs.count
-    else:
-        base = first_obj_page * ps
-        addrs = tuple(base + i * objs.size_bytes for i in range(objs.count))
-        pages_required = first_obj_page + -(-objs.count * objs.size_bytes // ps)
-    if setup.machine.page_count < pages_required:
+    if objs.placement == "spread" and objs.size_bytes > setup.machine.page_size:
+        raise ConfigurationError("spread placement requires size_bytes <= page_size")
+    layout = _layout(setup)
+    if setup.machine.page_count < layout.pages_required:
         raise ConfigurationError(
-            f"machine needs >= {pages_required} pages for this layout, "
+            f"machine needs >= {layout.pages_required} pages for this layout, "
             f"got {setup.machine.page_count}"
         )
-    return Layout(idt_base, idt_limit, module_addr, addrs, pages_required)
+    return layout
 
 
 def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
     """Validate labelled attack scripts against a setup before t=0.
 
-    Object tampers must name a registered object, IDT tampers a vector
+    Object tampers must name a registered object and, like code tampers,
+    write only bytes inside guest memory; IDT tampers must name a vector
     inside the IDT, and IDTR tampers a table inside guest memory; no two
     scripts may target the same object or the IDTR, since a detection
     could not then be attributed. Returns {target: label} for the object
@@ -215,6 +220,7 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
     offending script, keyed by its label.
     """
     memory = setup.machine.page_count * setup.machine.page_size
+    layout = _layout(setup)
     targets: dict = {}
     problems = []
     for label, script in scripts:
@@ -225,6 +231,18 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
                 problems.append((f"{key}.object_index", f"object index {target} "
                                  f"outside [0, {setup.objects.count})"))
                 continue
+            addr = layout.objects_base + target * layout.objects_stride + script.offset
+            if not 0 <= addr < memory:
+                problems.append((f"{key}.offset", f"byte {addr} outside memory of "
+                                 f"{memory} bytes"))
+                continue
+        elif isinstance(script, threat.CodeTamper):
+            addr = layout.module_addr + script.offset
+            if not 0 <= addr <= memory - len(script.payload):
+                problems.append((f"{key}.offset", f"write [{addr}, "
+                                 f"{addr + len(script.payload)}) outside memory of "
+                                 f"{memory} bytes"))
+            continue
         elif isinstance(script, threat.IdtTamper):
             if not 0 <= script.vector < setup.idt_vectors:
                 problems.append((f"{key}.vector", f"vector {script.vector} outside "
@@ -380,8 +398,10 @@ class _ScenarioRun:
         self.machine.load_module(
             _module_code(setup.machine.page_size), layout.module_addr, setup.handler_vector
         )
-        for i, addr in enumerate(layout.objects_addrs):
-            self.machine.register_kernel_object(f"obj-{i:05d}", addr, setup.objects.size_bytes)
+        self.machine.register_kernel_object(
+            "objects", layout.objects_base, setup.objects.size_bytes,
+            count=setup.objects.count, stride=layout.objects_stride,
+        )
         self.registry = ProtectionRegistry(setup.machine.page_count)
         self.table = snapshot_baselines(self.machine)
 
@@ -400,10 +420,9 @@ class _ScenarioRun:
             for label, script in self.scripts
         }
 
-        # divergence episode per target: [dirty_since, episode_detected]
-        self.state: dict = {oid: [None, False] for oid in self.machine.objects}
-        self.state[IDTR_TARGET] = [None, False]
-        self.state[HANDLER_TARGET] = [None, False]
+        # divergence episode per target, added on first use:
+        # [dirty_since, episode_detected]
+        self.state: dict = {}
 
         self.breakdown = {
             "vmexit": 0, "vmentry": 0, "map_page": 0, "hash": 0, "interrupt_delivery": 0,
@@ -605,7 +624,7 @@ class _ScenarioRun:
         self._refresh_state(IDTR_TARGET, clean, now)
 
     def _refresh_state(self, target, clean: bool, now: Ticks) -> None:
-        st = self.state[target]
+        st = self.state.setdefault(target, [None, False])
         if clean:
             st[0] = None
             st[1] = False
@@ -620,14 +639,14 @@ class _ScenarioRun:
     def _process_violations(self, violations, via: str) -> None:
         for violation in violations:
             target = violation.target
-            st = self.state[target]
+            st = self.state.setdefault(target, [None, False])
             if st[1]:
                 continue  # this divergence episode was already reported
             st[1] = True
             tamper_time = st[0]
             if target == HANDLER_TARGET and tamper_time is None:
                 # handler subversion traces back to the IDTR move, if any
-                tamper_time = self.state[IDTR_TARGET][0]
+                tamper_time = self.state.get(IDTR_TARGET, (None,))[0]
             record = DetectionRecord(
                 target=target, tamper_time=tamper_time,
                 detected_time=violation.time, via=via,

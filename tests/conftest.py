@@ -78,11 +78,12 @@ def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
 
 def batch_pages_ref(machine, table, k) -> int:
     """Distinct pages the next k objects from the cursor occupy."""
+    n = len(table.order)
     pages = set()
-    for oid in table.peek_batch(k):
-        obj = machine.objects[oid]
+    for i in range(min(k, n)):
+        obj = machine.objects[table.order[(table.cursor + i) % n]]
         pages.update(range(obj.addr // machine.page_size,
-                           (obj.end - 1) // machine.page_size + 1))
+                           (obj.addr + obj.length - 1) // machine.page_size + 1))
     return len(pages)
 
 

@@ -2,8 +2,11 @@
 
 The report digests were recorded before the touched-set check engine and
 sparse guest memory replaced the full-walk checker; the trace digests
-with that engine in place. A change that alters any of them changes
-simulated results or the `--trace` output and must say why.
+with that engine in place. Every bundled config places its objects one
+per page, so a packed config with attacks is pinned too; its digest was
+recorded while objects were still registered one by one. A change that
+alters any of them changes simulated results or the `--trace` output and
+must say why.
 """
 
 import hashlib
@@ -29,6 +32,81 @@ TRACE_SHA256 = {
         "820b987caacd28d1aaad28de6bbbe70e293757ffa9d03e2b1f909feac926cd67",
 }
 
+# 300 packed 40-byte objects straddle 512-byte pages, and 300 is not a
+# multiple of batch_k = 7, so hrk batches wrap; hf fires with jitter
+PACKED_CFG = """\
+[machine]
+page_count = 30
+page_size = 512
+
+[objects]
+count = 300
+size_bytes = 40
+placement = packed
+
+[workload]
+syscall_rate = 120
+ctxswitch_rate = 30
+arrival = poisson
+horizon_s = 4
+
+[costs]
+t_vmexit_us = 25
+t_vmentry_us = 15
+t_interrupt_delivery_us = 100
+t_map_page_us = 35
+t_hash_per_byte_ns = 180
+t_syscall_base_us = 0.1
+t_ctxswitch_base_us = 5
+
+[strategy hrk]
+kind = hrk
+batch_k = 7
+
+[strategy hf]
+kind = hf
+schedule = jittered
+period_s = 0.5
+jitter_s = 0.1
+jitter_seed = 99
+
+[attack sweep]
+kind = persistent_sweep
+count = 20
+start_s = 0.05
+step_s = 0.15
+object_start = 3
+object_stride = 13
+
+[attack flicker]
+kind = transient
+object_index = 299
+windows = 0.4:0.7, 1.9:2.05
+offset = 39
+xor_mask = 90
+
+[attack code]
+kind = code
+offset = 100
+at_s = 1.5
+
+[attack idt]
+kind = idt
+vector = 3
+new_handler = 64
+at_s = 2.5
+
+[attack idtr]
+kind = idtr
+new_base = 0
+at_s = 3.5
+
+[run]
+repeats = 2
+seed = 77
+"""
+PACKED_SHA256 = "3475c6421a1510521ec9e7601e897a9e112836b0e4d9e12a750db746b0ec3409"
+
 
 def test_every_bundled_config_has_a_recorded_digest():
     assert sorted(REPORT_SHA256) == bundled_config_names()
@@ -51,3 +129,10 @@ def test_bundled_trace_is_byte_identical(name, tmp_path, capsys):
     for (config, trace), expected in TRACE_SHA256.items():
         if config == name:
             assert hashlib.sha256((out / trace).read_bytes()).hexdigest() == expected
+
+
+def test_packed_report_is_byte_identical(tmp_path, capsys):
+    cfg, out = tmp_path / "packed.cfg", tmp_path / "out"
+    cfg.write_text(PACKED_CFG)
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == PACKED_SHA256

@@ -1,15 +1,21 @@
-"""Differential test: the touched-set check engine against the full-walk oracle.
+"""Differential tests: the touched-set check engine and the layout
+arithmetic against brute-force oracles.
 
 Random machines (objects of unequal lengths, packed across page boundaries
 and overlapping), random batch sizes and cursor phases, and random write,
 restore and IDTR-move sequences, some applied before the snapshot. Every
 batch and sweep must match the walk-every-object oracle in conftest.
+
+Random layouts of several object runs, with gaps under, equal to and over
+a page, some objects on pages written before the snapshot: overlap
+queries, window page counts and baseline digests must match a walk over
+every object.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_pages_ref, check_all_ref, check_batch_ref
+from conftest import batch_pages_ref, check_all_ref, check_batch_ref, fnv1a64_ref
 from hfsim.guest import GuestMachine
 from hfsim.hypervisor import ProtectionRegistry, on_control_register_write
 from hfsim.integrity import check_all, snapshot_baselines
@@ -97,3 +103,66 @@ def test_engine_matches_full_walk_oracle(spans, early_writes, phase, t_hash, t_m
             got = check_all(m, table, hash_ticks_per_byte=t_hash, now=now)
             assert got == check_all_ref(m, ref, hash_ticks_per_byte=t_hash, now=now)
             assert table.cursor == ref.cursor
+
+
+LAYOUT_PAGES = 24
+LAYOUT_MEMORY = PAGE_SIZE * LAYOUT_PAGES
+
+
+@st.composite
+def _run(draw):
+    """(base, stride, length, count): a gap under, equal to or over a page."""
+    length = draw(st.integers(1, 80))
+    gap = draw(st.sampled_from(["overlap", "under", "page", "over"]))
+    if gap == "overlap":
+        stride = draw(st.integers(1, length))
+    elif gap == "under":
+        stride = length + draw(st.integers(0, PAGE_SIZE - 1))
+    elif gap == "page":
+        stride = length + PAGE_SIZE
+    else:
+        stride = length + draw(st.integers(PAGE_SIZE + 1, 3 * PAGE_SIZE))
+    count = min(draw(st.integers(1, 12)), (LAYOUT_MEMORY - length) // stride + 1)
+    base = draw(st.integers(0, LAYOUT_MEMORY - (count - 1) * stride - length))
+    return base, stride, length, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    runs=st.lists(_run(), min_size=1, max_size=4),
+    idt_entry=st.booleans(),
+    early_writes=st.lists(_write(), max_size=4),
+    queries=st.lists(st.tuples(st.integers(0, LAYOUT_MEMORY - 1), st.integers(1, 200)),
+                     max_size=8),
+    batch_sizes=st.lists(st.integers(1, 50), min_size=1, max_size=3),
+)
+# six packed 8-byte objects on one page: a wrapping window's ends share it
+@example(runs=[(0, 8, 8, 6)], idt_entry=False, early_writes=[], queries=[],
+         batch_sizes=[4])
+def test_layout_arithmetic_matches_per_object_walk(runs, idt_entry, early_writes,
+                                                   queries, batch_sizes):
+    m = GuestMachine(LAYOUT_PAGES, PAGE_SIZE)
+    m.set_idtr(IDT_BASE, IDT_LIMIT, privileged=True)
+    if idt_entry:  # materialises the IDT page under any object on it
+        m.set_idt_entry(1, 0x1234, privileged=True)
+    spans = []
+    for base, stride, length, count in runs:
+        assert m.register_kernel_object("run", base, length, count, stride) == len(spans)
+        spans += [(base + i * stride, length) for i in range(count)]
+    for _, addr, data in early_writes:
+        if addr + len(data) <= LAYOUT_MEMORY:
+            m.privileged_write(addr, data)
+    assert [(o.addr, o.length) for o in m.objects.values()] == spans
+    for addr, length in queries:
+        expected = [oid for oid, (a, n) in enumerate(spans) if a < addr + length and a + n > addr]
+        assert sorted(m.objects_overlapping(addr, length)) == expected
+    table = snapshot_baselines(m)
+    assert [table.entries[oid] for oid in table.order] == [
+        fnv1a64_ref(m.read(a, n)) for a, n in spans
+    ]
+    reg, costs = ProtectionRegistry(LAYOUT_PAGES), CostModel()
+    for k in batch_sizes:
+        for cursor in range(len(spans)):
+            table.cursor = cursor
+            expected = batch_pages_ref(m, table, k)
+            assert on_control_register_write(m, reg, table, costs, k).pages_mapped == expected

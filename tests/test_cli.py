@@ -7,7 +7,8 @@ import pytest
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text
 from hfsim.report import build_report, diff_reports, render_text
-from hfsim.errors import ReportMismatchError
+from hfsim.errors import AddressError, ReportMismatchError
+from hfsim.guest import GuestMachine
 
 SMALL = """
 [machine]
@@ -163,7 +164,12 @@ def test_engine_level_inconsistency_is_config_error(tmp_path, capsys):
     "kind = idtr\nnew_base = 999999999999\nat_s = 1\n",  # past the end of memory
     "kind = idt\nvector = 3\nnew_handler = 0x10000000000000000\nat_s = 1\n",
     "kind = idtr\nnew_base = 0\nnew_limit = 12\nat_s = 1\n",  # not whole entries
-], ids=["idt_vector_100", "idtr_past_memory", "idt_handler_too_wide", "idtr_partial_entry"])
+    "kind = persistent\nobject_index = 1\noffset = 1000000000\nat_s = 1\n",
+    "kind = transient\nobject_index = 1\nwindows = 1:2\noffset = 1000000000\n",
+    "kind = code\noffset = 999999999\nat_s = 1\n",  # past the end of memory
+], ids=["idt_vector_100", "idtr_past_memory", "idt_handler_too_wide", "idtr_partial_entry",
+        "persistent_offset_past_memory", "transient_offset_past_memory",
+        "code_offset_past_memory"])
 def test_validate_rejects_what_run_rejects(attack, tmp_path, capsys):
     cfg = tmp_path / "bad_attack.cfg"
     cfg.write_text(SMALL + "\n[attack stray]\n" + attack)
@@ -184,12 +190,14 @@ def test_unwritable_out_exits_3_with_one_line(small_cfg, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_mid_run_failure_exits_3_with_no_report(tmp_path, capsys):
-    # a code tamper far past memory aborts the run when the write executes
-    cfg = tmp_path / "oob.cfg"
-    cfg.write_text(SMALL + "\n[attack oob]\nkind = code\noffset = 999999999\nat_s = 1\n")
+def test_mid_run_failure_exits_3_with_no_report(small_cfg, tmp_path, capsys, monkeypatch):
+    # a write that fails after t=0 (the attack's) aborts the whole run
+    def failing_write(*args, **kwargs):
+        raise AddressError("write failed")
+
+    monkeypatch.setattr(GuestMachine, "guest_write", failing_write)
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    assert main(["run", str(small_cfg), "--out", str(out)]) == 3
     assert "run failed" in capsys.readouterr().err
     assert not out.exists()
 

@@ -168,6 +168,11 @@ def test_object_ids_are_sequential_and_deterministic():
     m = _machine_with_idt()
     assert m.register_kernel_object("sys_call_table", 0x3000, 256) == 0
     assert m.register_kernel_object("idt_shadow", 0x3100, 64) == 1
+    assert m.register_kernel_object("tasks", 0x3200, 16, count=3, stride=32) == 2
+    assert m.register_kernel_object("last", 0x3300, 8) == 5
+    assert [(o.object_id, o.addr, o.length) for o in m.objects.values()][2:] == [
+        (2, 0x3200, 16), (3, 0x3220, 16), (4, 0x3240, 16), (5, 0x3300, 8),
+    ]
 
 
 def test_object_overlapping_module_rejected():
@@ -188,6 +193,16 @@ def test_object_bad_ranges():
         m.register_kernel_object("empty", 0x3000, 0)
     with pytest.raises(AddressError):
         m.register_kernel_object("oob", 16380, 8)
+    with pytest.raises(ConfigurationError):
+        m.register_kernel_object("none", 0x3000, 8, count=0)
+    with pytest.raises(ConfigurationError):
+        m.register_kernel_object("still", 0x3000, 8, count=2, stride=0)
+    with pytest.raises(AddressError):  # the last of the run ends past memory
+        m.register_kernel_object("long", 0x3000, 8, count=3, stride=2048)
+    assert m.objects == {}
+    m.load_module(bytes(4096), 8192, 0x20)
+    with pytest.raises(ConfigurationError):  # the second of the run hits the module
+        m.register_kernel_object("run", 4096 + 512, 8, count=2, stride=4096)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Event engine ordering, determinism, accounting, and overhead metrics."""
 
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -264,3 +266,42 @@ def test_result_json_shape():
         "counts", "per_event_added", "detections", "traps", "attacks", "config_echo",
     }
     json.dumps(data)  # serializable
+
+
+def _run_peak_bytes(count: int, strategy: StrategyConfig) -> int:
+    tracemalloc.start()
+    try:
+        run_scenario(make_setup(count=count), strategy, _workload(2))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("strategy", [
+    StrategyConfig(kind="baseline"), StrategyConfig(kind="hrk", batch_k=25), _hf(period_s=1),
+], ids=["baseline", "hrk", "hf"])
+def test_run_memory_does_not_grow_with_the_object_count(strategy):
+    # a zero-rate run: guest, object layout and baselines, and hf sweeps
+    assert _run_peak_bytes(1_000_000, strategy) <= (
+        _run_peak_bytes(15_000, strategy) + (1 << 20)
+    )
+
+
+@pytest.mark.parametrize("strategy", [
+    StrategyConfig(kind="baseline"), StrategyConfig(kind="hrk", batch_k=2), _hf(period_s=1),
+], ids=["baseline", "hrk", "hf"])
+def test_finished_run_leaves_no_reference_cycles(strategy):
+    # the run's guest, its written pages and its tables are freed when the
+    # run returns, not by a later pass of the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(
+            make_setup(count=6), strategy, _workload(5, syscall_rate=20, ctx_rate=5),
+            [("t", PersistentTamper(object_index=3, at=SEC)),
+             ("c", CodeTamper(offset=0, at=2 * SEC))],
+            CostModel(), seed=3,
+        )
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

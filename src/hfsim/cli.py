@@ -8,8 +8,12 @@ from __future__ import annotations
 import argparse
 import importlib.resources
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
+from typing import Optional
 
 from . import __version__
 from .config import ScenarioConfig, parse_config_text
@@ -58,26 +62,28 @@ def _print_config_problems(exc: ConfigFileError) -> None:
         print(f"  {key}: {reason}", file=sys.stderr)
 
 
-def execute_config(config: ScenarioConfig, want_trace: bool = False):
-    """Run all (strategy x repeat) combinations of a validated config."""
+def execute_config(config: ScenarioConfig, trace_dir: Optional[Path] = None) -> dict:
+    """Run all (strategy x repeat) combinations of a validated config.
+
+    With `trace_dir`, each run writes its trace entries, one JSON object a
+    line, to `trace-<strategy>-<seed>.jsonl` there as it produces them.
+    """
     attacks = config.expanded_attacks()
     results = {}
-    traces = {}
     for name, strategy in config.strategies.items():
-        runs = []
+        runs = results[name] = []
         for r in range(config.repeats):
             seed = config.seed + r
-            entries: list[dict] = []
-            result = run_scenario(
-                config.setup(), strategy, config.workload, attacks,
-                config.costs, seed,
-                trace=entries.append if want_trace else None,
-            )
-            runs.append(result)
-            if want_trace:
-                traces[(name, seed)] = entries
-        results[name] = runs
-    return results, traces
+            inputs = (config.setup(), strategy, config.workload, attacks, config.costs, seed)
+            if trace_dir is None:
+                runs.append(run_scenario(*inputs))
+                continue
+            with (trace_dir / f"trace-{name}-{seed}.jsonl").open("w") as fh:
+                def write(entry: dict) -> None:
+                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+                runs.append(run_scenario(*inputs, trace=write))
+    return results
 
 
 def _cmd_run(args) -> int:
@@ -94,10 +100,20 @@ def _cmd_run(args) -> int:
         _print_config_problems(exc)
         return EXIT_CONFIG
 
+    # everything is written into a staging directory beside --out and
+    # moved into place only after every run and write has succeeded
     out_dir = Path(args.out)
+    staging = None
     try:
-        results, traces = execute_config(config, want_trace=args.trace)
+        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
+        results = execute_config(config, trace_dir=staging if args.trace else None)
         report = build_report(config, results)
+        (staging / "report.json").write_text(report_to_json(report))
+        (staging / "report.txt").write_text(render_text(report))
+        out_dir.mkdir(exist_ok=True)
+        for path in sorted(staging.iterdir()):
+            os.replace(path, out_dir / path.name)
     except ConfigFileError as exc:
         _print_config_problems(exc)
         return EXIT_CONFIG
@@ -108,20 +124,15 @@ def _cmd_run(args) -> int:
     except SimulatorError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN
-
-    # report is written only after every run has succeeded: no partial output
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.json").write_text(report_to_json(report))
-        (out_dir / "report.txt").write_text(render_text(report))
-        for (name, seed), entries in traces.items():
-            trace_path = out_dir / f"trace-{name}-{seed}.jsonl"
-            with trace_path.open("w") as fh:
-                for entry in entries:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"run failed: cannot write reports to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_RUN
+    except MemoryError:
+        print("run failed: out of memory", file=sys.stderr)
+        return EXIT_RUN
+    finally:
+        if staging is not None:
+            shutil.rmtree(staging, ignore_errors=True)
     print(f"ran {display}: {sum(len(r) for r in results.values())} run(s)")
     print(render_text(report, include_attacks=False))
     print(f"report written to {out_dir / 'report.json'}")

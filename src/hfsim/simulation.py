@@ -26,7 +26,8 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import threat
 from .errors import ConfigFileError, ConfigurationError
@@ -60,18 +61,48 @@ class EventKind(enum.IntEnum):
 
 
 class EventQueue:
-    """Min-heap of (time, kind priority, insertion sequence, payload) tuples."""
+    """Min-heap of (time, kind priority, insertion sequence, payload) tuples.
+
+    A pushed event takes the next insertion sequence number. A stream,
+    added with `add_stream`, takes one sequence number for all of its
+    events and keeps only its next event in the heap, so it orders exactly
+    as if every one of its events had been pushed when it was added, while
+    the heap holds one entry per stream however many events it yields.
+    """
 
     def __init__(self):
         self._heap: list[tuple[int, int, int, tuple]] = []
         self._seq = itertools.count()
+        self._streams: dict[int, Iterator[Ticks]] = {}
 
     def push(self, time: Ticks, kind: EventKind, payload: tuple) -> None:
         heapq.heappush(self._heap, (time, kind, next(self._seq), payload))
 
+    def add_stream(self, times: Iterable[Ticks], kind: EventKind, payload: tuple) -> None:
+        """Queue one event of `kind` at each of `times`, which must not decrease.
+
+        The stream's next time is drawn when its current event is popped.
+        """
+        times = iter(times)
+        seq = next(self._seq)
+        first = next(times, None)
+        if first is not None:
+            self._streams[seq] = times
+            heapq.heappush(self._heap, (first, kind, seq, payload))
+
     def pop(self) -> Optional[tuple[int, int, int, tuple]]:
         """The earliest event's heap tuple, or None when the queue is empty."""
-        return heapq.heappop(self._heap) if self._heap else None
+        heap = self._heap
+        if not heap:
+            return None
+        event = heap[0]
+        times = self._streams.get(event[2])
+        if times is not None:
+            following = next(times, None)
+            if following is not None:
+                return heapq.heapreplace(heap, (following, event[1], event[2], event[3]))
+            del self._streams[event[2]]
+        return heapq.heappop(heap)
 
 
 class Arrival(enum.Enum):
@@ -337,28 +368,35 @@ class ScenarioResult:
 
 def _arrival_times(
     rate: float, horizon: Ticks, arrival: Arrival, rng: random.Random
-) -> list[Ticks]:
+) -> Iterator[Ticks]:
+    """Arrival instants in (0, horizon], nondecreasing, drawn one at a time.
+
+    Fixed arrivals fall at round(n * TICKS_PER_SECOND / rate), computed
+    exactly on the rate's value and rounded half to even as round() does.
+    """
     if rate <= 0:
-        return []
-    times = []
+        return
     if arrival is Arrival.FIXED:
-        interval = TICKS_PER_SECOND / rate
-        n = 1
+        ratio = Fraction(rate)
+        # the n-th arrival is at (n * step) / divisor ticks
+        step, divisor = TICKS_PER_SECOND * ratio.denominator, ratio.numerator
+        exact = step
         while True:
-            t = round(n * interval)
+            t, rest = divmod(exact, divisor)
+            if 2 * rest > divisor or (2 * rest == divisor and t & 1):
+                t += 1
             if t > horizon:
-                break
-            times.append(t)
-            n += 1
+                return
+            yield t
+            exact += step
     else:
         t_s = 0.0
         while True:
             t_s += rng.expovariate(rate)
             t = round(t_s * TICKS_PER_SECOND)
             if t > horizon:
-                break
-            times.append(t)
-    return times
+                return
+            yield t
 
 
 def _module_code(page_size: int) -> bytes:
@@ -453,14 +491,18 @@ class _ScenarioRun:
         return scripts
 
     def _schedule_workload(self) -> None:
-        sys_rng = random.Random(f"workload-syscall:{self.seed}")
-        ctx_rng = random.Random(f"workload-ctxswitch:{self.seed}")
-        for t in _arrival_times(self.workload.syscall_rate, self.horizon,
-                                self.workload.arrival, sys_rng):
-            self.queue.push(t, EventKind.WORKLOAD, ("syscall",))
-        for t in _arrival_times(self.workload.ctxswitch_rate, self.horizon,
-                                self.workload.arrival, ctx_rng):
-            self.queue.push(t, EventKind.WORKLOAD, ("ctxswitch",))
+        # one stream per source, each with its own random substream; the
+        # syscall stream is added first, so it wins every tie between them
+        workload, costs = self.workload, self.costs
+        for op, count_key, rate, base_cost in (
+            ("syscall", "syscalls", workload.syscall_rate, costs.t_syscall_base),
+            ("ctxswitch", "ctxswitches", workload.ctxswitch_rate, costs.t_ctxswitch_base),
+        ):
+            rng = random.Random(f"workload-{op}:{self.seed}")
+            self.queue.add_stream(
+                _arrival_times(rate, self.horizon, workload.arrival, rng),
+                EventKind.WORKLOAD, (op, count_key, base_cost),
+            )
 
     def _schedule_firings(self) -> None:
         if self.device is None:
@@ -532,36 +574,37 @@ class _ScenarioRun:
             self.trace(entry)
 
     def _on_workload(self, now: Ticks, payload: tuple) -> None:
-        op = payload[0]
-        costs = self.costs
-        if op == "syscall":
-            self.counts["syscalls"] += 1
-            self.base["syscall"] += costs.t_syscall_base
-        else:
-            self.counts["ctxswitches"] += 1
-            self.base["ctxswitch"] += costs.t_ctxswitch_base
-        self._emit({"t": now, "kind": op})
+        op, count_key, base_cost = payload
+        counts, trace = self.counts, self.trace
+        counts[count_key] += 1
+        self.base[op] += base_cost
+        if trace is not None:
+            trace({"t": now, "kind": op})
         if self.strategy.kind != STRATEGY_HRK:
             return
+        costs = self.costs
         report = on_control_register_write(
             self.machine, self.registry, self.table, costs,
             self.strategy.batch_k, now=now,
         )
         map_cost = report.pages_mapped * costs.t_map_page
-        self.counts["vmexits"] += 1
-        self.counts["objects_checked"] += report.objects_checked
-        self.breakdown["vmexit"] += costs.t_vmexit
-        self.breakdown["vmentry"] += costs.t_vmentry
-        self.breakdown["map_page"] += map_cost
-        self.breakdown["hash"] += report.duration
+        counts["vmexits"] += 1
+        counts["objects_checked"] += report.objects_checked
+        breakdown = self.breakdown
+        breakdown["vmexit"] += costs.t_vmexit
+        breakdown["vmentry"] += costs.t_vmentry
+        breakdown["map_page"] += map_cost
+        breakdown["hash"] += report.duration
         self.added_by_kind[op] += costs.t_vmexit + map_cost + report.duration + costs.t_vmentry
-        self._emit({
-            "t": now, "kind": "vmexit_check",
-            # targets checked: the IDTR rides along on a completed cycle
-            "checked": report.objects_checked + report.cycle_completed,
-            "violations": len(report.violations),
-        })
-        self._process_violations(report.violations, via="hrk_vmexit")
+        if trace is not None:
+            trace({
+                "t": now, "kind": "vmexit_check",
+                # targets checked: the IDTR rides along on a completed cycle
+                "checked": report.objects_checked + report.cycle_completed,
+                "violations": len(report.violations),
+            })
+        if report.violations:
+            self._process_violations(report.violations, via="hrk_vmexit")
 
     def _on_firing(self, now: Ticks, payload: tuple) -> None:
         self.counts["firings"] += 1

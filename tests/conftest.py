@@ -1,7 +1,11 @@
 """Shared helpers and independent oracles for the test suite."""
 
+import random
+from fractions import Fraction
+
 from hfsim.integrity import CheckReport, Violation, verify_idtr
-from hfsim.simulation import MachineSpec, ObjectsSpec, SetupSpec
+from hfsim.simulation import Arrival, MachineSpec, ObjectsSpec, SetupSpec
+from hfsim.timebase import TICKS_PER_SECOND
 
 
 def fnv1a64_ref(data: bytes) -> int:
@@ -117,3 +121,49 @@ def assert_conservation(result) -> None:
     assert data["overhead_ticks"] == charged
     assert data["baseline_ticks"] == result.horizon
     assert result.overhead_fraction == charged / result.horizon
+
+
+_KIND_PRIORITY = {"firing_start": 1, "attack": 2, "syscall": 3, "ctxswitch": 3}
+
+
+def _arrival_times_ref(rate, horizon, arrival, rng) -> list:
+    times = []
+    if rate <= 0:
+        return times
+    if arrival is Arrival.FIXED:
+        interval = Fraction(TICKS_PER_SECOND) / Fraction(rate)
+        n = 1
+        while round(n * interval) <= horizon:
+            times.append(round(n * interval))
+            n += 1
+    else:
+        t_s = 0.0
+        while True:
+            t_s += rng.expovariate(rate)
+            t = round(t_s * TICKS_PER_SECOND)
+            if t > horizon:
+                return times
+            times.append(t)
+    return times
+
+
+def event_order_ref(workload, seed, firing_times=(), attack_times=()) -> list:
+    """(t, kind) of a run's workload, firing and attack events, in dispatch order.
+
+    The pre-push schedule: every arrival of both sources is drawn up front
+    (fixed ones from exact fractions, Poisson ones from the run's named
+    substreams), pushed in the order syscalls, context switches, firings,
+    attack actions, and the whole list is sorted by (time, kind priority,
+    insertion order). Kinds are named as in the trace: "firing_start" and
+    "attack" stand for a firing and an attack action.
+    """
+    events = []
+    for op, rate in (("syscall", workload.syscall_rate),
+                     ("ctxswitch", workload.ctxswitch_rate)):
+        rng = random.Random(f"workload-{op}:{seed}")
+        events += [(t, op) for t in _arrival_times_ref(rate, workload.horizon,
+                                                       workload.arrival, rng)]
+    events += [(t, "firing_start") for t in firing_times]
+    events += [(t, "attack") for t in attack_times]
+    keyed = sorted((t, _KIND_PRIORITY[kind], seq, kind) for seq, (t, kind) in enumerate(events))
+    return [(t, kind) for t, _, _, kind in keyed if t <= workload.horizon]

@@ -32,7 +32,7 @@ def _ok(criterion: int, detail: str) -> None:
 def _run_bundled(name: str):
     text, _ = _load_config_text(name)
     config = parse_config_text(text)
-    results, _ = execute_config(config)
+    results = execute_config(config)
     for runs in results.values():
         for result in runs:
             assert_conservation(result)

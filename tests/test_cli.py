@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from hfsim import cli
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text
 from hfsim.report import build_report, diff_reports, render_text
 from hfsim.errors import AddressError, ReportMismatchError
 from hfsim.guest import GuestMachine
+from hfsim.simulation import run_scenario
 
 SMALL = """
 [machine]
@@ -81,7 +83,7 @@ def test_run_is_byte_identical_across_invocations(small_cfg, tmp_path):
 def test_repeats_one_equals_single_run_verbatim(small_cfg):
     cfg = parse_config_text(small_cfg.read_text())
     cfg.repeats = 1
-    results, _ = execute_config(cfg)
+    results = execute_config(cfg)
     report = build_report(cfg, results)
     for name, runs in results.items():
         agg = report["strategies"][name]
@@ -93,7 +95,7 @@ def test_repeats_one_equals_single_run_verbatim(small_cfg):
 
 def test_every_attack_label_appears_once_per_strategy(small_cfg):
     cfg = parse_config_text(small_cfg.read_text())
-    results, _ = execute_config(cfg)
+    results = execute_config(cfg)
     report = build_report(cfg, results)
     for name in cfg.strategies:
         labels = [a["label"] for a in report["strategies"][name]["attacks"]]
@@ -190,6 +192,53 @@ def test_unwritable_out_exits_3_with_one_line(small_cfg, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+@pytest.mark.parametrize("error", [MemoryError, OSError], ids=["memory", "os"])
+def test_failed_write_leaves_no_output(error, existing, small_cfg, tmp_path, capsys,
+                                       monkeypatch):
+    # report.json and every trace are staged when report.txt fails to render
+    staged = []
+
+    def failing_render(report, **kwargs):
+        staged.extend(p.name for p in tmp_path.glob(".out.*/*"))
+        raise error("no room")
+
+    monkeypatch.setattr(cli, "render_text", failing_render)
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+    assert main(["run", str(small_cfg), "--out", str(out), "--repeats", "1", "--trace"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(staged) == ["report.json", "trace-hf-1000.jsonl", "trace-hrk-1000.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["out", "small.cfg"] if existing else ["small.cfg"]
+    )
+    assert not existing or [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
+def test_each_trace_is_on_disk_before_the_next_run(small_cfg, tmp_path, monkeypatch):
+    sizes = []
+
+    def observed_run(*args, **kwargs):
+        sizes.append({p.name: p.stat().st_size for p in tmp_path.glob(".out.*/trace-*")})
+        return run_scenario(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", observed_run)
+    out = tmp_path / "out"
+    assert main(["run", str(small_cfg), "--out", str(out), "--repeats", "2", "--trace"]) == 0
+    names = ["trace-hrk-1000.jsonl", "trace-hrk-1001.jsonl",
+             "trace-hf-1000.jsonl", "trace-hf-1001.jsonl"]
+    assert [sorted(seen) for seen in sizes] == [sorted(names[:i + 1]) for i in range(4)]
+    for i, seen in enumerate(sizes):
+        # the starting run's file is open and empty, every earlier one complete
+        assert seen[names[i]] == 0
+        for name in names[:i]:
+            assert seen[name] == (out / name).stat().st_size > 0
+
+
 def test_mid_run_failure_exits_3_with_no_report(small_cfg, tmp_path, capsys, monkeypatch):
     # a write that fails after t=0 (the attack's) aborts the whole run
     def failing_write(*args, **kwargs):
@@ -208,7 +257,7 @@ def test_mid_run_failure_exits_3_with_no_report(small_cfg, tmp_path, capsys, mon
 
 def _report_pair(small_cfg, mutate=None):
     cfg = parse_config_text(small_cfg.read_text())
-    results, _ = execute_config(cfg)
+    results = execute_config(cfg)
     a = build_report(cfg, results)
     b = json.loads(json.dumps(a))
     if mutate:
@@ -267,7 +316,7 @@ def test_diff_cli_exit_codes(small_cfg, tmp_path, capsys):
 
 def test_render_text_contains_all_strategies(small_cfg):
     cfg = parse_config_text(small_cfg.read_text())
-    results, _ = execute_config(cfg)
+    results = execute_config(cfg)
     text = render_text(build_report(cfg, results))
     assert "hrk" in text and "hf" in text and "boom" in text
 

@@ -3,10 +3,13 @@
 import gc
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_conservation, make_setup
+from conftest import assert_conservation, event_order_ref, make_setup
 from hfsim.errors import ConfigurationError
 from hfsim.hypervisor import FiringSchedule
 from hfsim.simulation import (
@@ -64,6 +67,81 @@ def test_firing_precedes_attack_at_same_instant_in_run():
     )
     kinds = [e["kind"] for e in entries if e["t"] == 4 * SEC]
     assert kinds.index("firing_end") < kinds.index("attack")
+
+
+def _order(workload, strategy, seed, attack_ticks=()):
+    """(t, kind) of the workload, firing and attack events a run traced."""
+    entries = []
+    run_scenario(
+        make_setup(count=4), strategy, workload,
+        [(f"c{i}", CodeTamper(offset=i, at=t)) for i, t in enumerate(attack_ticks)],
+        CostModel(t_hash_per_byte=1), seed=seed, trace=entries.append,
+    )
+    kinds = {"syscall", "ctxswitch", "firing_start", "attack"}
+    return [(e["t"], e["kind"]) for e in entries if e["kind"] in kinds]
+
+
+_rates = st.one_of(
+    st.integers(0, 300), st.floats(0.5, 300), st.sampled_from([50, 100, 200]),
+)
+_FIRING_PERIOD = SEC // 4
+_ORDER_STRATEGIES = {
+    "baseline": StrategyConfig(kind="baseline"),
+    "hrk": StrategyConfig(kind="hrk", batch_k=2),
+    "hf": StrategyConfig(kind="hf", schedule=FiringSchedule.periodic(_FIRING_PERIOD)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    syscall_rate=_rates, ctx_rate=_rates, arrival=st.sampled_from(list(Arrival)),
+    seed=st.integers(0, 1 << 16), horizon_ms=st.integers(1, 1500),
+    strategy=st.sampled_from(sorted(_ORDER_STRATEGIES)),
+    attack_slots=st.lists(st.integers(1, 150), max_size=4, unique=True),
+)
+@example(syscall_rate=100, ctx_rate=50, arrival=Arrival.FIXED, seed=0, horizon_ms=1500,
+         strategy="hf", attack_slots=[50, 100])
+def test_streamed_arrivals_keep_the_pre_push_order(
+    syscall_rate, ctx_rate, arrival, seed, horizon_ms, strategy, attack_slots,
+):
+    # attacks sit on 10 ms ticks, where fixed arrivals and firings also fall
+    workload = WorkloadSpec(syscall_rate=syscall_rate, ctxswitch_rate=ctx_rate,
+                            arrival=arrival, horizon=horizon_ms * SEC // 1000)
+    attack_ticks = [slot * SEC // 100 for slot in attack_slots]
+    firing_ticks = []
+    if strategy == "hf":
+        firing_ticks = range(_FIRING_PERIOD, workload.horizon + 1, _FIRING_PERIOD)
+    assert _order(workload, _ORDER_STRATEGIES[strategy], seed, attack_ticks) == event_order_ref(
+        workload, seed, firing_ticks, attack_ticks,
+    )
+
+
+def test_coinciding_fixed_arrivals_put_the_syscall_first():
+    order = _order(_workload(2, syscall_rate=100, ctx_rate=50), StrategyConfig(kind="hrk"), 0)
+    shared = [i for i in range(1, len(order)) if order[i][0] == order[i - 1][0]]
+    assert len(shared) == 100  # every context switch shares its tick
+    assert all(order[i - 1][1] == "syscall" and order[i][1] == "ctxswitch" for i in shared)
+
+
+@pytest.mark.parametrize("rate, horizon, last", [
+    (3, SEC, SEC),  # the last arrival falls exactly on the horizon
+    (7, 2 * SEC, 2 * SEC),
+    (0.3, 10 * SEC, 10 * SEC),  # the float 0.3 puts it 3.7e-7 ticks past, rounded
+    (56_320, SEC // 1000, 994_318),  # the 11th arrival, 195312.5 ticks, rounds to even
+], ids=["3_per_s", "7_per_s", "0.3_per_s", "half_tick"])
+def test_fixed_arrivals_are_exact_fractions_of_a_second(rate, horizon, last):
+    entries = []
+    run_scenario(
+        make_setup(count=2), StrategyConfig(kind="baseline"),
+        WorkloadSpec(syscall_rate=rate, ctxswitch_rate=0, arrival=Arrival.FIXED,
+                     horizon=horizon),
+        trace=entries.append,
+    )
+    interval = Fraction(SEC) / Fraction(rate)
+    expected = [round(n * interval) for n in range(1, int(horizon / interval) + 2)]
+    times = [e["t"] for e in entries]
+    assert times == [t for t in expected if t <= horizon]
+    assert times[-1] == last
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +346,10 @@ def test_result_json_shape():
     json.dumps(data)  # serializable
 
 
-def _run_peak_bytes(count: int, strategy: StrategyConfig) -> int:
+def _run_peak_bytes(count: int, strategy: StrategyConfig, workload=_workload(2)) -> int:
     tracemalloc.start()
     try:
-        run_scenario(make_setup(count=count), strategy, _workload(2))
+        run_scenario(make_setup(count=count), strategy, workload)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,6 +363,18 @@ def test_run_memory_does_not_grow_with_the_object_count(strategy):
     assert _run_peak_bytes(1_000_000, strategy) <= (
         _run_peak_bytes(15_000, strategy) + (1 << 20)
     )
+
+
+@pytest.mark.parametrize("strategy", [
+    StrategyConfig(kind="baseline"), StrategyConfig(kind="hrk", batch_k=25),
+], ids=["baseline", "hrk"])
+def test_run_memory_does_not_grow_with_the_event_count(strategy):
+    # arrivals are drawn as they are due: 20,000 events peak like 200
+    def peak(rate):
+        workload = _workload(2, syscall_rate=rate, ctx_rate=rate / 4, arrival=Arrival.POISSON)
+        return _run_peak_bytes(100, strategy, workload)
+
+    assert peak(8_000) <= peak(80) + (1 << 20)
 
 
 @pytest.mark.parametrize("strategy", [

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error, 2 config error, 3 run failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.resources
 import json
 import os
@@ -104,8 +105,12 @@ def _cmd_run(args) -> int:
     # moved into place only after every run and write has succeeded
     out_dir = Path(args.out)
     staging = None
+    created = []  # missing ancestors of --out made here, outermost first
     try:
-        out_dir.parent.mkdir(parents=True, exist_ok=True)
+        for parent in reversed(out_dir.parents):
+            if not parent.is_dir():
+                parent.mkdir()
+                created.append(parent)
         staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.", dir=out_dir.parent))
         results = execute_config(config, trace_dir=staging if args.trace else None)
         report = build_report(config, results)
@@ -133,6 +138,11 @@ def _cmd_run(args) -> int:
     finally:
         if staging is not None:
             shutil.rmtree(staging, ignore_errors=True)
+        # drop the ancestors made here that are still empty; after a
+        # successful run each of them holds --out
+        for parent in reversed(created):
+            with contextlib.suppress(OSError):
+                parent.rmdir()
     print(f"ran {display}: {sum(len(r) for r in results.values())} run(s)")
     print(render_text(report, include_attacks=False))
     print(f"report written to {out_dir / 'report.json'}")

@@ -386,17 +386,31 @@ class GuestMachine:
             ids.update(self.objects_overlapping(page * ps, ps))
         return ids
 
-    def object_pages(self, spans: list[tuple[int, int]]) -> int:
-        """Distinct pages occupied by the objects whose ids lie in the [start, stop) spans.
+    def object_pages(self, start: int, stop: int) -> int:
+        """Distinct pages occupied by the objects start..stop-1, ids taken modulo the count.
 
-        Pure arithmetic on the runs. Within a run whose gap (stride - length)
-        is under a page, a contiguous range of objects covers one contiguous
-        interval of pages; objects whose gap is a page or more share no
-        pages, and their per-object page counts are summed in closed form.
-        Pieces whose page intervals overlap are merged; only a sparse run
-        interleaved with another run's pages is enumerated object by object.
+        A window that runs past the last id wraps to id 0 and covers two id
+        spans. Pure arithmetic on the runs. Within a run whose gap (stride -
+        length) is under a page, a contiguous range of objects covers one
+        contiguous interval of pages; objects whose gap is a page or more
+        share no pages, and their per-object page counts are summed in
+        closed form. Pieces whose page intervals overlap are merged; only a
+        sparse run interleaved with another run's pages is enumerated
+        object by object.
         """
-        ps = self.page_size
+        ps, n = self.page_size, self.object_count
+        if stop <= n:
+            first_id, base, stride, length, count = self.runs[
+                bisect_right(self._run_starts, start) - 1
+            ]
+            lo, hi = start - first_id, stop - first_id
+            if hi <= count and (hi - lo == 1 or stride - length < ps):
+                # one piece: a contiguous interval of pages
+                return ((base + (hi - 1) * stride + length - 1) // ps
+                        - (base + lo * stride) // ps + 1)
+            spans = ((start, stop),)
+        else:
+            spans = ((start, n), (0, stop - n))
         pieces = []  # (first page, last page, page count, sparse objects or None)
         for start, stop in spans:
             for run in self.runs:

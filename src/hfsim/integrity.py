@@ -67,7 +67,7 @@ class Violation:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """What one check covered, what it found, and its hash time.
 
@@ -130,8 +130,8 @@ class BaselineTable:
         self.digest_fn = digest_fn
         self.order = range(len(entries))  # check order: position p holds object p
         self.cursor = 0
-        # _bytes_before[p]: total length of the objects before position p
-        self._bytes_before = bytes_before
+        # bytes_before[p]: total length of the objects before position p
+        self.bytes_before = bytes_before
         self._touched: list[int] = []  # sorted positions in order
         self._log_seen = 0  # machine.touch_log entries folded in so far
 
@@ -145,13 +145,15 @@ class BaselineTable:
         obj = machine.objects[object_id]
         return self.digest_fn(machine.read(obj.addr, obj.length))
 
-    def _touched_positions(self, machine: "GuestMachine") -> list[int]:
+    def touched_positions(self, machine: "GuestMachine") -> list[int]:
         """Sorted positions in `order` of the objects the guest has touched."""
-        log, n = machine.touch_log, len(self.order)
-        for oid in log[self._log_seen :]:
-            if oid < n:  # objects registered after the snapshot are not checked
-                insort(self._touched, oid)
-        self._log_seen = len(log)
+        log = machine.touch_log
+        if len(log) > self._log_seen:
+            n = len(self.order)
+            for oid in log[self._log_seen :]:
+                if oid < n:  # objects registered after the snapshot are not checked
+                    insort(self._touched, oid)
+            self._log_seen = len(log)
         return self._touched
 
 
@@ -226,8 +228,8 @@ def _check_positions(
     A violation is stamped when its object's hash ends: `time_at_start`
     plus the hash time of every byte from `start` up to and including it.
     """
-    before = table._bytes_before
-    positions = table._touched_positions(machine)
+    before = table.bytes_before
+    positions = table.touched_positions(machine)
     for i in range(bisect_left(positions, start), bisect_left(positions, stop)):
         oid = positions[i]  # position p holds object p
         found = table.current_digest(machine, oid)
@@ -255,7 +257,7 @@ def check_batch(
     n = len(table.order)
     k_eff = min(k, n)
     cursor, end = table.cursor, table.cursor + k_eff
-    before = table._bytes_before
+    before = table.bytes_before
     report = CheckReport(objects_checked=k_eff, cycle_completed=end >= n)
     _check_positions(machine, table, cursor, min(end, n), now,
                      hash_ticks_per_byte, report.violations)
@@ -286,7 +288,7 @@ def check_all(
     n = len(table.order)
     report = CheckReport(
         objects_checked=n,
-        duration=table._bytes_before[n] * hash_ticks_per_byte,
+        duration=table.bytes_before[n] * hash_ticks_per_byte,
         cycle_completed=True,
     )
     _check_positions(machine, table, 0, n, now, hash_ticks_per_byte, report.violations)

@@ -410,6 +410,23 @@ _ACT_MODULE = "module_write"
 _ACT_IDT = "idt_write"
 _ACT_IDTR = "idtr_set"
 
+# workload sources, as (op, count key); the syscall source comes first
+_SOURCES = (("syscall", "syscalls"), ("ctxswitch", "ctxswitches"))
+
+
+class _Tally:
+    """Sums, over one workload source's events, of what varies per event.
+
+    Every event of the source costs its base cost, and under hrk each one
+    is a VMExit charging t_vmexit and t_vmentry, so those charges follow
+    from `events` alone and `_finish` derives them.
+    """
+
+    __slots__ = ("events", "pages_mapped", "hash_ticks", "objects_checked")
+
+    def __init__(self):
+        self.events = self.pages_mapped = self.hash_ticks = self.objects_checked = 0
+
 
 class _ScenarioRun:
     def __init__(
@@ -465,12 +482,11 @@ class _ScenarioRun:
         self.breakdown = {
             "vmexit": 0, "vmentry": 0, "map_page": 0, "hash": 0, "interrupt_delivery": 0,
         }
-        self.base = {"syscall": 0, "ctxswitch": 0}
         self.counts = {
             "syscalls": 0, "ctxswitches": 0, "firings": 0, "vmexits": 0,
             "objects_checked": 0, "traps": 0,
         }
-        self.added_by_kind = {"syscall": 0, "ctxswitch": 0}
+        self.tallies = {op: _Tally() for op, _ in _SOURCES}
         self.detections: list[DetectionRecord] = []
 
         self.queue = EventQueue()
@@ -493,15 +509,12 @@ class _ScenarioRun:
     def _schedule_workload(self) -> None:
         # one stream per source, each with its own random substream; the
         # syscall stream is added first, so it wins every tie between them
-        workload, costs = self.workload, self.costs
-        for op, count_key, rate, base_cost in (
-            ("syscall", "syscalls", workload.syscall_rate, costs.t_syscall_base),
-            ("ctxswitch", "ctxswitches", workload.ctxswitch_rate, costs.t_ctxswitch_base),
-        ):
+        workload = self.workload
+        for (op, _), rate in zip(_SOURCES, (workload.syscall_rate, workload.ctxswitch_rate)):
             rng = random.Random(f"workload-{op}:{self.seed}")
             self.queue.add_stream(
                 _arrival_times(rate, self.horizon, workload.arrival, rng),
-                EventKind.WORKLOAD, (op, count_key, base_cost),
+                EventKind.WORKLOAD, (op, self.tallies[op]),
             )
 
     def _schedule_firings(self) -> None:
@@ -556,7 +569,9 @@ class _ScenarioRun:
 
     def run(self) -> ScenarioResult:
         handlers = {
-            EventKind.WORKLOAD: self._on_workload,
+            EventKind.WORKLOAD: (
+                self._on_vmexit if self.strategy.kind == STRATEGY_HRK else self._on_workload
+            ),
             EventKind.DEVICE_FIRING: self._on_firing,
             EventKind.ATTACK: self._on_attack,
         }
@@ -574,28 +589,25 @@ class _ScenarioRun:
             self.trace(entry)
 
     def _on_workload(self, now: Ticks, payload: tuple) -> None:
-        op, count_key, base_cost = payload
-        counts, trace = self.counts, self.trace
-        counts[count_key] += 1
-        self.base[op] += base_cost
+        op, tally = payload
+        tally.events += 1
+        if self.trace is not None:
+            self.trace({"t": now, "kind": op})
+
+    def _on_vmexit(self, now: Ticks, payload: tuple) -> None:
+        """A workload event under hrk: its control-register write exits to a check."""
+        op, tally = payload
+        tally.events += 1
+        trace = self.trace
         if trace is not None:
             trace({"t": now, "kind": op})
-        if self.strategy.kind != STRATEGY_HRK:
-            return
-        costs = self.costs
         report = on_control_register_write(
-            self.machine, self.registry, self.table, costs,
+            self.machine, self.registry, self.table, self.costs,
             self.strategy.batch_k, now=now,
         )
-        map_cost = report.pages_mapped * costs.t_map_page
-        counts["vmexits"] += 1
-        counts["objects_checked"] += report.objects_checked
-        breakdown = self.breakdown
-        breakdown["vmexit"] += costs.t_vmexit
-        breakdown["vmentry"] += costs.t_vmentry
-        breakdown["map_page"] += map_cost
-        breakdown["hash"] += report.duration
-        self.added_by_kind[op] += costs.t_vmexit + map_cost + report.duration + costs.t_vmentry
+        tally.pages_mapped += report.pages_mapped
+        tally.hash_ticks += report.duration
+        tally.objects_checked += report.objects_checked
         if trace is not None:
             trace({
                 "t": now, "kind": "vmexit_check",
@@ -707,13 +719,26 @@ class _ScenarioRun:
     def _finish(self) -> ScenarioResult:
         for outcome in self.outcomes.values():
             outcome.finalize()
-        self.counts["traps"] = len(self.registry.trap_log)
-        per_event_added = {
-            "syscall": (self.added_by_kind["syscall"] / self.counts["syscalls"])
-            if self.counts["syscalls"] else 0.0,
-            "ctxswitch": (self.added_by_kind["ctxswitch"] / self.counts["ctxswitches"])
-            if self.counts["ctxswitches"] else 0.0,
-        }
+        costs, counts, breakdown = self.costs, self.counts, self.breakdown
+        counts["traps"] = len(self.registry.trap_log)
+        hrk = self.strategy.kind == STRATEGY_HRK
+        base, per_event_added = {}, {}
+        for (op, count_key), base_cost in zip(
+            _SOURCES, (costs.t_syscall_base, costs.t_ctxswitch_base)
+        ):
+            tally = self.tallies[op]
+            exits = tally.events if hrk else 0
+            map_ticks = tally.pages_mapped * costs.t_map_page
+            counts[count_key] = tally.events
+            counts["vmexits"] += exits
+            counts["objects_checked"] += tally.objects_checked
+            breakdown["map_page"] += map_ticks
+            breakdown["hash"] += tally.hash_ticks
+            base[op] = tally.events * base_cost
+            added = exits * (costs.t_vmexit + costs.t_vmentry) + map_ticks + tally.hash_ticks
+            per_event_added[op] = added / tally.events if tally.events else 0.0
+        breakdown["vmexit"] = counts["vmexits"] * costs.t_vmexit
+        breakdown["vmentry"] = counts["vmexits"] * costs.t_vmentry
         echo = {
             "machine": {"page_count": self.setup.machine.page_count,
                         "page_size": self.setup.machine.page_size},
@@ -738,10 +763,10 @@ class _ScenarioRun:
             seed=self.seed,
             strategy_kind=self.strategy.kind,
             horizon=self.horizon,
-            total_ticks=self.horizon + sum(self.breakdown.values()),
-            cost_breakdown=self.breakdown,
-            workload_base=self.base,
-            counts=self.counts,
+            total_ticks=self.horizon + sum(breakdown.values()),
+            cost_breakdown=breakdown,
+            workload_base=base,
+            counts=counts,
             per_event_added=per_event_added,
             detections=self.detections,
             trap_records=list(self.registry.trap_log),

@@ -113,14 +113,26 @@ def make_setup(
     )
 
 
-def assert_conservation(result) -> None:
-    """The exact fixed-point accounting identity every run must satisfy."""
+def assert_conservation(result, costs=None) -> None:
+    """The exact fixed-point accounting identity every run must satisfy.
+
+    With the run's cost model, the fixed charges must also be their counts
+    times their unit costs: a transition pair per VMExit, a delivery per
+    firing.
+    """
     charged = sum(result.cost_breakdown.values())
     assert result.total_ticks == result.horizon + charged
     data = result.to_json_dict()
     assert data["overhead_ticks"] == charged
     assert data["baseline_ticks"] == result.horizon
     assert result.overhead_fraction == charged / result.horizon
+    if costs is not None:
+        breakdown, counts = result.cost_breakdown, result.counts
+        assert breakdown["vmexit"] == counts["vmexits"] * costs.t_vmexit
+        assert breakdown["vmentry"] == counts["vmexits"] * costs.t_vmentry
+        assert breakdown["interrupt_delivery"] == (
+            counts["firings"] * costs.t_interrupt_delivery
+        )
 
 
 _KIND_PRIORITY = {"firing_start": 1, "attack": 2, "syscall": 3, "ctxswitch": 3}

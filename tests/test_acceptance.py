@@ -35,7 +35,7 @@ def _run_bundled(name: str):
     results = execute_config(config)
     for runs in results.values():
         for result in runs:
-            assert_conservation(result)
+            assert_conservation(result, config.costs)
     return config, results
 
 
@@ -163,14 +163,15 @@ def test_criterion_4_protection_supremacy():
             new_handler=rng.randrange(0, 1 << 32),
             at=rng.randrange(1, horizon_s * SEC),
         )))
+    costs = CostModel()
     result = run_scenario(
         make_setup(count=2),
         StrategyConfig(kind="hf", schedule=FiringSchedule.periodic(4 * SEC)),
         WorkloadSpec(syscall_rate=0, ctxswitch_rate=0, arrival=Arrival.FIXED,
                      horizon=horizon_s * SEC),
-        attacks, CostModel(), seed=4,
+        attacks, costs, seed=4,
     )
-    assert_conservation(result)
+    assert_conservation(result, costs)
     assert len(result.attack_outcomes) == 1000
     for outcome in result.attack_outcomes:
         assert outcome.attempted == 1

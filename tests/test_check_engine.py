@@ -65,6 +65,17 @@ _operations = st.lists(
     t_map=st.integers(0, 1000),
     operations=_operations,
 )
+# the IDTR moves, then a window with no touched object wraps: the IDTR
+# still rides along and its violation is reported
+@example(spans=[(16, 8), (24, 8), (32, 8)], early_writes=[], phase=2, t_hash=3, t_map=7,
+         operations=[("idtr", (8, 16)), ("batch", 2, 5), ("batch", 2, 5)])
+# a wrapping window whose only touched object lies past the wrap
+@example(spans=[(16, 8), (24, 8), (32, 8)], early_writes=[], phase=2, t_hash=3, t_map=7,
+         operations=[("write", 16, b"\x01"), ("batch", 2, 5)])
+# a transient write restored before the window that holds its object
+@example(spans=[(64, 8), (72, 8), (80, 8)], early_writes=[], phase=0, t_hash=3, t_map=7,
+         operations=[("write", 73, b"\x01"), ("restore", 1), ("batch", 3, 5),
+                     ("batch", 2, 5)])
 def test_engine_matches_full_walk_oracle(spans, early_writes, phase, t_hash, t_map, operations):
     m = GuestMachine(PAGE_COUNT, PAGE_SIZE)
     m.set_idtr(IDT_BASE, IDT_LIMIT, privileged=True)

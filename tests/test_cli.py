@@ -73,6 +73,13 @@ def test_run_writes_reports(small_cfg, tmp_path, capsys):
     assert "report written" in capsys.readouterr().out
 
 
+def test_run_creates_missing_out_parents(small_cfg, tmp_path):
+    out = tmp_path / "a" / "b" / "out"
+    assert main(["run", str(small_cfg), "--out", str(out), "--repeats", "1"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "report.txt"]
+    assert [p.name for p in out.parent.iterdir()] == ["out"]
+
+
 def test_run_is_byte_identical_across_invocations(small_cfg, tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(["run", str(small_cfg), "--out", str(out_a)]) == 0
@@ -192,19 +199,22 @@ def test_unwritable_out_exits_3_with_one_line(small_cfg, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("existing", [False, True], ids=["new_out", "existing_out"])
+@pytest.mark.parametrize(
+    "out_path, existing", [("out", False), ("out", True), ("a/b/out", False)],
+    ids=["new_out", "existing_out", "nested_new_out"],
+)
 @pytest.mark.parametrize("error", [MemoryError, OSError], ids=["memory", "os"])
-def test_failed_write_leaves_no_output(error, existing, small_cfg, tmp_path, capsys,
-                                       monkeypatch):
+def test_failed_write_leaves_no_output(error, out_path, existing, small_cfg, tmp_path,
+                                       capsys, monkeypatch):
     # report.json and every trace are staged when report.txt fails to render
+    out = tmp_path / out_path
     staged = []
 
     def failing_render(report, **kwargs):
-        staged.extend(p.name for p in tmp_path.glob(".out.*/*"))
+        staged.extend(p.name for p in out.parent.glob(".out.*/*"))
         raise error("no room")
 
     monkeypatch.setattr(cli, "render_text", failing_render)
-    out = tmp_path / "out"
     if existing:
         out.mkdir()
         (out / "keep.txt").write_text("kept")

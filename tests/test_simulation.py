@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_conservation, event_order_ref, make_setup
+from hfsim import integrity
 from hfsim.errors import ConfigurationError
 from hfsim.hypervisor import FiringSchedule
 from hfsim.simulation import (
@@ -149,15 +150,16 @@ def test_fixed_arrivals_are_exact_fractions_of_a_second(rate, horizon, last):
 # ---------------------------------------------------------------------------
 
 def test_baseline_strategy_has_zero_overhead():
+    costs = CostModel(t_vmexit=1000, t_syscall_base=100)
     result = run_scenario(
         make_setup(count=2), StrategyConfig(kind="baseline"),
         _workload(10, syscall_rate=50, ctx_rate=10),
-        [], CostModel(t_vmexit=1000, t_syscall_base=100), seed=4,
+        [], costs, seed=4,
     )
     assert result.overhead_fraction == 0.0
     assert result.total_ticks == result.horizon
     assert result.counts["syscalls"] == 500
-    assert_conservation(result)
+    assert_conservation(result, costs)
 
 
 def test_empty_workload_terminates_at_horizon():
@@ -229,7 +231,7 @@ def test_conservation_identity_exact_for_both_strategies():
             _workload(9, syscall_rate=30, ctx_rate=10, arrival=Arrival.POISSON),
             [("t", PersistentTamper(object_index=4, at=SEC))], costs, seed=11,
         )
-        assert_conservation(result)
+        assert_conservation(result, costs)
 
 
 def test_hrk_charges_expected_breakdown():
@@ -245,6 +247,50 @@ def test_hrk_charges_expected_breakdown():
         "interrupt_delivery": 0,
     }
     assert result.total_ticks == SEC + 30 + 60 + 6000 + 192
+
+
+def _record_batch_checks(monkeypatch) -> list:
+    """Patch integrity.check_batch to record the cursor of every call."""
+    cursors = []
+    check_batch = integrity.check_batch
+
+    def recording(machine, table, k, **kwargs):
+        cursors.append(table.cursor)
+        return check_batch(machine, table, k, **kwargs)
+
+    monkeypatch.setattr(integrity, "check_batch", recording)
+    return cursors
+
+
+_HRK_COSTS = CostModel(t_vmexit=10, t_vmentry=20, t_map_page=1000, t_hash_per_byte=1)
+
+
+def test_clean_hrk_run_checks_no_batch(monkeypatch):
+    # no object is ever touched, so no window needs a rehash, wrapping or not
+    cursors = _record_batch_checks(monkeypatch)
+    result = run_scenario(
+        make_setup(count=10), StrategyConfig(kind="hrk", batch_k=3),
+        _workload(2, syscall_rate=20, ctx_rate=5), [], _HRK_COSTS, seed=0,
+    )
+    assert result.counts["vmexits"] == 50 and result.counts["objects_checked"] == 150
+    assert cursors == []
+    assert_conservation(result, _HRK_COSTS)
+
+
+def test_batch_check_runs_once_per_exit_whose_window_holds_a_touched_object(monkeypatch):
+    n, k, target = 10, 3, 4
+    cursors = _record_batch_checks(monkeypatch)
+    result = run_scenario(
+        make_setup(count=n), StrategyConfig(kind="hrk", batch_k=k),
+        _workload(2, syscall_rate=20),
+        [("t", PersistentTamper(object_index=target, at=SEC))], _HRK_COSTS, seed=0,
+    )
+    # exit i (1-based) lands at i/20 s and checks from cursor (i-1)*k mod n;
+    # the tamper at 1 s precedes exit 20, which lands at the same instant
+    starts = [(i - 1) * k % n for i in range(20, 41)]
+    assert cursors == [s for s in starts if (target - s) % n < k]
+    assert [d.target for d in result.detections] == [target]
+    assert_conservation(result, _HRK_COSTS)
 
 
 def test_zero_cost_model_means_zero_overhead_everywhere():

@@ -47,7 +47,7 @@ def test_persistent_tamper_detected_within_period_plus_sweep():
         [("tamper", PersistentTamper(object_index=5, at=1 * SEC))],
         costs, seed=1,
     )
-    assert_conservation(result)
+    assert_conservation(result, costs)
     (outcome,) = result.attack_outcomes
     assert outcome.applied == 1 and outcome.trapped == 0
     sweep_duration = 100_000 + 8 * 64 * 100

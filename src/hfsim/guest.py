@@ -7,19 +7,19 @@ privileged write path exists for hypervisor-side setup (module loading)
 and for test harnesses that need to model bugs bypassing protection.
 
 Memory is sparse: a page is materialised on its first write, and pages
-never written read as zeros. Kernel objects are registered as runs of
-equal-length objects at a fixed stride, so registering, finding and
-counting the pages of objects is arithmetic, whatever their number.
+never written read as zeros. A machine's kernel objects are one layout of
+equal-length objects at a fixed stride, less than a page apart, registered
+once; finding objects and counting the pages of a range of them is
+arithmetic, whatever their number.
 Every applied write also records which registered objects it touched, so
 checkers can skip objects whose bytes cannot have changed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .errors import AddressError, ConfigurationError
 from .hypervisor import ProtectionRegistry, TrapKind, TrapRecord
@@ -50,47 +50,39 @@ class KernelObjectDescriptor:
     length: int
 
 
-class ObjectRun(NamedTuple):
-    """`count` objects of `length` bytes at `base + i*stride`, ids from `first_id`."""
+@dataclass(frozen=True, slots=True, eq=False)  # eq=False: it compares as a mapping
+class ObjectLayout(Mapping):
+    """`count` objects of `length` bytes at `base + i*stride`; object i has id i.
 
-    first_id: int
+    Read as a {id: KernelObjectDescriptor} mapping. Consecutive objects lie
+    less than a page apart (stride - length < page size), so any range of
+    consecutive ids covers one contiguous interval of pages.
+    """
+
     base: int
     stride: int
     length: int
     count: int
 
-    def overlapping(self, addr: int, end: int) -> range:
-        """Ids of the run's objects intersecting [addr, end)."""
-        lo = max((addr - self.base - self.length) // self.stride + 1, 0)
-        hi = min(-((self.base - end) // self.stride), self.count)
-        return range(self.first_id + lo, self.first_id + max(lo, hi))
-
-
-class _ObjectView(Mapping):
-    """Read-only {id: KernelObjectDescriptor} over a machine's object runs.
-
-    It shares the machine's run lists rather than the machine, so a
-    machine is freed as soon as its last user drops it, without waiting
-    for the cyclic garbage collector.
-    """
-
-    def __init__(self, runs: list[ObjectRun], run_starts: list[int]):
-        self._runs = runs
-        self._run_starts = run_starts
-
     def __len__(self) -> int:
-        return self._runs[-1].first_id + self._runs[-1].count if self._runs else 0
+        return self.count
 
     def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self)))
+        return iter(range(self.count))
 
     def __getitem__(self, oid: int) -> KernelObjectDescriptor:
-        if not 0 <= oid < len(self):
+        if not 0 <= oid < self.count:
             raise KeyError(oid)
-        run = self._runs[bisect_right(self._run_starts, oid) - 1]
-        return KernelObjectDescriptor(
-            oid, run.base + (oid - run.first_id) * run.stride, run.length
-        )
+        return KernelObjectDescriptor(oid, self.base + oid * self.stride, self.length)
+
+    def overlapping(self, addr: int, end: int) -> range:
+        """Ids of the objects intersecting [addr, end)."""
+        lo = max((addr - self.base - self.length) // self.stride + 1, 0)
+        hi = min(-((self.base - end) // self.stride), self.count)
+        return range(lo, max(lo, hi))
+
+
+_NO_OBJECTS = ObjectLayout(0, 1, 1, 0)  # a machine's layout until one is registered
 
 
 @dataclass(frozen=True)
@@ -147,13 +139,7 @@ class GuestMachine:
         self.size = page_count * page_size  # bytes of guest-physical memory
         self._pages: dict[int, bytearray] = {}  # materialised pages by index
         self.idtr = Idtr(0, 0)  # unset sentinel
-        # registered objects, as runs in id order
-        self.runs: list[ObjectRun] = []
-        self._run_starts: list[int] = []  # first id of each run
-        self.object_count = 0
-        self.objects: Mapping[int, KernelObjectDescriptor] = _ObjectView(
-            self.runs, self._run_starts
-        )
+        self.objects = _NO_OBJECTS  # replaced once, by register_kernel_object
         self.module: Optional[ModuleRegion] = None
         # ids of objects any applied write has overlapped, as a set and in
         # first-touch order; an object outside it still holds the bytes it
@@ -250,12 +236,11 @@ class GuestMachine:
     # IDT / IDTR
     # ------------------------------------------------------------------
 
-    def set_idtr(self, base: int, limit: int, privileged: bool = False) -> None:
+    def set_idtr(self, base: int, limit: int) -> None:
         """Update the IDTR.
 
-        Non-privileged updates model an attacker moving the table: they are
-        applied silently (a register write traps nothing) and are only
-        caught later by the IDTR baseline check.
+        A register write traps nothing, so an attacker moving the table is
+        applied silently and only caught later by the IDTR baseline check.
         """
         if limit < 0 or limit % IDT_ENTRY_SIZE != 0:
             raise ConfigurationError(
@@ -344,14 +329,16 @@ class GuestMachine:
         return region
 
     def register_kernel_object(
-        self, name: str, addr: int, length: int, count: int = 1,
-        stride: Optional[int] = None,
-    ) -> int:
-        """Register `count` objects of `length` bytes at `addr + i*stride`.
+        self, addr: int, length: int, count: int = 1, stride: Optional[int] = None,
+    ) -> None:
+        """Register the machine's `count` objects of `length` bytes at `addr + i*stride`.
 
-        `stride` defaults to `length` (packed). Ids are sequential; returns
-        the first. `name` serves error messages only.
+        `stride` defaults to `length` (packed). Object i has id i. The
+        layout is set once, and its objects must lie less than a page
+        apart; a rejected call registers nothing.
         """
+        if self.objects:
+            raise ConfigurationError("kernel objects are already registered")
         if length <= 0:
             raise ConfigurationError(f"object length must be positive, got {length}")
         if count < 1:
@@ -360,23 +347,22 @@ class GuestMachine:
             stride = length
         elif stride < 1:
             raise ConfigurationError(f"object stride must be >= 1, got {stride}")
+        if stride - length >= self.page_size:
+            raise ConfigurationError(
+                f"objects must lie less than a page apart, got stride {stride} "
+                f"for length {length}"
+            )
         self._check_range(addr, (count - 1) * stride + length)
-        run = ObjectRun(self.object_count, addr, stride, length, count)
-        if self.module is not None and run.overlapping(self.module.addr, self.module.end):
-            raise ConfigurationError(f"object {name!r} overlaps the module region")
-        self.runs.append(run)
-        self._run_starts.append(run.first_id)
-        self.object_count += count
-        return run.first_id
+        layout = ObjectLayout(addr, stride, length, count)
+        if self.module is not None and layout.overlapping(self.module.addr, self.module.end):
+            raise ConfigurationError("kernel objects overlap the module region")
+        self.objects = layout
 
-    def objects_overlapping(self, addr: int, length: int) -> list[int]:
+    def objects_overlapping(self, addr: int, length: int) -> range:
         """Ids of registered objects intersecting [addr, addr+length)."""
         if length <= 0:
-            return []
-        ids: list[int] = []
-        for run in self.runs:
-            ids.extend(run.overlapping(addr, addr + length))
-        return ids
+            return range(0)
+        return self.objects.overlapping(addr, addr + length)
 
     def objects_on_written_pages(self) -> set[int]:
         """Ids of objects on materialised pages; every other object reads as zeros."""
@@ -389,97 +375,16 @@ class GuestMachine:
     def object_pages(self, start: int, stop: int) -> int:
         """Distinct pages occupied by the objects start..stop-1, ids taken modulo the count.
 
-        A window that runs past the last id wraps to id 0 and covers two id
-        spans. Pure arithmetic on the runs. Within a run whose gap (stride -
-        length) is under a page, a contiguous range of objects covers one
-        contiguous interval of pages; objects whose gap is a page or more
-        share no pages, and their per-object page counts are summed in
-        closed form. Pieces whose page intervals overlap are merged; only a
-        sparse run interleaved with another run's pages is enumerated
-        object by object.
+        Consecutive objects cover one interval of pages. A window that runs
+        past the last id wraps to id 0: two intervals, less the pages they
+        share. Pure arithmetic on the layout.
         """
-        ps, n = self.page_size, self.object_count
+        ps, layout = self.page_size, self.objects
+        base, stride, n = layout.base, layout.stride, layout.count
+        end = base + layout.length - 1  # the last byte of object 0
+        first = (base + start * stride) // ps
         if stop <= n:
-            first_id, base, stride, length, count = self.runs[
-                bisect_right(self._run_starts, start) - 1
-            ]
-            lo, hi = start - first_id, stop - first_id
-            if hi <= count and (hi - lo == 1 or stride - length < ps):
-                # one piece: a contiguous interval of pages
-                return ((base + (hi - 1) * stride + length - 1) // ps
-                        - (base + lo * stride) // ps + 1)
-            spans = ((start, stop),)
-        else:
-            spans = ((start, n), (0, stop - n))
-        pieces = []  # (first page, last page, page count, sparse objects or None)
-        for start, stop in spans:
-            for run in self.runs:
-                lo = max(start - run.first_id, 0)
-                hi = min(stop - run.first_id, run.count)
-                if lo >= hi:
-                    continue
-                first = (run.base + lo * run.stride) // ps
-                last = (run.base + (hi - 1) * run.stride + run.length - 1) // ps
-                if hi - lo == 1 or run.stride - run.length < ps:
-                    pieces.append((first, last, last - first + 1, None))
-                else:
-                    pieces.append((first, last, _sparse_pages(run, lo, hi, ps), (run, lo, hi)))
-        if len(pieces) == 1:
-            return pieces[0][2]
-        total, group, group_last = 0, [], -1
-        for piece in sorted(pieces, key=lambda piece: piece[0]):
-            if group and piece[0] > group_last:
-                total += _group_pages(group, group_last, ps)
-                group = []
-            group.append(piece)
-            group_last = max(group_last, piece[1])
-        return total + _group_pages(group, group_last, ps)
-
-    # ------------------------------------------------------------------
-    # snapshot export
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> bytes:
-        """Full memory image (used by veto-atomicity and golden-file tests)."""
-        return self.read(0, self.size)
-
-
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum(floor((a*i + b) / m) for i in range(n)) for non-negative a, b."""
-    total = 0
-    while n:
-        q, a = divmod(a, m)
-        total += q * n * (n - 1) // 2
-        q, b = divmod(b, m)
-        total += q * n
-        y = a * n + b
-        if y < m:
-            break
-        n, b = divmod(y, m)
-        m, a = a, m
-    return total
-
-
-def _sparse_pages(run: ObjectRun, lo: int, hi: int, ps: int) -> int:
-    """Summed page counts of objects lo..hi-1 of a run, each a page or more apart."""
-    n, addr = hi - lo, run.base + lo * run.stride
-    return n + (_floor_sum(n, ps, run.stride, addr + run.length - 1)
-                - _floor_sum(n, ps, run.stride, addr))
-
-
-def _group_pages(group: list, last: int, ps: int) -> int:
-    """Distinct pages of pieces whose page intervals chain into one span."""
-    if len(group) == 1:
-        return group[0][2]
-    if all(sparse is None for *_, sparse in group):
-        return last - group[0][0] + 1
-    pages: set[int] = set()
-    for first, piece_last, _, sparse in group:
-        if sparse is None:
-            pages.update(range(first, piece_last + 1))
-            continue
-        run, lo, hi = sparse
-        for i in range(lo, hi):
-            addr = run.base + i * run.stride
-            pages.update(range(addr // ps, (addr + run.length - 1) // ps + 1))
-    return len(pages)
+            return (end + (stop - 1) * stride) // ps - first + 1
+        last = (end + (n - 1) * stride) // ps
+        wrap_last = (end + (stop - n - 1) * stride) // ps  # ids 0..stop-n-1, below start
+        return (last - first + 1) + (wrap_last - base // ps + 1) - max(wrap_last - first + 1, 0)

@@ -251,7 +251,7 @@ def on_control_register_write(
     """
     if k <= 0:
         raise ConfigurationError(f"batch size must be >= 1, got {k}")
-    n = len(table.order)
+    n = len(table)
     start = table.cursor
     stop = start + (k if k < n else n)
     pages_mapped = machine.object_pages(start, stop)

@@ -16,10 +16,9 @@ of object lengths in check order, never from a walk over the range.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from collections.abc import Mapping, Sequence
+from bisect import bisect_left, insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import ConfigurationError
@@ -87,12 +86,10 @@ class CheckReport:
 
 
 class _Baselines(Mapping):
-    """Read-only {id: baseline digest}: one default per object run plus overrides."""
+    """Read-only {id: baseline digest}: one default digest plus overrides."""
 
-    def __init__(self, run_starts: list[int], defaults: list[int],
-                 overrides: dict[int, int], count: int):
-        self._run_starts = run_starts
-        self._defaults = defaults
+    def __init__(self, default: int, overrides: dict[int, int], count: int):
+        self._default = default
         self._overrides = overrides
         self._count = count
 
@@ -108,35 +105,35 @@ class _Baselines(Mapping):
             return digest
         if not 0 <= oid < self._count:
             raise KeyError(oid)
-        return self._defaults[bisect_right(self._run_starts, oid) - 1]
+        return self._default
 
 
 class BaselineTable:
     """Per-object baseline digests plus the round-robin check cursor.
 
-    Objects are checked in id order. An object the guest has not touched
-    since the snapshot is taken to still match its baseline digest.
+    Objects are checked in id order, so check position p holds object p.
+    An object the guest has not touched since the snapshot is taken to
+    still match its baseline digest.
     """
 
     def __init__(
         self,
         entries: Mapping[int, int],
-        bytes_before: Sequence[int],
+        bytes_before: range,
         idtr_baseline: tuple[int, int],
         digest_fn: DigestFn = compute_digest,
     ):
         self.entries = entries
         self.idtr_baseline = idtr_baseline
         self.digest_fn = digest_fn
-        self.order = range(len(entries))  # check order: position p holds object p
         self.cursor = 0
         # bytes_before[p]: total length of the objects before position p
         self.bytes_before = bytes_before
-        self._touched: list[int] = []  # sorted positions in order
+        self._touched: list[int] = []  # sorted positions of touched objects
         self._log_seen = 0  # machine.touch_log entries folded in so far
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.entries)
 
     def current_digest(self, machine: "GuestMachine", object_id: int) -> int:
         """Digest of the object's current bytes; untouched objects are not read."""
@@ -146,13 +143,11 @@ class BaselineTable:
         return self.digest_fn(machine.read(obj.addr, obj.length))
 
     def touched_positions(self, machine: "GuestMachine") -> list[int]:
-        """Sorted positions in `order` of the objects the guest has touched."""
+        """Sorted check positions of the objects the guest has touched."""
         log = machine.touch_log
         if len(log) > self._log_seen:
-            n = len(self.order)
             for oid in log[self._log_seen :]:
-                if oid < n:  # objects registered after the snapshot are not checked
-                    insort(self._touched, oid)
+                insort(self._touched, oid)
             self._log_seen = len(log)
         return self._touched
 
@@ -164,10 +159,11 @@ def snapshot_baselines(
 
     Meant to run during the trusted setup phase, before any attacker event.
     Only objects on materialised pages are read; every other object holds
-    zeros and shares its run's digest of `bytes(length)`. Identical object
+    zeros and shares one digest of `bytes(length)`. Identical object
     contents share one digest computation.
     """
-    if not machine.object_count:
+    layout = machine.objects
+    if not layout:
         raise ConfigurationError("cannot snapshot baselines: no objects registered")
     memo: dict[bytes, int] = {}
 
@@ -177,26 +173,14 @@ def snapshot_baselines(
             value = memo[data] = digest_fn(data)
         return value
 
-    runs = machine.runs
     overrides = {}
     for oid in sorted(machine.objects_on_written_pages()):
-        obj = machine.objects[oid]
+        obj = layout[oid]
         overrides[oid] = digest(machine.read(obj.addr, obj.length))
-    lengths = {run.length for run in runs}
-    if len(lengths) == 1:
-        length = lengths.pop()
-        bytes_before = range(0, (machine.object_count + 1) * length, length)
-    else:
-        bytes_before = list(accumulate(
-            chain.from_iterable(repeat(run.length, run.count) for run in runs), initial=0
-        ))
-    entries = _Baselines(
-        [run.first_id for run in runs], [digest(bytes(run.length)) for run in runs],
-        overrides, machine.object_count,
-    )
+    n, length = layout.count, layout.length
     return BaselineTable(
-        entries=entries,
-        bytes_before=bytes_before,
+        entries=_Baselines(digest(bytes(length)), overrides, n),
+        bytes_before=range(0, (n + 1) * length, length),
         idtr_baseline=(machine.idtr.base, machine.idtr.limit),
         digest_fn=digest_fn,
     )
@@ -223,7 +207,7 @@ def _check_positions(
     ticks_per_byte: Ticks,
     violations: list,
 ) -> None:
-    """Rehash the touched objects at positions [start, stop) of `order`.
+    """Rehash the touched objects at check positions [start, stop).
 
     A violation is stamped when its object's hash ends: `time_at_start`
     plus the hash time of every byte from `start` up to and including it.
@@ -254,7 +238,7 @@ def check_batch(
     """
     if k < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {k}")
-    n = len(table.order)
+    n = len(table)
     k_eff = min(k, n)
     cursor, end = table.cursor, table.cursor + k_eff
     before = table.bytes_before
@@ -285,7 +269,7 @@ def check_all(
     """Check every object once plus the IDTR; the cursor is untouched."""
     if not table.entries:
         raise ConfigurationError("baseline table is empty")
-    n = len(table.order)
+    n = len(table)
     report = CheckReport(
         objects_checked=n,
         duration=table.bytes_before[n] * hash_ticks_per_byte,

@@ -449,12 +449,12 @@ class _ScenarioRun:
 
         layout = plan_layout(setup)
         self.machine = GuestMachine(setup.machine.page_count, setup.machine.page_size)
-        self.machine.set_idtr(layout.idt_base, layout.idt_limit, privileged=True)
+        self.machine.set_idtr(layout.idt_base, layout.idt_limit)
         self.machine.load_module(
             _module_code(setup.machine.page_size), layout.module_addr, setup.handler_vector
         )
         self.machine.register_kernel_object(
-            "objects", layout.objects_base, setup.objects.size_bytes,
+            layout.objects_base, setup.objects.size_bytes,
             count=setup.objects.count, stride=layout.objects_stride,
         )
         self.registry = ProtectionRegistry(setup.machine.page_count)
@@ -655,7 +655,7 @@ class _ScenarioRun:
             base, limit = payload[2], payload[3]
             if limit is None:
                 limit = self.machine.idtr.limit
-            self.machine.set_idtr(base, limit, privileged=False)
+            self.machine.set_idtr(base, limit)
             outcome.attempted += 1
             outcome.applied += 1
             self._refresh_idtr_state(now)

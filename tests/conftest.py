@@ -34,16 +34,15 @@ def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckRep
     IDTR ride along when the last object in id order is covered, then
     advances the cursor.
     """
-    n = len(table.order)
+    n = len(table)
     k_eff = min(k, n)
     report = CheckReport(objects_checked=k_eff)
     duration = 0
     wrapped = False
     for i in range(k_eff):
-        idx = (table.cursor + i) % n
-        if idx == n - 1:
+        oid = (table.cursor + i) % n  # position p holds object p
+        if oid == n - 1:
             wrapped = True
-        oid = table.order[idx]
         duration += machine.objects[oid].length * hash_ticks_per_byte
         found = _ref_digest(machine, oid)
         if found != table.entries[oid]:
@@ -63,9 +62,9 @@ def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckRep
 
 def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
     """Walk-every-object sweep: the oracle for integrity.check_all."""
-    report = CheckReport(objects_checked=len(table.order), cycle_completed=True)
+    report = CheckReport(objects_checked=len(table), cycle_completed=True)
     duration = 0
-    for oid in table.order:
+    for oid in range(len(table)):
         duration += machine.objects[oid].length * hash_ticks_per_byte
         found = _ref_digest(machine, oid)
         if found != table.entries[oid]:
@@ -82,10 +81,10 @@ def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
 
 def batch_pages_ref(machine, table, k) -> int:
     """Distinct pages the next k objects from the cursor occupy."""
-    n = len(table.order)
+    n = len(table)
     pages = set()
     for i in range(min(k, n)):
-        obj = machine.objects[table.order[(table.cursor + i) % n]]
+        obj = machine.objects[(table.cursor + i) % n]
         pages.update(range(obj.addr // machine.page_size,
                            (obj.addr + obj.length - 1) // machine.page_size + 1))
     return len(pages)

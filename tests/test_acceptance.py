@@ -131,11 +131,11 @@ def test_criterion_3_trap_completeness_exhaustive():
             for length in range(1, size - addr + 1):
                 data = bytes([(addr + length) & 0xFF]) * length
                 touched = set(range(addr // page_size, (addr + length - 1) // page_size + 1))
-                before = m.snapshot()
+                before = m.read(0, m.size)
                 outcome = m.guest_write(reg, addr, data)
                 assert outcome.trapped == bool(touched & protected), (protected, addr, length)
                 if outcome.trapped:
-                    assert m.snapshot() == before, (protected, addr, length)
+                    assert m.read(0, m.size) == before, (protected, addr, length)
                 else:
                     assert m.read(addr, length) == data
                 checked += 1
@@ -281,10 +281,8 @@ def test_criterion_6_batch_oracle_equivalence():
     combos = 0
     for n in range(1, 65):
         m = GuestMachine(4, 4096)
-        m.set_idtr(4096, 512, privileged=True)
-        base = 3 * 4096
-        for i in range(n):
-            m.register_kernel_object(f"o{i}", base + i * 8, 8)
+        m.set_idtr(4096, 512)
+        m.register_kernel_object(3 * 4096, 8, count=n)
         table = snapshot_baselines(m)
         pristine = {oid: m.read(obj.addr, obj.length) for oid, obj in m.objects.items()}
         rng = random.Random(n)

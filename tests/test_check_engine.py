@@ -1,15 +1,17 @@
 """Differential tests: the touched-set check engine and the layout
 arithmetic against brute-force oracles.
 
-Random machines (objects of unequal lengths, packed across page boundaries
-and overlapping), random batch sizes and cursor phases, and random write,
-restore and IDTR-move sequences, some applied before the snapshot. Every
-batch and sweep must match the walk-every-object oracle in conftest.
+Each machine draws one object layout: objects up to two pages long, at a
+stride that makes them overlap or leaves a gap under a page, so objects
+straddle pages and share them.
 
-Random layouts of several object runs, with gaps under, equal to and over
-a page, some objects on pages written before the snapshot: overlap
-queries, window page counts and baseline digests must match a walk over
-every object.
+Random batch sizes and cursor phases, and random write, restore and
+IDTR-move sequences, some applied before the snapshot: every batch and
+sweep must match the walk-every-object oracle in conftest.
+
+Some objects on pages written before the snapshot: overlap queries,
+window page counts and baseline digests must match a walk over every
+object.
 """
 
 from hypothesis import example, given, settings
@@ -28,13 +30,16 @@ IDT_BASE, IDT_LIMIT = 0, 16
 
 
 @st.composite
-def _objects(draw):
-    """(addr, length) spans, some straddling pages, some overlapping."""
-    spans = []
-    for _ in range(draw(st.integers(1, 12))):
-        length = draw(st.integers(1, 2 * PAGE_SIZE))
-        spans.append((draw(st.integers(0, MEMORY - length)), length))
-    return spans
+def _layout(draw, memory):
+    """(base, stride, length, count): overlapping objects or a gap under a page."""
+    length = draw(st.integers(1, 2 * PAGE_SIZE))
+    if draw(st.booleans()):
+        stride = draw(st.integers(1, length))
+    else:
+        stride = length + draw(st.integers(0, PAGE_SIZE - 1))
+    count = min(draw(st.integers(1, 12)), (memory - length) // stride + 1)
+    base = draw(st.integers(0, memory - (count - 1) * stride - length))
+    return base, stride, length, count
 
 
 @st.composite
@@ -58,7 +63,7 @@ _operations = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    spans=_objects(),
+    layout=_layout(MEMORY),
     early_writes=st.lists(_write(), max_size=4),
     phase=st.integers(0, 11),
     t_hash=st.integers(0, 7),
@@ -67,20 +72,21 @@ _operations = st.lists(
 )
 # the IDTR moves, then a window with no touched object wraps: the IDTR
 # still rides along and its violation is reported
-@example(spans=[(16, 8), (24, 8), (32, 8)], early_writes=[], phase=2, t_hash=3, t_map=7,
+@example(layout=(16, 8, 8, 3), early_writes=[], phase=2, t_hash=3, t_map=7,
          operations=[("idtr", (8, 16)), ("batch", 2, 5), ("batch", 2, 5)])
 # a wrapping window whose only touched object lies past the wrap
-@example(spans=[(16, 8), (24, 8), (32, 8)], early_writes=[], phase=2, t_hash=3, t_map=7,
+@example(layout=(16, 8, 8, 3), early_writes=[], phase=2, t_hash=3, t_map=7,
          operations=[("write", 16, b"\x01"), ("batch", 2, 5)])
 # a transient write restored before the window that holds its object
-@example(spans=[(64, 8), (72, 8), (80, 8)], early_writes=[], phase=0, t_hash=3, t_map=7,
+@example(layout=(64, 8, 8, 3), early_writes=[], phase=0, t_hash=3, t_map=7,
          operations=[("write", 73, b"\x01"), ("restore", 1), ("batch", 3, 5),
                      ("batch", 2, 5)])
-def test_engine_matches_full_walk_oracle(spans, early_writes, phase, t_hash, t_map, operations):
+def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_map,
+                                         operations):
+    base, stride, length, count = layout
     m = GuestMachine(PAGE_COUNT, PAGE_SIZE)
-    m.set_idtr(IDT_BASE, IDT_LIMIT, privileged=True)
-    for i, (addr, length) in enumerate(spans):
-        m.register_kernel_object(f"o{i}", addr, length)
+    m.set_idtr(IDT_BASE, IDT_LIMIT)
+    m.register_kernel_object(base, length, count, stride)
     for _, addr, data in early_writes:  # touched before the snapshot
         m.privileged_write(addr, data)
     clean = {oid: m.read(obj.addr, obj.length) for oid, obj in m.objects.items()}
@@ -93,7 +99,7 @@ def test_engine_matches_full_walk_oracle(spans, early_writes, phase, t_hash, t_m
         if op[0] == "write":
             m.privileged_write(op[1], op[2])
         elif op[0] == "restore":  # back to clean: the object's snapshot bytes
-            oid = op[1] % len(spans)
+            oid = op[1] % count
             m.privileged_write(m.objects[oid].addr, clean[oid])
         elif op[0] == "idtr":
             m.set_idtr(*op[1])
@@ -120,27 +126,9 @@ LAYOUT_PAGES = 24
 LAYOUT_MEMORY = PAGE_SIZE * LAYOUT_PAGES
 
 
-@st.composite
-def _run(draw):
-    """(base, stride, length, count): a gap under, equal to or over a page."""
-    length = draw(st.integers(1, 80))
-    gap = draw(st.sampled_from(["overlap", "under", "page", "over"]))
-    if gap == "overlap":
-        stride = draw(st.integers(1, length))
-    elif gap == "under":
-        stride = length + draw(st.integers(0, PAGE_SIZE - 1))
-    elif gap == "page":
-        stride = length + PAGE_SIZE
-    else:
-        stride = length + draw(st.integers(PAGE_SIZE + 1, 3 * PAGE_SIZE))
-    count = min(draw(st.integers(1, 12)), (LAYOUT_MEMORY - length) // stride + 1)
-    base = draw(st.integers(0, LAYOUT_MEMORY - (count - 1) * stride - length))
-    return base, stride, length, count
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    runs=st.lists(_run(), min_size=1, max_size=4),
+    layout=_layout(LAYOUT_MEMORY),
     idt_entry=st.booleans(),
     early_writes=st.lists(_write(), max_size=4),
     queries=st.lists(st.tuples(st.integers(0, LAYOUT_MEMORY - 1), st.integers(1, 200)),
@@ -148,18 +136,17 @@ def _run(draw):
     batch_sizes=st.lists(st.integers(1, 50), min_size=1, max_size=3),
 )
 # six packed 8-byte objects on one page: a wrapping window's ends share it
-@example(runs=[(0, 8, 8, 6)], idt_entry=False, early_writes=[], queries=[],
+@example(layout=(0, 8, 8, 6), idt_entry=False, early_writes=[], queries=[],
          batch_sizes=[4])
-def test_layout_arithmetic_matches_per_object_walk(runs, idt_entry, early_writes,
+def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writes,
                                                    queries, batch_sizes):
+    base, stride, length, count = layout
     m = GuestMachine(LAYOUT_PAGES, PAGE_SIZE)
-    m.set_idtr(IDT_BASE, IDT_LIMIT, privileged=True)
+    m.set_idtr(IDT_BASE, IDT_LIMIT)
     if idt_entry:  # materialises the IDT page under any object on it
         m.set_idt_entry(1, 0x1234, privileged=True)
-    spans = []
-    for base, stride, length, count in runs:
-        assert m.register_kernel_object("run", base, length, count, stride) == len(spans)
-        spans += [(base + i * stride, length) for i in range(count)]
+    m.register_kernel_object(base, length, count, stride)
+    spans = [(base + i * stride, length) for i in range(count)]
     for _, addr, data in early_writes:
         if addr + len(data) <= LAYOUT_MEMORY:
             m.privileged_write(addr, data)
@@ -168,7 +155,7 @@ def test_layout_arithmetic_matches_per_object_walk(runs, idt_entry, early_writes
         expected = [oid for oid, (a, n) in enumerate(spans) if a < addr + length and a + n > addr]
         assert sorted(m.objects_overlapping(addr, length)) == expected
     table = snapshot_baselines(m)
-    assert [table.entries[oid] for oid in table.order] == [
+    assert [table.entries[oid] for oid in range(len(table))] == [
         fnv1a64_ref(m.read(a, n)) for a, n in spans
     ]
     reg, costs = ProtectionRegistry(LAYOUT_PAGES), CostModel()

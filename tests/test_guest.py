@@ -11,7 +11,7 @@ from hfsim.hypervisor import ProtectionRegistry, TrapKind
 
 def _machine_with_idt(page_count=4, page_size=4096):
     m = GuestMachine(page_count, page_size)
-    m.set_idtr(page_size, 512, privileged=True)
+    m.set_idtr(page_size, 512)
     return m
 
 
@@ -55,11 +55,11 @@ def test_write_to_protected_page_is_trapped_and_memory_unchanged():
     m = GuestMachine(4, 4096)
     reg = ProtectionRegistry(4)
     reg.protect_pages([1])
-    before = m.snapshot()
+    before = m.read(0, m.size)
     outcome = m.guest_write(reg, 4096, b"attack")
     assert outcome.trapped
     assert outcome.trap.page == 1
-    assert m.snapshot() == before
+    assert m.read(0, m.size) == before
 
 
 def test_straddling_write_is_vetoed_whole():
@@ -67,10 +67,10 @@ def test_straddling_write_is_vetoed_whole():
     m = GuestMachine(4, 4096)
     reg = ProtectionRegistry(4)
     reg.protect_pages([1])
-    before = m.snapshot()
+    before = m.read(0, m.size)
     outcome = m.guest_write(reg, 4092, b"\xff" * 8)
     assert outcome.trapped
-    assert m.snapshot() == before  # neither page modified
+    assert m.read(0, m.size) == before  # neither page modified
 
 
 def test_write_out_of_bounds_is_address_error_not_trap():
@@ -166,23 +166,21 @@ def test_reload_module_replaces_content_and_reregisters():
 
 def test_object_ids_are_sequential_and_deterministic():
     m = _machine_with_idt()
-    assert m.register_kernel_object("sys_call_table", 0x3000, 256) == 0
-    assert m.register_kernel_object("idt_shadow", 0x3100, 64) == 1
-    assert m.register_kernel_object("tasks", 0x3200, 16, count=3, stride=32) == 2
-    assert m.register_kernel_object("last", 0x3300, 8) == 5
-    assert [(o.object_id, o.addr, o.length) for o in m.objects.values()][2:] == [
-        (2, 0x3200, 16), (3, 0x3220, 16), (4, 0x3240, 16), (5, 0x3300, 8),
+    m.register_kernel_object(0x3200, 16, count=3, stride=32)
+    assert [(o.object_id, o.addr, o.length) for o in m.objects.values()] == [
+        (0, 0x3200, 16), (1, 0x3220, 16), (2, 0x3240, 16),
     ]
+    assert list(m.objects) == [0, 1, 2] and 3 not in m.objects
 
 
 def test_object_overlapping_module_rejected():
     m = _machine_with_idt()
     m.load_module(bytes(4096), 8192, 0x20)
     with pytest.raises(ConfigurationError):
-        m.register_kernel_object("bad", 8192 + 100, 8)
+        m.register_kernel_object(8192 + 100, 8)
     # and the symmetric direction: module over existing object
     m2 = _machine_with_idt()
-    m2.register_kernel_object("obj", 8200, 8)
+    m2.register_kernel_object(8200, 8)
     with pytest.raises(ConfigurationError):
         m2.load_module(bytes(4096), 8192, 0x20)
 
@@ -190,19 +188,30 @@ def test_object_overlapping_module_rejected():
 def test_object_bad_ranges():
     m = _machine_with_idt()
     with pytest.raises(ConfigurationError):
-        m.register_kernel_object("empty", 0x3000, 0)
+        m.register_kernel_object(0x3000, 0)
     with pytest.raises(AddressError):
-        m.register_kernel_object("oob", 16380, 8)
+        m.register_kernel_object(16380, 8)
     with pytest.raises(ConfigurationError):
-        m.register_kernel_object("none", 0x3000, 8, count=0)
+        m.register_kernel_object(0x3000, 8, count=0)
     with pytest.raises(ConfigurationError):
-        m.register_kernel_object("still", 0x3000, 8, count=2, stride=0)
-    with pytest.raises(AddressError):  # the last of the run ends past memory
-        m.register_kernel_object("long", 0x3000, 8, count=3, stride=2048)
+        m.register_kernel_object(0x3000, 8, count=2, stride=0)
+    with pytest.raises(AddressError):  # the last of the layout ends past memory
+        m.register_kernel_object(0x3000, 8, count=3, stride=2048)
+    with pytest.raises(ConfigurationError):  # a gap of exactly one page
+        m.register_kernel_object(0, 8, count=2, stride=8 + 4096)
+    with pytest.raises(ConfigurationError):  # a gap over one page
+        m.register_kernel_object(0, 8, count=2, stride=8 + 4097)
     assert m.objects == {}
     m.load_module(bytes(4096), 8192, 0x20)
-    with pytest.raises(ConfigurationError):  # the second of the run hits the module
-        m.register_kernel_object("run", 4096 + 512, 8, count=2, stride=4096)
+    with pytest.raises(ConfigurationError):  # the second of the layout hits the module
+        m.register_kernel_object(4096 + 512, 8, count=2, stride=4096)
+    assert m.objects == {}
+    m.register_kernel_object(0x3000, 8, count=4, stride=16)  # valid after the rejections
+    with pytest.raises(ConfigurationError):  # a second registration
+        m.register_kernel_object(0x3000 + 2048, 8)
+    assert [(o.addr, o.length) for o in m.objects.values()] == [
+        (0x3000 + 16 * i, 8) for i in range(4)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -231,21 +240,21 @@ def test_set_idt_entry_privileged_bypasses_protection():
 
 def test_set_idtr_is_never_trapped():
     m = _machine_with_idt()
-    m.set_idtr(0, 512, privileged=False)  # attacker move: applies silently
+    m.set_idtr(0, 512)  # attacker move: applies silently
     assert m.idtr.base == 0
 
 
 def test_set_idtr_validation():
     m = GuestMachine(4, 4096)
     with pytest.raises(ConfigurationError):
-        m.set_idtr(0, 12, privileged=True)  # not a multiple of 8
+        m.set_idtr(0, 12)  # not a multiple of 8
     with pytest.raises(AddressError):
-        m.set_idtr(16000, 512, privileged=True)
+        m.set_idtr(16000, 512)
 
 
 def test_empty_idt_makes_any_dispatch_error():
     m = GuestMachine(4, 4096)
-    m.set_idtr(0, 0, privileged=True)
+    m.set_idtr(0, 0)
     with pytest.raises(ConfigurationError):
         m.idt_entry(0)
 
@@ -264,23 +273,23 @@ def test_trap_iff_protected_page_touched_small_exhaustive():
             if addr + length > 256:
                 continue
             touched = set(range(addr // 64, (addr + length - 1) // 64 + 1))
-            before = m.snapshot()
+            before = m.read(0, m.size)
             outcome = m.guest_write(reg, addr, bytes([addr & 0xFF]) * length)
             assert outcome.trapped == bool(touched & protected)
             if outcome.trapped:
-                assert m.snapshot() == before
+                assert m.read(0, m.size) == before
 
 
 def test_same_operation_sequence_gives_identical_machines():
     def drive(m):
         reg = ProtectionRegistry(m.page_count)
-        m.set_idtr(4096, 512, privileged=True)
+        m.set_idtr(4096, 512)
         m.load_module(bytes([3]) * 4096, 8192, 5)
-        m.register_kernel_object("a", 0x3000, 32)
+        m.register_kernel_object(0x3000, 32)
         m.guest_write(reg, 0x3000, b"xyz")
         reg.protect_pages([3])
         m.guest_write(reg, 0x3010, b"vetoed")
-        return m.snapshot()
+        return m.read(0, m.size)
 
     assert drive(GuestMachine(4, 4096)) == drive(GuestMachine(4, 4096))
 
@@ -295,4 +304,4 @@ def test_page_snapshot_export_golden():
     expected_page1[0] = 0x22
     assert m.read(0, 64) == bytes(expected_page0)
     assert m.read(64, 64) == bytes(expected_page1)
-    assert m.snapshot() == bytes(expected_page0 + expected_page1)
+    assert m.read(0, m.size) == bytes(expected_page0 + expected_page1)

@@ -21,10 +21,9 @@ from hfsim.timebase import TICKS_PER_SECOND as SEC
 
 def _hf_machine(n_objects=4, size=8):
     m = GuestMachine(8, 4096)
-    m.set_idtr(4096, 512, privileged=True)
+    m.set_idtr(4096, 512)
     m.load_module(bytes([0x90]) * 4096, 8192, 0x20)
-    for i in range(n_objects):
-        m.register_kernel_object(f"o{i}", 3 * 4096 + i * size, size)
+    m.register_kernel_object(3 * 4096, size, count=n_objects)
     reg = ProtectionRegistry(8)
     table = snapshot_baselines(m)
     device = install_virtual_device(m, 0x20, FiringSchedule.periodic(4 * SEC))
@@ -126,7 +125,7 @@ def test_zero_period_rejected():
 
 def test_device_vector_must_match_module():
     m = GuestMachine(4, 4096)
-    m.set_idtr(4096, 512, privileged=True)
+    m.set_idtr(4096, 512)
     m.load_module(bytes(4096), 8192, 0x20)
     with pytest.raises(ConfigurationError):
         install_virtual_device(m, 0x21, FiringSchedule.periodic(SEC))
@@ -183,15 +182,15 @@ def test_redirected_idt_entry_yields_subversion_detection():
 
 def test_idtr_move_also_subverts_dispatch():
     m, reg, table, device = _hf_machine()
-    m.set_idtr(0, 512, privileged=False)  # shadow IDT full of zero handlers
+    m.set_idtr(0, 512)  # shadow IDT full of zero handlers
     report = fire_interrupt(device, m, reg, table, CostModel())
     assert report.subverted
 
 
 def test_fire_interrupt_requires_module():
     m = GuestMachine(4, 4096)
-    m.set_idtr(4096, 512, privileged=True)
-    m.register_kernel_object("o", 0x3000, 8)
+    m.set_idtr(4096, 512)
+    m.register_kernel_object(0x3000, 8)
     table = snapshot_baselines(m)
     reg = ProtectionRegistry(4)
     device_like = type("D", (), {"vector": 0x20, "schedule": None})()

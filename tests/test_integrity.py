@@ -20,10 +20,8 @@ from hfsim.integrity import (
 
 def _objects_machine(n, size=8, page_size=4096):
     m = GuestMachine(4, page_size)
-    m.set_idtr(page_size, 512, privileged=True)
-    base = 3 * page_size
-    for i in range(n):
-        m.register_kernel_object(f"o{i}", base + i * size, size)
+    m.set_idtr(page_size, 512)
+    m.register_kernel_object(3 * page_size, size, count=n)
     return m
 
 
@@ -80,9 +78,8 @@ def test_single_fault_injection_yields_one_violation():
 
 def test_snapshot_of_15000_synthetic_objects():
     m = GuestMachine(240, 4096)
-    m.set_idtr(4096, 512, privileged=True)
-    for i in range(15000):
-        m.register_kernel_object(f"obj{i}", 8192 + i * 64, 64)
+    m.set_idtr(4096, 512)
+    m.register_kernel_object(8192, 64, count=15000)
     table = snapshot_baselines(m)
     assert len(table) == 15000
     assert check_all(m, table).violations == []
@@ -122,7 +119,7 @@ def test_batch_round_robin_wraps():
 def test_idtr_rides_along_only_on_the_wrapping_batch():
     m = _objects_machine(5)
     table = snapshot_baselines(m)
-    m.set_idtr(0, 512, privileged=False)
+    m.set_idtr(0, 512)
     seen = [[v.target for v in check_batch(m, table, 2).violations] for _ in range(3)]
     assert seen == [[], [], [IDTR_TARGET]]
 
@@ -189,7 +186,7 @@ def test_double_fault_with_recompute_oracle():
 def test_idtr_move_reported_even_when_objects_clean():
     m = _objects_machine(3)
     table = snapshot_baselines(m)
-    m.set_idtr(0, 512, privileged=False)
+    m.set_idtr(0, 512)
     report = check_all(m, table)
     assert [v.target for v in report.violations] == [IDTR_TARGET]
     assert report.violations[0].expected == (4096, 512)
@@ -209,11 +206,11 @@ def test_verify_idtr_cases():
     m = _objects_machine(2)
     table = snapshot_baselines(m)
     assert verify_idtr(m, table) is None
-    m.set_idtr(4096 + 8, 512, privileged=False)
+    m.set_idtr(4096 + 8, 512)
     assert verify_idtr(m, table).found == (4096 + 8, 512)
-    m.set_idtr(4096, 1024, privileged=False)  # limit changed only
+    m.set_idtr(4096, 1024)  # limit changed only
     assert verify_idtr(m, table).found == (4096, 1024)
-    m.set_idtr(4096, 512, privileged=False)  # restored
+    m.set_idtr(4096, 512)  # restored
     assert verify_idtr(m, table) is None
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -244,42 +243,14 @@ def on_control_register_write(
     natively); the report counts those pages, computed from the object
     layout. A batch that wraps past the last object covers two id spans.
     The batch cursor advances round-robin.
-
-    A batch holding no object the guest has touched cannot find a
-    violation, so it is not checked: its hash time comes from the table's
-    prefix sums, and on a completed cycle the IDTR still rides along.
     """
     if k <= 0:
         raise ConfigurationError(f"batch size must be >= 1, got {k}")
-    n = len(table)
     start = table.cursor
-    stop = start + (k if k < n else n)
-    pages_mapped = machine.object_pages(start, stop)
+    pages_mapped = machine.object_pages(start, start + min(k, len(table)))
     begin = now + costs.t_vmexit + pages_mapped * costs.t_map_page
-    touched = table.touched_positions(machine)
-    first = bisect_left(touched, start)  # the first touched position at or past start
-    if stop <= n:
-        clean = first == len(touched) or touched[first] >= stop
-    else:
-        clean = first == len(touched) and (not touched or touched[0] >= stop - n)
-    if not clean:
-        report = integrity.check_batch(
-            machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=begin
-        )
-        report.pages_mapped = pages_mapped
-        return report
-    before = table.bytes_before
-    if stop <= n:
-        hashed = before[stop] - before[start]
-    else:
-        hashed = before[n] - before[start] + before[stop - n]
-    duration = hashed * costs.t_hash_per_byte
-    violations = []
-    if stop >= n:  # the batch completes a cycle: the IDTR rides along
-        violation = integrity.verify_idtr(machine, table, now=begin + duration)
-        if violation is not None:
-            violations.append(violation)
-    table.cursor = stop % n
-    # positional, as this is the per-exit path: objects_checked, violations,
-    # duration, cycle_completed, pages_mapped
-    return integrity.CheckReport(stop - start, violations, duration, stop >= n, pages_mapped)
+    report = integrity.check_batch(
+        machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=begin
+    )
+    report.pages_mapped = pages_mapped
+    return report

@@ -127,8 +127,8 @@ class BaselineTable:
         self.idtr_baseline = idtr_baseline
         self.digest_fn = digest_fn
         self.cursor = 0
-        # bytes_before[p]: total length of the objects before position p
-        self.bytes_before = bytes_before
+        # _bytes_before[p]: total length of the objects before position p
+        self._bytes_before = bytes_before
         self._touched: list[int] = []  # sorted positions of touched objects
         self._log_seen = 0  # machine.touch_log entries folded in so far
 
@@ -212,7 +212,7 @@ def _check_positions(
     A violation is stamped when its object's hash ends: `time_at_start`
     plus the hash time of every byte from `start` up to and including it.
     """
-    before = table.bytes_before
+    before = table._bytes_before
     positions = table.touched_positions(machine)
     for i in range(bisect_left(positions, start), bisect_left(positions, stop)):
         oid = positions[i]  # position p holds object p
@@ -241,7 +241,7 @@ def check_batch(
     n = len(table)
     k_eff = min(k, n)
     cursor, end = table.cursor, table.cursor + k_eff
-    before = table.bytes_before
+    before = table._bytes_before
     report = CheckReport(objects_checked=k_eff, cycle_completed=end >= n)
     _check_positions(machine, table, cursor, min(end, n), now,
                      hash_ticks_per_byte, report.violations)
@@ -272,7 +272,7 @@ def check_all(
     n = len(table)
     report = CheckReport(
         objects_checked=n,
-        duration=table.bytes_before[n] * hash_ticks_per_byte,
+        duration=table._bytes_before[n] * hash_ticks_per_byte,
         cycle_completed=True,
     )
     _check_positions(machine, table, 0, n, now, hash_ticks_per_byte, report.violations)

@@ -14,6 +14,13 @@ identity testable to the tick. Event-op base costs (t_syscall_base,
 t_ctxswitch_base) describe the cost of the operation itself; they are
 reported in absolute per-event latency but never extend the run.
 
+The engine alternates two steps: it drains the workload arrivals due
+before the next one-off event (a device firing or an attack action),
+then dispatches that event. Under hrk every arrival is a VMExit; a batch
+window that cannot find a violation is costed in the drain's locals, and
+only the others run a check. Charges that are the same for every event
+are derived from counts when the run finishes.
+
 Determinism: identical (setup, strategy, workload, attacks, costs, seed)
 inputs replay to a byte-identical serialized result. All randomness flows
 from named substreams of the run seed.
@@ -24,7 +31,9 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -61,48 +70,69 @@ class EventKind(enum.IntEnum):
 
 
 class EventQueue:
-    """Min-heap of (time, kind priority, insertion sequence, payload) tuples.
+    """One-off events and event streams, in (time, kind priority, insertion sequence) order.
 
-    A pushed event takes the next insertion sequence number. A stream,
-    added with `add_stream`, takes one sequence number for all of its
-    events and keeps only its next event in the heap, so it orders exactly
-    as if every one of its events had been pushed when it was added, while
-    the heap holds one entry per stream however many events it yields.
+    A pushed event takes the next sequence number and waits in the one-off
+    heap; `pop` takes the earliest. A stream, added with `add_stream`,
+    takes one sequence number for all of its events and keeps only its
+    next event in the stream heap, so it orders exactly as if every one of
+    its events had been pushed when it was added; `drain` yields the
+    stream events due before a one-off event.
     """
 
     def __init__(self):
-        self._heap: list[tuple[int, int, int, tuple]] = []
+        self._events: list[tuple[int, int, int, tuple]] = []
+        self._heads: list[tuple[int, int, int, tuple]] = []  # each stream's next event
         self._seq = itertools.count()
         self._streams: dict[int, Iterator[Ticks]] = {}
 
     def push(self, time: Ticks, kind: EventKind, payload: tuple) -> None:
-        heapq.heappush(self._heap, (time, kind, next(self._seq), payload))
+        heapq.heappush(self._events, (time, kind, next(self._seq), payload))
 
     def add_stream(self, times: Iterable[Ticks], kind: EventKind, payload: tuple) -> None:
         """Queue one event of `kind` at each of `times`, which must not decrease.
 
-        The stream's next time is drawn when its current event is popped.
+        The stream's next time is drawn when its current event is drained.
         """
         times = iter(times)
         seq = next(self._seq)
         first = next(times, None)
         if first is not None:
             self._streams[seq] = times
-            heapq.heappush(self._heap, (first, kind, seq, payload))
+            heapq.heappush(self._heads, (first, kind, seq, payload))
 
     def pop(self) -> Optional[tuple[int, int, int, tuple]]:
-        """The earliest event's heap tuple, or None when the queue is empty."""
-        heap = self._heap
-        if not heap:
-            return None
-        event = heap[0]
-        times = self._streams.get(event[2])
-        if times is not None:
-            following = next(times, None)
-            if following is not None:
-                return heapq.heapreplace(heap, (following, event[1], event[2], event[3]))
-            del self._streams[event[2]]
-        return heapq.heappop(heap)
+        """The earliest one-off event's heap tuple, or None when there is none."""
+        return heapq.heappop(self._events) if self._events else None
+
+    def drain(self, before: Optional[tuple] = None) -> Iterator[tuple[int, int, int, tuple]]:
+        """Yield, in order, the heap tuples of the stream events that sort before `before`.
+
+        Every stream event when `before` is None. The head stream runs on
+        without a heap operation while its events sort before the bound and
+        every other stream's head. Exhaust it before the next `drain`.
+        """
+        heads, streams = self._heads, self._streams
+        before = (math.inf,) if before is None else before
+        while heads and heads[0] < before:
+            time, kind, seq, payload = event = heads[0]
+            yield event
+            limit = before  # the bound, or another stream's head if that comes first
+            if len(heads) > 1 and heads[1] < limit:
+                limit = heads[1]
+            if len(heads) > 2 and heads[2] < limit:
+                limit = heads[2]
+            limit_time, first_on_tie = limit[0], (kind, seq) < limit[1:3]
+            times = streams[seq]
+            for time in times:
+                if time < limit_time or (time == limit_time and first_on_tie):
+                    yield (time, kind, seq, payload)
+                else:
+                    heapq.heapreplace(heads, (time, kind, seq, payload))
+                    break
+            else:
+                heapq.heappop(heads)
+                del streams[seq]
 
 
 class Arrival(enum.Enum):
@@ -390,9 +420,11 @@ def _arrival_times(
             yield t
             exact += step
     else:
+        # rng.expovariate(rate) inlined, as CPython's own body: the same floats
+        log, draw = math.log, rng.random
         t_s = 0.0
         while True:
-            t_s += rng.expovariate(rate)
+            t_s += -log(1.0 - draw()) / rate
             t = round(t_s * TICKS_PER_SECOND)
             if t > horizon:
                 return
@@ -415,17 +447,18 @@ _SOURCES = (("syscall", "syscalls"), ("ctxswitch", "ctxswitches"))
 
 
 class _Tally:
-    """Sums, over one workload source's events, of what varies per event.
+    """One workload source's event count and, under hrk, the pages its VMExits mapped.
 
     Every event of the source costs its base cost, and under hrk each one
-    is a VMExit charging t_vmexit and t_vmentry, so those charges follow
-    from `events` alone and `_finish` derives them.
+    is a VMExit charging t_vmexit, t_vmentry and the hash time of min(k, n)
+    objects of the layout's one length, so those charges follow from
+    `events` alone and `_finish` derives them.
     """
 
-    __slots__ = ("events", "pages_mapped", "hash_ticks", "objects_checked")
+    __slots__ = ("events", "pages_mapped")
 
     def __init__(self):
-        self.events = self.pages_mapped = self.hash_ticks = self.objects_checked = 0
+        self.events = self.pages_mapped = 0
 
 
 class _ScenarioRun:
@@ -468,7 +501,8 @@ class _ScenarioRun:
             self.registry.protect_pages(self.machine.module.page_range(setup.machine.page_size))
             self.registry.protect_pages(self.machine.idt_pages())
 
-        self.scripts = self._normalize_attacks(attacks)
+        self.scripts = [entry if isinstance(entry, tuple) else (f"attack-{i}", entry)
+                        for i, entry in enumerate(attacks)]  # (label, script) pairs
         self.target_label = check_attacks(setup, self.scripts)
         self.outcomes = {
             label: threat.AttackOutcome(label=label, kind=script.kind)
@@ -495,16 +529,6 @@ class _ScenarioRun:
         self._schedule_attacks()
 
     # -- setup ----------------------------------------------------------
-
-    def _normalize_attacks(self, attacks: Sequence) -> list:
-        scripts = []
-        for i, entry in enumerate(attacks):
-            if isinstance(entry, tuple):
-                label, script = entry
-            else:
-                label, script = f"attack-{i}", entry
-            scripts.append((label, script))
-        return scripts
 
     def _schedule_workload(self) -> None:
         # one stream per source, each with its own random substream; the
@@ -568,55 +592,82 @@ class _ScenarioRun:
     # -- event dispatch --------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        handlers = {
-            EventKind.WORKLOAD: (
-                self._on_vmexit if self.strategy.kind == STRATEGY_HRK else self._on_workload
-            ),
-            EventKind.DEVICE_FIRING: self._on_firing,
-            EventKind.ATTACK: self._on_attack,
-        }
+        drain = self._drain_vmexits if self.strategy.kind == STRATEGY_HRK else self._drain_arrivals
+        handlers = {EventKind.DEVICE_FIRING: self._on_firing, EventKind.ATTACK: self._on_attack}
         pop, horizon = self.queue.pop, self.horizon
         while True:
             event = pop()
             if event is None or event[0] > horizon:
-                break
+                drain(None)
+                return self._finish()
+            drain(event)
             time, kind, _, payload = event
             handlers[kind](time, payload)
-        return self._finish()
 
     def _emit(self, entry: dict) -> None:
         if self.trace is not None:
             self.trace(entry)
 
-    def _on_workload(self, now: Ticks, payload: tuple) -> None:
-        op, tally = payload
-        tally.events += 1
-        if self.trace is not None:
-            self.trace({"t": now, "kind": op})
-
-    def _on_vmexit(self, now: Ticks, payload: tuple) -> None:
-        """A workload event under hrk: its control-register write exits to a check."""
-        op, tally = payload
-        tally.events += 1
+    def _drain_arrivals(self, before: Optional[tuple]) -> None:
+        """Count the workload arrivals that come before the one-off event `before`."""
         trace = self.trace
-        if trace is not None:
-            trace({"t": now, "kind": op})
-        report = on_control_register_write(
-            self.machine, self.registry, self.table, self.costs,
-            self.strategy.batch_k, now=now,
-        )
-        tally.pages_mapped += report.pages_mapped
-        tally.hash_ticks += report.duration
-        tally.objects_checked += report.objects_checked
-        if trace is not None:
-            trace({
-                "t": now, "kind": "vmexit_check",
-                # targets checked: the IDTR rides along on a completed cycle
-                "checked": report.objects_checked + report.cycle_completed,
-                "violations": len(report.violations),
-            })
-        if report.violations:
-            self._process_violations(report.violations, via="hrk_vmexit")
+        for now, _, _, (op, tally) in self.queue.drain(before):
+            tally.events += 1
+            if trace is not None:
+                trace({"t": now, "kind": op})
+
+    def _drain_vmexits(self, before: Optional[tuple]) -> None:
+        """Run the VMExits of the workload arrivals that come before `before` (hrk).
+
+        Each arrival's control-register write exits to a check of the next
+        min(k, n) objects. Only attacks write, so the touched positions and
+        the IDTR stand still within a drain. A window [cursor, stop) that
+        holds no touched position, and completes no cycle while the IDTR is
+        moved, finds nothing: it only maps its pages and moves the cursor.
+        `on_control_register_write` checks every other window.
+        """
+        machine, table, trace = self.machine, self.table, self.trace
+        n = len(table)
+        k = min(self.strategy.batch_k, n)
+        object_pages = machine.object_pages
+        idtr_clean = (machine.idtr.base, machine.idtr.limit) == table.idtr_baseline
+        cursor = table.cursor
+        dirty_at = self._dirty_at(cursor)
+        for now, _, _, (op, tally) in self.queue.drain(before):
+            tally.events += 1
+            if trace is not None:
+                trace({"t": now, "kind": op})
+            stop = cursor + k
+            if stop <= dirty_at and (stop < n or idtr_clean):
+                tally.pages_mapped += object_pages(cursor, stop)
+                violations = ()
+                if stop < n:
+                    cursor = stop
+                else:  # a cycle completes: unrolled positions move back by one cycle
+                    cursor, dirty_at = stop - n, dirty_at - n
+            else:
+                table.cursor = cursor
+                report = on_control_register_write(
+                    machine, self.registry, table, self.costs, k, now=now
+                )
+                tally.pages_mapped += report.pages_mapped
+                violations = report.violations
+                cursor = table.cursor
+                dirty_at = self._dirty_at(cursor)
+            if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
+                trace({"t": now, "kind": "vmexit_check", "checked": k + (stop >= n),
+                       "violations": len(violations)})
+            if violations:
+                self._process_violations(violations, via="hrk_vmexit")
+        table.cursor = cursor
+
+    def _dirty_at(self, cursor: int) -> Union[int, float]:
+        """The first touched check position at or past `cursor`, unrolled across the wrap."""
+        touched = self.table.touched_positions(self.machine)
+        i = bisect_left(touched, cursor)
+        if i < len(touched):
+            return touched[i]
+        return touched[0] + len(self.table) if touched else math.inf
 
     def _on_firing(self, now: Ticks, payload: tuple) -> None:
         self.counts["firings"] += 1
@@ -722,6 +773,9 @@ class _ScenarioRun:
         costs, counts, breakdown = self.costs, self.counts, self.breakdown
         counts["traps"] = len(self.registry.trap_log)
         hrk = self.strategy.kind == STRATEGY_HRK
+        # every hrk VMExit checks min(k, n) objects of the layout's one length
+        batch = min(self.strategy.batch_k, len(self.table))
+        batch_hash = batch * self.machine.objects.length * costs.t_hash_per_byte
         base, per_event_added = {}, {}
         for (op, count_key), base_cost in zip(
             _SOURCES, (costs.t_syscall_base, costs.t_ctxswitch_base)
@@ -729,13 +783,14 @@ class _ScenarioRun:
             tally = self.tallies[op]
             exits = tally.events if hrk else 0
             map_ticks = tally.pages_mapped * costs.t_map_page
+            hash_ticks = exits * batch_hash
             counts[count_key] = tally.events
             counts["vmexits"] += exits
-            counts["objects_checked"] += tally.objects_checked
+            counts["objects_checked"] += exits * batch
             breakdown["map_page"] += map_ticks
-            breakdown["hash"] += tally.hash_ticks
+            breakdown["hash"] += hash_ticks
             base[op] = tally.events * base_cost
-            added = exits * (costs.t_vmexit + costs.t_vmentry) + map_ticks + tally.hash_ticks
+            added = exits * (costs.t_vmexit + costs.t_vmentry) + map_ticks + hash_ticks
             per_event_added[op] = added / tally.events if tally.events else 0.0
         breakdown["vmexit"] = counts["vmexits"] * costs.t_vmexit
         breakdown["vmentry"] = counts["vmexits"] * costs.t_vmentry

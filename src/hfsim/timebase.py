@@ -44,6 +44,8 @@ def _scale(value, unit: int, unit_name: str) -> Ticks:
             dec = Decimal(value)
     except (InvalidOperation, TypeError, ValueError):
         raise ConfigurationError(f"not a number: {value!r}") from None
+    if not dec.is_finite():
+        raise ConfigurationError(f"not a finite number: {value!r}")
     scaled = dec * unit
     if scaled != scaled.to_integral_value():
         raise ConfigurationError(

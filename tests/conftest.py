@@ -3,8 +3,18 @@
 import random
 from fractions import Fraction
 
+from hfsim.hypervisor import on_control_register_write
 from hfsim.integrity import CheckReport, Violation, verify_idtr
-from hfsim.simulation import Arrival, MachineSpec, ObjectsSpec, SetupSpec
+from hfsim.simulation import (
+    Arrival,
+    CostModel,
+    EventKind,
+    EventQueue,
+    MachineSpec,
+    ObjectsSpec,
+    SetupSpec,
+    _ScenarioRun,
+)
 from hfsim.timebase import TICKS_PER_SECOND
 
 
@@ -115,9 +125,10 @@ def make_setup(
 def assert_conservation(result, costs=None) -> None:
     """The exact fixed-point accounting identity every run must satisfy.
 
+    Under hrk every VMExit checks min(batch_k, count) objects of one size.
     With the run's cost model, the fixed charges must also be their counts
-    times their unit costs: a transition pair per VMExit, a delivery per
-    firing.
+    times their unit costs: a transition pair and that batch's hash time
+    per VMExit, a delivery per firing.
     """
     charged = sum(result.cost_breakdown.values())
     assert result.total_ticks == result.horizon + charged
@@ -125,8 +136,16 @@ def assert_conservation(result, costs=None) -> None:
     assert data["overhead_ticks"] == charged
     assert data["baseline_ticks"] == result.horizon
     assert result.overhead_fraction == charged / result.horizon
+    breakdown, counts, echo = result.cost_breakdown, result.counts, result.config_echo
+    hrk = result.strategy_kind == "hrk"
+    if hrk:
+        batch = min(echo["strategy"]["batch_k"], echo["objects"]["count"])
+        assert counts["objects_checked"] == counts["vmexits"] * batch
     if costs is not None:
-        breakdown, counts = result.cost_breakdown, result.counts
+        if hrk:
+            assert breakdown["hash"] == (
+                counts["vmexits"] * batch * echo["objects"]["size_bytes"] * costs.t_hash_per_byte
+            )
         assert breakdown["vmexit"] == counts["vmexits"] * costs.t_vmexit
         assert breakdown["vmentry"] == counts["vmexits"] * costs.t_vmentry
         assert breakdown["interrupt_delivery"] == (
@@ -178,3 +197,56 @@ def event_order_ref(workload, seed, firing_times=(), attack_times=()) -> list:
     events += [(t, "attack") for t in attack_times]
     keyed = sorted((t, _KIND_PRIORITY[kind], seq, kind) for seq, (t, kind) in enumerate(events))
     return [(t, kind) for t, _, _, kind in keyed if t <= workload.horizon]
+
+
+def _on_arrival_ref(run, now, op) -> None:
+    """One workload event; under hrk, one VMExit and its batch check."""
+    tally = run.tallies[op]
+    tally.events += 1
+    run._emit({"t": now, "kind": op})
+    if run.strategy.kind != "hrk":
+        return
+    report = on_control_register_write(
+        run.machine, run.registry, run.table, run.costs, run.strategy.batch_k, now=now,
+    )
+    tally.pages_mapped += report.pages_mapped
+    # the engine derives each VMExit's objects and hash time from the layout
+    batch = min(run.strategy.batch_k, len(run.table))
+    assert report.objects_checked == batch
+    assert report.duration == batch * run.machine.objects.length * run.costs.t_hash_per_byte
+    run._emit({
+        "t": now, "kind": "vmexit_check",
+        "checked": report.objects_checked + report.cycle_completed,
+        "violations": len(report.violations),
+    })
+    if report.violations:
+        run._process_violations(report.violations, via="hrk_vmexit")
+
+
+def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), seed=0,
+                      trace=None):
+    """The per-event engine loop: the oracle for run_scenario's drains.
+
+    Sets the run up as run_scenario does, then pushes every workload
+    arrival as its own event (drawn up front, as in event_order_ref) ahead
+    of the run's firings and attack actions, and dispatches one `pop` at a
+    time. Under hrk every arrival's VMExit goes through
+    on_control_register_write, whatever its batch holds.
+    """
+    run = _ScenarioRun(setup, strategy, workload, attacks, costs, seed, trace)
+    queue = EventQueue()
+    for op, rate in (("syscall", workload.syscall_rate),
+                     ("ctxswitch", workload.ctxswitch_rate)):
+        rng = random.Random(f"workload-{op}:{seed}")
+        for t in _arrival_times_ref(rate, workload.horizon, workload.arrival, rng):
+            queue.push(t, EventKind.WORKLOAD, (op,))
+    while (event := run.queue.pop()) is not None:  # firings and attacks, in order
+        queue.push(event[0], event[1], event[3])
+    handlers = {EventKind.DEVICE_FIRING: run._on_firing, EventKind.ATTACK: run._on_attack}
+    while (event := queue.pop()) is not None and event[0] <= workload.horizon:
+        time, kind, _, payload = event
+        if kind == EventKind.WORKLOAD:
+            _on_arrival_ref(run, time, payload[0])
+        else:
+            handlers[kind](time, payload)
+    return run._finish()

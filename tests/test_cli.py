@@ -190,6 +190,31 @@ def test_validate_rejects_what_run_rejects(attack, tmp_path, capsys):
     assert not out.exists()
 
 
+_TRANSIENT = "\n[attack blink]\nkind = transient\nobject_index = 2\nwindows = 1:2\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "Infinity", "nan"])
+@pytest.mark.parametrize("key, setting, raw", [
+    ("workload.horizon_s", "horizon_s = 6", "{}"),
+    ("costs.t_vmexit_us", "t_vmexit_us = 25", "{}"),
+    ("attack blink.windows", "windows = 1:2", "1:{}"),
+], ids=["horizon_s", "t_vmexit_us", "window_end"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_durations_exit_2_with_one_line(command, key, setting, raw, value, tmp_path,
+                                                     capsys):
+    raw = raw.format(value)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text((SMALL + _TRANSIENT).replace(setting, setting.split(" = ")[0] + " = " + raw))
+    out = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out)] if command == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == [
+        "config error:", f"  {key}: cannot parse {raw!r}: not a finite number: {value!r}",
+    ]
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_3_with_one_line(small_cfg, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_conservation, event_order_ref, make_setup
+from conftest import assert_conservation, event_order_ref, make_setup, run_per_event_ref
 from hfsim import integrity
 from hfsim.errors import ConfigurationError
 from hfsim.hypervisor import FiringSchedule
@@ -20,9 +21,10 @@ from hfsim.simulation import (
     EventQueue,
     StrategyConfig,
     WorkloadSpec,
+    _arrival_times,
     run_scenario,
 )
-from hfsim.threat import CodeTamper, PersistentTamper
+from hfsim.threat import CodeTamper, IdtrTamper, PersistentTamper, TransientTamper
 from hfsim.timebase import TICKS_PER_SECOND as SEC
 
 
@@ -56,6 +58,71 @@ def test_times_pop_nondecreasing():
     times = [q.pop()[0] for _ in range(5)]
     assert times == sorted(times)
     assert q.pop() is None
+
+
+def _drain_and_pop(q):
+    """Every event of `q`, as the engine takes them: the streams' events due
+    before each one-off event, then that event."""
+    events = []
+    while True:
+        event = q.pop()
+        events += q.drain(event)
+        if event is None:
+            return events
+        events.append(event)
+
+
+def test_one_off_events_precede_stream_events_at_the_same_tick():
+    q = EventQueue()
+    q.add_stream([5, 5, 9], EventKind.WORKLOAD, ("s1",))
+    q.push(5, EventKind.ATTACK, ("a",))
+    q.push(9, EventKind.WORKLOAD, ("w",))  # of the streams' kind: insertion order decides
+    q.add_stream([5, 9], EventKind.WORKLOAD, ("s2",))
+    q.push(5, EventKind.DEVICE_FIRING, ("f",))
+    order = [(t, payload[0]) for t, _, _, payload in _drain_and_pop(q)]
+    assert order == [(5, "f"), (5, "a"), (5, "s1"), (5, "s1"), (5, "s2"),
+                     (9, "s1"), (9, "w"), (9, "s2")]
+    assert q.pop() is None and list(q.drain()) == []
+
+
+_kinds = st.sampled_from(list(EventKind))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.just("stream"), st.lists(st.integers(0, 12), max_size=8).map(sorted), _kinds),
+    st.tuples(st.just("push"), st.integers(0, 12), _kinds),
+), max_size=10))
+def test_drain_then_pop_matches_pushing_every_event_up_front(operations):
+    streamed, pushed = EventQueue(), EventQueue()
+    for i, (op, times, kind) in enumerate(operations):
+        if op == "stream":
+            streamed.add_stream(times, kind, (i,))
+            for t in times:
+                pushed.push(t, kind, (i,))
+        else:
+            streamed.push(times, kind, (i,))
+            pushed.push(times, kind, (i,))
+    expected = list(iter(pushed.pop, None))
+    # a stream's events share one sequence number, so compare all but that
+    assert [(t, k, p) for t, k, _, p in _drain_and_pop(streamed)] == [
+        (t, k, p) for t, k, _, p in expected
+    ]
+
+
+@pytest.mark.parametrize("rate", [0.5, 3, 100, 8000.25])
+@pytest.mark.parametrize("seed", [0, 5, 1234])
+def test_poisson_arrivals_are_expovariate_draws(rate, seed):
+    # the inlined draw must give the very floats random.expovariate gives
+    rng = random.Random(seed)
+    times, t_s = [], 0.0
+    for _ in range(500):
+        t_s += rng.expovariate(rate)
+        times.append(round(t_s * SEC))
+    drawn = _arrival_times(rate, times[-1], Arrival.POISSON, random.Random(seed))
+    assert list(drawn) == times
+    cut = _arrival_times(rate, times[249], Arrival.POISSON, random.Random(seed))
+    assert list(cut) == [t for t in times if t <= times[249]]
 
 
 def test_firing_precedes_attack_at_same_instant_in_run():
@@ -143,6 +210,104 @@ def test_fixed_arrivals_are_exact_fractions_of_a_second(rate, horizon, last):
     times = [e["t"] for e in entries]
     assert times == [t for t in expected if t <= horizon]
     assert times[-1] == last
+
+
+# ---------------------------------------------------------------------------
+# the drained engine against the per-event loop
+# ---------------------------------------------------------------------------
+
+def _ms(ms):
+    return ms * SEC // 1000
+
+
+def _attack_scripts(specs, count):
+    """Labelled scripts from drawn (kind, where, when) specs, one per target."""
+    scripts, targets = [], set()
+    for i, (kind, where, when) in enumerate(specs):
+        if kind in ("persistent", "transient", "idtr"):
+            target = "idtr" if kind == "idtr" else where % count
+            if target in targets:
+                continue
+            targets.add(target)
+        if kind == "persistent":
+            script = PersistentTamper(object_index=where % count, at=_ms(when))
+        elif kind == "transient":  # dirty from each even bound to the next
+            bounds = [_ms(t) for t in sorted(when)]
+            script = TransientTamper(object_index=where % count,
+                                     windows=tuple(zip(bounds[::2], bounds[1::2])))
+        elif kind == "idtr":
+            script = IdtrTamper(new_base=where, at=_ms(when))
+        else:
+            script = CodeTamper(offset=where, at=_ms(when))
+        scripts.append((f"a{i}", script))
+    return scripts
+
+
+_when = st.one_of(st.integers(0, 700), st.integers(0, 70).map(lambda t: 10 * t))
+_attack_specs = st.lists(st.one_of(
+    st.tuples(st.just("persistent"), st.integers(0, 11), _when),
+    st.tuples(st.just("transient"), st.integers(0, 11),
+              st.lists(_when, min_size=2, max_size=6, unique=True)),
+    st.tuples(st.just("idtr"), st.sampled_from([0, 128]), _when),
+    st.tuples(st.just("code"), st.integers(0, 63), _when),
+), max_size=4)
+_period = st.integers(20, 400).map(_ms)
+# hrk, whose drain holds the clean-window test, is drawn half the time
+_engine_strategies = st.sampled_from(["hrk", "hrk", "baseline", "hf", "hf_jittered"]).flatmap(
+    lambda kind: {
+        "hrk": st.builds(StrategyConfig, kind=st.just("hrk"), batch_k=st.integers(1, 10)),
+        "baseline": st.just(StrategyConfig(kind="baseline")),
+        "hf": st.builds(StrategyConfig, kind=st.just("hf"),
+                        schedule=_period.map(FiringSchedule.periodic)),
+        "hf_jittered": st.builds(StrategyConfig, kind=st.just("hf"), schedule=st.builds(
+            FiringSchedule.jittered, _period, st.integers(0, 19).map(_ms), st.integers(0, 9))),
+    }[kind]
+)
+_ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_map_page=100,
+                          t_hash_per_byte=1, t_syscall_base=2, t_ctxswitch_base=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    placement=st.sampled_from(["spread", "packed"]), count=st.integers(1, 8),
+    size=st.integers(1, 100), strategy=_engine_strategies,
+    arrival=st.sampled_from(list(Arrival)),
+    rates=st.tuples(st.one_of(st.integers(0, 300), st.floats(0.5, 300)), st.integers(0, 100)),
+    horizon_ms=st.one_of(st.just(700), st.integers(1, 700)),  # often past every attack
+    attacks=_attack_specs, seed=st.integers(0, 1 << 16),
+    traced=st.booleans(),
+)
+# the IDTR moves, then a window with no touched object completes a cycle
+@example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=200,
+         attacks=[("idtr", 0, 25)], seed=0, traced=True)
+# a window ends the cycle exactly, short of the touched object 0; the next holds it
+@example(placement="spread", count=4, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("persistent", 0, 15)], seed=0, traced=False)
+# a wrapping window whose only touched object lies past the wrap
+@example(placement="packed", count=3, size=40, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("persistent", 0, 15)], seed=0, traced=True)
+# a transient write restored before the window that holds its object
+@example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=1),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("transient", 1, [5, 8])], seed=0, traced=False)
+def test_drained_run_matches_the_per_event_loop(placement, count, size, strategy, arrival,
+                                                rates, horizon_ms, attacks, seed, traced):
+    setup = make_setup(count=count, size_bytes=min(size, 64) if placement == "spread" else size,
+                       page_size=64, placement=placement)
+    workload = WorkloadSpec(syscall_rate=rates[0], ctxswitch_rate=rates[1], arrival=arrival,
+                            horizon=_ms(horizon_ms))
+    scripts = _attack_scripts(attacks, count)
+    ref_trace, trace = ([], []) if traced else (None, None)
+    expected = run_per_event_ref(setup, strategy, workload, scripts, _ENGINE_COSTS, seed,
+                                 None if ref_trace is None else ref_trace.append)
+    got = run_scenario(setup, strategy, workload, scripts, _ENGINE_COSTS, seed,
+                       None if trace is None else trace.append)
+    assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
+    assert trace == ref_trace
+    assert_conservation(got, _ENGINE_COSTS)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from .hypervisor import (  # noqa: F401
     ProtectionRegistry,
     ScheduleMode,
     TrapKind,
-    VirtualDevice,
     fire_interrupt,
-    install_virtual_device,
     on_control_register_write,
 )
 from .integrity import (  # noqa: F401

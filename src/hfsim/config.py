@@ -18,6 +18,7 @@ from typing import Optional
 
 from . import threat
 from .errors import ConfigFileError, ConfigurationError
+from .guest import page_size_problem
 from .hypervisor import FiringSchedule, ScheduleMode
 from .integrity import compute_digest
 from .simulation import (
@@ -193,7 +194,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
     machine = MachineSpec(
         page_count=col.get("machine", "page_count", _parse_int, True, 1, _positive) or 1,
-        page_size=col.get("machine", "page_size", _parse_int, False, 4096) or 4096,
+        page_size=col.get("machine", "page_size", _parse_int, False, 4096, page_size_problem),
     )
     placement = col.get(
         "objects", "placement", _parse_choice("spread", "packed"), False, "spread"

@@ -11,12 +11,13 @@ never written read as zeros. A machine's kernel objects are one layout of
 equal-length objects at a fixed stride, less than a page apart, registered
 once; finding objects and counting the pages of a range of them is
 arithmetic, whatever their number.
-Every applied write also records which registered objects it touched, so
-checkers can skip objects whose bytes cannot have changed.
+Every applied write also records, in id order, which registered objects it
+touched, so checkers can skip objects whose bytes cannot have changed.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -27,6 +28,13 @@ from .timebase import Ticks
 
 IDT_ENTRY_SIZE = 8
 MIN_PAGE_SIZE = 64
+
+
+def page_size_problem(page_size: int) -> Optional[str]:
+    """Why `page_size` cannot size a machine's pages, or None if it can."""
+    if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1) != 0:
+        return f"must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -130,10 +138,9 @@ class GuestMachine:
     def __init__(self, page_count: int, page_size: int = 4096):
         if page_count < 1:
             raise ConfigurationError(f"page_count must be >= 1, got {page_count}")
-        if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1) != 0:
-            raise ConfigurationError(
-                f"page_size must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}"
-            )
+        problem = page_size_problem(page_size)
+        if problem is not None:
+            raise ConfigurationError(f"page_size {problem}")
         self.page_count = page_count
         self.page_size = page_size
         self.size = page_count * page_size  # bytes of guest-physical memory
@@ -141,11 +148,11 @@ class GuestMachine:
         self.idtr = Idtr(0, 0)  # unset sentinel
         self.objects = _NO_OBJECTS  # replaced once, by register_kernel_object
         self.module: Optional[ModuleRegion] = None
-        # ids of objects any applied write has overlapped, as a set and in
-        # first-touch order; an object outside it still holds the bytes it
-        # had when registered
+        # ids of objects any applied write has overlapped, as a set and
+        # sorted; an object outside it still holds the bytes it had when
+        # registered
         self.touched: set[int] = set()
-        self.touch_log: list[int] = []
+        self.touched_ids: list[int] = []
 
     # ------------------------------------------------------------------
     # memory access
@@ -220,7 +227,7 @@ class GuestMachine:
         for oid in self.objects_overlapping(addr, len(data)):
             if oid not in self.touched:
                 self.touched.add(oid)
-                self.touch_log.append(oid)
+                insort(self.touched_ids, oid)
 
     def _classify_write(self, addr: int, length: int) -> TrapKind:
         end = addr + length

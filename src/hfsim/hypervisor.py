@@ -1,12 +1,13 @@
-"""Hypervisor-side authority: page protection, traps, and the virtual device.
+"""Hypervisor-side authority: page protection, traps, and the device schedule.
 
 The hypervisor outranks the guest kernel. It owns the set of write-protected
-pages and the trap log, it owns the virtual interrupt device whose firing
-schedule the guest can never observe (unless deliberately configured as
+pages and the trap log, it owns the firing schedule of the virtual interrupt
+device, which the guest can never observe (unless deliberately configured as
 guest-visible for experiments), and it drives both checking strategies:
 
 * the forced in-guest checker: unlock module pages, dispatch through the
-  IDT into the module, run a full sweep, re-lock (:func:`fire_interrupt`);
+  module's IDT vector into the module, run a full sweep, re-lock
+  (:func:`fire_interrupt`);
 * the in-hypervisor checker: on every control-register-write VMExit, map
   the next batch of object pages into hypervisor space and check them
   (:func:`on_control_register_write`).
@@ -158,30 +159,7 @@ class FiringSchedule:
         return times
 
 
-@dataclass(frozen=True)
-class VirtualDevice:
-    """Hypervisor-owned interrupt source bound to the module's vector."""
-
-    vector: int
-    schedule: FiringSchedule
-
-
-def install_virtual_device(
-    machine: "GuestMachine", vector: int, schedule: FiringSchedule
-) -> VirtualDevice:
-    """Register the device; its vector must match the loaded module's."""
-    if machine.module is None:
-        raise ConfigurationError("cannot install device before the module is loaded")
-    if vector != machine.module.handler_vector:
-        raise ConfigurationError(
-            f"device vector {vector} does not match module handler vector "
-            f"{machine.module.handler_vector}"
-        )
-    return VirtualDevice(vector=vector, schedule=schedule)
-
-
 def fire_interrupt(
-    device: VirtualDevice,
     machine: "GuestMachine",
     reg: ProtectionRegistry,
     table: integrity.BaselineTable,
@@ -192,18 +170,19 @@ def fire_interrupt(
     """Unlock-dispatch-sweep-relock envelope for one device interrupt.
 
     The sweep starts once the interrupt is delivered. The handler address
-    is read through the *current* IDTR before dispatch; if it no longer
-    points inside the module region the sweep is refused and a subverted
-    report carries an integrity-subversion detection instead. The envelope
-    is atomic with respect to guest events: no guest write can interleave
-    between the unlock and the relock.
+    at the module's vector is read through the *current* IDTR before
+    dispatch; if it no longer points inside the module region the sweep
+    is refused and a subverted report carries an integrity-subversion
+    detection instead. The envelope is atomic with respect to guest
+    events: no guest write can interleave between the unlock and the
+    relock.
     """
     module = machine.module
     if module is None:
         raise ConfigurationError("fire_interrupt requires a loaded module")
     delivery = costs.t_interrupt_delivery
     try:
-        handler = machine.idt_entry(device.vector)
+        handler = machine.idt_entry(module.handler_vector)
     except (ConfigurationError, AddressError):
         handler = None
     if handler is None or not module.contains(handler):
@@ -230,7 +209,6 @@ def fire_interrupt(
 
 def on_control_register_write(
     machine: "GuestMachine",
-    reg: ProtectionRegistry,
     table: integrity.BaselineTable,
     costs: "CostModel",
     k: int,
@@ -244,8 +222,6 @@ def on_control_register_write(
     layout. A batch that wraps past the last object covers two id spans.
     The batch cursor advances round-robin.
     """
-    if k <= 0:
-        raise ConfigurationError(f"batch size must be >= 1, got {k}")
     start = table.cursor
     pages_mapped = machine.object_pages(start, start + min(k, len(table)))
     begin = now + costs.t_vmexit + pages_mapped * costs.t_map_page

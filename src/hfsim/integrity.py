@@ -8,15 +8,16 @@ or over a round-robin batch per call (the in-hypervisor path). The hash is
 is out of scope for this model.
 
 A check costs O(touched objects in its range), not O(objects checked).
-The guest records every object a write has touched; an untouched object
-still holds its baseline bytes, so only touched objects are rehashed. The
-simulated hash cost and each violation's timestamp come from prefix sums
-of object lengths in check order, never from a walk over the range.
+The guest keeps the sorted ids of every object a write has touched; an
+untouched object still holds its baseline bytes, so only touched objects
+are rehashed. Every object has the layout's one length, so the simulated
+hash cost and each violation's timestamp are that length times a count
+of objects, never a walk over the range.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -53,17 +54,6 @@ class Violation:
     expected: object
     found: object
     time: Ticks
-
-    def to_json_dict(self) -> dict:
-        def plain(v):
-            return list(v) if isinstance(v, tuple) else v
-
-        return {
-            "target": self.target,
-            "expected": plain(self.expected),
-            "found": plain(self.found),
-            "time": self.time,
-        }
 
 
 @dataclass(slots=True)
@@ -111,15 +101,13 @@ class _Baselines(Mapping):
 class BaselineTable:
     """Per-object baseline digests plus the round-robin check cursor.
 
-    Objects are checked in id order, so check position p holds object p.
-    An object the guest has not touched since the snapshot is taken to
-    still match its baseline digest.
+    Objects are checked in id order. An object the guest has not touched
+    since the snapshot is taken to still match its baseline digest.
     """
 
     def __init__(
         self,
         entries: Mapping[int, int],
-        bytes_before: range,
         idtr_baseline: tuple[int, int],
         digest_fn: DigestFn = compute_digest,
     ):
@@ -127,10 +115,6 @@ class BaselineTable:
         self.idtr_baseline = idtr_baseline
         self.digest_fn = digest_fn
         self.cursor = 0
-        # _bytes_before[p]: total length of the objects before position p
-        self._bytes_before = bytes_before
-        self._touched: list[int] = []  # sorted positions of touched objects
-        self._log_seen = 0  # machine.touch_log entries folded in so far
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -141,15 +125,6 @@ class BaselineTable:
             return self.entries[object_id]
         obj = machine.objects[object_id]
         return self.digest_fn(machine.read(obj.addr, obj.length))
-
-    def touched_positions(self, machine: "GuestMachine") -> list[int]:
-        """Sorted check positions of the objects the guest has touched."""
-        log = machine.touch_log
-        if len(log) > self._log_seen:
-            for oid in log[self._log_seen :]:
-                insort(self._touched, oid)
-            self._log_seen = len(log)
-        return self._touched
 
 
 def snapshot_baselines(
@@ -180,7 +155,6 @@ def snapshot_baselines(
     n, length = layout.count, layout.length
     return BaselineTable(
         entries=_Baselines(digest(bytes(length)), overrides, n),
-        bytes_before=range(0, (n + 1) * length, length),
         idtr_baseline=(machine.idtr.base, machine.idtr.limit),
         digest_fn=digest_fn,
     )
@@ -198,28 +172,27 @@ def verify_idtr(
     )
 
 
-def _check_positions(
+def _check_ids(
     machine: "GuestMachine",
     table: BaselineTable,
     start: int,
     stop: int,
     time_at_start: Ticks,
-    ticks_per_byte: Ticks,
+    ticks_per_object: Ticks,
     violations: list,
 ) -> None:
-    """Rehash the touched objects at check positions [start, stop).
+    """Rehash the touched objects with ids in [start, stop).
 
     A violation is stamped when its object's hash ends: `time_at_start`
-    plus the hash time of every byte from `start` up to and including it.
+    plus the hash time of every object from `start` up to and including it.
     """
-    before = table._bytes_before
-    positions = table.touched_positions(machine)
-    for i in range(bisect_left(positions, start), bisect_left(positions, stop)):
-        oid = positions[i]  # position p holds object p
+    touched = machine.touched_ids
+    for i in range(bisect_left(touched, start), bisect_left(touched, stop)):
+        oid = touched[i]
         found = table.current_digest(machine, oid)
         expected = table.entries[oid]
         if found != expected:
-            time = time_at_start + (before[oid + 1] - before[start]) * ticks_per_byte
+            time = time_at_start + (oid + 1 - start) * ticks_per_object
             violations.append(Violation(target=oid, expected=expected, found=found, time=time))
 
 
@@ -241,17 +214,13 @@ def check_batch(
     n = len(table)
     k_eff = min(k, n)
     cursor, end = table.cursor, table.cursor + k_eff
-    before = table._bytes_before
-    report = CheckReport(objects_checked=k_eff, cycle_completed=end >= n)
-    _check_positions(machine, table, cursor, min(end, n), now,
-                     hash_ticks_per_byte, report.violations)
-    if end > n:
-        tail_ticks = (before[n] - before[cursor]) * hash_ticks_per_byte
-        _check_positions(machine, table, 0, end - n, now + tail_ticks,
-                         hash_ticks_per_byte, report.violations)
-        report.duration = tail_ticks + before[end - n] * hash_ticks_per_byte
-    else:
-        report.duration = (before[end] - before[cursor]) * hash_ticks_per_byte
+    per_object = machine.objects.length * hash_ticks_per_byte
+    report = CheckReport(objects_checked=k_eff, duration=k_eff * per_object,
+                         cycle_completed=end >= n)
+    _check_ids(machine, table, cursor, min(end, n), now, per_object, report.violations)
+    if end > n:  # the batch wraps to id 0 once the tail's objects are hashed
+        _check_ids(machine, table, 0, end - n, now + (n - cursor) * per_object,
+                   per_object, report.violations)
     if report.cycle_completed:
         violation = verify_idtr(machine, table, now=now + report.duration)
         if violation is not None:
@@ -267,15 +236,10 @@ def check_all(
     now: Ticks = 0,
 ) -> CheckReport:
     """Check every object once plus the IDTR; the cursor is untouched."""
-    if not table.entries:
-        raise ConfigurationError("baseline table is empty")
     n = len(table)
-    report = CheckReport(
-        objects_checked=n,
-        duration=table._bytes_before[n] * hash_ticks_per_byte,
-        cycle_completed=True,
-    )
-    _check_positions(machine, table, 0, n, now, hash_ticks_per_byte, report.violations)
+    per_object = machine.objects.length * hash_ticks_per_byte
+    report = CheckReport(objects_checked=n, duration=n * per_object, cycle_completed=True)
+    _check_ids(machine, table, 0, n, now, per_object, report.violations)
     violation = verify_idtr(machine, table, now=now + report.duration)
     if violation is not None:
         report.violations.append(violation)

@@ -133,6 +133,26 @@ def _relative_exceeds(a: Optional[float], b: Optional[float], tol_pct: float) ->
     return abs(b - a) / abs(a) * 100.0 > tol_pct
 
 
+def _diffed_metrics(report, which: str) -> dict:
+    """{strategy: (overhead mean %, traps, worst latency, mean latency)} of a report.
+
+    Raises ReportMismatchError when `report` is not an hfsim report.
+    """
+    try:
+        metrics = {
+            name: (s["overhead_pct"]["mean"], s["traps"],
+                   s["detection"]["latency_worst_s"], s["detection"]["latency_mean_s"])
+            for name, s in report["strategies"].items()
+        }
+        for values in metrics.values():  # a latency may be None, the others not
+            if not all(isinstance(v, (int, float)) or (i > 1 and v is None)
+                       for i, v in enumerate(values)):
+                raise TypeError(f"non-number among {values}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ReportMismatchError(f"report {which} is not an hfsim report: {exc!r}") from None
+    return metrics
+
+
 def diff_reports(a: dict, b: dict, tol_pct: float = 1.0) -> tuple[list[str], bool]:
     """Per-metric deltas between two reports of the same scenario.
 
@@ -141,6 +161,7 @@ def diff_reports(a: dict, b: dict, tol_pct: float = 1.0) -> tuple[list[str], boo
     time and count metrics are compared relatively. Only differing metrics
     produce lines, so identical reports diff to nothing.
     """
+    ma, mb = _diffed_metrics(a, "A"), _diffed_metrics(b, "B")
     if a.get("config_digest") != b.get("config_digest"):
         raise ReportMismatchError(
             f"config digests differ: {a.get('config_digest')} vs {b.get('config_digest')}"
@@ -148,15 +169,12 @@ def diff_reports(a: dict, b: dict, tol_pct: float = 1.0) -> tuple[list[str], boo
     lines: list[str] = []
     flagged = False
 
-    names = sorted(set(a["strategies"]) | set(b["strategies"]))
-    for name in names:
-        sa, sb = a["strategies"].get(name), b["strategies"].get(name)
-        if sa is None or sb is None:
+    for name in sorted(set(ma) | set(mb)):
+        if name not in ma or name not in mb:
             lines.append(f"{name}: present in only one report FLAG")
             flagged = True
             continue
-        oa = sa["overhead_pct"]["mean"]
-        ob = sb["overhead_pct"]["mean"]
+        (oa, traps_a, *lat_a), (ob, traps_b, *lat_b) = ma[name], mb[name]
         if oa != ob:
             flag = abs(ob - oa) > tol_pct
             flagged |= flag
@@ -164,8 +182,7 @@ def diff_reports(a: dict, b: dict, tol_pct: float = 1.0) -> tuple[list[str], boo
                 f"{name}: overhead mean {oa:.4f}% -> {ob:.4f}% "
                 f"(delta {ob - oa:+.4f} pts){' FLAG' if flag else ''}"
             )
-        for metric in ("latency_worst_s", "latency_mean_s"):
-            va, vb = sa["detection"][metric], sb["detection"][metric]
+        for metric, va, vb in zip(("latency_worst_s", "latency_mean_s"), lat_a, lat_b):
             if va != vb:
                 flag = _relative_exceeds(va, vb, tol_pct)
                 flagged |= flag
@@ -173,10 +190,10 @@ def diff_reports(a: dict, b: dict, tol_pct: float = 1.0) -> tuple[list[str], boo
                     f"{name}: detection {metric} {va} -> {vb}"
                     f"{' FLAG' if flag else ''}"
                 )
-        if sa["traps"] != sb["traps"]:
-            flag = _relative_exceeds(float(sa["traps"]), float(sb["traps"]), tol_pct)
+        if traps_a != traps_b:
+            flag = _relative_exceeds(float(traps_a), float(traps_b), tol_pct)
             flagged |= flag
             lines.append(
-                f"{name}: traps {sa['traps']} -> {sb['traps']}{' FLAG' if flag else ''}"
+                f"{name}: traps {traps_a} -> {traps_b}{' FLAG' if flag else ''}"
             )
     return lines, flagged

@@ -44,9 +44,7 @@ from .guest import IDT_ENTRY_SIZE, GuestMachine
 from .hypervisor import (
     FiringSchedule,
     ProtectionRegistry,
-    VirtualDevice,
     fire_interrupt,
-    install_virtual_device,
     on_control_register_write,
 )
 from .integrity import HANDLER_TARGET, IDTR_TARGET, snapshot_baselines
@@ -59,6 +57,10 @@ STRATEGY_KINDS = (STRATEGY_BASELINE, STRATEGY_HRK, STRATEGY_HF)
 
 # clean margin the evasion attacker keeps around known firing instants
 EVASION_GUARD_TICKS = 1_000
+
+# the module's IDT vector, and the IDT's size in vectors, of every run
+HANDLER_VECTOR = 32
+IDT_VECTORS = 64
 
 
 class EventKind(enum.IntEnum):
@@ -214,15 +216,13 @@ class ObjectsSpec:
 class SetupSpec:
     """Machine geometry plus the fixed layout conventions of a run.
 
-    Layout: page 0 is unclaimed scratch, the IDT starts at page 1, the
-    module occupies the first page after the IDT, objects follow the
-    module page.
+    Layout: page 0 is unclaimed scratch, the IDT of `IDT_VECTORS` entries
+    starts at page 1, the module occupies the first page after the IDT,
+    objects follow the module page.
     """
 
     machine: MachineSpec
     objects: ObjectsSpec
-    handler_vector: int = 32
-    idt_vectors: int = 64
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class Layout:
 
 def _layout(setup: SetupSpec) -> Layout:
     ps = setup.machine.page_size
-    idt_limit = setup.idt_vectors * IDT_ENTRY_SIZE
+    idt_limit = IDT_VECTORS * IDT_ENTRY_SIZE
     module_page = 1 + -(-idt_limit // ps)
     first_obj_page = module_page + 1
     objs = setup.objects
@@ -253,10 +253,6 @@ def _layout(setup: SetupSpec) -> Layout:
 
 def plan_layout(setup: SetupSpec) -> Layout:
     """Compute (and validate) the concrete placement for a setup."""
-    if setup.idt_vectors < setup.handler_vector + 1:
-        raise ConfigurationError(
-            f"idt_vectors {setup.idt_vectors} cannot hold vector {setup.handler_vector}"
-        )
     objs = setup.objects
     if objs.placement == "spread" and objs.size_bytes > setup.machine.page_size:
         raise ConfigurationError("spread placement requires size_bytes <= page_size")
@@ -305,9 +301,9 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
                                  f"{memory} bytes"))
             continue
         elif isinstance(script, threat.IdtTamper):
-            if not 0 <= script.vector < setup.idt_vectors:
+            if not 0 <= script.vector < IDT_VECTORS:
                 problems.append((f"{key}.vector", f"vector {script.vector} outside "
-                                 f"the IDT of {setup.idt_vectors} entries"))
+                                 f"the IDT of {IDT_VECTORS} entries"))
             elif not 0 <= script.new_handler < 1 << 64:
                 problems.append((f"{key}.new_handler", "does not fit in 8 bytes"))
             continue
@@ -315,7 +311,7 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
             target = IDTR_TARGET
             limit = script.new_limit
             if limit is None:
-                limit = setup.idt_vectors * IDT_ENTRY_SIZE
+                limit = IDT_VECTORS * IDT_ENTRY_SIZE
             elif limit < 0 or limit % IDT_ENTRY_SIZE:
                 problems.append((f"{key}.new_limit", "must be a non-negative "
                                  f"multiple of {IDT_ENTRY_SIZE}"))
@@ -484,7 +480,7 @@ class _ScenarioRun:
         self.machine = GuestMachine(setup.machine.page_count, setup.machine.page_size)
         self.machine.set_idtr(layout.idt_base, layout.idt_limit)
         self.machine.load_module(
-            _module_code(setup.machine.page_size), layout.module_addr, setup.handler_vector
+            _module_code(setup.machine.page_size), layout.module_addr, HANDLER_VECTOR
         )
         self.machine.register_kernel_object(
             layout.objects_base, setup.objects.size_bytes,
@@ -493,16 +489,14 @@ class _ScenarioRun:
         self.registry = ProtectionRegistry(setup.machine.page_count)
         self.table = snapshot_baselines(self.machine)
 
-        self.device: Optional[VirtualDevice] = None
+        # the hf device's firing schedule; None under the other strategies
+        self.schedule: Optional[FiringSchedule] = None
         if strategy.kind == STRATEGY_HF:
-            self.device = install_virtual_device(
-                self.machine, setup.handler_vector, strategy.schedule
-            )
+            self.schedule = strategy.schedule
             self.registry.protect_pages(self.machine.module.page_range(setup.machine.page_size))
             self.registry.protect_pages(self.machine.idt_pages())
 
-        self.scripts = [entry if isinstance(entry, tuple) else (f"attack-{i}", entry)
-                        for i, entry in enumerate(attacks)]  # (label, script) pairs
+        self.scripts = attacks  # (label, script) pairs
         self.target_label = check_attacks(setup, self.scripts)
         self.outcomes = {
             label: threat.AttackOutcome(label=label, kind=script.kind)
@@ -542,17 +536,11 @@ class _ScenarioRun:
             )
 
     def _schedule_firings(self) -> None:
-        if self.device is None:
+        if self.schedule is None:
             return
-        self._firing_times = self.device.schedule.firing_times(self.horizon, salt=self.seed)
+        self._firing_times = self.schedule.firing_times(self.horizon, salt=self.seed)
         for t in self._firing_times:
             self.queue.push(t, EventKind.DEVICE_FIRING, ("firing",))
-
-    def _visible_schedule(self) -> Optional[list[Ticks]]:
-        # the attacker learns firing times only from a guest-visible device
-        if self.device is not None and self.device.schedule.guest_visible_times:
-            return self._firing_times
-        return None
 
     def _schedule_attacks(self) -> None:
         for label, script in self.scripts:
@@ -569,10 +557,11 @@ class _ScenarioRun:
                 dirty = bytes([orig ^ script.xor_mask])
                 clean = bytes([orig])
                 windows = script.windows
-                if script.knowledge is threat.ScheduleKnowledge.GUEST_VISIBLE_ONLY:
-                    visible = self._visible_schedule()
-                    if visible is not None:
-                        windows = threat.clip_windows(windows, visible, EVASION_GUARD_TICKS)
+                # the attacker learns firing times only from a guest-visible device
+                if (script.knowledge is threat.ScheduleKnowledge.GUEST_VISIBLE_ONLY
+                        and self.schedule is not None and self.schedule.guest_visible_times):
+                    windows = threat.clip_windows(windows, self._firing_times,
+                                                  EVASION_GUARD_TICKS)
                 for start, end in windows:
                     self.queue.push(start, EventKind.ATTACK, (_ACT_WRITE, label, addr, dirty))
                     self.queue.push(end, EventKind.ATTACK, (_ACT_RESTORE, label, addr, clean))
@@ -620,10 +609,10 @@ class _ScenarioRun:
         """Run the VMExits of the workload arrivals that come before `before` (hrk).
 
         Each arrival's control-register write exits to a check of the next
-        min(k, n) objects. Only attacks write, so the touched positions and
-        the IDTR stand still within a drain. A window [cursor, stop) that
-        holds no touched position, and completes no cycle while the IDTR is
-        moved, finds nothing: it only maps its pages and moves the cursor.
+        min(k, n) objects. Only attacks write, so the touched ids and the
+        IDTR stand still within a drain. A window [cursor, stop) that holds
+        no touched id, and completes no cycle while the IDTR is moved,
+        finds nothing: it only maps its pages and moves the cursor.
         `on_control_register_write` checks every other window.
         """
         machine, table, trace = self.machine, self.table, self.trace
@@ -643,13 +632,11 @@ class _ScenarioRun:
                 violations = ()
                 if stop < n:
                     cursor = stop
-                else:  # a cycle completes: unrolled positions move back by one cycle
+                else:  # a cycle completes: unrolled ids move back by one cycle
                     cursor, dirty_at = stop - n, dirty_at - n
             else:
                 table.cursor = cursor
-                report = on_control_register_write(
-                    machine, self.registry, table, self.costs, k, now=now
-                )
+                report = on_control_register_write(machine, table, self.costs, k, now=now)
                 tally.pages_mapped += report.pages_mapped
                 violations = report.violations
                 cursor = table.cursor
@@ -662,8 +649,8 @@ class _ScenarioRun:
         table.cursor = cursor
 
     def _dirty_at(self, cursor: int) -> Union[int, float]:
-        """The first touched check position at or past `cursor`, unrolled across the wrap."""
-        touched = self.table.touched_positions(self.machine)
+        """The first touched id at or past `cursor`, unrolled across the wrap."""
+        touched = self.machine.touched_ids
         i = bisect_left(touched, cursor)
         if i < len(touched):
             return touched[i]
@@ -673,8 +660,7 @@ class _ScenarioRun:
         self.counts["firings"] += 1
         self._emit({"t": now, "kind": "firing_start"})
         report = fire_interrupt(
-            self.device, self.machine, self.registry, self.table, self.costs,
-            now=now, trace=self.trace,
+            self.machine, self.registry, self.table, self.costs, now=now, trace=self.trace
         )
         self.breakdown["interrupt_delivery"] += self.costs.t_interrupt_delivery
         self.breakdown["hash"] += report.duration

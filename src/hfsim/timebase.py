@@ -10,7 +10,6 @@ from decimal import Decimal, InvalidOperation
 from .errors import ConfigurationError
 
 TICKS_PER_SECOND = 1_000_000_000
-TICKS_PER_MS = 1_000_000
 TICKS_PER_US = 1_000
 
 Ticks = int

@@ -6,6 +6,7 @@ from fractions import Fraction
 from hfsim.hypervisor import on_control_register_write
 from hfsim.integrity import CheckReport, Violation, verify_idtr
 from hfsim.simulation import (
+    IDT_VECTORS,
     Arrival,
     CostModel,
     EventKind,
@@ -105,11 +106,10 @@ def make_setup(
     size_bytes: int = 64,
     page_size: int = 4096,
     placement: str = "spread",
-    idt_vectors: int = 64,
     extra_pages: int = 0,
 ) -> SetupSpec:
     """Setup spec with page_count auto-sized to fit the standard layout."""
-    idt_pages = -(-idt_vectors * 8 // page_size)
+    idt_pages = -(-IDT_VECTORS * 8 // page_size)
     first_obj_page = 1 + idt_pages + 1
     if placement == "spread":
         pages = first_obj_page + count
@@ -118,7 +118,6 @@ def make_setup(
     return SetupSpec(
         machine=MachineSpec(page_count=pages + extra_pages, page_size=page_size),
         objects=ObjectsSpec(count=count, size_bytes=size_bytes, placement=placement),
-        idt_vectors=idt_vectors,
     )
 
 
@@ -207,7 +206,7 @@ def _on_arrival_ref(run, now, op) -> None:
     if run.strategy.kind != "hrk":
         return
     report = on_control_register_write(
-        run.machine, run.registry, run.table, run.costs, run.strategy.batch_k, now=now,
+        run.machine, run.table, run.costs, run.strategy.batch_k, now=now,
     )
     tally.pages_mapped += report.pages_mapped
     # the engine derives each VMExit's objects and hash time from the layout

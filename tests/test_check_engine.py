@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import batch_pages_ref, check_all_ref, check_batch_ref, fnv1a64_ref
 from hfsim.guest import GuestMachine
-from hfsim.hypervisor import ProtectionRegistry, on_control_register_write
+from hfsim.hypervisor import on_control_register_write
 from hfsim.integrity import check_all, snapshot_baselines
 from hfsim.simulation import CostModel
 
@@ -92,7 +92,6 @@ def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_
     clean = {oid: m.read(obj.addr, obj.length) for oid, obj in m.objects.items()}
     table, ref = snapshot_baselines(m), snapshot_baselines(m)
     table.cursor = ref.cursor = phase % len(table)
-    reg = ProtectionRegistry(PAGE_COUNT)
     costs = CostModel(t_vmexit=11, t_vmentry=5, t_map_page=t_map, t_hash_per_byte=t_hash)
     now = 0
     for op in operations:
@@ -108,7 +107,7 @@ def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_
             pages = batch_pages_ref(m, ref, k)
             start = now + costs.t_vmexit + pages * costs.t_map_page
             expected = check_batch_ref(m, ref, k, hash_ticks_per_byte=t_hash, now=start)
-            got = on_control_register_write(m, reg, table, costs, k, now=now)
+            got = on_control_register_write(m, table, costs, k, now=now)
             assert got.pages_mapped == pages
             assert got.violations == expected.violations
             assert got.duration == expected.duration
@@ -158,9 +157,9 @@ def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writ
     assert [table.entries[oid] for oid in range(len(table))] == [
         fnv1a64_ref(m.read(a, n)) for a, n in spans
     ]
-    reg, costs = ProtectionRegistry(LAYOUT_PAGES), CostModel()
+    costs = CostModel()
     for k in batch_sizes:
         for cursor in range(len(spans)):
             table.cursor = cursor
             expected = batch_pages_ref(m, table, k)
-            assert on_control_register_write(m, reg, table, costs, k).pages_mapped == expected
+            assert on_control_register_write(m, table, costs, k).pages_mapped == expected

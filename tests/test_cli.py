@@ -1,8 +1,14 @@
 """CLI subcommands, exit codes, report files, reproducibility, diffing."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hfsim import cli
 from hfsim.cli import _load_config_text, execute_config, main
@@ -190,6 +196,54 @@ def test_validate_rejects_what_run_rejects(attack, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("page_size, code", [
+    (0, 2), (32, 2), (100, 2), (-4096, 2), (64, 0), (4096, 0),
+])
+def test_validate_and_run_judge_page_size_alike(page_size, code, tmp_path, capsys):
+    cfg = tmp_path / "pages.cfg"
+    cfg.write_text(SMALL.replace("page_count = 12", f"page_count = 32\npage_size = {page_size}")
+                   .replace("repeats = 3", "repeats = 1"))
+    out = tmp_path / "out"
+    assert main(["validate", str(cfg)]) == code
+    assert main(["run", str(cfg), "--out", str(out)]) == code
+    problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  ")]
+    problem = f"  machine.page_size: must be a power of two >= 64, got {page_size}"
+    assert problems == ([] if code == 0 else [problem] * 2)
+    assert out.exists() == (code == 0)
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    page_size=st.one_of(st.sampled_from([1 << i for i in range(17)]), st.integers(0, 1 << 16)),
+    page_count=st.one_of(st.integers(1, 100), st.integers(100, 1 << 20)),
+    count=st.integers(1, 64),
+    size_bytes=st.one_of(st.integers(1, 256), st.integers(1, 1 << 16)),
+    placement=st.sampled_from(["spread", "packed"]),
+    batch_k=st.integers(1, 70),
+)
+@example(page_size=100, page_count=32, count=8, size_bytes=64, placement="spread", batch_k=2)
+def test_a_config_validate_accepts_runs(page_size, page_count, count, size_bytes, placement,
+                                        batch_k):
+    # drawn geometry under a 2 ms hrk/hf horizon: validate and run exit alike
+    text = (f"[machine]\npage_count = {page_count}\npage_size = {page_size}\n"
+            f"[objects]\ncount = {count}\nsize_bytes = {size_bytes}\nplacement = {placement}\n"
+            "[workload]\nsyscall_rate = 4000\nctxswitch_rate = 1000\nhorizon_s = 0.002\n"
+            f"[strategy hrk]\nkind = hrk\nbatch_k = {batch_k}\n"
+            "[strategy hf]\nkind = hf\nschedule = periodic\nperiod_s = 0.0005\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "drawn.cfg"
+        cfg.write_text(text)
+        validated = _quiet_main(["validate", str(cfg)])
+        ran = _quiet_main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert validated in (0, 2)
+    assert ran == validated
+
+
 _TRANSIENT = "\n[attack blink]\nkind = transient\nobject_index = 2\nwindows = 1:2\n"
 
 
@@ -369,3 +423,20 @@ def test_run_with_100m_pages_writes_both_reports(tmp_path, capsys):
     [run] = json.loads((out / "report.json").read_text())["strategies"]["hrk"]["runs"]
     assert run["config_echo"]["machine"]["page_count"] == 100_000_000
     assert (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("order", ["bad_second", "bad_first"])
+def test_diff_rejects_json_that_is_not_a_report(order, small_cfg, tmp_path, capsys):
+    report, _ = _report_pair(small_cfg)
+    no_detection = json.loads(json.dumps(report))
+    del no_detection["strategies"]["hf"]["detection"]
+    good = tmp_path / "report.json"
+    good.write_text(json.dumps(report))
+    for bad in ({}, [], no_detection):
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(bad))
+        pair = [str(good), str(other)] if order == "bad_second" else [str(other), str(good)]
+        assert main(["diff", *pair]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "is not an hfsim report" in err and "Traceback" not in err

@@ -11,7 +11,6 @@ from hfsim.hypervisor import (
     ProtectionRegistry,
     ScheduleMode,
     fire_interrupt,
-    install_virtual_device,
     on_control_register_write,
 )
 from hfsim.integrity import HANDLER_TARGET, snapshot_baselines
@@ -26,10 +25,9 @@ def _hf_machine(n_objects=4, size=8):
     m.register_kernel_object(3 * 4096, size, count=n_objects)
     reg = ProtectionRegistry(8)
     table = snapshot_baselines(m)
-    device = install_virtual_device(m, 0x20, FiringSchedule.periodic(4 * SEC))
     reg.protect_pages(m.module.page_range(4096))
     reg.protect_pages(m.idt_pages())
-    return m, reg, table, device
+    return m, reg, table
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +74,7 @@ def test_protect_out_of_bounds():
 
 
 def test_unlocked_module_page_allows_handler_self_write():
-    m, reg, table, device = _hf_machine()
+    m, reg, table = _hf_machine()
     pages = list(m.module.page_range(4096))
     reg.unprotect_pages(pages)
     assert m.guest_write(reg, m.module.addr + 100, b"scratch").applied
@@ -85,7 +83,7 @@ def test_unlocked_module_page_allows_handler_self_write():
 
 
 # ---------------------------------------------------------------------------
-# schedules and device installation
+# schedules
 # ---------------------------------------------------------------------------
 
 def test_periodic_firings():
@@ -123,16 +121,6 @@ def test_zero_period_rejected():
         FiringSchedule.jittered(4 * SEC, 4 * SEC, 1)  # J must be < period
 
 
-def test_device_vector_must_match_module():
-    m = GuestMachine(4, 4096)
-    m.set_idtr(4096, 512)
-    m.load_module(bytes(4096), 8192, 0x20)
-    with pytest.raises(ConfigurationError):
-        install_virtual_device(m, 0x21, FiringSchedule.periodic(SEC))
-    with pytest.raises(ConfigurationError):
-        install_virtual_device(GuestMachine(1, 4096), 0x20, FiringSchedule.periodic(SEC))
-
-
 def test_guest_visible_flag():
     assert FiringSchedule.guest_visible(SEC).guest_visible_times
     assert not FiringSchedule.periodic(SEC).guest_visible_times
@@ -144,36 +132,36 @@ def test_guest_visible_flag():
 # ---------------------------------------------------------------------------
 
 def test_clean_interrupt_duration_is_per_object_cost():
-    m, reg, table, device = _hf_machine(n_objects=4, size=8)
+    m, reg, table = _hf_machine(n_objects=4, size=8)
     costs = CostModel(t_hash_per_byte=100)
-    report = fire_interrupt(device, m, reg, table, costs, now=0)
+    report = fire_interrupt(m, reg, table, costs, now=0)
     assert report.violations == []
     assert not report.subverted
     assert report.duration == 4 * 8 * 100
 
 
 def test_interrupt_detects_tampered_object_with_latency():
-    m, reg, table, device = _hf_machine(n_objects=4, size=8)
+    m, reg, table = _hf_machine(n_objects=4, size=8)
     m.privileged_write(m.objects[2].addr, b"\x01")
     costs = CostModel(t_interrupt_delivery=50, t_hash_per_byte=10)
-    report = fire_interrupt(device, m, reg, table, costs, now=1000)
+    report = fire_interrupt(m, reg, table, costs, now=1000)
     assert [v.target for v in report.violations] == [2]
     # detection lands after delivery plus hashing objects 0..2
     assert report.violations[0].time == 1000 + 50 + 3 * 8 * 10
 
 
 def test_envelope_restores_protection():
-    m, reg, table, device = _hf_machine()
+    m, reg, table = _hf_machine()
     before = set(reg.protected_pages)
-    fire_interrupt(device, m, reg, table, CostModel())
+    fire_interrupt(m, reg, table, CostModel())
     assert reg.protected_pages == before
 
 
 def test_redirected_idt_entry_yields_subversion_detection():
-    m, reg, table, device = _hf_machine()
+    m, reg, table = _hf_machine()
     # privileged harness injection: corrupt the IDT entry under protection
     m.set_idt_entry(0x20, 0x100, privileged=True)
-    report = fire_interrupt(device, m, reg, table, CostModel())
+    report = fire_interrupt(m, reg, table, CostModel())
     assert report.subverted
     assert [v.target for v in report.violations] == [HANDLER_TARGET]
     assert report.objects_checked == 0  # sweep refused
@@ -181,9 +169,9 @@ def test_redirected_idt_entry_yields_subversion_detection():
 
 
 def test_idtr_move_also_subverts_dispatch():
-    m, reg, table, device = _hf_machine()
+    m, reg, table = _hf_machine()
     m.set_idtr(0, 512)  # shadow IDT full of zero handlers
-    report = fire_interrupt(device, m, reg, table, CostModel())
+    report = fire_interrupt(m, reg, table, CostModel())
     assert report.subverted
 
 
@@ -193,9 +181,8 @@ def test_fire_interrupt_requires_module():
     m.register_kernel_object(0x3000, 8)
     table = snapshot_baselines(m)
     reg = ProtectionRegistry(4)
-    device_like = type("D", (), {"vector": 0x20, "schedule": None})()
     with pytest.raises(ConfigurationError):
-        fire_interrupt(device_like, m, reg, table, CostModel())
+        fire_interrupt(m, reg, table, CostModel())
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +196,11 @@ def _tamper_all(m):
 
 
 def test_vmexit_round_robin_covers_all_objects():
-    m, reg, table, _ = _hf_machine(n_objects=10, size=8)
+    m, reg, table = _hf_machine(n_objects=10, size=8)
     _tamper_all(m)
     covered = set()
     for _ in range(4):  # ceil(10/3) = 4 exits
-        report = on_control_register_write(m, reg, table, CostModel(), k=3)
+        report = on_control_register_write(m, table, CostModel(), k=3)
         assert report.objects_checked == 3
         covered.update(v.target for v in report.violations)
     assert covered == set(range(10))
@@ -221,44 +208,44 @@ def test_vmexit_round_robin_covers_all_objects():
 
 
 def test_vmexit_charges_transitions_mapping_and_hash():
-    m, reg, table, _ = _hf_machine(n_objects=6, size=8)
+    m, reg, table = _hf_machine(n_objects=6, size=8)
     costs = CostModel(t_vmexit=100, t_vmentry=70, t_map_page=1000, t_hash_per_byte=10)
-    report = on_control_register_write(m, reg, table, costs, k=3)
+    report = on_control_register_write(m, table, costs, k=3)
     # 6 packed 8-byte objects share page 3: the 3-object batch maps 1 page
     assert report.pages_mapped == 1
     assert report.duration == 3 * 8 * 10  # hash time only
     # the batch is checked after the exit and the page remap
     m.privileged_write(m.objects[3].addr, b"\x01")
-    report = on_control_register_write(m, reg, table, costs, k=3, now=5000)
+    report = on_control_register_write(m, table, costs, k=3, now=5000)
     assert [v.time for v in report.violations] == [5000 + 100 + 1000 + 8 * 10]
 
 
 def test_tamper_at_cursor_plus_one_detected_on_second_exit():
     # brute-force cursor walk: k=1 checks object 0 first, object 1 second
-    m, reg, table, _ = _hf_machine(n_objects=3, size=8)
+    m, reg, table = _hf_machine(n_objects=3, size=8)
     m.privileged_write(m.objects[1].addr, b"\x01")
-    first = on_control_register_write(m, reg, table, CostModel(), k=1)
-    second = on_control_register_write(m, reg, table, CostModel(), k=1)
+    first = on_control_register_write(m, table, CostModel(), k=1)
+    second = on_control_register_write(m, table, CostModel(), k=1)
     assert first.violations == []
     assert [v.target for v in second.violations] == [1]
 
 
 def test_vmexit_bad_k():
-    m, reg, table, _ = _hf_machine()
+    m, reg, table = _hf_machine()
     with pytest.raises(ConfigurationError):
-        on_control_register_write(m, reg, table, CostModel(), k=0)
+        on_control_register_write(m, table, CostModel(), k=0)
 
 
 def test_cursor_completeness_from_any_phase():
     # over any ceil(N/k) consecutive exits every object is checked at least once
-    m, reg, table, _ = _hf_machine(n_objects=10, size=8)
+    m, reg, table = _hf_machine(n_objects=10, size=8)
     _tamper_all(m)
     for phase in range(7):
-        on_control_register_write(m, reg, table, CostModel(), k=3)
+        on_control_register_write(m, table, CostModel(), k=3)
         covered = set()
         cursor_before = table.cursor
         for _ in range(4):
-            rep = on_control_register_write(m, reg, table, CostModel(), k=3)
+            rep = on_control_register_write(m, table, CostModel(), k=3)
             covered.update(v.target for v in rep.violations)
         assert covered == set(range(10)), (phase, cursor_before)
 

@@ -6,11 +6,18 @@ costs, and run controls; ``[strategy NAME]`` sections (one or two, for
 A/B comparison) pick the checking strategies; ``[attack NAME]`` sections
 script the attacker. Unknown sections or keys are rejected, and all
 problems are reported in one pass as (key, reason) pairs.
+
+Each fixed section and each attack kind is described once, by a key
+table of (key, parse, default, check) rows in canonical order: parsing
+builds the section's spec from it, and serialization walks it with the
+formatter of each row's parse function. A key fills the spec field of
+its name less any ``_s``/``_us``/``_ns`` unit suffix.
 """
 
 from __future__ import annotations
 
 import configparser
+import enum
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -26,6 +33,9 @@ from .simulation import (
     CostModel,
     MachineSpec,
     ObjectsSpec,
+    STRATEGY_HF,
+    STRATEGY_HRK,
+    STRATEGY_KINDS,
     SetupSpec,
     StrategyConfig,
     WorkloadSpec,
@@ -36,15 +46,8 @@ from .timebase import Ticks, ticks_from_ns, ticks_from_seconds, ticks_from_us
 
 _SECTION_NAME = re.compile(r"^[A-Za-z0-9_\-]+$")
 
-_COST_KEYS = {
-    "t_vmexit_us": ("t_vmexit", ticks_from_us),
-    "t_vmentry_us": ("t_vmentry", ticks_from_us),
-    "t_interrupt_delivery_us": ("t_interrupt_delivery", ticks_from_us),
-    "t_map_page_us": ("t_map_page", ticks_from_us),
-    "t_hash_per_byte_ns": ("t_hash_per_byte", ticks_from_ns),
-    "t_syscall_base_us": ("t_syscall_base", ticks_from_us),
-    "t_ctxswitch_base_us": ("t_ctxswitch_base", ticks_from_us),
-}
+# a key table row's default when the key must be given
+_REQUIRED = object()
 
 
 @dataclass
@@ -71,38 +74,41 @@ class _Collector:
     """Accumulates (key, reason) problems and typed values."""
 
     def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
         self.problems: list[tuple[str, str]] = []
-        self.consumed: dict[str, set[str]] = {}
+        # each section's raw values that no `get` has taken yet
+        self.unread = {name: dict(parser.items(name, raw=True)) for name in parser.sections()}
 
-    def problem(self, key: str, reason: str) -> None:
-        self.problems.append((key, reason))
-
-    def get(self, section: str, key: str, parse, required: bool, default=None, check=None):
-        self.consumed.setdefault(section, set()).add(key)
-        full = f"{section}.{key}"
-        if not self.parser.has_option(section, key):
-            if required:
-                self.problem(full, "required key missing")
+    def get(self, section: str, key: str, parse, default=_REQUIRED, check=None):
+        """The key's parsed value; its default if absent; None after a problem."""
+        raw = self.unread.setdefault(section, {}).pop(key, None)
+        if raw is None:
+            if default is _REQUIRED:
+                self.problems.append((f"{section}.{key}", "required key missing"))
+                return None
             return default
-        raw = self.parser.get(section, key).strip()
+        raw = raw.strip()
         try:
             value = parse(raw)
         except (ValueError, InvalidOperation, ConfigurationError) as exc:
-            self.problem(full, f"cannot parse {raw!r}: {exc}")
-            return default
-        if check is not None:
-            err = check(value)
-            if err:
-                self.problem(full, err)
-                return default
+            self.problems.append((f"{section}.{key}", f"cannot parse {raw!r}: {exc}"))
+            return None
+        err = None if check is None else check(value)
+        if err:
+            self.problems.append((f"{section}.{key}", err))
+            return None
         return value
 
-    def reject_unconsumed(self, section: str) -> None:
-        known = self.consumed.get(section, set())
-        for key in self.parser.options(section):
-            if key not in known:
-                self.problem(f"{section}.{key}", "unknown key")
+    def reject_unread(self, section: str) -> None:
+        for key in self.unread.get(section, ()):
+            self.problems.append((f"{section}.{key}", "unknown key"))
+
+    def build(self, section: str, make, table):
+        """`make(**fields)` from the section's key table, or None after a problem."""
+        before = len(self.problems)
+        fields = {name: self.get(section, key, parse, default, check)
+                  for key, name, parse, default, check, _ in table}
+        self.reject_unread(section)
+        return make(**fields) if len(self.problems) == before else None
 
 
 def _parse_int(raw: str) -> int:
@@ -116,10 +122,6 @@ def _parse_rate(raw: str) -> float:
     return value
 
 
-def _parse_seconds(raw: str) -> Ticks:
-    return ticks_from_seconds(raw)
-
-
 def _parse_choice(*choices: str):
     def parse(raw: str) -> str:
         if raw not in choices:
@@ -129,16 +131,18 @@ def _parse_choice(*choices: str):
     return parse
 
 
+def _parse_enum(cls):
+    choice = _parse_choice(*(member.value for member in cls))
+    return lambda raw: cls(choice(raw))
+
+
 def _parse_windows(raw: str) -> tuple:
     windows = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise ValueError(f"window {part!r} is not start:end")
-        a, b = part.split(":", 1)
-        windows.append((ticks_from_seconds(a.strip()), ticks_from_seconds(b.strip())))
+    for part in filter(str.strip, raw.split(",")):
+        start, colon, end = part.partition(":")
+        if not colon:
+            raise ValueError(f"window {part.strip()!r} is not start:end")
+        windows.append((ticks_from_seconds(start.strip()), ticks_from_seconds(end.strip())))
     if not windows:
         raise ValueError("no windows given")
     return tuple(windows)
@@ -150,6 +154,127 @@ def _nonneg(value) -> Optional[str]:
 
 def _positive(value) -> Optional[str]:
     return None if value > 0 else "must be > 0"
+
+
+def _byte(value) -> Optional[str]:
+    return None if 0 <= value <= 0xFF else "must be a byte"
+
+
+def _fmt_ticks(scale: int):
+    """The formatter of a tick count as a decimal number of 10**scale ticks."""
+    def fmt(ticks: Ticks) -> str:
+        text = format(Decimal(ticks).scaleb(-scale), "f")
+        if "." in text:
+            text = text.rstrip("0").rstrip(".")
+        return text or "0"
+
+    return fmt
+
+
+_fmt_s = _fmt_ticks(9)
+_fmt_us = _fmt_ticks(3)
+
+
+def _fmt_windows(windows: tuple) -> str:
+    return ", ".join(f"{_fmt_s(start)}:{_fmt_s(end)}" for start, end in windows)
+
+
+def _fmt_choice(value) -> str:
+    return value.value if isinstance(value, enum.Enum) else value
+
+
+# the canonical text of a value, by the function that parses it; any
+# other parse function reads a choice
+_FORMATS = {
+    _parse_int: str,
+    _parse_rate: repr,
+    ticks_from_seconds: _fmt_s,
+    ticks_from_us: _fmt_us,
+    ticks_from_ns: str,
+    _parse_windows: _fmt_windows,
+}
+
+
+def _table(*rows) -> tuple:
+    """Key table rows (key, parse, default, check), each plus its field and formatter."""
+    return tuple((key, re.sub(r"_(s|us|ns)$", "", key), parse, default, check,
+                  _FORMATS.get(parse, _fmt_choice))
+                 for key, parse, default, check in rows)
+
+
+# each fixed section: what builds it from its fields, and its key table
+_SECTIONS = {
+    "machine": (MachineSpec, _table(
+        ("page_count", _parse_int, _REQUIRED, _positive),
+        ("page_size", _parse_int, 4096, page_size_problem),
+    )),
+    "objects": (ObjectsSpec, _table(
+        ("count", _parse_int, _REQUIRED, _positive),
+        ("size_bytes", _parse_int, _REQUIRED, _positive),
+        ("placement", _parse_choice("spread", "packed"), "spread", None),
+    )),
+    "workload": (WorkloadSpec, _table(
+        ("syscall_rate", _parse_rate, _REQUIRED, _nonneg),
+        ("ctxswitch_rate", _parse_rate, _REQUIRED, _nonneg),
+        ("arrival", _parse_enum(Arrival), Arrival.FIXED, None),
+        ("horizon_s", ticks_from_seconds, _REQUIRED, _positive),
+    )),
+    "costs": (CostModel, _table(
+        ("t_vmexit_us", ticks_from_us, 0, _nonneg),
+        ("t_vmentry_us", ticks_from_us, 0, _nonneg),
+        ("t_interrupt_delivery_us", ticks_from_us, 0, _nonneg),
+        ("t_map_page_us", ticks_from_us, 0, _nonneg),
+        ("t_hash_per_byte_ns", ticks_from_ns, 0, _nonneg),
+        ("t_syscall_base_us", ticks_from_us, 0, _nonneg),
+        ("t_ctxswitch_base_us", ticks_from_us, 0, _nonneg),
+    )),
+    "run": (dict, _table(
+        ("repeats", _parse_int, 1, _positive),
+        ("seed", _parse_int, 0, None),
+    )),
+}
+
+# each attack kind: its threat class and key table, after the `kind` key
+_ATTACKS = {cls.kind: (cls, _table(*rows)) for cls, rows in (
+    (threat.PersistentTamper, (
+        ("object_index", _parse_int, _REQUIRED, _nonneg),
+        ("at_s", ticks_from_seconds, _REQUIRED, _nonneg),
+        ("offset", _parse_int, 0, _nonneg),
+        ("xor_mask", _parse_int, 0xFF, _byte),
+    )),
+    (threat.TransientTamper, (
+        ("object_index", _parse_int, _REQUIRED, _nonneg),
+        ("windows", _parse_windows, _REQUIRED, threat.windows_problem),
+        ("knowledge", _parse_enum(threat.ScheduleKnowledge), threat.ScheduleKnowledge.NONE,
+         None),
+        ("offset", _parse_int, 0, _nonneg),
+        ("xor_mask", _parse_int, 0xFF, _byte),
+    )),
+    (threat.CodeTamper, (
+        ("offset", _parse_int, _REQUIRED, _nonneg),
+        ("at_s", ticks_from_seconds, _REQUIRED, _nonneg),
+    )),
+    (threat.IdtTamper, (
+        ("vector", _parse_int, _REQUIRED, _nonneg),
+        ("new_handler", _parse_int, _REQUIRED, _nonneg),
+        ("at_s", ticks_from_seconds, _REQUIRED, _nonneg),
+    )),
+    (threat.IdtrTamper, (
+        ("new_base", _parse_int, _REQUIRED, _nonneg),
+        ("at_s", ticks_from_seconds, _REQUIRED, _nonneg),
+        ("new_limit", _parse_int, None, None),
+    )),
+    (threat.SweepSpec, (
+        ("count", _parse_int, _REQUIRED, _positive),
+        ("start_s", ticks_from_seconds, _REQUIRED, _nonneg),
+        ("step_s", ticks_from_seconds, _REQUIRED, _nonneg),
+        ("object_start", _parse_int, 0, _nonneg),
+        ("object_stride", _parse_int, 1, _positive),
+    )),
+)}
+_ATTACK_KIND = _parse_choice(*_ATTACKS)
+_STRATEGY_KIND = _parse_choice(*STRATEGY_KINDS)
+_SCHEDULE_MODE = _parse_enum(ScheduleMode)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -167,220 +292,85 @@ def parse_config_text(text: str) -> ScenarioConfig:
         raise ConfigFileError([("file", str(exc))]) from None
 
     col = _Collector(parser)
-    strategy_sections = []
-    attack_sections = []
+    named = {"strategy": [], "attack": []}  # (name, section) of each named section
     for section in parser.sections():
-        if section in ("machine", "objects", "workload", "costs", "run"):
+        if section in _SECTIONS:
             continue
-        if section.startswith("strategy "):
-            name = section[len("strategy "):].strip()
-            if not _SECTION_NAME.match(name):
-                col.problem(f"[{section}]", "bad strategy name")
-            else:
-                strategy_sections.append((name, section))
-            continue
-        if section.startswith("attack "):
-            name = section[len("attack "):].strip()
-            if not _SECTION_NAME.match(name):
-                col.problem(f"[{section}]", "bad attack name")
-            else:
-                attack_sections.append((name, section))
-            continue
-        col.problem(f"[{section}]", "unknown section")
+        prefix, space, name = section.partition(" ")
+        if not space or prefix not in named:
+            col.problems.append((f"[{section}]", "unknown section"))
+        elif not _SECTION_NAME.match(name.strip()):
+            col.problems.append((f"[{section}]", f"bad {prefix} name"))
+        else:
+            named[prefix].append((name.strip(), section))
 
-    for required_section in ("machine", "objects", "workload"):
-        if not parser.has_section(required_section):
-            parser.add_section(required_section)
+    specs = {name: col.build(name, make, table) for name, (make, table) in _SECTIONS.items()}
 
-    machine = MachineSpec(
-        page_count=col.get("machine", "page_count", _parse_int, True, 1, _positive) or 1,
-        page_size=col.get("machine", "page_size", _parse_int, False, 4096, page_size_problem),
-    )
-    placement = col.get(
-        "objects", "placement", _parse_choice("spread", "packed"), False, "spread"
-    )
-    obj_count = col.get("objects", "count", _parse_int, True, 1, _positive) or 1
-    obj_size = col.get("objects", "size_bytes", _parse_int, True, 1, _positive) or 1
-
-    syscall_rate = col.get("workload", "syscall_rate", _parse_rate, True, 0.0, _nonneg)
-    ctx_rate = col.get("workload", "ctxswitch_rate", _parse_rate, True, 0.0, _nonneg)
-    arrival = col.get(
-        "workload", "arrival", _parse_choice("fixed", "poisson"), False, "fixed"
-    )
-    horizon = col.get("workload", "horizon_s", _parse_seconds, True, 1, _positive) or 1
-
-    cost_values = {}
-    if parser.has_section("costs"):
-        for key, (attr, conv) in _COST_KEYS.items():
-            cost_values[attr] = col.get("costs", key, conv, False, 0, _nonneg) or 0
-        col.reject_unconsumed("costs")
-
-    repeats, seed = 1, 0
-    if parser.has_section("run"):
-        repeats = col.get("run", "repeats", _parse_int, False, 1, _positive) or 1
-        seed = col.get("run", "seed", _parse_int, False, 0)
-        if seed is None:
-            seed = 0
-        col.reject_unconsumed("run")
-
-    strategies = {}
-    if not strategy_sections:
-        col.problem("[strategy]", "at least one strategy section is required")
-    if len(strategy_sections) > 2:
-        col.problem("[strategy]", "at most two strategies (A/B) are supported")
-    for name, section in strategy_sections:
-        strategies[name] = _parse_strategy(col, section)
+    if not named["strategy"]:
+        col.problems.append(("[strategy]", "at least one strategy section is required"))
+    if len(named["strategy"]) > 2:
+        col.problems.append(("[strategy]", "at most two strategies (A/B) are supported"))
+    strategies = {name: _parse_strategy(col, section) for name, section in named["strategy"]}
 
     attacks = []
-    for name, section in attack_sections:
-        spec = _parse_attack(col, section)
-        if spec is not None:
-            attacks.append((name, spec))
-
-    for section in ("machine", "objects", "workload"):
-        col.reject_unconsumed(section)
+    for name, section in named["attack"]:
+        # the other keys depend on the kind, so without one only it is reported
+        kind = col.get(section, "kind", _ATTACK_KIND)
+        if kind is not None:
+            attacks.append((name, col.build(section, *_ATTACKS[kind])))
 
     if col.problems:
         raise ConfigFileError(col.problems)
 
-    config = ScenarioConfig(
-        machine=machine,
-        objects=ObjectsSpec(count=obj_count, size_bytes=obj_size, placement=placement),
-        workload=WorkloadSpec(
-            syscall_rate=syscall_rate,
-            ctxswitch_rate=ctx_rate,
-            arrival=Arrival(arrival),
-            horizon=horizon,
-        ),
-        costs=CostModel(**cost_values),
-        strategies={k: v for k, v in strategies.items() if v is not None},
-        attacks=attacks,
-        repeats=repeats,
-        seed=seed,
-    )
-    _cross_validate(config)
+    run = specs.pop("run")
+    config = ScenarioConfig(**specs, **run, strategies=strategies, attacks=attacks)
+    problems = []  # those of the sections taken together
+    for check in (plan_layout, lambda setup: check_attacks(setup, config.expanded_attacks())):
+        try:
+            check(config.setup())
+        except ConfigFileError as exc:
+            problems.extend(exc.problems)
+    if problems:
+        raise ConfigFileError(problems)
     return config
 
 
 def _parse_strategy(col: _Collector, section: str) -> Optional[StrategyConfig]:
-    kind = col.get(section, "kind", _parse_choice("baseline", "hrk", "hf"), True)
-    if kind == "hrk":
-        batch_k = col.get(section, "batch_k", _parse_int, True, 1, _positive) or 1
-        col.reject_unconsumed(section)
-        return StrategyConfig(kind="hrk", batch_k=batch_k)
-    if kind == "hf":
-        mode = col.get(
-            section, "schedule",
-            _parse_choice("periodic", "jittered", "guest_visible"), True,
-        )
-        period = col.get(section, "period_s", _parse_seconds, True, 1, _positive) or 1
-        schedule = None
-        if mode == "jittered":
-            jitter = col.get(section, "jitter_s", _parse_seconds, True, 0, _nonneg) or 0
-            jseed = col.get(section, "jitter_seed", _parse_int, False, 0) or 0
-            if not 0 <= jitter < period:
-                col.problem(f"{section}.jitter_s", "must satisfy 0 <= jitter < period")
-            else:
-                schedule = FiringSchedule.jittered(period, jitter, jseed)
-        elif mode == "periodic":
-            schedule = FiringSchedule.periodic(period)
-        elif mode == "guest_visible":
-            schedule = FiringSchedule.guest_visible(period)
-        col.reject_unconsumed(section)
-        if schedule is None:
-            return None
-        return StrategyConfig(kind="hf", schedule=schedule)
-    col.reject_unconsumed(section)
-    if kind is None:
+    """The section's strategy, or None after a problem.
+
+    Its other keys depend on its kind, and an hf strategy's on its
+    schedule: while either is missing or unknown, only that is reported.
+    """
+    before = len(col.problems)
+    kind = col.get(section, "kind", _STRATEGY_KIND)
+    mode = col.get(section, "schedule", _SCHEDULE_MODE) if kind == STRATEGY_HF else None
+    if kind is None or (kind == STRATEGY_HF and mode is None):
         return None
-    return StrategyConfig(kind="baseline")
-
-
-def _parse_attack(col: _Collector, section: str):
-    kinds = ("persistent", "transient", "code", "idt", "idtr", "persistent_sweep")
-    kind = col.get(section, "kind", _parse_choice(*kinds), True)
-    spec = None
-    if kind == "persistent":
-        idx = col.get(section, "object_index", _parse_int, True, 0, _nonneg)
-        at = col.get(section, "at_s", _parse_seconds, True, 0, _nonneg)
-        offset = col.get(section, "offset", _parse_int, False, 0, _nonneg)
-        mask = col.get(section, "xor_mask", _parse_int, False, 0xFF,
-                       lambda v: None if 0 <= v <= 0xFF else "must be a byte")
-        spec = threat.PersistentTamper(object_index=idx or 0, at=at or 0,
-                                       offset=offset or 0, xor_mask=mask if mask is not None else 0xFF)
-    elif kind == "transient":
-        idx = col.get(section, "object_index", _parse_int, True, 0, _nonneg)
-        windows = col.get(section, "windows", _parse_windows, True, ())
-        knowledge = col.get(section, "knowledge",
-                            _parse_choice("none", "guest_visible"), False, "none")
-        offset = col.get(section, "offset", _parse_int, False, 0, _nonneg)
-        mask = col.get(section, "xor_mask", _parse_int, False, 0xFF,
-                       lambda v: None if 0 <= v <= 0xFF else "must be a byte")
-        try:
-            spec = threat.TransientTamper(
-                object_index=idx or 0, windows=windows or (),
-                knowledge=threat.ScheduleKnowledge(knowledge),
-                offset=offset or 0, xor_mask=mask if mask is not None else 0xFF,
-            )
-        except ConfigurationError as exc:
-            col.problem(f"{section}.windows", str(exc))
-    elif kind == "code":
-        offset = col.get(section, "offset", _parse_int, True, 0, _nonneg)
-        at = col.get(section, "at_s", _parse_seconds, True, 0, _nonneg)
-        spec = threat.CodeTamper(offset=offset or 0, at=at or 0)
-    elif kind == "idt":
-        vector = col.get(section, "vector", _parse_int, True, 0, _nonneg)
-        handler = col.get(section, "new_handler", _parse_int, True, 0, _nonneg)
-        at = col.get(section, "at_s", _parse_seconds, True, 0, _nonneg)
-        spec = threat.IdtTamper(vector=vector or 0, new_handler=handler or 0, at=at or 0)
-    elif kind == "idtr":
-        base = col.get(section, "new_base", _parse_int, True, 0, _nonneg)
-        at = col.get(section, "at_s", _parse_seconds, True, 0, _nonneg)
-        limit = col.get(section, "new_limit", _parse_int, False, None)
-        spec = threat.IdtrTamper(new_base=base or 0, at=at or 0, new_limit=limit)
-    elif kind == "persistent_sweep":
-        count = col.get(section, "count", _parse_int, True, 1, _positive)
-        start = col.get(section, "start_s", _parse_seconds, True, 0, _nonneg)
-        step = col.get(section, "step_s", _parse_seconds, True, 0, _nonneg)
-        ostart = col.get(section, "object_start", _parse_int, False, 0, _nonneg)
-        ostride = col.get(section, "object_stride", _parse_int, False, 1, _positive)
-        spec = threat.SweepSpec(count=count or 1, start=start or 0, step=step or 0,
-                                object_start=ostart or 0, object_stride=ostride or 1)
-    col.reject_unconsumed(section)
-    return spec
-
-
-def _cross_validate(config: ScenarioConfig) -> None:
-    problems = []
-    try:
-        plan_layout(config.setup())
-    except ConfigurationError as exc:
-        problems.append(("machine.page_count", str(exc)))
-    try:
-        check_attacks(config.setup(), config.expanded_attacks())
-    except ConfigFileError as exc:
-        problems.extend(exc.problems)
-    if problems:
-        raise ConfigFileError(problems)
+    batch_k, period, jitter, seed = 1, None, 0, 0
+    if kind == STRATEGY_HRK:
+        batch_k = col.get(section, "batch_k", _parse_int, _REQUIRED, _positive)
+    if kind == STRATEGY_HF:
+        period = col.get(section, "period_s", ticks_from_seconds, _REQUIRED, _positive)
+    if mode is ScheduleMode.PERIODIC_JITTERED:
+        jitter = col.get(section, "jitter_s", ticks_from_seconds, _REQUIRED, _nonneg)
+        seed = col.get(section, "jitter_seed", _parse_int, 0)
+        if None not in (period, jitter) and jitter >= period:
+            col.problems.append((f"{section}.jitter_s", "must satisfy 0 <= jitter < period"))
+    col.reject_unread(section)
+    if len(col.problems) > before:
+        return None
+    schedule = None if mode is None else FiringSchedule(mode, period, jitter, seed)
+    return StrategyConfig(kind, batch_k, schedule)
 
 
 # ---------------------------------------------------------------------------
 # canonical serialization and digest
 # ---------------------------------------------------------------------------
 
-def _fmt_ticks(ticks: Ticks, scale: int) -> str:
-    text = format(Decimal(ticks).scaleb(-scale), "f")
-    if "." in text:
-        text = text.rstrip("0").rstrip(".")
-    return text or "0"
-
-
-def _fmt_s(ticks: Ticks) -> str:
-    return _fmt_ticks(ticks, 9)
-
-
-def _fmt_us(ticks: Ticks) -> str:
-    return _fmt_ticks(ticks, 3)
+def _pairs(spec, table) -> list:
+    """(key, canonical text) for each row of `table` whose field in `spec` is set."""
+    values = ((key, fmt, getattr(spec, name)) for key, name, _, _, _, fmt in table)
+    return [(key, fmt(value)) for key, fmt, value in values if value is not None]
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -393,31 +383,13 @@ def serialize_config(config: ScenarioConfig) -> str:
             lines.append(f"{key} = {value}")
         lines.append("")
 
-    section("machine", [
-        ("page_count", config.machine.page_count),
-        ("page_size", config.machine.page_size),
-    ])
-    section("objects", [
-        ("count", config.objects.count),
-        ("size_bytes", config.objects.size_bytes),
-        ("placement", config.objects.placement),
-    ])
-    section("workload", [
-        ("syscall_rate", repr(config.workload.syscall_rate)),
-        ("ctxswitch_rate", repr(config.workload.ctxswitch_rate)),
-        ("arrival", config.workload.arrival.value),
-        ("horizon_s", _fmt_s(config.workload.horizon)),
-    ])
-    section("costs", [
-        (key, _fmt_us(getattr(config.costs, attr)) if conv is ticks_from_us
-         else _fmt_ticks(getattr(config.costs, attr), 0))
-        for key, (attr, conv) in _COST_KEYS.items()
-    ])
+    for name in ("machine", "objects", "workload", "costs"):
+        section(name, _pairs(getattr(config, name), _SECTIONS[name][1]))
     for name, strategy in config.strategies.items():
         pairs = [("kind", strategy.kind)]
-        if strategy.kind == "hrk":
+        if strategy.kind == STRATEGY_HRK:
             pairs.append(("batch_k", strategy.batch_k))
-        elif strategy.kind == "hf":
+        elif strategy.kind == STRATEGY_HF:
             sched = strategy.schedule
             pairs.append(("schedule", sched.mode.value))
             pairs.append(("period_s", _fmt_s(sched.period)))
@@ -426,30 +398,8 @@ def serialize_config(config: ScenarioConfig) -> str:
                 pairs.append(("jitter_seed", sched.seed))
         section(f"strategy {name}", pairs)
     for name, spec in config.attacks:
-        pairs = [("kind", spec.kind)]
-        if isinstance(spec, threat.PersistentTamper):
-            pairs += [("object_index", spec.object_index), ("at_s", _fmt_s(spec.at)),
-                      ("offset", spec.offset), ("xor_mask", spec.xor_mask)]
-        elif isinstance(spec, threat.TransientTamper):
-            windows = ", ".join(f"{_fmt_s(s)}:{_fmt_s(e)}" for s, e in spec.windows)
-            pairs += [("object_index", spec.object_index), ("windows", windows),
-                      ("knowledge", spec.knowledge.value),
-                      ("offset", spec.offset), ("xor_mask", spec.xor_mask)]
-        elif isinstance(spec, threat.CodeTamper):
-            pairs += [("offset", spec.offset), ("at_s", _fmt_s(spec.at))]
-        elif isinstance(spec, threat.IdtTamper):
-            pairs += [("vector", spec.vector), ("new_handler", spec.new_handler),
-                      ("at_s", _fmt_s(spec.at))]
-        elif isinstance(spec, threat.IdtrTamper):
-            pairs += [("new_base", spec.new_base), ("at_s", _fmt_s(spec.at))]
-            if spec.new_limit is not None:
-                pairs.append(("new_limit", spec.new_limit))
-        elif isinstance(spec, threat.SweepSpec):
-            pairs += [("count", spec.count), ("start_s", _fmt_s(spec.start)),
-                      ("step_s", _fmt_s(spec.step)), ("object_start", spec.object_start),
-                      ("object_stride", spec.object_stride)]
-        section(f"attack {name}", pairs)
-    section("run", [("repeats", config.repeats), ("seed", config.seed)])
+        section(f"attack {name}", [("kind", spec.kind)] + _pairs(spec, _ATTACKS[spec.kind][1]))
+    section("run", _pairs(config, _SECTIONS["run"][1]))
     return "\n".join(lines)
 
 

@@ -34,7 +34,7 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -252,16 +252,18 @@ def _layout(setup: SetupSpec) -> Layout:
 
 
 def plan_layout(setup: SetupSpec) -> Layout:
-    """Compute (and validate) the concrete placement for a setup."""
+    """The concrete placement for a setup; ConfigFileError, keyed by config key, if invalid."""
     objs = setup.objects
-    if objs.placement == "spread" and objs.size_bytes > setup.machine.page_size:
-        raise ConfigurationError("spread placement requires size_bytes <= page_size")
     layout = _layout(setup)
+    problems = []
+    if objs.placement == "spread" and objs.size_bytes > setup.machine.page_size:
+        problems.append(("objects.size_bytes",
+                         "spread placement requires size_bytes <= page_size"))
     if setup.machine.page_count < layout.pages_required:
-        raise ConfigurationError(
-            f"machine needs >= {layout.pages_required} pages for this layout, "
-            f"got {setup.machine.page_count}"
-        )
+        problems.append(("machine.page_count", f"machine needs >= {layout.pages_required} "
+                         f"pages for this layout, got {setup.machine.page_count}"))
+    if problems:
+        raise ConfigFileError(problems)
     return layout
 
 
@@ -780,26 +782,10 @@ class _ScenarioRun:
             per_event_added[op] = added / tally.events if tally.events else 0.0
         breakdown["vmexit"] = counts["vmexits"] * costs.t_vmexit
         breakdown["vmentry"] = counts["vmexits"] * costs.t_vmentry
-        echo = {
-            "machine": {"page_count": self.setup.machine.page_count,
-                        "page_size": self.setup.machine.page_size},
-            "objects": {"count": self.setup.objects.count,
-                        "size_bytes": self.setup.objects.size_bytes,
-                        "placement": self.setup.objects.placement},
-            "workload": {"syscall_rate": self.workload.syscall_rate,
-                         "ctxswitch_rate": self.workload.ctxswitch_rate,
-                         "arrival": self.workload.arrival.value,
-                         "horizon": self.horizon},
-            "strategy": {"kind": self.strategy.kind,
-                         "batch_k": self.strategy.batch_k,
-                         "schedule": None if self.strategy.schedule is None else {
-                             "mode": self.strategy.schedule.mode.value,
-                             "period": self.strategy.schedule.period,
-                             "jitter": self.strategy.schedule.jitter,
-                             "seed": self.strategy.schedule.seed,
-                         }},
-            "seed": self.seed,
-        }
+        echo = {name: asdict(spec, dict_factory=_echo_dict) for name, spec in (
+            ("machine", self.setup.machine), ("objects", self.setup.objects),
+            ("workload", self.workload), ("strategy", self.strategy))}
+        echo["seed"] = self.seed
         return ScenarioResult(
             seed=self.seed,
             strategy_kind=self.strategy.kind,
@@ -814,6 +800,12 @@ class _ScenarioRun:
             attack_outcomes=[self.outcomes[label] for label, _ in self.scripts],
             config_echo=echo,
         )
+
+
+def _echo_dict(items) -> dict:
+    """A spec's fields as JSON values: an enum member becomes its value."""
+    return {key: value.value if isinstance(value, enum.Enum) else value
+            for key, value in items}
 
 
 def run_scenario(

@@ -52,13 +52,21 @@ class TransientTamper:
     kind = "transient"
 
     def __post_init__(self):
-        prev_end = None
-        for start, end in self.windows:
-            if end <= start:
-                raise ConfigurationError(f"empty dirty window ({start}, {end})")
-            if prev_end is not None and start < prev_end:
-                raise ConfigurationError("dirty windows must be ordered and disjoint")
-            prev_end = end
+        problem = windows_problem(self.windows)
+        if problem is not None:
+            raise ConfigurationError(problem)
+
+
+def windows_problem(windows: tuple[tuple[Ticks, Ticks], ...]) -> Optional[str]:
+    """Why `windows` cannot be a transient tamper's dirty windows, or None if it can."""
+    prev_end = None
+    for start, end in windows:
+        if end <= start:
+            return f"empty dirty window ({start}, {end})"
+        if prev_end is not None and start < prev_end:
+            return "dirty windows must be ordered and disjoint"
+        prev_end = end
+    return None
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from hfsim import cli
 from hfsim.cli import _load_config_text, execute_config, main
-from hfsim.config import parse_config_text
+from hfsim.config import parse_config_text, serialize_config
 from hfsim.report import build_report, diff_reports, render_text
-from hfsim.errors import AddressError, ReportMismatchError
+from hfsim.errors import AddressError, ConfigFileError, ReportMismatchError
 from hfsim.guest import GuestMachine
 from hfsim.simulation import run_scenario
 
@@ -241,6 +241,120 @@ def test_a_config_validate_accepts_runs(page_size, page_count, count, size_bytes
         validated = _quiet_main(["validate", str(cfg)])
         ran = _quiet_main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
     assert validated in (0, 2)
+    assert ran == validated
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_spread_object_larger_than_a_page_is_keyed_by_size_bytes(command, tmp_path, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(SMALL.replace("size_bytes = 64", "size_bytes = 8192"))
+    out = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out)] if command == "run" else [])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error:", "  objects.size_bytes: spread placement requires size_bytes <= page_size",
+    ]
+    assert not out.exists()
+
+
+def _seconds(ms: int) -> str:
+    return f"{ms / 1000:g}"
+
+
+@st.composite
+def _config_texts(draw):
+    """Small config text: every attack kind and schedule, optional keys present or absent."""
+    def optional(key, values):
+        value = draw(st.none() | values)
+        return "" if value is None else f"{key} = {value}\n"
+
+    ms = st.integers(0, 12).map(_seconds)
+    count = draw(st.integers(1, 12))
+    size = draw(st.integers(1, 96))
+    parts = [
+        f"[machine]\npage_count = {draw(st.integers(8, 40))}\n"
+        + optional("page_size", st.sampled_from([64, 4096])),
+        f"[objects]\ncount = {count}\nsize_bytes = {size}\n"
+        + optional("placement", st.sampled_from(["spread", "packed"])),
+        "[workload]\n"
+        + "".join(f"{key} = {draw(st.sampled_from(['0', '250', '1000.5', '3e3']))}\n"
+                  for key in ("syscall_rate", "ctxswitch_rate"))
+        + optional("arrival", st.sampled_from(["fixed", "poisson"]))
+        + f"horizon_s = {draw(st.integers(1, 10).map(_seconds))}\n",
+    ]
+    if draw(st.booleans()):
+        parts.append("[costs]\n" + "".join(
+            optional(key, st.sampled_from(["0", "0.1", "25", "35"]))
+            for key in ("t_vmexit_us", "t_vmentry_us", "t_interrupt_delivery_us",
+                        "t_map_page_us", "t_syscall_base_us", "t_ctxswitch_base_us"))
+            + optional("t_hash_per_byte_ns", st.sampled_from(["2", "180"])))
+    for name in "ab"[:draw(st.integers(1, 2))]:
+        kind = draw(st.sampled_from(["baseline", "hrk", "hf"]))
+        text = f"[strategy {name}]\nkind = {kind}\n"
+        if kind == "hrk":
+            text += f"batch_k = {draw(st.integers(1, 20))}\n"
+        elif kind == "hf":
+            period = draw(st.integers(1, 5))
+            schedule = draw(st.sampled_from(["periodic", "jittered", "guest_visible"]))
+            text += f"schedule = {schedule}\nperiod_s = {_seconds(period)}\n"
+            if schedule == "jittered":
+                text += (f"jitter_s = {_seconds(draw(st.integers(0, period - 1)))}\n"
+                         + optional("jitter_seed", st.integers(0, 9)))
+        parts.append(text)
+    for i in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["persistent", "transient", "code", "idt", "idtr",
+                                     "persistent_sweep"]))
+        text = f"[attack x{i}]\nkind = {kind}\n"
+        if kind in ("persistent", "transient"):
+            text += f"object_index = {draw(st.integers(0, count))}\n"
+        if kind == "transient":
+            ends = draw(st.lists(st.integers(0, 15), min_size=2, max_size=4, unique=True))
+            ends = sorted(ends)[:len(ends) // 2 * 2]
+            text += "windows = " + ", ".join(
+                f"{_seconds(a)}:{_seconds(b)}" for a, b in zip(ends[::2], ends[1::2])) + "\n"
+            text += optional("knowledge", st.sampled_from(["none", "guest_visible"]))
+        if kind in ("persistent", "transient"):
+            text += (optional("offset", st.integers(0, size + 2))
+                     + optional("xor_mask", st.integers(0, 255)))
+        elif kind == "code":
+            text += f"offset = {draw(st.integers(0, 5000))}\n"
+        elif kind == "idt":
+            text += (f"vector = {draw(st.integers(0, 66))}\n"
+                     f"new_handler = {draw(st.sampled_from([0, 64, 1 << 63, 1 << 64]))}\n")
+        elif kind == "idtr":
+            text += (f"new_base = {draw(st.integers(0, 2600))}\n"
+                     + optional("new_limit", st.sampled_from([0, 8, 12, 512])))
+        elif kind == "persistent_sweep":
+            text += (f"count = {draw(st.integers(1, 4))}\nstart_s = {draw(ms)}\n"
+                     f"step_s = {draw(ms)}\n"
+                     + optional("object_start", st.integers(0, 20))
+                     + optional("object_stride", st.integers(1, 5)))
+        if kind in ("persistent", "code", "idt", "idtr"):
+            text += f"at_s = {draw(ms)}\n"
+        parts.append(text)
+    if draw(st.booleans()):
+        parts.append("[run]\n" + optional("repeats", st.integers(1, 2))
+                     + optional("seed", st.integers(0, 99)))
+    return "\n".join(parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_config_texts())
+def test_a_drawn_config_round_trips_and_validates_as_it_runs(text):
+    try:
+        config = parse_config_text(text)
+    except ConfigFileError:
+        config = None
+    if config is not None:
+        canonical = serialize_config(config)
+        again = parse_config_text(canonical)
+        assert again == config
+        assert serialize_config(again) == canonical
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "drawn.cfg"
+        cfg.write_text(text)
+        validated = _quiet_main(["validate", str(cfg)])
+        ran = _quiet_main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert validated == (2 if config is None else 0)
     assert ran == validated
 
 

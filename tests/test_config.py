@@ -1,11 +1,32 @@
 """Config parsing, strict validation, canonical serialization, digests."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from hfsim.cli import _load_config_text, bundled_config_names
-from hfsim.config import config_digest, parse_config_text, serialize_config
-from hfsim.errors import ConfigFileError
+from hfsim.config import (
+    _ATTACKS,
+    _REQUIRED,
+    config_digest,
+    parse_config_text,
+    serialize_config,
+)
+from hfsim.errors import ConfigFileError, ConfigurationError
+from hfsim.simulation import (
+    Arrival,
+    MachineSpec,
+    ObjectsSpec,
+    SetupSpec,
+    StrategyConfig,
+    WorkloadSpec,
+    run_scenario,
+)
+from hfsim.threat import windows_problem
 from hfsim.timebase import TICKS_PER_SECOND as SEC
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 MINIMAL = """
 [machine]
@@ -180,3 +201,80 @@ def test_digest_is_formatting_independent():
     noisy = MINIMAL.replace("count = 4", "count =    4  # comment")
     cfg_b = parse_config_text(noisy)
     assert config_digest(cfg_a) == config_digest(cfg_b)
+
+
+@pytest.mark.parametrize("section, key", [
+    ("[attack a]\nobject_index = 1\nat_s = 1\n", "attack a.kind"),
+    ("[attack a]\nkind = hybrid\nobject_index = 1\nat_s = 1\n", "attack a.kind"),
+    ("[strategy b]\nbatch_k = 2\n", "strategy b.kind"),
+    ("[strategy b]\nkind = hybrid\nbatch_k = 2\n", "strategy b.kind"),
+    ("[strategy b]\nkind = hf\nperiod_s = 1\njitter_s = 0.5\n", "strategy b.schedule"),
+    ("[strategy b]\nkind = hf\nschedule = random\nperiod_s = 1\n", "strategy b.schedule"),
+], ids=["attack_kind_missing", "attack_kind_unknown", "strategy_kind_missing",
+        "strategy_kind_unknown", "hf_schedule_missing", "hf_schedule_unknown"])
+def test_a_missing_or_unknown_kind_is_the_only_problem_reported(section, key):
+    # the section's other keys depend on its kind, so none is called unknown
+    assert list(_problems(MINIMAL + "\n" + section)) == [key]
+
+
+def test_every_bad_key_of_an_attack_is_reported():
+    text = MINIMAL + """
+[attack b]
+kind = transient
+object_index = 1
+windows = 1:3, 2:4
+xor_mask = 300
+"""
+    assert _problems(text) == {
+        "attack b.windows": "dirty windows must be ordered and disjoint",
+        "attack b.xor_mask": "must be a byte",
+    }
+
+
+def test_windows_problem_is_the_transient_tamper_rule():
+    assert windows_problem(((0, 10), (10, 20))) is None
+    assert windows_problem(((5, 5),)) == "empty dirty window (5, 5)"
+    assert windows_problem(((0, 10), (5, 15))) == "dirty windows must be ordered and disjoint"
+
+
+def test_spread_object_larger_than_a_page_names_size_bytes():
+    text = MINIMAL.replace("size_bytes = 64", "size_bytes = 8192")
+    assert _problems(text) == {
+        "objects.size_bytes": "spread placement requires size_bytes <= page_size",
+    }
+
+
+def test_run_scenario_rejects_a_bad_layout_by_config_key():
+    setup = SetupSpec(MachineSpec(page_count=4), ObjectsSpec(count=4, size_bytes=8192))
+    workload = WorkloadSpec(syscall_rate=1, ctxswitch_rate=0, arrival=Arrival.FIXED,
+                            horizon=SEC)
+    with pytest.raises(ConfigurationError) as exc_info:
+        run_scenario(setup, StrategyConfig(kind="baseline"), workload)
+    assert [key for key, _ in exc_info.value.problems] == [
+        "objects.size_bytes", "machine.page_count",
+    ]
+
+
+def _readme_attack_keys() -> dict:
+    """{kind: [(key, default text or None)]} from README's attack table."""
+    table = README.read_text().split("Attack kinds", 1)[1].split("\n## ", 1)[0]
+    documented = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            kind, keys = line.split(" | ")[:2]
+            documented[kind.strip("|` ")] = [
+                re.fullmatch(r"`(\w+)`(?: = (.+))?", item.strip()).groups()
+                for item in keys.split(",")
+            ]
+    return documented
+
+
+def test_readme_attack_table_lists_each_kinds_keys_and_defaults():
+    documented = _readme_attack_keys()
+    assert list(documented) == list(_ATTACKS)
+    for kind, (_, table) in _ATTACKS.items():
+        assert [key for key, _ in documented[kind]] == [row[0] for row in table], kind
+        for (key, text), (_, _, _, default, _, fmt) in zip(documented[kind], table):
+            assert (text is None) == (default is _REQUIRED), key
+            if default is not _REQUIRED and default is not None:
+                assert text == fmt(default), key

@@ -92,8 +92,8 @@ def _cmd_run(args) -> int:
         text, display = _load_config_text(args.config)
         config = parse_config_text(text)
         if args.repeats is not None:
-            if args.repeats < 1:
-                raise ConfigFileError([("--repeats", "must be >= 1")])
+            if problem := ScenarioConfig.bounds["repeats"](args.repeats):
+                raise ConfigFileError([("--repeats", problem)])
             config.repeats = args.repeats
         if args.seed is not None:
             config.seed = args.seed

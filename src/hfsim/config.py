@@ -8,10 +8,10 @@ script the attacker. Unknown sections or keys are rejected, and all
 problems are reported in one pass as (key, reason) pairs.
 
 Each fixed section and each attack kind is described once, by a key
-table of (key, parse, default, check) rows in canonical order: parsing
-builds the section's spec from it, and serialization walks it with the
-formatter of each row's parse function. A key fills the spec field of
-its name less any ``_s``/``_us``/``_ns`` unit suffix.
+table of (key, parse) rows in canonical order: parsing builds the
+section's spec from it, and serialization walks it with the formatter of
+each row's parse function. A key fills the spec field of its name less
+any ``_s``/``_us``/``_ns`` unit suffix, with that field's default and bound.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ from __future__ import annotations
 import configparser
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Optional
 
 from . import threat
-from .errors import ConfigFileError, ConfigurationError
-from .guest import page_size_problem
-from .hypervisor import FiringSchedule, ScheduleMode
+from .errors import ConfigFileError, ConfigurationError, check_bounds, one_of, positive
+from .hypervisor import FiringSchedule, ScheduleMode, jitter_problem
 from .integrity import compute_digest
 from .simulation import (
     Arrival,
@@ -35,7 +34,6 @@ from .simulation import (
     ObjectsSpec,
     STRATEGY_HF,
     STRATEGY_HRK,
-    STRATEGY_KINDS,
     SetupSpec,
     StrategyConfig,
     WorkloadSpec,
@@ -46,8 +44,8 @@ from .timebase import Ticks, ticks_from_ns, ticks_from_seconds, ticks_from_us
 
 _SECTION_NAME = re.compile(r"^[A-Za-z0-9_\-]+$")
 
-# a key table row's default when the key must be given
-_REQUIRED = object()
+# a key's default when the key must be given: its field has no default
+_REQUIRED = MISSING
 
 
 @dataclass
@@ -62,6 +60,9 @@ class ScenarioConfig:
     attacks: list = field(default_factory=list)  # (name, AttackSpec)
     repeats: int = 1
     seed: int = 0
+
+    bounds = {"repeats": positive}
+    __post_init__ = check_bounds
 
     def setup(self) -> SetupSpec:
         return SetupSpec(machine=self.machine, objects=self.objects)
@@ -122,18 +123,15 @@ def _parse_rate(raw: str) -> float:
     return value
 
 
-def _parse_choice(*choices: str):
-    def parse(raw: str) -> str:
-        if raw not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}")
-        return raw
+def _parse_enum(cls):
+    choice = one_of(*(member.value for member in cls))
+
+    def parse(raw: str):
+        if problem := choice(raw):
+            raise ValueError(problem)
+        return cls(raw)
 
     return parse
-
-
-def _parse_enum(cls):
-    choice = _parse_choice(*(member.value for member in cls))
-    return lambda raw: cls(choice(raw))
 
 
 def _parse_windows(raw: str) -> tuple:
@@ -146,18 +144,6 @@ def _parse_windows(raw: str) -> tuple:
     if not windows:
         raise ValueError("no windows given")
     return tuple(windows)
-
-
-def _nonneg(value) -> Optional[str]:
-    return None if value >= 0 else "must be >= 0"
-
-
-def _positive(value) -> Optional[str]:
-    return None if value > 0 else "must be > 0"
-
-
-def _byte(value) -> Optional[str]:
-    return None if 0 <= value <= 0xFF else "must be a byte"
 
 
 def _fmt_ticks(scale: int):
@@ -195,86 +181,74 @@ _FORMATS = {
 }
 
 
-def _table(*rows) -> tuple:
-    """Key table rows (key, parse, default, check), each plus its field and formatter."""
-    return tuple((key, re.sub(r"_(s|us|ns)$", "", key), parse, default, check,
-                  _FORMATS.get(parse, _fmt_choice))
-                 for key, parse, default, check in rows)
+def _table(spec, *rows) -> tuple:
+    """`spec` and its (key, parse) rows, each plus its field, default, bound and formatter."""
+    defaults = {name: f.default for name, f in spec.__dataclass_fields__.items()}
+    names = [re.sub(r"_(s|us|ns)$", "", key) for key, _ in rows]
+    return spec, tuple((key, name, parse, defaults[name], spec.bounds.get(name),
+                        _FORMATS.get(parse, _fmt_choice))
+                       for (key, parse), name in zip(rows, names))
 
 
-# each fixed section: what builds it from its fields, and its key table
+# each fixed section's spec and key table; the run section's keys are the scenario's own
 _SECTIONS = {
-    "machine": (MachineSpec, _table(
-        ("page_count", _parse_int, _REQUIRED, _positive),
-        ("page_size", _parse_int, 4096, page_size_problem),
-    )),
-    "objects": (ObjectsSpec, _table(
-        ("count", _parse_int, _REQUIRED, _positive),
-        ("size_bytes", _parse_int, _REQUIRED, _positive),
-        ("placement", _parse_choice("spread", "packed"), "spread", None),
-    )),
-    "workload": (WorkloadSpec, _table(
-        ("syscall_rate", _parse_rate, _REQUIRED, _nonneg),
-        ("ctxswitch_rate", _parse_rate, _REQUIRED, _nonneg),
-        ("arrival", _parse_enum(Arrival), Arrival.FIXED, None),
-        ("horizon_s", ticks_from_seconds, _REQUIRED, _positive),
-    )),
-    "costs": (CostModel, _table(
-        ("t_vmexit_us", ticks_from_us, 0, _nonneg),
-        ("t_vmentry_us", ticks_from_us, 0, _nonneg),
-        ("t_interrupt_delivery_us", ticks_from_us, 0, _nonneg),
-        ("t_map_page_us", ticks_from_us, 0, _nonneg),
-        ("t_hash_per_byte_ns", ticks_from_ns, 0, _nonneg),
-        ("t_syscall_base_us", ticks_from_us, 0, _nonneg),
-        ("t_ctxswitch_base_us", ticks_from_us, 0, _nonneg),
-    )),
-    "run": (dict, _table(
-        ("repeats", _parse_int, 1, _positive),
-        ("seed", _parse_int, 0, None),
-    )),
+    "machine": _table(MachineSpec,
+                      ("page_count", _parse_int),
+                      ("page_size", _parse_int)),
+    "objects": _table(ObjectsSpec,
+                      ("count", _parse_int),
+                      ("size_bytes", _parse_int),
+                      ("placement", str)),
+    "workload": _table(WorkloadSpec,
+                       ("syscall_rate", _parse_rate),
+                       ("ctxswitch_rate", _parse_rate),
+                       ("arrival", _parse_enum(Arrival)),
+                       ("horizon_s", ticks_from_seconds)),
+    "costs": _table(CostModel,
+                    ("t_vmexit_us", ticks_from_us),
+                    ("t_vmentry_us", ticks_from_us),
+                    ("t_interrupt_delivery_us", ticks_from_us),
+                    ("t_map_page_us", ticks_from_us),
+                    ("t_hash_per_byte_ns", ticks_from_ns),
+                    ("t_syscall_base_us", ticks_from_us),
+                    ("t_ctxswitch_base_us", ticks_from_us)),
+    "run": _table(ScenarioConfig,
+                  ("repeats", _parse_int),
+                  ("seed", _parse_int)),
 }
 
 # each attack kind: its threat class and key table, after the `kind` key
-_ATTACKS = {cls.kind: (cls, _table(*rows)) for cls, rows in (
-    (threat.PersistentTamper, (
-        ("object_index", _parse_int, _REQUIRED, _nonneg),
-        ("at_s", ticks_from_seconds, _REQUIRED, _nonneg),
-        ("offset", _parse_int, 0, _nonneg),
-        ("xor_mask", _parse_int, 0xFF, _byte),
-    )),
-    (threat.TransientTamper, (
-        ("object_index", _parse_int, _REQUIRED, _nonneg),
-        ("windows", _parse_windows, _REQUIRED, threat.windows_problem),
-        ("knowledge", _parse_enum(threat.ScheduleKnowledge), threat.ScheduleKnowledge.NONE,
-         None),
-        ("offset", _parse_int, 0, _nonneg),
-        ("xor_mask", _parse_int, 0xFF, _byte),
-    )),
-    (threat.CodeTamper, (
-        ("offset", _parse_int, _REQUIRED, _nonneg),
-        ("at_s", ticks_from_seconds, _REQUIRED, _nonneg),
-    )),
-    (threat.IdtTamper, (
-        ("vector", _parse_int, _REQUIRED, _nonneg),
-        ("new_handler", _parse_int, _REQUIRED, _nonneg),
-        ("at_s", ticks_from_seconds, _REQUIRED, _nonneg),
-    )),
-    (threat.IdtrTamper, (
-        ("new_base", _parse_int, _REQUIRED, _nonneg),
-        ("at_s", ticks_from_seconds, _REQUIRED, _nonneg),
-        ("new_limit", _parse_int, None, None),
-    )),
-    (threat.SweepSpec, (
-        ("count", _parse_int, _REQUIRED, _positive),
-        ("start_s", ticks_from_seconds, _REQUIRED, _nonneg),
-        ("step_s", ticks_from_seconds, _REQUIRED, _nonneg),
-        ("object_start", _parse_int, 0, _nonneg),
-        ("object_stride", _parse_int, 1, _positive),
-    )),
+_ATTACKS = {spec.kind: (spec, table) for spec, table in (
+    _table(threat.PersistentTamper,
+           ("object_index", _parse_int),
+           ("at_s", ticks_from_seconds),
+           ("offset", _parse_int),
+           ("xor_mask", _parse_int)),
+    _table(threat.TransientTamper,
+           ("object_index", _parse_int),
+           ("windows", _parse_windows),
+           ("knowledge", _parse_enum(threat.ScheduleKnowledge)),
+           ("offset", _parse_int),
+           ("xor_mask", _parse_int)),
+    _table(threat.CodeTamper,
+           ("offset", _parse_int),
+           ("at_s", ticks_from_seconds)),
+    _table(threat.IdtTamper,
+           ("vector", _parse_int),
+           ("new_handler", _parse_int),
+           ("at_s", ticks_from_seconds)),
+    _table(threat.IdtrTamper,
+           ("new_base", _parse_int),
+           ("at_s", ticks_from_seconds),
+           ("new_limit", _parse_int)),
+    _table(threat.SweepSpec,
+           ("count", _parse_int),
+           ("start_s", ticks_from_seconds),
+           ("step_s", ticks_from_seconds),
+           ("object_start", _parse_int),
+           ("object_stride", _parse_int)),
 )}
-_ATTACK_KIND = _parse_choice(*_ATTACKS)
-_STRATEGY_KIND = _parse_choice(*STRATEGY_KINDS)
-_SCHEDULE_MODE = _parse_enum(ScheduleMode)
+_ATTACK_KIND = one_of(*_ATTACKS)
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -284,6 +258,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         delimiters=("=",),
         comment_prefixes=("#", ";"),
         inline_comment_prefixes=("#",),
+        default_section="",  # no header names it, so [DEFAULT] is an unknown section
     )
     parser.optionxform = str
     try:
@@ -304,7 +279,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
         else:
             named[prefix].append((name.strip(), section))
 
-    specs = {name: col.build(name, make, table) for name, (make, table) in _SECTIONS.items()}
+    specs = {name: col.build(name, spec, table) for name, (spec, table) in _SECTIONS.items()
+             if name != "run"}
+    run = col.build("run", dict, _SECTIONS["run"][1])
 
     if not named["strategy"]:
         col.problems.append(("[strategy]", "at least one strategy section is required"))
@@ -315,14 +292,13 @@ def parse_config_text(text: str) -> ScenarioConfig:
     attacks = []
     for name, section in named["attack"]:
         # the other keys depend on the kind, so without one only it is reported
-        kind = col.get(section, "kind", _ATTACK_KIND)
+        kind = col.get(section, "kind", str, check=_ATTACK_KIND)
         if kind is not None:
             attacks.append((name, col.build(section, *_ATTACKS[kind])))
 
     if col.problems:
         raise ConfigFileError(col.problems)
 
-    run = specs.pop("run")
     config = ScenarioConfig(**specs, **run, strategies=strategies, attacks=attacks)
     problems = []  # those of the sections taken together
     for check in (plan_layout, lambda setup: check_attacks(setup, config.expanded_attacks())):
@@ -342,25 +318,26 @@ def _parse_strategy(col: _Collector, section: str) -> Optional[StrategyConfig]:
     schedule: while either is missing or unknown, only that is reported.
     """
     before = len(col.problems)
-    kind = col.get(section, "kind", _STRATEGY_KIND)
-    mode = col.get(section, "schedule", _SCHEDULE_MODE) if kind == STRATEGY_HF else None
+    bounds = StrategyConfig.bounds | FiringSchedule.bounds
+    kind = col.get(section, "kind", str, check=bounds["kind"])
+    mode = col.get(section, "schedule", _parse_enum(ScheduleMode)) if kind == STRATEGY_HF else None
     if kind is None or (kind == STRATEGY_HF and mode is None):
         return None
-    batch_k, period, jitter, seed = 1, None, 0, 0
+    fields, timing = {}, {}  # the strategy's and its schedule's; the specs default the rest
     if kind == STRATEGY_HRK:
-        batch_k = col.get(section, "batch_k", _parse_int, _REQUIRED, _positive)
+        fields["batch_k"] = col.get(section, "batch_k", _parse_int, check=bounds["batch_k"])
     if kind == STRATEGY_HF:
-        period = col.get(section, "period_s", ticks_from_seconds, _REQUIRED, _positive)
-    if mode is ScheduleMode.PERIODIC_JITTERED:
-        jitter = col.get(section, "jitter_s", ticks_from_seconds, _REQUIRED, _nonneg)
-        seed = col.get(section, "jitter_seed", _parse_int, 0)
-        if None not in (period, jitter) and jitter >= period:
-            col.problems.append((f"{section}.jitter_s", "must satisfy 0 <= jitter < period"))
+        period = timing["period"] = col.get(section, "period_s", ticks_from_seconds,
+                                            check=bounds["period"])
+    if mode is ScheduleMode.PERIODIC_JITTERED:  # the jitter's bound needs a valid period
+        bound = None if period is None else lambda jitter: jitter_problem(jitter, period)
+        timing["jitter"] = col.get(section, "jitter_s", ticks_from_seconds, check=bound)
+        timing["seed"] = col.get(section, "jitter_seed", _parse_int, FiringSchedule.seed)
     col.reject_unread(section)
     if len(col.problems) > before:
         return None
-    schedule = None if mode is None else FiringSchedule(mode, period, jitter, seed)
-    return StrategyConfig(kind, batch_k, schedule)
+    schedule = None if mode is None else FiringSchedule(mode, **timing)
+    return StrategyConfig(kind, schedule=schedule, **fields)
 
 
 # ---------------------------------------------------------------------------

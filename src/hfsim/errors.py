@@ -1,4 +1,11 @@
-"""Exception hierarchy shared by all simulator modules."""
+"""Exception hierarchy shared by all simulator modules, and the bounds that raise it.
+
+A bound maps a field's value to the reason it is rejected, or None. A spec names its
+fields' bounds in ``bounds``; the config checks them key by key, `spec` when built.
+"""
+
+from dataclasses import dataclass
+from typing import Optional
 
 
 class SimulatorError(Exception):
@@ -28,3 +35,43 @@ class ConfigFileError(ConfigurationError):
 
 class ReportMismatchError(SimulatorError):
     """Two reports cannot be compared (different config digests)."""
+
+
+def nonneg(value) -> Optional[str]:
+    return None if value >= 0 else "must be >= 0"
+
+
+def positive(value) -> Optional[str]:
+    return None if value > 0 else "must be > 0"
+
+
+def byte(value) -> Optional[str]:
+    return None if 0 <= value <= 0xFF else "must be a byte"
+
+
+def one_of(*choices: str):
+    return lambda value: None if value in choices else f"must be one of {', '.join(choices)}"
+
+
+def require(name: str, problem: Optional[str]) -> None:
+    """Raise ConfigurationError naming `name` if there is a `problem`."""
+    if problem is not None:
+        raise ConfigurationError(f"{name}: {problem}")
+
+
+def check_bounds(spec) -> None:
+    """Raise ConfigurationError for the first field of `spec` that its bound rejects."""
+    for name, bound in spec.bounds.items():
+        require(name, bound(getattr(spec, name)))
+
+
+def spec(**bounds):
+    """Make a class a frozen dataclass with `bounds` that its constructor checks: by
+    `check_bounds`, or by its own ``__post_init__``, which calls that first."""
+    def make(cls):
+        cls.bounds = bounds
+        if not hasattr(cls, "__post_init__"):
+            cls.__post_init__ = check_bounds
+        return dataclass(frozen=True)(cls)
+
+    return make

@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import AddressError, ConfigurationError
+from .errors import AddressError, ConfigurationError, positive, require
 from .hypervisor import ProtectionRegistry, TrapKind, TrapRecord
 from .timebase import Ticks
 
@@ -136,11 +136,8 @@ class GuestMachine:
     """Guest-physical memory plus the architectural state this model needs."""
 
     def __init__(self, page_count: int, page_size: int = 4096):
-        if page_count < 1:
-            raise ConfigurationError(f"page_count must be >= 1, got {page_count}")
-        problem = page_size_problem(page_size)
-        if problem is not None:
-            raise ConfigurationError(f"page_size {problem}")
+        require("page_count", positive(page_count))
+        require("page_size", page_size_problem(page_size))
         self.page_count = page_count
         self.page_size = page_size
         self.size = page_count * page_size  # bytes of guest-physical memory
@@ -346,14 +343,10 @@ class GuestMachine:
         """
         if self.objects:
             raise ConfigurationError("kernel objects are already registered")
-        if length <= 0:
-            raise ConfigurationError(f"object length must be positive, got {length}")
-        if count < 1:
-            raise ConfigurationError(f"object count must be >= 1, got {count}")
-        if stride is None:
-            stride = length
-        elif stride < 1:
-            raise ConfigurationError(f"object stride must be >= 1, got {stride}")
+        stride = length if stride is None else stride
+        require("object length", positive(length))
+        require("object count", positive(count))
+        require("object stride", positive(stride))
         if stride - length >= self.page_size:
             raise ConfigurationError(
                 f"objects must lie less than a page apart, got stride {stride} "

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from . import integrity
-from .errors import AddressError, ConfigurationError
+from .errors import AddressError, ConfigurationError, check_bounds, positive, require, spec
 from .timebase import TICKS_PER_SECOND, Ticks, seconds_from_ticks
 
 if TYPE_CHECKING:
@@ -95,7 +95,12 @@ class ScheduleMode(enum.Enum):
     GUEST_VISIBLE = "guest_visible"
 
 
-@dataclass(frozen=True)
+def jitter_problem(jitter: Ticks, period: Ticks) -> Optional[str]:
+    """Why firings `period` apart cannot jitter by `jitter`, or None if they can."""
+    return None if 0 <= jitter < period else "must satisfy 0 <= jitter < period"
+
+
+@spec(period=positive)
 class FiringSchedule:
     """When the virtual device raises its interrupt.
 
@@ -114,24 +119,10 @@ class FiringSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise ConfigurationError("schedule period must be positive")
-        if not 0 <= self.jitter < self.period:
-            raise ConfigurationError("jitter must satisfy 0 <= J < period")
+        check_bounds(self)
+        require("jitter", jitter_problem(self.jitter, self.period))
         if self.mode is not ScheduleMode.PERIODIC_JITTERED and self.jitter != 0:
             raise ConfigurationError(f"{self.mode.value} schedule takes no jitter")
-
-    @classmethod
-    def periodic(cls, period: Ticks) -> "FiringSchedule":
-        return cls(ScheduleMode.PERIODIC, period)
-
-    @classmethod
-    def jittered(cls, period: Ticks, jitter: Ticks, seed: int = 0) -> "FiringSchedule":
-        return cls(ScheduleMode.PERIODIC_JITTERED, period, jitter, seed)
-
-    @classmethod
-    def guest_visible(cls, period: Ticks) -> "FiringSchedule":
-        return cls(ScheduleMode.GUEST_VISIBLE, period)
 
     @property
     def guest_visible_times(self) -> bool:

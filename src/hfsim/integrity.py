@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, positive, require
 from .timebase import Ticks
 
 if TYPE_CHECKING:
@@ -209,8 +209,7 @@ def check_batch(
     the batch covers the last object in id order a cycle has completed and
     the IDTR rides along as a pseudo-object.
     """
-    if k < 1:
-        raise ConfigurationError(f"batch size must be >= 1, got {k}")
+    require("batch size", positive(k))
     n = len(table)
     k_eff = min(k, n)
     cursor, end = table.cursor, table.cursor + k_eff

@@ -39,8 +39,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import threat
-from .errors import ConfigFileError, ConfigurationError
-from .guest import IDT_ENTRY_SIZE, GuestMachine
+from .errors import (
+    ConfigFileError, ConfigurationError, check_bounds, nonneg, one_of, positive, spec,
+)
+from .guest import IDT_ENTRY_SIZE, GuestMachine, page_size_problem
 from .hypervisor import (
     FiringSchedule,
     ProtectionRegistry,
@@ -142,23 +144,18 @@ class Arrival(enum.Enum):
     POISSON = "poisson"
 
 
-@dataclass(frozen=True)
+@spec(syscall_rate=nonneg, ctxswitch_rate=nonneg, horizon=positive)
 class WorkloadSpec:
     """Synthetic guest activity: event rates over a finite horizon."""
 
     syscall_rate: float
     ctxswitch_rate: float
-    arrival: Arrival
     horizon: Ticks
-
-    def __post_init__(self):
-        if self.syscall_rate < 0 or self.ctxswitch_rate < 0:
-            raise ConfigurationError("workload rates must be >= 0")
-        if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+    arrival: Arrival = Arrival.FIXED
 
 
-@dataclass(frozen=True)
+@spec(t_vmexit=nonneg, t_vmentry=nonneg, t_interrupt_delivery=nonneg, t_map_page=nonneg,
+      t_hash_per_byte=nonneg, t_syscall_base=nonneg, t_ctxswitch_base=nonneg)
 class CostModel:
     """Simulated durations, all integer ticks (1 tick = 1 ns)."""
 
@@ -170,13 +167,8 @@ class CostModel:
     t_syscall_base: Ticks = 0
     t_ctxswitch_base: Ticks = 0
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"cost {name} must be >= 0")
 
-
-@dataclass(frozen=True)
+@spec(kind=one_of(*STRATEGY_KINDS), batch_k=positive)
 class StrategyConfig:
     """Which checker runs: none, per-VMExit batches, or forced sweeps."""
 
@@ -185,31 +177,22 @@ class StrategyConfig:
     schedule: Optional[FiringSchedule] = None
 
     def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigurationError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == STRATEGY_HRK and self.batch_k < 1:
-            raise ConfigurationError("batch_k must be >= 1")
+        check_bounds(self)
         if self.kind == STRATEGY_HF and self.schedule is None:
             raise ConfigurationError("hf strategy requires a firing schedule")
 
 
-@dataclass(frozen=True)
+@spec(page_count=positive, page_size=page_size_problem)
 class MachineSpec:
     page_count: int
     page_size: int = 4096
 
 
-@dataclass(frozen=True)
+@spec(count=positive, size_bytes=positive, placement=one_of("spread", "packed"))
 class ObjectsSpec:
     count: int
     size_bytes: int
     placement: str = "spread"  # spread: one object per page; packed: contiguous
-
-    def __post_init__(self):
-        if self.count < 1 or self.size_bytes < 1:
-            raise ConfigurationError("objects count and size_bytes must be >= 1")
-        if self.placement not in ("spread", "packed"):
-            raise ConfigurationError(f"unknown placement {self.placement!r}")
 
 
 @dataclass(frozen=True)
@@ -688,8 +671,9 @@ class _ScenarioRun:
                     self._refresh_object_state(oid, now)
         elif action == _ACT_IDT:
             vector, handler = payload[2], payload[3]
-            result = self.machine.set_idt_entry(vector, handler, self.registry, now=now)
-            self._account_write(outcome, result, now)
+            if vector < self.machine.idtr.vector_count:  # else a moved IDT has no such entry
+                result = self.machine.set_idt_entry(vector, handler, self.registry, now=now)
+                self._account_write(outcome, result, now)
         elif action == _ACT_IDTR:
             base, limit = payload[2], payload[3]
             if limit is None:

@@ -6,6 +6,9 @@ transient attacker models mimicry: it makes an object dirty inside scripted
 windows and restores the exact baseline bytes at window end. When it knows
 the check schedule (only possible against a guest-visible device) it clips
 its dirty windows to be clean around every known firing.
+
+Each attack spec states its fields' bounds in ``bounds`` for the config; a sweep
+builds hundreds of tampers, so only a transient tamper's windows are checked when built.
 """
 
 from __future__ import annotations
@@ -14,13 +17,25 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .errors import ConfigurationError
+from .errors import byte, nonneg, positive, require
 from .timebase import Ticks
 
 
 class ScheduleKnowledge(enum.Enum):
     NONE = "none"
     GUEST_VISIBLE_ONLY = "guest_visible"
+
+
+def windows_problem(windows: tuple[tuple[Ticks, Ticks], ...]) -> Optional[str]:
+    """Why `windows` cannot be a transient tamper's dirty windows, or None if it can."""
+    prev_end = None
+    for start, end in windows:
+        if end <= start:
+            return f"empty dirty window ({start}, {end})"
+        if prev_end is not None and start < prev_end:
+            return "dirty windows must be ordered and disjoint"
+        prev_end = end
+    return None
 
 
 @dataclass(frozen=True)
@@ -37,6 +52,7 @@ class PersistentTamper:
     xor_mask: int = 0xFF
 
     kind = "persistent"
+    bounds = dict(object_index=nonneg, at=nonneg, offset=nonneg, xor_mask=byte)
 
 
 @dataclass(frozen=True)
@@ -50,23 +66,10 @@ class TransientTamper:
     xor_mask: int = 0xFF
 
     kind = "transient"
+    bounds = dict(object_index=nonneg, windows=windows_problem, offset=nonneg, xor_mask=byte)
 
     def __post_init__(self):
-        problem = windows_problem(self.windows)
-        if problem is not None:
-            raise ConfigurationError(problem)
-
-
-def windows_problem(windows: tuple[tuple[Ticks, Ticks], ...]) -> Optional[str]:
-    """Why `windows` cannot be a transient tamper's dirty windows, or None if it can."""
-    prev_end = None
-    for start, end in windows:
-        if end <= start:
-            return f"empty dirty window ({start}, {end})"
-        if prev_end is not None and start < prev_end:
-            return "dirty windows must be ordered and disjoint"
-        prev_end = end
-    return None
+        require("windows", windows_problem(self.windows))
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,7 @@ class CodeTamper:
     payload: bytes = b"\xcc"
 
     kind = "code"
+    bounds = dict(offset=nonneg, at=nonneg)
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,7 @@ class IdtTamper:
     at: Ticks
 
     kind = "idt"
+    bounds = dict(vector=nonneg, new_handler=nonneg, at=nonneg)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,7 @@ class IdtrTamper:
     new_limit: Optional[int] = None
 
     kind = "idtr"
+    bounds = dict(new_base=nonneg, at=nonneg)
 
 
 @dataclass(frozen=True)
@@ -117,6 +123,8 @@ class SweepSpec:
     object_stride: int = 1
 
     kind = "persistent_sweep"
+    bounds = dict(count=positive, start=nonneg, step=nonneg, object_start=nonneg,
+                  object_stride=positive)
 
     def expand(self, object_count: int) -> list[PersistentTamper]:
         return [

@@ -13,7 +13,7 @@ from conftest import assert_conservation, fnv1a64_ref, make_setup
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text
 from hfsim.guest import GuestMachine
-from hfsim.hypervisor import FiringSchedule, ProtectionRegistry
+from hfsim.hypervisor import FiringSchedule, ProtectionRegistry, ScheduleMode
 from hfsim.integrity import check_all, check_batch, compute_digest, snapshot_baselines
 from hfsim.simulation import CostModel, StrategyConfig, WorkloadSpec, Arrival, run_scenario
 from hfsim.threat import (
@@ -166,7 +166,7 @@ def test_criterion_4_protection_supremacy():
     costs = CostModel()
     result = run_scenario(
         make_setup(count=2),
-        StrategyConfig(kind="hf", schedule=FiringSchedule.periodic(4 * SEC)),
+        StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, 4 * SEC)),
         WorkloadSpec(syscall_rate=0, ctxswitch_rate=0, arrival=Arrival.FIXED,
                      horizon=horizon_s * SEC),
         attacks, costs, seed=4,
@@ -244,7 +244,7 @@ def test_criterion_5_mimicry_experiment():
     total_detections = 0
     for trial in range(trials):
         result, n_firings, dirty = _mimicry_trial(
-            trial, FiringSchedule.guest_visible(_PERIOD_S * SEC)
+            trial, FiringSchedule(ScheduleMode.GUEST_VISIBLE, _PERIOD_S * SEC)
         )
         assert n_firings == _CELLS
         total_detections += len(result.detections) + dirty
@@ -258,7 +258,8 @@ def test_criterion_5_mimicry_experiment():
     oracle_sum = 0.0
     for trial in range(trials):
         result, n_firings, dirty = _mimicry_trial(
-            trial, FiringSchedule.jittered(_PERIOD_S * SEC, _JITTER_S * SEC, seed=trial)
+            trial, FiringSchedule(ScheduleMode.PERIODIC_JITTERED, _PERIOD_S * SEC,
+                                  _JITTER_S * SEC, seed=trial)
         )
         if trial < 5:
             assert_conservation(result)

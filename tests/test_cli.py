@@ -164,6 +164,27 @@ def test_no_partial_report_on_run_failure(small_cfg, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_repeats_override_is_judged_by_the_run_sections_bound(small_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(small_cfg), "--out", str(out), "--repeats", "-1"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error:", "  --repeats: must be > 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("default_section", ["[DEFAULT]\n", "[DEFAULT]\noffset = 3\n"],
+                         ids=["empty", "with_key"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_default_section_exits_2_with_one_problem(command, default_section, tmp_path, capsys):
+    cfg = tmp_path / "default.cfg"
+    cfg.write_text(default_section + _load_config_text("paper_hrk.cfg")[0])
+    out = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out)] if command == "run" else [])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error:", "  [DEFAULT]: unknown section",
+    ]
+    assert not out.exists()
+
+
 def test_engine_level_inconsistency_is_config_error(tmp_path, capsys):
     # the IDT has no vector 100: the engine's attack check rejects it
     cfg = tmp_path / "bad_vector.cfg"
@@ -334,11 +355,17 @@ def _config_texts(draw):
     if draw(st.booleans()):
         parts.append("[run]\n" + optional("repeats", st.integers(1, 2))
                      + optional("seed", st.integers(0, 99)))
+    if draw(st.integers(0, 7)) == 0:  # configparser's own section, which is rejected
+        parts.insert(draw(st.integers(0, len(parts))),
+                     "[DEFAULT]\n" + optional("offset", st.integers(0, 3)))
     return "\n".join(parts)
 
 
 @settings(max_examples=40, deadline=None)
 @given(text=_config_texts())
+@example(text=SMALL.replace("repeats = 3", "repeats = 1") + "\n[attack shrink]\nkind = idtr\n"
+         "new_base = 0\nnew_limit = 0\nat_s = 0\n\n[attack past]\nkind = idt\nvector = 0\n"
+         "new_handler = 0\nat_s = 0\n")
 def test_a_drawn_config_round_trips_and_validates_as_it_runs(text):
     try:
         config = parse_config_text(text)

@@ -1,5 +1,6 @@
 """Config parsing, strict validation, canonical serialization, digests."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hfsim.cli import _load_config_text, bundled_config_names
 from hfsim.config import (
     _ATTACKS,
     _REQUIRED,
+    _SECTIONS,
     config_digest,
     parse_config_text,
     serialize_config,
@@ -269,6 +271,22 @@ def _readme_attack_keys() -> dict:
     return documented
 
 
+def _readme_fixed_keys() -> dict:
+    """{section: [(key, default text or None)]} from README's config example, fixed sections."""
+    example = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, keys = {}, None
+    for line in example.splitlines():
+        text, _, comment = line.partition("#")
+        if line.startswith("["):
+            section = text.strip()[1:-1]
+            keys = documented.setdefault(section, []) if section in _SECTIONS else None
+            every = re.search(r"every key optional, default (\w+)", comment)
+        elif keys is not None and " = " in text:
+            default = re.search(r"optional, default ([^;\s]+)", comment) or every
+            keys.append((text.split(" = ")[0].strip(), default and default[1]))
+    return documented
+
+
 def test_readme_attack_table_lists_each_kinds_keys_and_defaults():
     documented = _readme_attack_keys()
     assert list(documented) == list(_ATTACKS)
@@ -278,3 +296,88 @@ def test_readme_attack_table_lists_each_kinds_keys_and_defaults():
             assert (text is None) == (default is _REQUIRED), key
             if default is not _REQUIRED and default is not None:
                 assert text == fmt(default), key
+    # and the config example's `# optional, default X` comments, section by section
+    documented = _readme_fixed_keys()
+    assert list(documented) == list(_SECTIONS)
+    for section, (_, table) in _SECTIONS.items():
+        assert [key for key, _ in documented[section]] == [row[0] for row in table], section
+        for (key, text), (_, _, _, default, _, fmt) in zip(documented[section], table):
+            assert (text is None) == (default is _REQUIRED), key
+            if default is not _REQUIRED:
+                assert text == fmt(default), key
+
+
+# a config that sets every key of the fixed sections that has a bound
+_BOUNDED = """
+[machine]
+page_count = 4096
+page_size = 4096
+
+[objects]
+count = 4
+size_bytes = 64
+placement = spread
+
+[workload]
+syscall_rate = 10
+ctxswitch_rate = 0
+horizon_s = 5
+
+[costs]
+t_vmexit_us = 25
+t_vmentry_us = 15
+t_interrupt_delivery_us = 100
+t_map_page_us = 35
+t_hash_per_byte_ns = 180
+t_syscall_base_us = 0.1
+t_ctxswitch_base_us = 5
+
+[strategy main]
+kind = baseline
+
+[run]
+repeats = 1
+"""
+
+# raw values for each bounded key of _BOUNDED, on both sides of its bound, none of
+# which breaks a rule that spans sections
+_PROBES = {
+    "machine.page_count": ["-1", "0", "4096"],
+    "machine.page_size": ["-64", "0", "32", "100", "64", "4096"],
+    "objects.count": ["-1", "0", "1", "4"],
+    "objects.size_bytes": ["-1", "0", "1", "64"],
+    "objects.placement": ["spread", "packed", "diagonal"],
+    "workload.syscall_rate": ["-1", "-0.5", "0", "2.5"],
+    "workload.ctxswitch_rate": ["-1", "0", "3"],
+    "workload.horizon_s": ["-1", "0", "0.5"],
+    **{f"costs.{key}": ["-1", "0", "2.5"] for key in (
+        "t_vmexit_us", "t_vmentry_us", "t_interrupt_delivery_us", "t_map_page_us",
+        "t_syscall_base_us", "t_ctxswitch_base_us")},
+    "costs.t_hash_per_byte_ns": ["-1", "0", "3"],
+    "run.repeats": ["-1", "0", "1", "2"],
+}
+
+
+def test_every_bounded_fixed_key_is_probed():
+    bounded = {f"{section}.{row[0]}" for section, (_, table) in _SECTIONS.items()
+               for row in table if row[4] is not None}
+    assert bounded == set(_PROBES)
+
+
+@pytest.mark.parametrize("key, raw", [(key, raw) for key, raws in _PROBES.items()
+                                      for raw in raws])
+def test_config_and_direct_constructor_agree_on_each_bound(key, raw):
+    section, name = key.split(".")
+    _, field, parse, _, _, _ = next(row for row in _SECTIONS[section][1] if row[0] == name)
+    try:
+        parse_config_text(re.sub(rf"^{name} = .*$", f"{name} = {raw}", _BOUNDED, flags=re.M))
+        rejected = False
+    except ConfigFileError as exc:
+        rejected = key in dict(exc.problems)
+    base = parse_config_text(_BOUNDED)
+    spec = base if section == "run" else getattr(base, section)
+    if rejected:
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(spec, **{field: parse(raw)})
+    else:
+        assert getattr(dataclasses.replace(spec, **{field: parse(raw)}), field) == parse(raw)

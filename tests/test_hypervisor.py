@@ -87,12 +87,12 @@ def test_unlocked_module_page_allows_handler_self_write():
 # ---------------------------------------------------------------------------
 
 def test_periodic_firings():
-    sched = FiringSchedule.periodic(4 * SEC)
+    sched = FiringSchedule(ScheduleMode.PERIODIC, 4 * SEC)
     assert sched.firing_times(13 * SEC) == [4 * SEC, 8 * SEC, 12 * SEC]
 
 
 def test_jittered_firings_deterministic_and_within_bounds():
-    sched = FiringSchedule.jittered(4 * SEC, 1 * SEC, seed=7)
+    sched = FiringSchedule(ScheduleMode.PERIODIC_JITTERED, 4 * SEC, 1 * SEC, seed=7)
     times = sched.firing_times(40 * SEC)
     assert times == sched.firing_times(40 * SEC)
     # oracle: regenerate from the documented seeded-uniform formula
@@ -110,21 +110,22 @@ def test_jittered_firings_deterministic_and_within_bounds():
 
 
 def test_jittered_different_salt_differs():
-    sched = FiringSchedule.jittered(4 * SEC, 1 * SEC, seed=7)
+    sched = FiringSchedule(ScheduleMode.PERIODIC_JITTERED, 4 * SEC, 1 * SEC, seed=7)
     assert sched.firing_times(40 * SEC, salt=1) != sched.firing_times(40 * SEC, salt=2)
 
 
 def test_zero_period_rejected():
     with pytest.raises(ConfigurationError):
-        FiringSchedule.periodic(0)
+        FiringSchedule(ScheduleMode.PERIODIC, 0)
     with pytest.raises(ConfigurationError):
-        FiringSchedule.jittered(4 * SEC, 4 * SEC, 1)  # J must be < period
+        FiringSchedule(ScheduleMode.PERIODIC_JITTERED, 4 * SEC, 4 * SEC, 1)  # J must be < period
 
 
 def test_guest_visible_flag():
-    assert FiringSchedule.guest_visible(SEC).guest_visible_times
-    assert not FiringSchedule.periodic(SEC).guest_visible_times
-    assert FiringSchedule.guest_visible(SEC).firing_times(3 * SEC) == [SEC, 2 * SEC, 3 * SEC]
+    assert FiringSchedule(ScheduleMode.GUEST_VISIBLE, SEC).guest_visible_times
+    assert not FiringSchedule(ScheduleMode.PERIODIC, SEC).guest_visible_times
+    visible = FiringSchedule(ScheduleMode.GUEST_VISIBLE, SEC)
+    assert visible.firing_times(3 * SEC) == [SEC, 2 * SEC, 3 * SEC]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import assert_conservation, event_order_ref, make_setup, run_per_event_ref
 from hfsim import integrity
 from hfsim.errors import ConfigurationError
-from hfsim.hypervisor import FiringSchedule
+from hfsim.hypervisor import FiringSchedule, ScheduleMode
 from hfsim.simulation import (
     Arrival,
     CostModel,
@@ -34,7 +34,8 @@ def _workload(horizon_s=10, syscall_rate=0.0, ctx_rate=0.0, arrival=Arrival.FIXE
 
 
 def _hf(period_s=4):
-    return StrategyConfig(kind="hf", schedule=FiringSchedule.periodic(period_s * SEC))
+    return StrategyConfig(kind="hf",
+                          schedule=FiringSchedule(ScheduleMode.PERIODIC, period_s * SEC))
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +157,8 @@ _FIRING_PERIOD = SEC // 4
 _ORDER_STRATEGIES = {
     "baseline": StrategyConfig(kind="baseline"),
     "hrk": StrategyConfig(kind="hrk", batch_k=2),
-    "hf": StrategyConfig(kind="hf", schedule=FiringSchedule.periodic(_FIRING_PERIOD)),
+    "hf": StrategyConfig(kind="hf",
+                         schedule=FiringSchedule(ScheduleMode.PERIODIC, _FIRING_PERIOD)),
 }
 
 
@@ -258,9 +260,11 @@ _engine_strategies = st.sampled_from(["hrk", "hrk", "baseline", "hf", "hf_jitter
         "hrk": st.builds(StrategyConfig, kind=st.just("hrk"), batch_k=st.integers(1, 10)),
         "baseline": st.just(StrategyConfig(kind="baseline")),
         "hf": st.builds(StrategyConfig, kind=st.just("hf"),
-                        schedule=_period.map(FiringSchedule.periodic)),
+                        schedule=_period.map(
+                            lambda period: FiringSchedule(ScheduleMode.PERIODIC, period))),
         "hf_jittered": st.builds(StrategyConfig, kind=st.just("hf"), schedule=st.builds(
-            FiringSchedule.jittered, _period, st.integers(0, 19).map(_ms), st.integers(0, 9))),
+            FiringSchedule, st.just(ScheduleMode.PERIODIC_JITTERED), _period,
+            st.integers(0, 19).map(_ms), st.integers(0, 9))),
     }[kind]
 )
 _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_map_page=100,

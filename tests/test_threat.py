@@ -4,7 +4,7 @@ import pytest
 
 from conftest import assert_conservation, make_setup
 from hfsim.errors import ConfigurationError
-from hfsim.hypervisor import FiringSchedule
+from hfsim.hypervisor import FiringSchedule, ScheduleMode
 from hfsim.simulation import (
     Arrival,
     CostModel,
@@ -33,7 +33,8 @@ def _workload(horizon_s=10, syscall_rate=0.0, ctx_rate=0.0, arrival=Arrival.FIXE
 
 
 def _hf(period_s=4):
-    return StrategyConfig(kind="hf", schedule=FiringSchedule.periodic(period_s * SEC))
+    return StrategyConfig(kind="hf",
+                          schedule=FiringSchedule(ScheduleMode.PERIODIC, period_s * SEC))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_persistent_tamper_under_baseline_strategy_evades():
 def test_visible_schedule_evasion_is_never_detected():
     setup = make_setup(count=2)
     strategy = StrategyConfig(
-        kind="hf", schedule=FiringSchedule.guest_visible(4 * SEC)
+        kind="hf", schedule=FiringSchedule(ScheduleMode.GUEST_VISIBLE, 4 * SEC)
     )
     windows = tuple((s * SEC, e * SEC) for s, e in [(3, 5), (7, 9), (11, 13)])
     script = TransientTamper(object_index=0, windows=windows,
@@ -120,7 +121,8 @@ def test_hidden_schedule_defeats_the_same_evasion_attacker():
     # the attacker gets no firing times, windows stay unclipped, checks sample dirty state
     setup = make_setup(count=2)
     strategy = StrategyConfig(
-        kind="hf", schedule=FiringSchedule.jittered(4 * SEC, 1 * SEC, seed=5)
+        kind="hf",
+        schedule=FiringSchedule(ScheduleMode.PERIODIC_JITTERED, 4 * SEC, 1 * SEC, seed=5),
     )
     windows = tuple((s * SEC, e * SEC) for s, e in [(3, 5), (7, 9), (11, 13)])
     script = TransientTamper(object_index=0, windows=windows,
@@ -133,8 +135,8 @@ def test_hidden_schedule_defeats_the_same_evasion_attacker():
 
 def test_window_avoiding_every_firing_evades_both_schedules():
     # dirty window strictly inside one period, overlapping no firing instant
-    for schedule in (FiringSchedule.periodic(4 * SEC),
-                     FiringSchedule.guest_visible(4 * SEC)):
+    for schedule in (FiringSchedule(ScheduleMode.PERIODIC, 4 * SEC),
+                     FiringSchedule(ScheduleMode.GUEST_VISIBLE, 4 * SEC)):
         result = run_scenario(
             make_setup(count=2),
             StrategyConfig(kind="hf", schedule=schedule),
@@ -234,6 +236,19 @@ def test_idtr_tamper_detected_within_period_plus_sweep():
     # moving the IDTR subverts dispatch: the handler check catches it
     assert result.detections[0].target in ("idtr", "handler")
     assert result.detections[0].tamper_time == 1 * SEC
+
+
+def test_idt_write_past_a_moved_idts_end_attempts_nothing():
+    # the IDTR tamper leaves a table without vector 0, so the IDT write has no entry
+    result = run_scenario(
+        make_setup(count=2), StrategyConfig(kind="baseline"), _workload(10),
+        [("idtr", IdtrTamper(new_base=0, new_limit=0, at=1 * SEC)),
+         ("idt", IdtTamper(vector=0, new_handler=0x40, at=1 * SEC))],
+        CostModel(), seed=1,
+    )
+    idtr, idt = result.attack_outcomes
+    assert idtr.applied == 1
+    assert (idt.attempted, idt.applied, idt.trapped) == (0, 0, 0)
 
 
 def test_idtr_restore_to_original_is_no_violation():

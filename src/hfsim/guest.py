@@ -11,13 +11,12 @@ never written read as zeros. A machine's kernel objects are one layout of
 equal-length objects at a fixed stride, less than a page apart, registered
 once; finding objects and counting the pages of a range of them is
 arithmetic, whatever their number.
-Every applied write also records, in id order, which registered objects it
-touched, so checkers can skip objects whose bytes cannot have changed.
+Every applied write also adds the objects it overlaps to `written`, which
+the baseline table drains; no other object has changed since its last drain.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -35,6 +34,17 @@ def page_size_problem(page_size: int) -> Optional[str]:
     if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1) != 0:
         return f"must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}"
     return None
+
+
+def handler_problem(handler_addr: int) -> Optional[str]:
+    """Why `handler_addr` cannot be an IDT entry's handler, or None if it can."""
+    return None if 0 <= handler_addr < 1 << 64 else "does not fit in 8 bytes"
+
+
+def idtr_limit_problem(limit: int) -> Optional[str]:
+    """Why `limit` cannot be an IDTR limit, or None if it can."""
+    whole = limit >= 0 and limit % IDT_ENTRY_SIZE == 0
+    return None if whole else f"must be a non-negative multiple of {IDT_ENTRY_SIZE}"
 
 
 @dataclass(frozen=True)
@@ -145,11 +155,7 @@ class GuestMachine:
         self.idtr = Idtr(0, 0)  # unset sentinel
         self.objects = _NO_OBJECTS  # replaced once, by register_kernel_object
         self.module: Optional[ModuleRegion] = None
-        # ids of objects any applied write has overlapped, as a set and
-        # sorted; an object outside it still holds the bytes it had when
-        # registered
-        self.touched: set[int] = set()
-        self.touched_ids: list[int] = []
+        self.written: set[int] = set()  # ids of objects written since the last fold
 
     # ------------------------------------------------------------------
     # memory access
@@ -221,10 +227,7 @@ class GuestMachine:
             if page is None:
                 page = self._pages[index] = bytearray(self.page_size)
             page[offset : offset + n] = data[pos : pos + n]
-        for oid in self.objects_overlapping(addr, len(data)):
-            if oid not in self.touched:
-                self.touched.add(oid)
-                insort(self.touched_ids, oid)
+        self.written.update(self.objects_overlapping(addr, len(data)))
 
     def _classify_write(self, addr: int, length: int) -> TrapKind:
         end = addr + length
@@ -246,10 +249,7 @@ class GuestMachine:
         A register write traps nothing, so an attacker moving the table is
         applied silently and only caught later by the IDTR baseline check.
         """
-        if limit < 0 or limit % IDT_ENTRY_SIZE != 0:
-            raise ConfigurationError(
-                f"idtr limit must be a non-negative multiple of {IDT_ENTRY_SIZE}"
-            )
+        require("idtr limit", idtr_limit_problem(limit))
         self._check_range(base, limit)
         self.idtr = Idtr(base, limit)
 
@@ -282,8 +282,7 @@ class GuestMachine:
         applies.
         """
         entry_addr = self._vector_addr(vector)
-        if handler_addr < 0 or handler_addr >= 1 << 64:
-            raise ConfigurationError("handler address does not fit in 8 bytes")
+        require("handler address", handler_problem(handler_addr))
         encoded = handler_addr.to_bytes(IDT_ENTRY_SIZE, "little")
         if privileged:
             self.privileged_write(entry_addr, encoded)

@@ -7,17 +7,18 @@ or over a round-robin batch per call (the in-hypervisor path). The hash is
 64-bit FNV-1a behind a pluggable digest function; digest-collision forgery
 is out of scope for this model.
 
-A check costs O(touched objects in its range), not O(objects checked).
-The guest keeps the sorted ids of every object a write has touched; an
-untouched object still holds its baseline bytes, so only touched objects
-are rehashed. Every object has the layout's one length, so the simulated
-hash cost and each violation's timestamp are that length times a count
-of objects, never a walk over the range.
+A check costs O(diverged objects in its range), not O(objects checked).
+The table folds in each object the guest writes, digesting it once per
+write, and keeps those whose digest now differs from their baseline; a
+check reads their ids and computes no digest. Every object has the
+layout's one length, so the simulated hash cost and each violation's
+timestamp are that length times a count of objects, never a walk over
+the range.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -99,10 +100,12 @@ class _Baselines(Mapping):
 
 
 class BaselineTable:
-    """Per-object baseline digests plus the round-robin check cursor.
+    """Per-object baseline digests, the diverged objects, and the round-robin cursor.
 
-    Objects are checked in id order. An object the guest has not touched
-    since the snapshot is taken to still match its baseline digest.
+    Objects are checked in id order. `diverged` maps each object whose
+    digest differs from its baseline to its current digest, and
+    `diverged_ids` holds its ids sorted. A machine feeds one live table:
+    folding drains the machine's `written`, which no other table then sees.
     """
 
     def __init__(
@@ -115,16 +118,31 @@ class BaselineTable:
         self.idtr_baseline = idtr_baseline
         self.digest_fn = digest_fn
         self.cursor = 0
+        self.diverged: dict[int, int] = {}
+        self.diverged_ids: list[int] = []
 
     def __len__(self) -> int:
         return len(self.entries)
 
+    def fold(self, machine: "GuestMachine") -> list[int]:
+        """Digest the objects written since the last fold; return the diverged ids."""
+        for oid in machine.written:
+            obj = machine.objects[oid]
+            digest = self.digest_fn(machine.read(obj.addr, obj.length))
+            if digest != self.entries[oid]:
+                if oid not in self.diverged:
+                    insort(self.diverged_ids, oid)
+                self.diverged[oid] = digest
+            elif self.diverged.pop(oid, None) is not None:
+                del self.diverged_ids[bisect_left(self.diverged_ids, oid)]
+        machine.written.clear()
+        return self.diverged_ids
+
     def current_digest(self, machine: "GuestMachine", object_id: int) -> int:
-        """Digest of the object's current bytes; untouched objects are not read."""
-        if object_id not in machine.touched:
-            return self.entries[object_id]
-        obj = machine.objects[object_id]
-        return self.digest_fn(machine.read(obj.addr, obj.length))
+        """Digest of the object's current bytes: its diverged digest, else its baseline."""
+        self.fold(machine)
+        digest = self.diverged.get(object_id)
+        return self.entries[object_id] if digest is None else digest
 
 
 def snapshot_baselines(
@@ -152,6 +170,7 @@ def snapshot_baselines(
     for oid in sorted(machine.objects_on_written_pages()):
         obj = layout[oid]
         overrides[oid] = digest(machine.read(obj.addr, obj.length))
+    machine.written.clear()  # writes made so far are in the baselines
     n, length = layout.count, layout.length
     return BaselineTable(
         entries=_Baselines(digest(bytes(length)), overrides, n),
@@ -172,28 +191,31 @@ def verify_idtr(
     )
 
 
-def _check_ids(
-    machine: "GuestMachine",
-    table: BaselineTable,
-    start: int,
-    stop: int,
-    time_at_start: Ticks,
-    ticks_per_object: Ticks,
-    violations: list,
-) -> None:
-    """Rehash the touched objects with ids in [start, stop).
+def _check_window(
+    machine: "GuestMachine", table: BaselineTable, start: int, k: int,
+    hash_ticks_per_byte: Ticks, now: Ticks,
+) -> CheckReport:
+    """Check the k objects from id `start` on, wrapping past the last id to id 0.
 
-    A violation is stamped when its object's hash ends: `time_at_start`
-    plus the hash time of every object from `start` up to and including it.
+    They hash in that order from `now`, and a violation is stamped when its
+    object's hash ends. Whenever the window covers the last id a cycle has
+    completed and the IDTR rides along as a pseudo-object.
     """
-    touched = machine.touched_ids
-    for i in range(bisect_left(touched, start), bisect_left(touched, stop)):
-        oid = touched[i]
-        found = table.current_digest(machine, oid)
-        expected = table.entries[oid]
-        if found != expected:
-            time = time_at_start + (oid + 1 - start) * ticks_per_object
-            violations.append(Violation(target=oid, expected=expected, found=found, time=time))
+    n, end = len(table), start + k
+    per_object = machine.objects.length * hash_ticks_per_byte
+    report = CheckReport(objects_checked=k, duration=k * per_object, cycle_completed=end >= n)
+    diverged = table.fold(machine)
+    # the diverged ids in [start, n), then in [0, end - n) past the wrap
+    for lo, hi, first in ((start, min(end, n), start), (0, end - n, start - n)):
+        for oid in diverged[bisect_left(diverged, lo):bisect_left(diverged, hi)]:
+            report.violations.append(Violation(
+                target=oid, expected=table.entries[oid],
+                found=table.current_digest(machine, oid),
+                time=now + (oid + 1 - first) * per_object,
+            ))
+    if report.cycle_completed and (idtr := verify_idtr(machine, table, now + report.duration)):
+        report.violations.append(idtr)
+    return report
 
 
 def check_batch(
@@ -205,26 +227,12 @@ def check_batch(
 ) -> CheckReport:
     """Check the next k objects from the cursor (wrapping), advance it.
 
-    k saturates at the object count, so k >= N is one full pass. Whenever
-    the batch covers the last object in id order a cycle has completed and
-    the IDTR rides along as a pseudo-object.
+    k saturates at the object count, so k >= N is one full pass.
     """
     require("batch size", positive(k))
-    n = len(table)
-    k_eff = min(k, n)
-    cursor, end = table.cursor, table.cursor + k_eff
-    per_object = machine.objects.length * hash_ticks_per_byte
-    report = CheckReport(objects_checked=k_eff, duration=k_eff * per_object,
-                         cycle_completed=end >= n)
-    _check_ids(machine, table, cursor, min(end, n), now, per_object, report.violations)
-    if end > n:  # the batch wraps to id 0 once the tail's objects are hashed
-        _check_ids(machine, table, 0, end - n, now + (n - cursor) * per_object,
-                   per_object, report.violations)
-    if report.cycle_completed:
-        violation = verify_idtr(machine, table, now=now + report.duration)
-        if violation is not None:
-            report.violations.append(violation)
-    table.cursor = end % n
+    k = min(k, len(table))
+    report = _check_window(machine, table, table.cursor, k, hash_ticks_per_byte, now)
+    table.cursor = (table.cursor + k) % len(table)
     return report
 
 
@@ -235,11 +243,4 @@ def check_all(
     now: Ticks = 0,
 ) -> CheckReport:
     """Check every object once plus the IDTR; the cursor is untouched."""
-    n = len(table)
-    per_object = machine.objects.length * hash_ticks_per_byte
-    report = CheckReport(objects_checked=n, duration=n * per_object, cycle_completed=True)
-    _check_ids(machine, table, 0, n, now, per_object, report.violations)
-    violation = verify_idtr(machine, table, now=now + report.duration)
-    if violation is not None:
-        report.violations.append(violation)
-    return report
+    return _check_window(machine, table, 0, len(table), hash_ticks_per_byte, now)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__
@@ -80,8 +82,38 @@ def build_report(config: ScenarioConfig, results: dict) -> dict:
     }
 
 
+def _to_json(value, pad: str) -> str:
+    """`value` as json.dumps(value, sort_keys=True, indent=2) writes it after `pad`.
+
+    `pad` is a newline and the indent of the line `value` starts on. Each
+    exact str, int, finite float, bool, None, dict with str keys, list and
+    tuple is written here; json.dumps writes nan, infinities and the rest.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = pad + "  "
+    if kind is dict and value and all(type(key) is str for key in value):
+        items = [encode_basestring_ascii(key) + ": " + _to_json(value[key], inner)
+                 for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if (kind is list or kind is tuple) and value:
+        items = [_to_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+
+
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) + newline, without its pure-Python encoder."""
+    return _to_json(report, "\n") + "\n"
 
 
 def render_text(report: dict, include_attacks: bool = True) -> str:

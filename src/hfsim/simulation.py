@@ -43,6 +43,7 @@ from .errors import (
     ConfigFileError, ConfigurationError, check_bounds, nonneg, one_of, positive, spec,
 )
 from .guest import IDT_ENTRY_SIZE, GuestMachine, page_size_problem
+from .guest import handler_problem, idtr_limit_problem
 from .hypervisor import (
     FiringSchedule,
     ProtectionRegistry,
@@ -289,17 +290,14 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
             if not 0 <= script.vector < IDT_VECTORS:
                 problems.append((f"{key}.vector", f"vector {script.vector} outside "
                                  f"the IDT of {IDT_VECTORS} entries"))
-            elif not 0 <= script.new_handler < 1 << 64:
-                problems.append((f"{key}.new_handler", "does not fit in 8 bytes"))
+            elif problem := handler_problem(script.new_handler):
+                problems.append((f"{key}.new_handler", problem))
             continue
         elif isinstance(script, threat.IdtrTamper):
             target = IDTR_TARGET
-            limit = script.new_limit
-            if limit is None:
-                limit = IDT_VECTORS * IDT_ENTRY_SIZE
-            elif limit < 0 or limit % IDT_ENTRY_SIZE:
-                problems.append((f"{key}.new_limit", "must be a non-negative "
-                                 f"multiple of {IDT_ENTRY_SIZE}"))
+            limit = IDT_VECTORS * IDT_ENTRY_SIZE if script.new_limit is None else script.new_limit
+            if problem := idtr_limit_problem(limit):
+                problems.append((f"{key}.new_limit", problem))
                 continue
             if not 0 <= script.new_base <= memory - limit:
                 problems.append((f"{key}.new_base", f"IDTR [{script.new_base}, "
@@ -594,9 +592,9 @@ class _ScenarioRun:
         """Run the VMExits of the workload arrivals that come before `before` (hrk).
 
         Each arrival's control-register write exits to a check of the next
-        min(k, n) objects. Only attacks write, so the touched ids and the
+        min(k, n) objects. Only attacks write, so the diverged ids and the
         IDTR stand still within a drain. A window [cursor, stop) that holds
-        no touched id, and completes no cycle while the IDTR is moved,
+        no diverged id, and completes no cycle while the IDTR is moved,
         finds nothing: it only maps its pages and moves the cursor.
         `on_control_register_write` checks every other window.
         """
@@ -634,12 +632,12 @@ class _ScenarioRun:
         table.cursor = cursor
 
     def _dirty_at(self, cursor: int) -> Union[int, float]:
-        """The first touched id at or past `cursor`, unrolled across the wrap."""
-        touched = self.machine.touched_ids
-        i = bisect_left(touched, cursor)
-        if i < len(touched):
-            return touched[i]
-        return touched[0] + len(self.table) if touched else math.inf
+        """The first diverged id at or past `cursor`, unrolled across the wrap."""
+        diverged = self.table.fold(self.machine)
+        i = bisect_left(diverged, cursor)
+        if i < len(diverged):
+            return diverged[i]
+        return diverged[0] + len(self.table) if diverged else math.inf
 
     def _on_firing(self, now: Ticks, payload: tuple) -> None:
         self.counts["firings"] += 1

@@ -1,4 +1,4 @@
-"""Differential tests: the touched-set check engine and the layout
+"""Differential tests: the diverged-set check engine and the layout
 arithmetic against brute-force oracles.
 
 Each machine draws one object layout: objects up to two pages long, at a
@@ -70,24 +70,32 @@ _operations = st.lists(
     t_map=st.integers(0, 1000),
     operations=_operations,
 )
-# the IDTR moves, then a window with no touched object wraps: the IDTR
+# the IDTR moves, then a window with no diverged object wraps: the IDTR
 # still rides along and its violation is reported
 @example(layout=(16, 8, 8, 3), early_writes=[], phase=2, t_hash=3, t_map=7,
          operations=[("idtr", (8, 16)), ("batch", 2, 5), ("batch", 2, 5)])
-# a wrapping window whose only touched object lies past the wrap
+# a wrapping window whose only diverged object lies past the wrap
 @example(layout=(16, 8, 8, 3), early_writes=[], phase=2, t_hash=3, t_map=7,
          operations=[("write", 16, b"\x01"), ("batch", 2, 5)])
 # a transient write restored before the window that holds its object
 @example(layout=(64, 8, 8, 3), early_writes=[], phase=0, t_hash=3, t_map=7,
          operations=[("write", 73, b"\x01"), ("restore", 1), ("batch", 3, 5),
                      ("batch", 2, 5)])
+# a write that restores an object: the sweep after it finds nothing
+@example(layout=(64, 8, 8, 3), early_writes=[], phase=0, t_hash=3, t_map=7,
+         operations=[("write", 73, b"\x01"), ("sweep", 5), ("write", 73, b"\x00"),
+                     ("sweep", 5), ("batch", 3, 5)])
+# two writes that leave an object diverged with a new digest
+@example(layout=(64, 8, 8, 3), early_writes=[], phase=0, t_hash=3, t_map=7,
+         operations=[("write", 73, b"\x01"), ("batch", 3, 5), ("write", 74, b"\x02"),
+                     ("sweep", 5), ("batch", 3, 5)])
 def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_map,
                                          operations):
     base, stride, length, count = layout
     m = GuestMachine(PAGE_COUNT, PAGE_SIZE)
     m.set_idtr(IDT_BASE, IDT_LIMIT)
     m.register_kernel_object(base, length, count, stride)
-    for _, addr, data in early_writes:  # touched before the snapshot
+    for _, addr, data in early_writes:  # written before the snapshot
         m.privileged_write(addr, data)
     clean = {oid: m.read(obj.addr, obj.length) for oid, obj in m.objects.items()}
     table, ref = snapshot_baselines(m), snapshot_baselines(m)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hfsim import cli
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text, serialize_config
-from hfsim.report import build_report, diff_reports, render_text
+from hfsim.report import build_report, diff_reports, render_text, report_to_json
 from hfsim.errors import AddressError, ConfigFileError, ReportMismatchError
 from hfsim.guest import GuestMachine
 from hfsim.simulation import run_scenario
@@ -549,6 +550,28 @@ def test_render_text_contains_all_strategies(small_cfg):
     results = execute_config(cfg)
     text = render_text(build_report(cfg, results))
     assert "hrk" in text and "hf" in text and "boom" in text
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.text(), st.sampled_from(['"\\\n\t\x00\x7f', "\u00e9\u20ac\U0001f600"]),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children), st.dictionaries(st.integers(), children),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values)
+@example(value={"a": [(), {}, [1.5, -0.0, None, True]], "b": {"c": (math.nan, "\u00e9")}})
+def test_report_writer_matches_json_dumps(value):
+    assert report_to_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_run_with_100m_pages_writes_both_reports(tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_conservation, event_order_ref, make_setup, run_per_event_ref
-from hfsim import integrity
+from hfsim import integrity, simulation
 from hfsim.errors import ConfigurationError
 from hfsim.hypervisor import FiringSchedule, ScheduleMode
 from hfsim.simulation import (
@@ -281,15 +281,15 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
     attacks=_attack_specs, seed=st.integers(0, 1 << 16),
     traced=st.booleans(),
 )
-# the IDTR moves, then a window with no touched object completes a cycle
+# the IDTR moves, then a window with no diverged object completes a cycle
 @example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=200,
          attacks=[("idtr", 0, 25)], seed=0, traced=True)
-# a window ends the cycle exactly, short of the touched object 0; the next holds it
+# a window ends the cycle exactly, short of the diverged object 0; the next holds it
 @example(placement="spread", count=4, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
          attacks=[("persistent", 0, 15)], seed=0, traced=False)
-# a wrapping window whose only touched object lies past the wrap
+# a wrapping window whose only diverged object lies past the wrap
 @example(placement="packed", count=3, size=40, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
          attacks=[("persistent", 0, 15)], seed=0, traced=True)
@@ -297,6 +297,17 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
 @example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=1),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
          attacks=[("transient", 1, [5, 8])], seed=0, traced=False)
+# under hrk and under hf: a code write past the module page diverges
+# object 0 again with a new digest, then the transient's restore brings it
+# back to its baseline
+@example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=1),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("transient", 0, [5, 30]), ("code", 64, 15)], seed=0, traced=True)
+@example(placement="spread", count=3, size=8,
+         strategy=StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC,
+                                                                    _ms(10))),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("transient", 0, [5, 30]), ("code", 64, 15)], seed=0, traced=True)
 def test_drained_run_matches_the_per_event_loop(placement, count, size, strategy, arrival,
                                                 rates, horizon_ms, attacks, seed, traced):
     setup = make_setup(count=count, size_bytes=min(size, 64) if placement == "spread" else size,
@@ -435,7 +446,7 @@ _HRK_COSTS = CostModel(t_vmexit=10, t_vmentry=20, t_map_page=1000, t_hash_per_by
 
 
 def test_clean_hrk_run_checks_no_batch(monkeypatch):
-    # no object is ever touched, so no window needs a rehash, wrapping or not
+    # no object is ever written, so no window needs a check, wrapping or not
     cursors = _record_batch_checks(monkeypatch)
     result = run_scenario(
         make_setup(count=10), StrategyConfig(kind="hrk", batch_k=3),
@@ -460,6 +471,51 @@ def test_batch_check_runs_once_per_exit_whose_window_holds_a_touched_object(monk
     assert cursors == [s for s in starts if (target - s) % n < k]
     assert [d.target for d in result.detections] == [target]
     assert_conservation(result, _HRK_COSTS)
+
+
+def test_no_batch_check_runs_for_a_window_whose_object_was_restored(monkeypatch):
+    n, k, target = 10, 3, 4
+    cursors = _record_batch_checks(monkeypatch)
+    result = run_scenario(
+        make_setup(count=n), StrategyConfig(kind="hrk", batch_k=k),
+        _workload(2, syscall_rate=20),
+        [("t", TransientTamper(object_index=target, windows=((SEC, SEC * 6 // 5),)))],
+        _HRK_COSTS, seed=0,
+    )
+    # exits 20-23 (1-1.15 s) see the dirty object; exit 22 checks from
+    # cursor 3, the only one whose window holds it; the restore at 1.2 s
+    # precedes exit 24, and every later window that holds it is clean
+    assert cursors == [3]
+    assert [d.target for d in result.detections] == [target]
+    assert_conservation(result, _HRK_COSTS)
+
+
+@pytest.mark.parametrize("strategy", [StrategyConfig(kind="hrk", batch_k=3), _hf(period_s=1)],
+                         ids=["hrk", "hf"])
+def test_a_run_digests_each_written_object_once_per_write(strategy, monkeypatch):
+    digests = []
+    snapshot = simulation.snapshot_baselines
+
+    def counting_snapshot(machine, digest_fn=integrity.compute_digest):
+        def counting_digest(data):
+            digests.append(data)
+            return digest_fn(data)
+
+        table = snapshot(machine, digest_fn=counting_digest)
+        digests.clear()  # the snapshot's own digests are setup, not the run's
+        return table
+
+    monkeypatch.setattr(simulation, "snapshot_baselines", counting_snapshot)
+    result = run_scenario(
+        make_setup(count=10), strategy, _workload(10, syscall_rate=20),
+        [("p", PersistentTamper(object_index=4, at=SEC)),
+         ("t", TransientTamper(object_index=7, windows=((2 * SEC, 3 * SEC), (5 * SEC, 6 * SEC))))],
+        _HRK_COSTS, seed=0,
+    )
+    writes = sum(outcome.applied for outcome in result.attack_outcomes)  # one object each
+    assert writes == 5
+    assert 0 < len(digests) <= writes
+    assert {d.target for d in result.detections} == {4, 7}
 
 
 def test_zero_cost_model_means_zero_overhead_everywhere():

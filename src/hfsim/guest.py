@@ -387,3 +387,30 @@ class GuestMachine:
         last = (end + (n - 1) * stride) // ps
         wrap_last = (end + (stop - n - 1) * stride) // ps  # ids 0..stop-n-1, below start
         return (last - first + 1) + (wrap_last - base // ps + 1) - max(wrap_last - first + 1, 0)
+
+    def window_pages(self, start: int, k: int, count: int) -> list[int]:
+        """`object_pages` of each of `count` consecutive windows of k ids, the first from `start`.
+
+        k is at most the object count and `start` an id. A window that ends at or before the last id covers the pages from
+        its first object's first byte to its last object's last byte; the
+        one window per cycle that wraps is `object_pages`'s own case.
+        """
+        ps, layout = self.page_size, self.objects
+        base, stride, n = layout.base, layout.stride, layout.count
+        if count == 1:
+            return [self.object_pages(start, start + k)]
+        span = (k - 1) * stride + layout.length - 1  # a window's first byte to its last
+        pages: list[int] = []
+        while count:
+            fit = min(count, (n - start) // k)  # windows that end at or before id n
+            pages += [(addr + span) // ps - addr // ps + 1 for addr in
+                      range(base + start * stride, base + (start + fit * k) * stride, k * stride)]
+            start += fit * k
+            count -= fit
+            if start == n:
+                start = 0
+            elif count:
+                pages.append(self.object_pages(start, start + k))
+                start += k - n
+                count -= 1
+        return pages

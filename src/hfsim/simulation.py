@@ -16,10 +16,14 @@ reported in absolute per-event latency but never extend the run.
 
 The engine alternates two steps: it drains the workload arrivals due
 before the next one-off event (a device firing or an attack action),
-then dispatches that event. Under hrk every arrival is a VMExit; a batch
-window that cannot find a violation is costed in the drain's locals, and
-only the others run a check. Charges that are the same for every event
-are derived from counts when the run finishes.
+then dispatches that event. Each workload source draws its arrivals a
+bounded chunk at a time, so memory does not grow with the event count.
+Baseline and hf count a drain's arrivals by bisecting each chunk. Under
+hrk every arrival is a VMExit: the sources' due arrivals are merged, the
+batch windows that lead a stretch and cannot find a violation are costed
+together from the object layout, and only the others run a check.
+Charges that are the same for every event are derived from counts when
+the run finishes.
 
 Determinism: identical (setup, strategy, workload, attacks, costs, seed)
 inputs replay to a byte-identical serialized result. All randomness flows
@@ -33,10 +37,10 @@ import heapq
 import itertools
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import threat
 from .errors import (
@@ -67,7 +71,11 @@ IDT_VECTORS = 64
 
 
 class EventKind(enum.IntEnum):
-    """Tie-break priority for simultaneous events (lower fires first)."""
+    """Tie-break priority for simultaneous events (lower fires first).
+
+    Only firings and attack actions are queued; the drains take workload
+    arrivals strictly before an event's tick, so they come last.
+    """
 
     DEVICE_FIRING = 1
     ATTACK = 2
@@ -75,69 +83,22 @@ class EventKind(enum.IntEnum):
 
 
 class EventQueue:
-    """One-off events and event streams, in (time, kind priority, insertion sequence) order.
+    """Firings and attack actions, in (time, kind priority, insertion sequence) order.
 
-    A pushed event takes the next sequence number and waits in the one-off
-    heap; `pop` takes the earliest. A stream, added with `add_stream`,
-    takes one sequence number for all of its events and keeps only its
-    next event in the stream heap, so it orders exactly as if every one of
-    its events had been pushed when it was added; `drain` yields the
-    stream events due before a one-off event.
+    A pushed event takes the next sequence number; `pop` takes the earliest.
+    Workload arrivals are not queued: each source buffers its own (`_Source`).
     """
 
     def __init__(self):
         self._events: list[tuple[int, int, int, tuple]] = []
-        self._heads: list[tuple[int, int, int, tuple]] = []  # each stream's next event
         self._seq = itertools.count()
-        self._streams: dict[int, Iterator[Ticks]] = {}
 
     def push(self, time: Ticks, kind: EventKind, payload: tuple) -> None:
         heapq.heappush(self._events, (time, kind, next(self._seq), payload))
 
-    def add_stream(self, times: Iterable[Ticks], kind: EventKind, payload: tuple) -> None:
-        """Queue one event of `kind` at each of `times`, which must not decrease.
-
-        The stream's next time is drawn when its current event is drained.
-        """
-        times = iter(times)
-        seq = next(self._seq)
-        first = next(times, None)
-        if first is not None:
-            self._streams[seq] = times
-            heapq.heappush(self._heads, (first, kind, seq, payload))
-
     def pop(self) -> Optional[tuple[int, int, int, tuple]]:
-        """The earliest one-off event's heap tuple, or None when there is none."""
+        """The earliest event's heap tuple, or None when there is none."""
         return heapq.heappop(self._events) if self._events else None
-
-    def drain(self, before: Optional[tuple] = None) -> Iterator[tuple[int, int, int, tuple]]:
-        """Yield, in order, the heap tuples of the stream events that sort before `before`.
-
-        Every stream event when `before` is None. The head stream runs on
-        without a heap operation while its events sort before the bound and
-        every other stream's head. Exhaust it before the next `drain`.
-        """
-        heads, streams = self._heads, self._streams
-        before = (math.inf,) if before is None else before
-        while heads and heads[0] < before:
-            time, kind, seq, payload = event = heads[0]
-            yield event
-            limit = before  # the bound, or another stream's head if that comes first
-            if len(heads) > 1 and heads[1] < limit:
-                limit = heads[1]
-            if len(heads) > 2 and heads[2] < limit:
-                limit = heads[2]
-            limit_time, first_on_tie = limit[0], (kind, seq) < limit[1:3]
-            times = streams[seq]
-            for time in times:
-                if time < limit_time or (time == limit_time and first_on_tie):
-                    yield (time, kind, seq, payload)
-                else:
-                    heapq.heapreplace(heads, (time, kind, seq, payload))
-                    break
-            else:
-                heapq.heappop(heads)
-                del streams[seq]
 
 
 class Arrival(enum.Enum):
@@ -375,43 +336,84 @@ class ScenarioResult:
         }
 
 
-def _arrival_times(
+# the most arrivals a source draws at a time
+ARRIVAL_CHUNK = 1024
+
+
+def _arrival_chunks(
     rate: float, horizon: Ticks, arrival: Arrival, rng: random.Random
-) -> Iterator[Ticks]:
-    """Arrival instants in (0, horizon], nondecreasing, drawn one at a time.
+) -> Iterator[list[Ticks]]:
+    """Arrival instants in (0, horizon], nondecreasing, a list at a time.
+
+    No list ends inside a run of equal instants, so every arrival up to a
+    list's last instant is in that list or an earlier one. A list is the
+    run of equal instants the last draw ended with, then fewer than
+    ARRIVAL_CHUNK more. Each draw is sized from the arrivals expected
+    before the horizon, so a short run draws little more than it uses.
 
     Fixed arrivals fall at round(n * TICKS_PER_SECOND / rate), computed
     exactly on the rate's value and rounded half to even as round() does.
+    Poisson gaps are rng.expovariate(rate) as CPython computes it,
+    -log(1 - random()) / rate, so the instants are the same floats.
     """
     if rate <= 0:
         return
     if arrival is Arrival.FIXED:
         ratio = Fraction(rate)
-        # the n-th arrival is at (n * step) / divisor ticks
+        # the n-th arrival is at (n * step) / divisor ticks; with x = 2*n*step
+        # + divisor, half up is x // (2*divisor), and an exact tie onto an
+        # odd tick (x % (4*divisor) == 2*divisor) comes one tick down
         step, divisor = TICKS_PER_SECOND * ratio.denominator, ratio.numerator
-        exact = step
-        while True:
-            t, rest = divmod(exact, divisor)
-            if 2 * rest > divisor or (2 * rest == divisor and t & 1):
-                t += 1
-            if t > horizon:
-                return
-            yield t
-            exact += step
+        drawn = 0
+
+        def draw(m: int) -> list[Ticks]:
+            nonlocal drawn
+            doubled = range((2 * drawn + 2) * step + divisor,
+                            (2 * (drawn + m) + 2) * step + divisor, 2 * step)
+            drawn += m
+            return [x // (2 * divisor) - (x % (4 * divisor) == 2 * divisor) for x in doubled]
     else:
-        # rng.expovariate(rate) inlined, as CPython's own body: the same floats
-        log, draw = math.log, rng.random
+        log, uniform = math.log, rng.random
+        neg_rate, per_second = -float(rate), float(TICKS_PER_SECOND)
         t_s = 0.0
-        while True:
-            t_s += -log(1.0 - draw()) / rate
-            t = round(t_s * TICKS_PER_SECOND)
-            if t > horizon:
-                return
-            yield t
+
+        def draw(m: int) -> list[Ticks]:
+            # log(u) / -rate is -log(u) / rate: float division is sign-symmetric
+            nonlocal t_s
+            sums = list(itertools.accumulate(
+                [log(1.0 - uniform()) / neg_rate for _ in range(m)], initial=t_s))
+            t_s = sums[-1]
+            return [round(t * per_second) for t in itertools.islice(sums, 1, None)]
+
+    pending: list[Ticks] = []  # the run of equal instants the last draw ended with
+    last = 0
+    while True:
+        expected = rate * (horizon - last) / TICKS_PER_SECOND
+        times = draw(int(min(ARRIVAL_CHUNK - 16, expected)) + 16)
+        if times[-1] > horizon:
+            times = pending + times[:bisect_right(times, horizon)]
+            if times:
+                yield times
+            return
+        last = times[-1]
+        run_start = bisect_left(times, last)
+        if run_start:
+            yield pending + times[:run_start]
+            pending = times[run_start:]
+        elif pending and pending[0] == last:
+            pending += times
+        else:
+            if pending:
+                yield pending
+            pending = times
+
+
+_CODE_PERIOD = bytes(map((0xFF).__and__, range(13, 13 + 7 * 256, 7)))  # (7i + 13) mod 256
 
 
 def _module_code(page_size: int) -> bytes:
-    return bytes((7 * i + 13) & 0xFF for i in range(page_size))
+    """The module's bytes: byte i is (7i + 13) mod 256, which repeats every 256 bytes."""
+    return (_CODE_PERIOD * -(-page_size // 256))[:page_size]
 
 
 # attack action opcodes on the event timeline
@@ -425,19 +427,76 @@ _ACT_IDTR = "idtr_set"
 _SOURCES = (("syscall", "syscalls"), ("ctxswitch", "ctxswitches"))
 
 
-class _Tally:
-    """One workload source's event count and, under hrk, the pages its VMExits mapped.
+class _Source:
+    """One workload source: its arrivals, a chunk at a time, and its tally.
 
-    Every event of the source costs its base cost, and under hrk each one
-    is a VMExit charging t_vmexit, t_vmentry and the hash time of min(k, n)
-    objects of the layout's one length, so those charges follow from
-    `events` alone and `_finish` derives them.
+    `times[pos:]` are the arrivals not yet taken, `next` is the first of
+    them and `end` is one past the chunk's last: every arrival before `end`
+    is in `times`. Both are inf once the source is spent.
+
+    `events` counts the arrivals taken and, under hrk, `pages_mapped` the
+    pages their VMExits mapped. Every event of the source costs its base
+    cost, and under hrk each one is a VMExit charging t_vmexit, t_vmentry
+    and the hash time of min(k, n) objects of the layout's one length, so
+    those charges follow from `events` alone and `_finish` derives them.
     """
 
-    __slots__ = ("events", "pages_mapped")
+    __slots__ = ("times", "pos", "next", "end", "_chunks", "events", "pages_mapped")
 
-    def __init__(self):
+    def __init__(self, chunks: Iterator[list[Ticks]]):
+        self._chunks = chunks
         self.events = self.pages_mapped = 0
+        self._refill()
+
+    def take(self, stop: int) -> None:
+        """Take and count the arrivals before index `stop`; draw the next chunk once all are."""
+        self.events += stop - self.pos
+        if stop < len(self.times):
+            self.pos, self.next = stop, self.times[stop]
+        else:
+            self._refill()
+
+    def _refill(self) -> None:
+        self.times, self.pos = next(self._chunks, ()), 0
+        if self.times:
+            self.next, self.end = self.times[0], self.times[-1] + 1
+        else:
+            self.next = self.end = math.inf
+
+
+def _stretches(
+    sources: tuple[_Source, _Source], limit: Union[Ticks, float],
+) -> Iterator[tuple[list, Optional[int]]]:
+    """Take the arrivals before `limit` and yield them in dispatch order, a stretch at a time.
+
+    A stretch ends at the first chunk end of either source, so it holds
+    every arrival of both before that end. A stretch of one source is
+    yielded as its instants with that source's index. A stretch of both is
+    merged as tagged instants 2t + source with index None, so a syscall
+    (source 0) comes before a context switch at the same tick.
+    """
+    a, b = sources
+    while a.next < limit or b.next < limit:
+        bound = min(limit, a.end, b.end)
+        if b.next >= bound or a.next >= bound:
+            index, source = (0, a) if b.next >= bound else (1, b)
+            stop = bisect_left(source.times, bound, source.pos)
+            stretch = source.times[source.pos:stop]
+            source.take(stop)
+        else:
+            a_stop, b_stop = bisect_left(a.times, bound, a.pos), bisect_left(b.times, bound, b.pos)
+            stretch, index = sorted([2 * t for t in a.times[a.pos:a_stop]]
+                                    + [2 * t + 1 for t in b.times[b.pos:b_stop]]), None
+            a.take(a_stop)
+            b.take(b_stop)
+        yield stretch, index
+
+
+def _dispatch_order(stretch: list, index: Optional[int]) -> Iterator[tuple[Ticks, str]]:
+    """(instant, op) of each arrival of a stretch that `_stretches` yielded."""
+    if index is None:
+        return ((tag >> 1, _SOURCES[tag & 1][0]) for tag in stretch)
+    return zip(stretch, itertools.repeat(_SOURCES[index][0]))
 
 
 class _ScenarioRun:
@@ -480,6 +539,7 @@ class _ScenarioRun:
             self.registry.protect_pages(self.machine.idt_pages())
 
         self.scripts = attacks  # (label, script) pairs
+        # {target: label}; an IDT write that lands on kernel objects adds them
         self.target_label = check_attacks(setup, self.scripts)
         self.outcomes = {
             label: threat.AttackOutcome(label=label, kind=script.kind)
@@ -497,26 +557,19 @@ class _ScenarioRun:
             "syscalls": 0, "ctxswitches": 0, "firings": 0, "vmexits": 0,
             "objects_checked": 0, "traps": 0,
         }
-        self.tallies = {op: _Tally() for op, _ in _SOURCES}
+        # one source per workload op, each with its own random substream
+        self.sources = tuple(
+            _Source(_arrival_chunks(rate, self.horizon, workload.arrival,
+                                    random.Random(f"workload-{op}:{seed}")))
+            for (op, _), rate in zip(_SOURCES, (workload.syscall_rate, workload.ctxswitch_rate))
+        )
         self.detections: list[DetectionRecord] = []
 
         self.queue = EventQueue()
-        self._schedule_workload()
         self._schedule_firings()
         self._schedule_attacks()
 
     # -- setup ----------------------------------------------------------
-
-    def _schedule_workload(self) -> None:
-        # one stream per source, each with its own random substream; the
-        # syscall stream is added first, so it wins every tie between them
-        workload = self.workload
-        for (op, _), rate in zip(_SOURCES, (workload.syscall_rate, workload.ctxswitch_rate)):
-            rng = random.Random(f"workload-{op}:{self.seed}")
-            self.queue.add_stream(
-                _arrival_times(rate, self.horizon, workload.arrival, rng),
-                EventKind.WORKLOAD, (op, self.tallies[op]),
-            )
 
     def _schedule_firings(self) -> None:
         if self.schedule is None:
@@ -570,74 +623,115 @@ class _ScenarioRun:
         while True:
             event = pop()
             if event is None or event[0] > horizon:
-                drain(None)
+                drain(math.inf)
                 return self._finish()
-            drain(event)
+            # a firing or an attack action precedes the arrivals at its tick
             time, kind, _, payload = event
+            drain(time)
             handlers[kind](time, payload)
 
     def _emit(self, entry: dict) -> None:
         if self.trace is not None:
             self.trace(entry)
 
-    def _drain_arrivals(self, before: Optional[tuple]) -> None:
-        """Count the workload arrivals that come before the one-off event `before`."""
-        trace = self.trace
-        for now, _, _, (op, tally) in self.queue.drain(before):
-            tally.events += 1
-            if trace is not None:
-                trace({"t": now, "kind": op})
+    def _drain_arrivals(self, limit: Union[Ticks, float]) -> None:
+        """Count the workload arrivals before `limit` (baseline and hf)."""
+        if self.trace is not None:
+            for stretch, index in _stretches(self.sources, limit):
+                for now, op in _dispatch_order(stretch, index):
+                    self.trace({"t": now, "kind": op})
+            return
+        for source in self.sources:
+            while source.next < limit:
+                source.take(bisect_left(source.times, limit, source.pos))
 
-    def _drain_vmexits(self, before: Optional[tuple]) -> None:
-        """Run the VMExits of the workload arrivals that come before `before` (hrk).
+    def _drain_vmexits(self, limit: Union[Ticks, float]) -> None:
+        """Run the VMExits of the workload arrivals before `limit` (hrk).
 
         Each arrival's control-register write exits to a check of the next
         min(k, n) objects. Only attacks write, so the diverged ids and the
-        IDTR stand still within a drain. A window [cursor, stop) that holds
-        no diverged id, and completes no cycle while the IDTR is moved,
-        finds nothing: it only maps its pages and moves the cursor.
-        `on_control_register_write` checks every other window.
+        IDTR stand still within a drain. A window [cursor, cursor + k) that
+        holds no diverged id, and completes no cycle while the IDTR is
+        moved, finds nothing, and so does every window before it. So the
+        clean windows that lead a stretch follow from the cursor, the first
+        diverged id and the IDTR at once: they only map their pages and
+        move the cursor. `on_control_register_write` checks every other
+        window.
         """
+        syscalls, ctxswitches = self.sources
+        if syscalls.next >= limit and ctxswitches.next >= limit:
+            return
         machine, table, trace = self.machine, self.table, self.trace
-        n = len(table)
+        n = machine.objects.count
         k = min(self.strategy.batch_k, n)
-        object_pages = machine.object_pages
         idtr_clean = (machine.idtr.base, machine.idtr.limit) == table.idtr_baseline
         cursor = table.cursor
-        dirty_at = self._dirty_at(cursor)
-        for now, _, _, (op, tally) in self.queue.drain(before):
-            tally.events += 1
-            if trace is not None:
-                trace({"t": now, "kind": op})
-            stop = cursor + k
-            if stop <= dirty_at and (stop < n or idtr_clean):
-                tally.pages_mapped += object_pages(cursor, stop)
-                violations = ()
-                if stop < n:
-                    cursor = stop
-                else:  # a cycle completes: unrolled ids move back by one cycle
-                    cursor, dirty_at = stop - n, dirty_at - n
-            else:
+        dirty_at = self._dirty_at(cursor, n)
+        for stretch, index in _stretches(self.sources, limit):
+            done, count = 0, len(stretch)
+            while True:
+                # windows stop at cursor + k, cursor + 2k, ...: clean while they
+                # stop at or before dirty_at, and before n if the IDTR is moved
+                clean = count - done
+                if dirty_at != math.inf:
+                    clean = min(clean, (dirty_at - cursor) // k)
+                if not idtr_clean:
+                    clean = min(clean, (n - 1 - cursor) // k)
+                if clean:
+                    self._map_clean_windows(
+                        stretch if clean == count else stretch[done:done + clean], index, cursor, k)
+                    done += clean
+                    cursor += clean * k
+                    if cursor >= n:  # cycles complete: unrolled ids move back by as many
+                        cycles = cursor // n
+                        cursor, dirty_at = cursor - cycles * n, dirty_at - cycles * n
+                if done == count:
+                    break
+                now, source = stretch[done], index
+                if index is None:
+                    now, source = divmod(now, 2)
+                done += 1
+                op = _SOURCES[source][0]
+                if trace is not None:
+                    trace({"t": now, "kind": op})
                 table.cursor = cursor
                 report = on_control_register_write(machine, table, self.costs, k, now=now)
-                tally.pages_mapped += report.pages_mapped
-                violations = report.violations
+                self.sources[source].pages_mapped += report.pages_mapped
+                if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
+                    trace({"t": now, "kind": "vmexit_check", "checked": k + report.cycle_completed,
+                           "violations": len(report.violations)})
+                if report.violations:
+                    self._process_violations(report.violations, via="hrk_vmexit")
                 cursor = table.cursor
-                dirty_at = self._dirty_at(cursor)
-            if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
-                trace({"t": now, "kind": "vmexit_check", "checked": k + (stop >= n),
-                       "violations": len(violations)})
-            if violations:
-                self._process_violations(violations, via="hrk_vmexit")
+                dirty_at = self._dirty_at(cursor, n)
         table.cursor = cursor
 
-    def _dirty_at(self, cursor: int) -> Union[int, float]:
-        """The first diverged id at or past `cursor`, unrolled across the wrap."""
+    def _map_clean_windows(self, stretch: list, index: Optional[int], cursor: int, k: int) -> None:
+        """Charge the pages of one clean VMExit per arrival of `stretch`, from window `cursor` on."""
+        pages = self.machine.window_pages(cursor, k, len(stretch))
+        if index is None:
+            ctx_pages = sum([p for p, tag in zip(pages, stretch) if tag & 1])
+            syscalls, ctxswitches = self.sources
+            ctxswitches.pages_mapped += ctx_pages
+            syscalls.pages_mapped += sum(pages) - ctx_pages
+        else:
+            self.sources[index].pages_mapped += sum(pages)
+        if self.trace is not None:
+            n = self.machine.objects.count
+            for now, op in _dispatch_order(stretch, index):
+                stop = cursor + k
+                self.trace({"t": now, "kind": op})
+                self.trace({"t": now, "kind": "vmexit_check", "checked": k + (stop >= n),
+                            "violations": 0})
+                cursor = stop - n if stop >= n else stop
+
+    def _dirty_at(self, cursor: int, n: int) -> Union[int, float]:
+        """The first diverged id at or past `cursor`, unrolled across the wrap of n ids."""
         diverged = self.table.fold(self.machine)
         i = bisect_left(diverged, cursor)
         if i < len(diverged):
             return diverged[i]
-        return diverged[0] + len(self.table) if diverged else math.inf
+        return diverged[0] + n if diverged else math.inf
 
     def _on_firing(self, now: Ticks, payload: tuple) -> None:
         self.counts["firings"] += 1
@@ -672,6 +766,12 @@ class _ScenarioRun:
             if vector < self.machine.idtr.vector_count:  # else a moved IDT has no such entry
                 result = self.machine.set_idt_entry(vector, handler, self.registry, now=now)
                 self._account_write(outcome, result, now)
+                if result.applied:  # through a moved IDTR the entry can land on kernel objects
+                    entry = self.machine.idtr.base + IDT_ENTRY_SIZE * vector
+                    for oid in self.machine.objects_overlapping(entry, IDT_ENTRY_SIZE):
+                        # credited to this write unless a script targets the object
+                        self.target_label.setdefault(oid, label)
+                        self._refresh_object_state(oid, now)
         elif action == _ACT_IDTR:
             base, limit = payload[2], payload[3]
             if limit is None:
@@ -747,10 +847,9 @@ class _ScenarioRun:
         batch = min(self.strategy.batch_k, len(self.table))
         batch_hash = batch * self.machine.objects.length * costs.t_hash_per_byte
         base, per_event_added = {}, {}
-        for (op, count_key), base_cost in zip(
-            _SOURCES, (costs.t_syscall_base, costs.t_ctxswitch_base)
+        for (op, count_key), tally, base_cost in zip(
+            _SOURCES, self.sources, (costs.t_syscall_base, costs.t_ctxswitch_base)
         ):
-            tally = self.tallies[op]
             exits = tally.events if hrk else 0
             map_ticks = tally.pages_mapped * costs.t_map_page
             hash_ticks = exits * batch_hash

@@ -200,7 +200,7 @@ def event_order_ref(workload, seed, firing_times=(), attack_times=()) -> list:
 
 def _on_arrival_ref(run, now, op) -> None:
     """One workload event; under hrk, one VMExit and its batch check."""
-    tally = run.tallies[op]
+    tally = run.sources[("syscall", "ctxswitch").index(op)]
     tally.events += 1
     run._emit({"t": now, "kind": op})
     if run.strategy.kind != "hrk":

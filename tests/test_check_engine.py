@@ -10,8 +10,8 @@ IDTR-move sequences, some applied before the snapshot: every batch and
 sweep must match the walk-every-object oracle in conftest.
 
 Some objects on pages written before the snapshot: overlap queries,
-window page counts and baseline digests must match a walk over every
-object.
+window page counts (one window, or a run of consecutive ones) and
+baseline digests must match a walk over every object.
 """
 
 from hypothesis import example, given, settings
@@ -167,7 +167,13 @@ def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writ
     ]
     costs = CostModel()
     for k in batch_sizes:
+        pages_at = []  # the pages of the window from each cursor
         for cursor in range(len(spans)):
             table.cursor = cursor
-            expected = batch_pages_ref(m, table, k)
-            assert on_control_register_write(m, table, costs, k).pages_mapped == expected
+            pages_at.append(batch_pages_ref(m, table, k))
+            assert on_control_register_write(m, table, costs, k).pages_mapped == pages_at[-1]
+        # a run of consecutive windows, as the hrk drain costs a clean stretch
+        k = min(k, count)
+        for start in range(count):
+            cursors = [(start + i * k) % count for i in range(2 * count + 1)]
+            assert m.window_pages(start, k, len(cursors)) == [pages_at[c] for c in cursors]

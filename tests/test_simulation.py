@@ -1,7 +1,9 @@
 """Event engine ordering, determinism, accounting, and overhead metrics."""
 
 import gc
+import itertools
 import json
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -10,21 +12,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_conservation, event_order_ref, make_setup, run_per_event_ref
+from conftest import (
+    _arrival_times_ref, assert_conservation, event_order_ref, make_setup, run_per_event_ref,
+)
 from hfsim import integrity, simulation
 from hfsim.errors import ConfigurationError
 from hfsim.hypervisor import FiringSchedule, ScheduleMode
 from hfsim.simulation import (
+    ARRIVAL_CHUNK,
     Arrival,
     CostModel,
+    DetectionRecord,
     EventKind,
     EventQueue,
     StrategyConfig,
     WorkloadSpec,
-    _arrival_times,
+    _arrival_chunks,
+    _Source,
+    _stretches,
     run_scenario,
 )
-from hfsim.threat import CodeTamper, IdtrTamper, PersistentTamper, TransientTamper
+from hfsim.threat import CodeTamper, IdtrTamper, IdtTamper, PersistentTamper, TransientTamper
 from hfsim.timebase import TICKS_PER_SECOND as SEC
 
 
@@ -61,54 +69,65 @@ def test_times_pop_nondecreasing():
     assert q.pop() is None
 
 
-def _drain_and_pop(q):
-    """Every event of `q`, as the engine takes them: the streams' events due
-    before each one-off event, then that event."""
+def _arrivals(chunks):
+    """A workload source holding the given chunks of arrival instants."""
+    return _Source(iter(chunks))
+
+
+def _stretched_then_popped(sources, q):
+    """(t, kind, label) of every event, as the engine takes them: the
+    arrivals due before each one-off event of `q`, in dispatch order, then
+    that event; an arrival's label is its source index."""
     events = []
     while True:
         event = q.pop()
-        events += q.drain(event)
+        for stretch, index in _stretches(sources, math.inf if event is None else event[0]):
+            events += [(t, EventKind.WORKLOAD, i) for t, i in (
+                divmod(tag, 2) if index is None else (tag, index) for tag in stretch)]
         if event is None:
             return events
-        events.append(event)
+        events.append((event[0], event[1], event[3][0]))
 
 
 def test_one_off_events_precede_stream_events_at_the_same_tick():
     q = EventQueue()
-    q.add_stream([5, 5, 9], EventKind.WORKLOAD, ("s1",))
+    sources = (_arrivals([[5, 5], [9]]), _arrivals([[5], [9]]))
     q.push(5, EventKind.ATTACK, ("a",))
-    q.push(9, EventKind.WORKLOAD, ("w",))  # of the streams' kind: insertion order decides
-    q.add_stream([5, 9], EventKind.WORKLOAD, ("s2",))
+    q.push(9, EventKind.ATTACK, ("b",))
     q.push(5, EventKind.DEVICE_FIRING, ("f",))
-    order = [(t, payload[0]) for t, _, _, payload in _drain_and_pop(q)]
-    assert order == [(5, "f"), (5, "a"), (5, "s1"), (5, "s1"), (5, "s2"),
-                     (9, "s1"), (9, "w"), (9, "s2")]
-    assert q.pop() is None and list(q.drain()) == []
+    order = [(t, label) for t, _, label in _stretched_then_popped(sources, q)]
+    assert order == [(5, "f"), (5, "a"), (5, 0), (5, 0), (5, 1), (9, "b"), (9, 0), (9, 1)]
+    assert q.pop() is None and list(_stretches(sources, math.inf)) == []
+    assert [(s.events, s.next, s.end) for s in sources] == [(3, math.inf, math.inf),
+                                                            (2, math.inf, math.inf)]
 
 
-_kinds = st.sampled_from(list(EventKind))
+def _chunked(times, cuts):
+    """`times` (sorted) cut before each index in `cuts` that starts a new instant."""
+    bounds = sorted({c for c in cuts if 0 < c < len(times) and times[c - 1] < times[c]})
+    return [times[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(times)]) if lo < hi]
+
+
+_chunked_times = st.tuples(
+    st.lists(st.integers(0, 12), max_size=10).map(sorted), st.lists(st.integers(1, 9)),
+).map(lambda drawn: _chunked(*drawn))
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.lists(st.one_of(
-    st.tuples(st.just("stream"), st.lists(st.integers(0, 12), max_size=8).map(sorted), _kinds),
-    st.tuples(st.just("push"), st.integers(0, 12), _kinds),
-), max_size=10))
-def test_drain_then_pop_matches_pushing_every_event_up_front(operations):
+@given(_chunked_times, _chunked_times, st.lists(st.tuples(
+    st.integers(0, 12), st.sampled_from([EventKind.DEVICE_FIRING, EventKind.ATTACK])),
+    max_size=6))
+def test_drain_then_pop_matches_pushing_every_event_up_front(syscalls, ctxswitches, one_offs):
     streamed, pushed = EventQueue(), EventQueue()
-    for i, (op, times, kind) in enumerate(operations):
-        if op == "stream":
-            streamed.add_stream(times, kind, (i,))
-            for t in times:
-                pushed.push(t, kind, (i,))
-        else:
-            streamed.push(times, kind, (i,))
-            pushed.push(times, kind, (i,))
-    expected = list(iter(pushed.pop, None))
-    # a stream's events share one sequence number, so compare all but that
-    assert [(t, k, p) for t, k, _, p in _drain_and_pop(streamed)] == [
-        (t, k, p) for t, k, _, p in expected
-    ]
+    for index, chunks in enumerate((syscalls, ctxswitches)):
+        for t in itertools.chain.from_iterable(chunks):
+            pushed.push(t, EventKind.WORKLOAD, (index,))
+    for i, (t, kind) in enumerate(one_offs):
+        streamed.push(t, kind, (f"e{i}",))
+        pushed.push(t, kind, (f"e{i}",))
+    expected = [(t, k, p[0]) for t, k, _, p in iter(pushed.pop, None)]
+    sources = (_arrivals(syscalls), _arrivals(ctxswitches))
+    assert _stretched_then_popped(sources, streamed) == expected
 
 
 @pytest.mark.parametrize("rate", [0.5, 3, 100, 8000.25])
@@ -120,10 +139,38 @@ def test_poisson_arrivals_are_expovariate_draws(rate, seed):
     for _ in range(500):
         t_s += rng.expovariate(rate)
         times.append(round(t_s * SEC))
-    drawn = _arrival_times(rate, times[-1], Arrival.POISSON, random.Random(seed))
-    assert list(drawn) == times
-    cut = _arrival_times(rate, times[249], Arrival.POISSON, random.Random(seed))
-    assert list(cut) == [t for t in times if t <= times[249]]
+    drawn = _arrival_chunks(rate, times[-1], Arrival.POISSON, random.Random(seed))
+    assert list(itertools.chain.from_iterable(drawn)) == times
+    cut = _arrival_chunks(rate, times[249], Arrival.POISSON, random.Random(seed))
+    assert list(itertools.chain.from_iterable(cut)) == [t for t in times if t <= times[249]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rate=st.one_of(st.just(0), st.integers(1, 5000), st.floats(0.01, 5000),
+                   st.floats(1.5e9, 5e9), st.sampled_from([1e9, 2e9, 56_320])),
+    arrival=st.sampled_from(list(Arrival)), seed=st.integers(0, 1 << 16),
+    expected=st.floats(0, 3000),  # arrivals expected before the horizon
+)
+# the horizon falls before the first arrival
+@example(rate=0.5, arrival=Arrival.FIXED, seed=0, expected=0.9)
+@example(rate=0.5, arrival=Arrival.POISSON, seed=0, expected=0.01)
+def test_arrival_chunks_concatenate_to_the_reference_draws(rate, arrival, seed, expected):
+    horizon = max(1, int(expected * SEC / rate)) if rate else SEC
+    chunks = list(_arrival_chunks(rate, horizon, arrival, random.Random(seed)))
+    assert list(itertools.chain.from_iterable(chunks)) == _arrival_times_ref(
+        rate, horizon, arrival, random.Random(seed))
+    for chunk, after in zip(chunks, chunks[1:] + [[math.inf]]):
+        assert chunk[-1] < after[0]  # no chunk ends inside a run of equal instants
+        # the run the last draw ended with, then fewer than a chunk's worth
+        assert len(chunk) - chunk.count(chunk[0]) < ARRIVAL_CHUNK
+
+
+def test_module_code_repeats_its_256_byte_period():
+    for shift in range(6, 17):
+        page_size = 1 << shift
+        assert simulation._module_code(page_size) == bytes(
+            (7 * i + 13) & 0xFF for i in range(page_size))
 
 
 def test_firing_precedes_attack_at_same_instant_in_run():
@@ -308,6 +355,23 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
                                                                     _ms(10))),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
          attacks=[("transient", 0, [5, 30]), ("code", 64, 15)], seed=0, traced=True)
+# more arrivals than one chunk holds, from both sources
+@example(placement="packed", count=5, size=30, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.FIXED, rates=(3000, 1000), horizon_ms=700,
+         attacks=[("persistent", 1, 300), ("transient", 3, [100, 450])], seed=0, traced=True)
+# equal fixed rates: every arrival is tied with one of the other source
+@example(placement="packed", count=4, size=40, strategy=StrategyConfig(kind="hrk", batch_k=3),
+         arrival=Arrival.FIXED, rates=(100, 100), horizon_ms=700,
+         attacks=[("transient", 2, [50, 200])], seed=0, traced=True)
+# one source at rate 0
+@example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.POISSON, rates=(0, 100), horizon_ms=700,
+         attacks=[("persistent", 4, 120)], seed=3, traced=False)
+# under a moved IDTR, a clean stretch of two windows ends where the next
+# would stop at n and complete the cycle
+@example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("idtr", 0, 5)], seed=0, traced=True)
 def test_drained_run_matches_the_per_event_loop(placement, count, size, strategy, arrival,
                                                 rates, horizon_ms, attacks, seed, traced):
     setup = make_setup(count=count, size_bytes=min(size, 64) if placement == "spread" else size,
@@ -518,6 +582,25 @@ def test_a_run_digests_each_written_object_once_per_write(strategy, monkeypatch)
     assert {d.target for d in result.detections} == {4, 7}
 
 
+def test_an_idt_write_through_a_moved_idtr_is_dated_and_credited_on_the_objects_it_hits():
+    setup = make_setup(count=4)
+    args = (setup, StrategyConfig(kind="hrk", batch_k=2), _workload(2, syscall_rate=10),
+            [("idtr", IdtrTamper(new_base=simulation.plan_layout(setup).objects_base, at=SEC)),
+             ("idt", IdtTamper(vector=1, new_handler=0x41, at=SEC + 1))])
+    result = run_scenario(*args)
+    # vector 1's entry is now bytes 8-15 of object 0, which the exit at
+    # 1.1 s checks; the exit at 1 s completed the cycle and found the IDTR
+    assert result.detections == [
+        DetectionRecord(target="idtr", tamper_time=SEC, detected_time=SEC, via="hrk_vmexit"),
+        DetectionRecord(target=0, tamper_time=SEC + 1, detected_time=SEC * 11 // 10,
+                        via="hrk_vmexit"),
+    ]
+    assert [(o.label, o.applied, o.detected_at, o.evaded) for o in result.attack_outcomes] == [
+        ("idtr", 1, SEC, False), ("idt", 1, SEC * 11 // 10, False),
+    ]
+    assert json.dumps(result.to_json_dict()) == json.dumps(run_per_event_ref(*args).to_json_dict())
+
+
 def test_zero_cost_model_means_zero_overhead_everywhere():
     for strategy in (StrategyConfig(kind="hrk", batch_k=2), _hf()):
         result = run_scenario(
@@ -640,12 +723,25 @@ def test_run_memory_does_not_grow_with_the_object_count(strategy):
     StrategyConfig(kind="baseline"), StrategyConfig(kind="hrk", batch_k=25),
 ], ids=["baseline", "hrk"])
 def test_run_memory_does_not_grow_with_the_event_count(strategy):
-    # arrivals are drawn as they are due: 20,000 events peak like 200
+    # arrivals are drawn a chunk at a time: 20,000 events peak like 200
     def peak(rate):
         workload = _workload(2, syscall_rate=rate, ctx_rate=rate / 4, arrival=Arrival.POISSON)
         return _run_peak_bytes(100, strategy, workload)
 
     assert peak(8_000) <= peak(80) + (1 << 20)
+
+
+@pytest.mark.parametrize("strategy", [
+    StrategyConfig(kind="baseline"), StrategyConfig(kind="hrk", batch_k=25),
+], ids=["baseline", "hrk"])
+def test_event_storm_memory_is_the_same_at_four_times_the_horizon(strategy):
+    # event_storm's shape: 15,000 spread objects, 2,400 + 600 Poisson
+    # arrivals a second; each source buffers at most one chunk of arrivals
+    def peak(horizon_s):
+        workload = _workload(horizon_s, syscall_rate=2400, ctx_rate=600, arrival=Arrival.POISSON)
+        return _run_peak_bytes(15_000, strategy, workload)
+
+    assert peak(20) <= peak(5) + (256 << 10)
 
 
 @pytest.mark.parametrize("strategy", [

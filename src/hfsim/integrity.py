@@ -8,12 +8,15 @@ or over a round-robin batch per call (the in-hypervisor path). The hash is
 is out of scope for this model.
 
 A check costs O(diverged objects in its range), not O(objects checked).
-The table folds in each object the guest writes, digesting it once per
-write, and keeps those whose digest now differs from their baseline; a
-check reads their ids and computes no digest. Every object has the
-layout's one length, so the simulated hash cost and each violation's
-timestamp are that length times a count of objects, never a walk over
-the range.
+The table folds in each object the guest writes and keeps those whose
+digest now differs from their baseline; a check reads their ids and
+computes no digest. Folding digests each distinct object content once:
+the table memoises {content: digest}, seeded by the snapshot, so a write
+of bytes seen before (the same patch in another object, a restore to the
+baseline) costs a dict lookup. The memo holds at most MEMO_ENTRIES
+contents and MEMO_BYTES of their bytes, and is cleared when full. Every object has the layout's one
+length, so the simulated hash cost and each violation's timestamp are
+that length times a count of objects, never a walk over the range.
 """
 
 from __future__ import annotations
@@ -37,6 +40,11 @@ IDTR_TARGET = "idtr"
 HANDLER_TARGET = "handler"
 
 DigestFn = Callable[[bytes], int]
+
+# the most contents, and the most of their bytes, that a table's content
+# memo holds: 4,096 contents of up to 64 B, 64 contents of 4 KiB
+MEMO_ENTRIES = 4096
+MEMO_BYTES = 256 * 1024
 
 
 def compute_digest(data: bytes) -> int:
@@ -106,6 +114,8 @@ class BaselineTable:
     digest differs from its baseline to its current digest, and
     `diverged_ids` holds its ids sorted. A machine feeds one live table:
     folding drains the machine's `written`, which no other table then sees.
+    `digest` calls `digest_fn` once per distinct content while the memo
+    holds it.
     """
 
     def __init__(
@@ -120,15 +130,26 @@ class BaselineTable:
         self.cursor = 0
         self.diverged: dict[int, int] = {}
         self.diverged_ids: list[int] = []
+        self._memo: dict[bytes, int] = {}
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    def digest(self, data: bytes) -> int:
+        """digest_fn(data), memoised; a full memo is cleared first."""
+        memo = self._memo
+        value = memo.get(data)
+        if value is None:
+            if len(memo) >= MEMO_ENTRIES or len(memo) * len(data) >= MEMO_BYTES:
+                memo.clear()
+            value = memo[data] = self.digest_fn(data)
+        return value
 
     def fold(self, machine: "GuestMachine") -> list[int]:
         """Digest the objects written since the last fold; return the diverged ids."""
         for oid in machine.written:
             obj = machine.objects[oid]
-            digest = self.digest_fn(machine.read(obj.addr, obj.length))
+            digest = self.digest(machine.read(obj.addr, obj.length))
             if digest != self.entries[oid]:
                 if oid not in self.diverged:
                     insort(self.diverged_ids, oid)
@@ -152,31 +173,21 @@ def snapshot_baselines(
 
     Meant to run during the trusted setup phase, before any attacker event.
     Only objects on materialised pages are read; every other object holds
-    zeros and shares one digest of `bytes(length)`. Identical object
-    contents share one digest computation.
+    zeros and shares one digest of `bytes(length)`. The digests go through
+    the table's content memo, so identical contents share one digest_fn
+    call, and a later write back to baseline bytes costs none.
     """
     layout = machine.objects
     if not layout:
         raise ConfigurationError("cannot snapshot baselines: no objects registered")
-    memo: dict[bytes, int] = {}
-
-    def digest(data: bytes) -> int:
-        value = memo.get(data)
-        if value is None:
-            value = memo[data] = digest_fn(data)
-        return value
-
+    table = BaselineTable({}, (machine.idtr.base, machine.idtr.limit), digest_fn)
     overrides = {}
     for oid in sorted(machine.objects_on_written_pages()):
         obj = layout[oid]
-        overrides[oid] = digest(machine.read(obj.addr, obj.length))
+        overrides[oid] = table.digest(machine.read(obj.addr, obj.length))
     machine.written.clear()  # writes made so far are in the baselines
-    n, length = layout.count, layout.length
-    return BaselineTable(
-        entries=_Baselines(digest(bytes(length)), overrides, n),
-        idtr_baseline=(machine.idtr.base, machine.idtr.limit),
-        digest_fn=digest_fn,
-    )
+    table.entries = _Baselines(table.digest(bytes(layout.length)), overrides, layout.count)
+    return table
 
 
 def verify_idtr(
@@ -210,7 +221,7 @@ def _check_window(
         for oid in diverged[bisect_left(diverged, lo):bisect_left(diverged, hi)]:
             report.violations.append(Violation(
                 target=oid, expected=table.entries[oid],
-                found=table.current_digest(machine, oid),
+                found=table.diverged[oid],
                 time=now + (oid + 1 - first) * per_object,
             ))
     if report.cycle_completed and (idtr := verify_idtr(machine, table, now + report.duration)):

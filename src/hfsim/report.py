@@ -82,12 +82,48 @@ def build_report(config: ScenarioConfig, results: dict) -> dict:
     }
 
 
+# One call writes all the values of a record list. ensure_ascii escapes
+# every newline inside a string, so its output splits into values on "\n".
+_RECORD_ENCODER = json.JSONEncoder(separators=("\n", ": "))
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _records_to_json(records, pad: str) -> Optional[str]:
+    """A record list as _to_json writes it after `pad`, or None for any other list.
+
+    A record list holds >= 2 exact dicts that share one set of str keys
+    and hold only exact str, int, float, bool and None values. Its values
+    are encoded by one C-encoder call and laid out by one % template. A
+    list whose first item is no such dict is rejected at once.
+    """
+    first = records[0]
+    if (len(records) < 2 or type(first) is not dict or not first
+            or not _SCALARS.issuperset(map(type, first.values()))
+            or not all(type(key) is str for key in first)):
+        return None
+    keys = first.keys()
+    if not all(type(item) is dict and item.keys() == keys for item in records):
+        return None
+    names = sorted(first)
+    values = [item[name] for item in records for name in names]
+    if not _SCALARS.issuperset(map(type, values)):
+        return None
+    inner = pad + "  "
+    field = inner + "  "
+    record = "{" + field + ("," + field).join(
+        [encode_basestring_ascii(name).replace("%", "%%") + ": %s" for name in names]
+    ) + inner + "}"
+    layout = "[" + inner + ("," + inner).join([record] * len(records)) + pad + "]"
+    return layout % tuple(_RECORD_ENCODER.encode(values)[1:-1].split("\n"))
+
+
 def _to_json(value, pad: str) -> str:
     """`value` as json.dumps(value, sort_keys=True, indent=2) writes it after `pad`.
 
     `pad` is a newline and the indent of the line `value` starts on. Each
     exact str, int, finite float, bool, None, dict with str keys, list and
-    tuple is written here; json.dumps writes nan, infinities and the rest.
+    tuple is written here, a record list (`_records_to_json`) at once;
+    json.dumps writes nan, infinities and the rest.
     """
     kind = type(value)
     if kind is str:
@@ -106,13 +142,20 @@ def _to_json(value, pad: str) -> str:
                  for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if (kind is list or kind is tuple) and value:
+        records = _records_to_json(value, pad)
+        if records is not None:
+            return records
         items = [_to_json(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def report_to_json(report: dict) -> str:
-    """json.dumps(report, sort_keys=True, indent=2) + newline, without its pure-Python encoder."""
+    """json.dumps(report, sort_keys=True, indent=2) + newline, without its pure-Python encoder.
+
+    Lists of flat records, which make up most of a report with attacks,
+    cost one C-encoder call each rather than a Python call per value.
+    """
     return _to_json(report, "\n") + "\n"
 
 

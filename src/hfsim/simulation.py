@@ -539,7 +539,7 @@ class _ScenarioRun:
             self.registry.protect_pages(self.machine.idt_pages())
 
         self.scripts = attacks  # (label, script) pairs
-        # {target: label}; an IDT write that lands on kernel objects adds them
+        # {target: label}; a code or IDT write that lands on kernel objects adds them
         self.target_label = check_attacks(setup, self.scripts)
         self.outcomes = {
             label: threat.AttackOutcome(label=label, kind=script.kind)
@@ -760,6 +760,8 @@ class _ScenarioRun:
             self._account_write(outcome, result, now)
             if result.applied:
                 for oid in self.machine.objects_overlapping(addr, len(data)):
+                    if action == _ACT_MODULE:  # past the module page, as for an IDT write
+                        self.target_label.setdefault(oid, label)
                     self._refresh_object_state(oid, now)
         elif action == _ACT_IDT:
             vector, handler = payload[2], payload[3]

@@ -567,9 +567,42 @@ _json_values = st.recursive(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(value=_json_values)
+_record_values = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, True, 1, False, 0]),
+    st.text(), st.sampled_from(["a\nb\n", 'x, "y"', "%s %d %%", "\u00e9\u20ac\U0001f600"]),
+)
+_record_keys = st.one_of(st.text(), st.sampled_from(["%", "%s", '"', 'a"%(b)s', "\n"]))
+
+
+@st.composite
+def _record_lists(draw):
+    """>= 2 dicts that share one key set and hold scalars, or a near miss, as a list or tuple."""
+    keys = draw(st.lists(_record_keys, min_size=1, max_size=5, unique=True))
+    records = draw(st.lists(st.fixed_dictionaries({key: _record_values for key in keys}),
+                            min_size=2, max_size=6))
+    i = draw(st.integers(1, len(records) - 1))
+    miss = draw(st.sampled_from([None, "extra key", "missing key", "nested value",
+                                 "not a dict", "int keys"]))
+    if miss == "extra key":
+        records[i] = {**records[i], draw(_record_keys.filter(lambda key: key not in keys)): 1}
+    elif miss == "missing key":
+        records[i] = {key: records[i][key] for key in keys[1:]}
+    elif miss == "nested value":
+        records[i] = {**records[i], keys[-1]: draw(st.sampled_from([[1], (), {}, {"a": None}]))}
+    elif miss == "not a dict":
+        records[i] = draw(st.one_of(_record_values, st.just([records[i]])))
+    elif miss == "int keys":
+        records = [dict(enumerate(record.values())) for record in records]
+    return tuple(records) if draw(st.booleans()) else records
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=st.one_of(_json_values, _record_lists(),
+                       _record_lists().map(lambda records: {"runs": [{"attacks": records}]})))
 @example(value={"a": [(), {}, [1.5, -0.0, None, True]], "b": {"c": (math.nan, "\u00e9")}})
+@example(value=[{"%s": "a\nb, \"c\": %d", 'k"%': math.nan, "x": True},
+                {"%s": "\u00e9", 'k"%': -0.0, "x": 1}])
 def test_report_writer_matches_json_dumps(value):
     assert report_to_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 

@@ -10,6 +10,8 @@ from hfsim.guest import GuestMachine
 from hfsim.hypervisor import ProtectionRegistry
 from hfsim.integrity import (
     IDTR_TARGET,
+    MEMO_BYTES,
+    MEMO_ENTRIES,
     check_all,
     check_batch,
     compute_digest,
@@ -89,6 +91,48 @@ def test_snapshot_without_objects_is_config_error():
     m = GuestMachine(1, 4096)
     with pytest.raises(ConfigurationError):
         snapshot_baselines(m)
+
+
+def test_the_table_digests_each_distinct_content_once():
+    m = _objects_machine(50, size=64)
+    digested = []
+
+    def counting_digest(data):
+        digested.append(data)
+        return compute_digest(data)
+
+    table = snapshot_baselines(m, digest_fn=counting_digest)
+    assert digested == [bytes(64)]  # every object reads as zeros
+    for obj in m.objects.values():  # one patch into every object, then its restore
+        m.privileged_write(obj.addr + 5, b"\x2a")
+    report = check_all(m, table)
+    assert len({v.found for v in report.violations}) == 1 and len(report.violations) == 50
+    for obj in m.objects.values():
+        m.privileged_write(obj.addr + 5, b"\x00")
+    assert check_all(m, table).violations == []
+    assert digested == [bytes(64), bytes(5) + b"\x2a" + bytes(58)]
+
+
+@pytest.mark.parametrize("length", [4096, 8])
+def test_the_content_memo_stays_bounded_and_digests_stay_exact(length):
+    page_size = 4096
+    m = GuestMachine(3 + 100, page_size)
+    m.set_idtr(page_size, 512)
+    m.register_kernel_object(3 * page_size, length, count=100)
+    table = snapshot_baselines(m)
+    cap = min(MEMO_ENTRIES, MEMO_BYTES // length)  # 64 contents of 4 KiB, 4,096 of 8 B
+    rng = random.Random(3)
+    sizes = []
+    for i in range(3 * cap):  # more distinct contents than the memo holds
+        obj = m.objects[rng.randrange(100)]
+        m.privileged_write(obj.addr + rng.randrange(length), bytes([i % 255 + 1]))
+        table.fold(m)
+        sizes.append(len(table._memo))
+    assert max(sizes) == cap
+    assert table.diverged and table.diverged == {
+        oid: compute_digest(m.read(m.objects[oid].addr, length)) for oid in table.diverged
+    }
+    assert sorted(table.diverged) == table.diverged_ids
 
 
 # ---------------------------------------------------------------------------

@@ -372,6 +372,15 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
 @example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
          attacks=[("idtr", 0, 5)], seed=0, traced=True)
+# the drains before the attack actions at 3, 4, 9, 21 and 32 ms hold 0, 0,
+# 1, 4 (ending in a tie between the sources) and 2 arrivals of one source
+@example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.FIXED, rates=(200, 50), horizon_ms=100,
+         attacks=[("transient", 1, [3, 4, 9, 21]), ("persistent", 3, 32)], seed=0, traced=True)
+# drains of one tied arrival from each source, then of none
+@example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.FIXED, rates=(100, 100), horizon_ms=100,
+         attacks=[("transient", 2, [5, 15, 25, 26])], seed=0, traced=False)
 def test_drained_run_matches_the_per_event_loop(placement, count, size, strategy, arrival,
                                                 rates, horizon_ms, attacks, seed, traced):
     setup = make_setup(count=count, size_bytes=min(size, 64) if placement == "spread" else size,
@@ -597,6 +606,21 @@ def test_an_idt_write_through_a_moved_idtr_is_dated_and_credited_on_the_objects_
     ]
     assert [(o.label, o.applied, o.detected_at, o.evaded) for o in result.attack_outcomes] == [
         ("idtr", 1, SEC, False), ("idt", 1, SEC * 11 // 10, False),
+    ]
+    assert json.dumps(result.to_json_dict()) == json.dumps(run_per_event_ref(*args).to_json_dict())
+
+
+def test_a_code_write_past_the_module_page_is_credited_on_the_objects_it_hits():
+    args = (make_setup(count=4, page_size=64), StrategyConfig(kind="hrk", batch_k=2),
+            _workload(3, syscall_rate=10), [("code", CodeTamper(offset=64, at=SEC))])
+    result = run_scenario(*args)
+    # the write's first bytes land on object 0, which the exit at 1.1 s checks
+    assert result.detections == [
+        DetectionRecord(target=0, tamper_time=SEC, detected_time=SEC * 11 // 10,
+                        via="hrk_vmexit"),
+    ]
+    assert [(o.label, o.applied, o.detected_at, o.evaded) for o in result.attack_outcomes] == [
+        ("code", 1, SEC * 11 // 10, False),
     ]
     assert json.dumps(result.to_json_dict()) == json.dumps(run_per_event_ref(*args).to_json_dict())
 

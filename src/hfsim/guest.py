@@ -17,6 +17,7 @@ the baseline table drains; no other object has changed since its last drain.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -414,3 +415,25 @@ class GuestMachine:
                 start += k - n
                 count -= 1
         return pages
+
+    def uniform_window_pages(self, k: int) -> Optional[int]:
+        """The pages every window of k consecutive ids maps, the wrapping ones too, or None.
+
+        k is at most the object count. None unless that count is the same
+        for every window, as when each object lies alone on a whole number
+        of pages (every `spread` layout). A window's count depends only on
+        where its first object starts within a page, which repeats every
+        page_size / gcd(stride, page_size) ids, so one such period of the
+        windows that end at or before the last id and one of those that
+        wrap decide it.
+        """
+        ps, layout = self.page_size, self.objects
+        base, stride, n = layout.base, layout.stride, layout.count
+        period = ps // math.gcd(stride, ps)
+        span = (k - 1) * stride + layout.length - 1  # a window's first byte to its last
+        whole = n - k + 1  # windows that end at or before id n - 1
+        counts = {(addr + span) // ps - addr // ps + 1
+                  for addr in range(base, base + min(whole, period) * stride, stride)}
+        counts.update(self.object_pages(start, start + k)
+                      for start in range(whole, min(n, whole + period)))
+        return counts.pop() if len(counts) == 1 else None

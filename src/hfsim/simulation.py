@@ -18,10 +18,14 @@ The engine alternates two steps: it drains the workload arrivals due
 before the next one-off event (a device firing or an attack action),
 then dispatches that event. Each workload source draws its arrivals a
 bounded chunk at a time, so memory does not grow with the event count.
-Baseline and hf count a drain's arrivals by bisecting each chunk. Under
-hrk every arrival is a VMExit: the sources' due arrivals are merged, the
-batch windows that lead a stretch and cannot find a violation are costed
-together from the object layout, and only the others run a check.
+Poisson arrivals stay the float seconds they were drawn as, and one is
+rounded to its tick only where the engine reads a tick. Baseline and hf
+count a drain's arrivals by bisecting each chunk. Under hrk every arrival
+is a VMExit. The batch windows that lead a stretch of arrivals and cannot
+find a violation are costed together from the object layout, and only
+the others run a check. When every window maps the same pages, a stretch
+that holds only such windows is counted per source; otherwise, or under
+a trace, the sources' arrivals are merged into dispatch order first.
 Charges that are the same for every event are derived from counts when
 the run finishes.
 
@@ -339,26 +343,37 @@ class ScenarioResult:
 # the most arrivals a source draws at a time
 ARRIVAL_CHUNK = 1024
 
+_PER_SECOND = float(TICKS_PER_SECOND)
+
+
+def _poisson_tick(t_s: float) -> Ticks:
+    """The tick of a Poisson arrival that the draws put at `t_s` seconds."""
+    return round(t_s * _PER_SECOND)
+
 
 def _arrival_chunks(
     rate: float, horizon: Ticks, arrival: Arrival, rng: random.Random
-) -> Iterator[list[Ticks]]:
-    """Arrival instants in (0, horizon], nondecreasing, a list at a time.
+) -> Iterator[list]:
+    """Arrivals in (0, horizon], nondecreasing, a list at a time.
 
-    No list ends inside a run of equal instants, so every arrival up to a
-    list's last instant is in that list or an earlier one. A list is the
-    run of equal instants the last draw ended with, then fewer than
-    ARRIVAL_CHUNK more. Each draw is sized from the arrivals expected
-    before the horizon, so a short run draws little more than it uses.
+    Fixed arrivals are int ticks. Poisson arrivals are the float seconds
+    their gaps sum to, and `_poisson_tick` maps one to its tick; the
+    engine rounds one only where it reads a tick. No list ends inside a
+    run of arrivals at one tick, so every arrival up to a list's last tick
+    is in that list or an earlier one. A list is the run at one tick the
+    last draw ended with, then fewer than ARRIVAL_CHUNK more. Each draw is
+    sized from the arrivals expected before the horizon, so a short run
+    draws little more than it uses.
 
     Fixed arrivals fall at round(n * TICKS_PER_SECOND / rate), computed
     exactly on the rate's value and rounded half to even as round() does.
     Poisson gaps are rng.expovariate(rate) as CPython computes it,
-    -log(1 - random()) / rate, so the instants are the same floats.
+    -log(1 - random()) / rate, so the sums are the same floats.
     """
     if rate <= 0:
         return
     if arrival is Arrival.FIXED:
+        tick = int
         ratio = Fraction(rate)
         # the n-th arrival is at (n * step) / divisor ticks; with x = 2*n*step
         # + divisor, half up is x // (2*divisor), and an exact tie onto an
@@ -373,34 +388,36 @@ def _arrival_chunks(
             drawn += m
             return [x // (2 * divisor) - (x % (4 * divisor) == 2 * divisor) for x in doubled]
     else:
+        tick = _poisson_tick
         log, uniform = math.log, rng.random
-        neg_rate, per_second = -float(rate), float(TICKS_PER_SECOND)
+        neg_rate = -float(rate)
         t_s = 0.0
 
-        def draw(m: int) -> list[Ticks]:
+        def draw(m: int) -> list[float]:
             # log(u) / -rate is -log(u) / rate: float division is sign-symmetric
             nonlocal t_s
-            sums = list(itertools.accumulate(
-                [log(1.0 - uniform()) / neg_rate for _ in range(m)], initial=t_s))
-            t_s = sums[-1]
-            return [round(t * per_second) for t in itertools.islice(sums, 1, None)]
+            gaps = [log(1.0 - uniform()) / neg_rate for _ in range(m)]
+            gaps[0] += t_s  # the running sum plus the first gap, then each gap in turn
+            times = list(itertools.accumulate(gaps))
+            t_s = times[-1]
+            return times
 
-    pending: list[Ticks] = []  # the run of equal instants the last draw ended with
+    pending: list = []  # the run at one tick the last draw ended with
     last = 0
     while True:
         expected = rate * (horizon - last) / TICKS_PER_SECOND
         times = draw(int(min(ARRIVAL_CHUNK - 16, expected)) + 16)
-        if times[-1] > horizon:
-            times = pending + times[:bisect_right(times, horizon)]
+        last = tick(times[-1])
+        if last > horizon:
+            times = pending + times[:bisect_right(times, horizon, key=tick)]
             if times:
                 yield times
             return
-        last = times[-1]
-        run_start = bisect_left(times, last)
+        run_start = bisect_left(times, last, key=tick)
         if run_start:
             yield pending + times[:run_start]
             pending = times[run_start:]
-        elif pending and pending[0] == last:
+        elif pending and tick(pending[0]) == last:
             pending += times
         else:
             if pending:
@@ -430,9 +447,12 @@ _SOURCES = (("syscall", "syscalls"), ("ctxswitch", "ctxswitches"))
 class _Source:
     """One workload source: its arrivals, a chunk at a time, and its tally.
 
-    `times[pos:]` are the arrivals not yet taken, `next` is the first of
-    them and `end` is one past the chunk's last: every arrival before `end`
-    is in `times`. Both are inf once the source is spent.
+    `times[pos:]` are the arrivals not yet taken, as `_arrival_chunks`
+    drew them: int ticks, or Poisson float seconds when `seconds` is set.
+    `tick` maps one to its tick (None for int ticks) and is the key of
+    every bisect of `times`. `next` is the tick of the first arrival not
+    yet taken and `end` one past the chunk's last: every arrival before
+    `end` is in `times`. Both are inf once the source is spent.
 
     `events` counts the arrivals taken and, under hrk, `pages_mapped` the
     pages their VMExits mapped. Every event of the source costs its base
@@ -441,10 +461,10 @@ class _Source:
     those charges follow from `events` alone and `_finish` derives them.
     """
 
-    __slots__ = ("times", "pos", "next", "end", "_chunks", "events", "pages_mapped")
+    __slots__ = ("times", "pos", "next", "end", "tick", "_chunks", "events", "pages_mapped")
 
-    def __init__(self, chunks: Iterator[list[Ticks]]):
-        self._chunks = chunks
+    def __init__(self, chunks: Iterator[list], seconds: bool = False):
+        self._chunks, self.tick = chunks, _poisson_tick if seconds else None
         self.events = self.pages_mapped = 0
         self._refill()
 
@@ -452,48 +472,67 @@ class _Source:
         """Take and count the arrivals before index `stop`; draw the next chunk once all are."""
         self.events += stop - self.pos
         if stop < len(self.times):
-            self.pos, self.next = stop, self.times[stop]
+            self.pos = stop
+            self.next = self.times[stop] if self.tick is None else self.tick(self.times[stop])
         else:
             self._refill()
 
+    def ticks(self, stop: int) -> list[Ticks]:
+        """The ticks of the arrivals from `pos` up to index `stop`."""
+        span = self.times[self.pos:stop]
+        # the rounding of `_poisson_tick`, inlined
+        return span if self.tick is None else [round(t * _PER_SECOND) for t in span]
+
     def _refill(self) -> None:
         self.times, self.pos = next(self._chunks, ()), 0
-        if self.times:
+        if not self.times:
+            self.next = self.end = math.inf
+        elif self.tick is None:
             self.next, self.end = self.times[0], self.times[-1] + 1
         else:
-            self.next = self.end = math.inf
+            self.next, self.end = self.tick(self.times[0]), self.tick(self.times[-1]) + 1
 
 
 def _stretches(
     sources: tuple[_Source, _Source], limit: Union[Ticks, float],
-) -> Iterator[tuple[list, Optional[int]]]:
-    """Take the arrivals before `limit` and yield them in dispatch order, a stretch at a time.
+) -> Iterator[tuple[int, int]]:
+    """Take the arrivals before `limit` a stretch at a time, yielding each source's stop index.
 
     A stretch ends at the first chunk end of either source, so it holds
-    every arrival of both before that end. A stretch of one source is
-    yielded as its instants with that source's index. A stretch of both is
-    merged as tagged instants 2t + source with index None, so a syscall
-    (source 0) comes before a context switch at the same tick.
+    every arrival of both before that end: source i's are its
+    `times[pos:stop_i]`. They are taken once the consumer asks for the
+    next stretch, so it reads them, as they are or through `_merged`,
+    before then.
     """
     a, b = sources
     while a.next < limit or b.next < limit:
         bound = min(limit, a.end, b.end)
-        if b.next >= bound or a.next >= bound:
-            index, source = (0, a) if b.next >= bound else (1, b)
-            stop = bisect_left(source.times, bound, source.pos)
-            stretch = source.times[source.pos:stop]
-            source.take(stop)
-        else:
-            a_stop, b_stop = bisect_left(a.times, bound, a.pos), bisect_left(b.times, bound, b.pos)
-            stretch, index = sorted([2 * t for t in a.times[a.pos:a_stop]]
-                                    + [2 * t + 1 for t in b.times[b.pos:b_stop]]), None
+        a_stop = a.pos if a.next >= bound else bisect_left(a.times, bound, a.pos, key=a.tick)
+        b_stop = b.pos if b.next >= bound else bisect_left(b.times, bound, b.pos, key=b.tick)
+        yield a_stop, b_stop
+        if a_stop > a.pos:
             a.take(a_stop)
+        if b_stop > b.pos:
             b.take(b_stop)
-        yield stretch, index
+
+
+def _merged(sources: tuple[_Source, _Source], stops: tuple[int, int]) -> tuple[list, Optional[int]]:
+    """A stretch's arrivals in dispatch order, as ticks, from the stops `_stretches` yielded.
+
+    A stretch of one source is its ticks with that source's index. A
+    stretch of both is merged as tagged ticks 2t + source with index None,
+    so a syscall (source 0) comes before a context switch at the same tick.
+    """
+    (a, b), (a_stop, b_stop) = sources, stops
+    if b_stop == b.pos:
+        return a.ticks(a_stop), 0
+    if a_stop == a.pos:
+        return b.ticks(b_stop), 1
+    return sorted([2 * t for t in a.ticks(a_stop)] + [2 * t + 1 for t in b.ticks(b_stop)]), None
 
 
 def _dispatch_order(stretch: list, index: Optional[int]) -> Iterator[tuple[Ticks, str]]:
-    """(instant, op) of each arrival of a stretch that `_stretches` yielded."""
+    """(instant, op) of each arrival of a stretch that `_merged` returned."""
     if index is None:
         return ((tag >> 1, _SOURCES[tag & 1][0]) for tag in stretch)
     return zip(stretch, itertools.repeat(_SOURCES[index][0]))
@@ -558,11 +597,18 @@ class _ScenarioRun:
             "objects_checked": 0, "traps": 0,
         }
         # one source per workload op, each with its own random substream
+        seconds = workload.arrival is Arrival.POISSON
         self.sources = tuple(
             _Source(_arrival_chunks(rate, self.horizon, workload.arrival,
-                                    random.Random(f"workload-{op}:{seed}")))
+                                    random.Random(f"workload-{op}:{seed}")), seconds)
             for (op, _), rate in zip(_SOURCES, (workload.syscall_rate, workload.ctxswitch_rate))
         )
+        # the pages every hrk VMExit maps, when that is one count and no trace
+        # needs each exit; else None
+        self.uniform_pages = None
+        if strategy.kind == STRATEGY_HRK and trace is None:
+            self.uniform_pages = self.machine.uniform_window_pages(
+                min(strategy.batch_k, setup.objects.count))
         self.detections: list[DetectionRecord] = []
 
         self.queue = EventQueue()
@@ -637,13 +683,13 @@ class _ScenarioRun:
     def _drain_arrivals(self, limit: Union[Ticks, float]) -> None:
         """Count the workload arrivals before `limit` (baseline and hf)."""
         if self.trace is not None:
-            for stretch, index in _stretches(self.sources, limit):
-                for now, op in _dispatch_order(stretch, index):
+            for stops in _stretches(self.sources, limit):
+                for now, op in _dispatch_order(*_merged(self.sources, stops)):
                     self.trace({"t": now, "kind": op})
             return
         for source in self.sources:
             while source.next < limit:
-                source.take(bisect_left(source.times, limit, source.pos))
+                source.take(bisect_left(source.times, limit, source.pos, key=source.tick))
 
     def _drain_vmexits(self, limit: Union[Ticks, float]) -> None:
         """Run the VMExits of the workload arrivals before `limit` (hrk).
@@ -655,20 +701,24 @@ class _ScenarioRun:
         moved, finds nothing, and so does every window before it. So the
         clean windows that lead a stretch follow from the cursor, the first
         diverged id and the IDTR at once: they only map their pages and
-        move the cursor. `on_control_register_write` checks every other
-        window.
+        move the cursor. When every window maps the same pages and no
+        trace needs each exit, a stretch that is clean throughout is only
+        counted: its arrivals are neither merged nor rounded to ticks.
+        `on_control_register_write` checks every other window.
         """
-        syscalls, ctxswitches = self.sources
+        sources = self.sources
+        syscalls, ctxswitches = sources
         if syscalls.next >= limit and ctxswitches.next >= limit:
             return
-        machine, table, trace = self.machine, self.table, self.trace
+        machine, table, trace, uniform = self.machine, self.table, self.trace, self.uniform_pages
         n = machine.objects.count
         k = min(self.strategy.batch_k, n)
         idtr_clean = (machine.idtr.base, machine.idtr.limit) == table.idtr_baseline
         cursor = table.cursor
         dirty_at = self._dirty_at(cursor, n)
-        for stretch, index in _stretches(self.sources, limit):
-            done, count = 0, len(stretch)
+        for stops in _stretches(sources, limit):
+            done, count = 0, stops[0] - syscalls.pos + stops[1] - ctxswitches.pos
+            stretch = index = None  # the arrivals as `_merged` gives them, once read
             while True:
                 # windows stop at cursor + k, cursor + 2k, ...: clean while they
                 # stop at or before dirty_at, and before n if the IDTR is moved
@@ -677,9 +727,16 @@ class _ScenarioRun:
                     clean = min(clean, (dirty_at - cursor) // k)
                 if not idtr_clean:
                     clean = min(clean, (n - 1 - cursor) // k)
+                if clean == count and uniform is not None:  # read no arrival: count them
+                    syscalls.pages_mapped += (stops[0] - syscalls.pos) * uniform
+                    ctxswitches.pages_mapped += (stops[1] - ctxswitches.pos) * uniform
+                elif stretch is None:
+                    stretch, index = _merged(sources, stops)
                 if clean:
-                    self._map_clean_windows(
-                        stretch if clean == count else stretch[done:done + clean], index, cursor, k)
+                    if stretch is not None:
+                        self._map_clean_windows(
+                            stretch if clean == count else stretch[done:done + clean],
+                            index, cursor, k)
                     done += clean
                     cursor += clean * k
                     if cursor >= n:  # cycles complete: unrolled ids move back by as many
@@ -696,7 +753,7 @@ class _ScenarioRun:
                     trace({"t": now, "kind": op})
                 table.cursor = cursor
                 report = on_control_register_write(machine, table, self.costs, k, now=now)
-                self.sources[source].pages_mapped += report.pages_mapped
+                sources[source].pages_mapped += report.pages_mapped
                 if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
                     trace({"t": now, "kind": "vmexit_check", "checked": k + report.cycle_completed,
                            "violations": len(report.violations)})

@@ -11,8 +11,11 @@ sweep must match the walk-every-object oracle in conftest.
 
 Some objects on pages written before the snapshot: overlap queries,
 window page counts (one window, or a run of consecutive ones) and
-baseline digests must match a walk over every object.
+baseline digests must match a walk over every object. A layout's uniform
+window page count must be the one count all its windows map, if they do.
 """
+
+import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -177,3 +180,40 @@ def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writ
         for start in range(count):
             cursors = [(start + i * k) % count for i in range(2 * count + 1)]
             assert m.window_pages(start, k, len(cursors)) == [pages_at[c] for c in cursors]
+
+
+@st.composite
+def _window_layout(draw):
+    """(base, stride, length, count), up to 40 objects at any stride or whole pages apart."""
+    if draw(st.booleans()):
+        stride = PAGE_SIZE * draw(st.integers(1, 2))
+        length = draw(st.integers(stride - PAGE_SIZE + 1, stride))
+    else:
+        length = draw(st.integers(1, 2 * PAGE_SIZE))
+        stride = draw(st.integers(1, length + PAGE_SIZE - 1))
+    return draw(st.integers(0, 3 * PAGE_SIZE)), stride, length, draw(st.integers(1, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=_window_layout(), k=st.integers(1, 40))
+# objects share pages, yet every window maps 2, the wrapping one too
+@example(layout=(0, 40, 40, 3), k=2)
+# one more object: the windows that end at or before the last id map 2,
+# the wrapping one 3
+@example(layout=(0, 40, 40, 4), k=2)
+# k = n on one shared page: every window is every object
+@example(layout=(0, 8, 8, 6), k=6)
+# whole pages apart and off the page boundary: each object alone on two
+# pages, so every window maps 6; then with neighbours sharing a page, the
+# wrapping windows map one page more
+@example(layout=(32, 128, 90, 5), k=3)
+@example(layout=(32, 64, 40, 5), k=3)
+def test_uniform_window_pages_is_the_count_every_window_maps(layout, k):
+    base, stride, length, count = layout
+    k = 1 + (k - 1) % count  # 1..count, k = n among them
+    m = GuestMachine(128, PAGE_SIZE)
+    m.register_kernel_object(base, length, count, stride)
+    # one period of windows from each start below gcd(n, k) holds every window once
+    g = math.gcd(count, k)
+    counts = {p for start in range(g) for p in m.window_pages(start, k, count // g)}
+    assert m.uniform_window_pages(k) == (counts.pop() if len(counts) == 1 else None)

@@ -28,6 +28,8 @@ from hfsim.simulation import (
     StrategyConfig,
     WorkloadSpec,
     _arrival_chunks,
+    _merged,
+    _poisson_tick,
     _Source,
     _stretches,
     run_scenario,
@@ -81,7 +83,8 @@ def _stretched_then_popped(sources, q):
     events = []
     while True:
         event = q.pop()
-        for stretch, index in _stretches(sources, math.inf if event is None else event[0]):
+        for stops in _stretches(sources, math.inf if event is None else event[0]):
+            stretch, index = _merged(sources, stops)
             events += [(t, EventKind.WORKLOAD, i) for t, i in (
                 divmod(tag, 2) if index is None else (tag, index) for tag in stretch)]
         if event is None:
@@ -133,16 +136,20 @@ def test_drain_then_pop_matches_pushing_every_event_up_front(syscalls, ctxswitch
 @pytest.mark.parametrize("rate", [0.5, 3, 100, 8000.25])
 @pytest.mark.parametrize("seed", [0, 5, 1234])
 def test_poisson_arrivals_are_expovariate_draws(rate, seed):
-    # the inlined draw must give the very floats random.expovariate gives
+    # the inlined draw must give the very floats random.expovariate gives,
+    # kept as seconds, and each one's tick must be the one it rounds to
     rng = random.Random(seed)
-    times, t_s = [], 0.0
+    seconds, t_s = [], 0.0
     for _ in range(500):
         t_s += rng.expovariate(rate)
-        times.append(round(t_s * SEC))
-    drawn = _arrival_chunks(rate, times[-1], Arrival.POISSON, random.Random(seed))
-    assert list(itertools.chain.from_iterable(drawn)) == times
+        seconds.append(t_s)
+    times = [round(t * SEC) for t in seconds]
+    drawn = list(itertools.chain.from_iterable(
+        _arrival_chunks(rate, times[-1], Arrival.POISSON, random.Random(seed))))
+    assert drawn == seconds and [_poisson_tick(t) for t in drawn] == times
     cut = _arrival_chunks(rate, times[249], Arrival.POISSON, random.Random(seed))
-    assert list(itertools.chain.from_iterable(cut)) == [t for t in times if t <= times[249]]
+    assert [_poisson_tick(t) for t in itertools.chain.from_iterable(cut)] == [
+        t for t in times if t <= times[249]]
 
 
 @settings(max_examples=150, deadline=None)
@@ -155,9 +162,17 @@ def test_poisson_arrivals_are_expovariate_draws(rate, seed):
 # the horizon falls before the first arrival
 @example(rate=0.5, arrival=Arrival.FIXED, seed=0, expected=0.9)
 @example(rate=0.5, arrival=Arrival.POISSON, seed=0, expected=0.01)
+# 1e13/s: thousands of arrivals at each of ticks 0 and 1, so whole draws
+# land on the tick the draw before them ended on
+@example(rate=1e13, arrival=Arrival.POISSON, seed=0, expected=3000)
 def test_arrival_chunks_concatenate_to_the_reference_draws(rate, arrival, seed, expected):
     horizon = max(1, int(expected * SEC / rate)) if rate else SEC
-    chunks = list(_arrival_chunks(rate, horizon, arrival, random.Random(seed)))
+    drawn = list(_arrival_chunks(rate, horizon, arrival, random.Random(seed)))
+    # fixed arrivals are drawn as int ticks, Poisson ones as float seconds
+    assert all(type(t) is (int if arrival is Arrival.FIXED else float)
+               for t in itertools.chain.from_iterable(drawn))
+    tick = int if arrival is Arrival.FIXED else _poisson_tick
+    chunks = [[tick(t) for t in chunk] for chunk in drawn]
     assert list(itertools.chain.from_iterable(chunks)) == _arrival_times_ref(
         rate, horizon, arrival, random.Random(seed))
     for chunk, after in zip(chunks, chunks[1:] + [[math.inf]]):
@@ -381,6 +396,34 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
 @example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 100), horizon_ms=100,
          attacks=[("transient", 2, [5, 15, 25, 26])], seed=0, traced=False)
+# untraced hrk on layouts where every window maps the same pages, so clean
+# stretches are only counted: Poisson arrivals on both sources, more than a
+# chunk of each, and no attack
+@example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=4),
+         arrival=Arrival.POISSON, rates=(2000, 900), horizon_ms=700,
+         attacks=[], seed=1, traced=False)
+# a persistent tamper whose object then holds a dirty window inside every
+# later stretch
+@example(placement="spread", count=8, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.FIXED, rates=(300, 100), horizon_ms=700,
+         attacks=[("persistent", 5, 350)], seed=0, traced=False)
+# an IDTR move, then a transient window on Poisson arrivals
+@example(placement="spread", count=7, size=8, strategy=StrategyConfig(kind="hrk", batch_k=3),
+         arrival=Arrival.POISSON, rates=(250, 80), horizon_ms=700,
+         attacks=[("idtr", 128, 200), ("transient", 2, [400, 450])], seed=2, traced=False)
+# the context-switch source at rate 0
+@example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
+         arrival=Arrival.POISSON, rates=(280, 0), horizon_ms=700,
+         attacks=[("transient", 1, [100, 300])], seed=4, traced=False)
+# packed objects of a whole page each, with windows that wrap
+@example(placement="packed", count=7, size=64, strategy=StrategyConfig(kind="hrk", batch_k=3),
+         arrival=Arrival.FIXED, rates=(300, 70), horizon_ms=700,
+         attacks=[("transient", 4, [120, 500])], seed=0, traced=False)
+# 1e9 and 2e9 Poisson arrivals/s over 3 us: draws of either source end and
+# begin with arrivals that round to one tick, and a tamper lands at 1 us
+@example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=4),
+         arrival=Arrival.POISSON, rates=(1e9, 2e9), horizon_ms=Fraction(3, 1000),
+         attacks=[("persistent", 3, Fraction(1, 1000))], seed=8, traced=False)
 def test_drained_run_matches_the_per_event_loop(placement, count, size, strategy, arrival,
                                                 rates, horizon_ms, attacks, seed, traced):
     setup = make_setup(count=count, size_bytes=min(size, 64) if placement == "spread" else size,

@@ -95,10 +95,10 @@ class ObjectLayout(Mapping):
         return KernelObjectDescriptor(oid, self.base + oid * self.stride, self.length)
 
     def overlapping(self, addr: int, end: int) -> range:
-        """Ids of the objects intersecting [addr, end)."""
-        lo = max((addr - self.base - self.length) // self.stride + 1, 0)
-        hi = min(-((self.base - end) // self.stride), self.count)
-        return range(lo, max(lo, hi))
+        """Ids of the objects intersecting [addr, end); an empty range may start past its stop."""
+        lo = (addr - self.base - self.length) // self.stride + 1
+        hi = -((self.base - end) // self.stride)
+        return range(lo if lo > 0 else 0, hi if hi < self.count else self.count)
 
 
 _NO_OBJECTS = ObjectLayout(0, 1, 1, 0)  # a machine's layout until one is registered
@@ -141,6 +141,9 @@ class WriteOutcome:
     @property
     def trapped(self) -> bool:
         return not self.applied
+
+
+_APPLIED = WriteOutcome(applied=True)  # every applied write's outcome
 
 
 class GuestMachine:
@@ -202,20 +205,23 @@ class GuestMachine:
         """Mediated write: vetoed whole if any touched page is protected."""
         self._check_range(addr, len(data))
         if data:
-            first = addr // self.page_size
+            first, protected = addr // self.page_size, reg.protected_pages
             last = (addr + len(data) - 1) // self.page_size
-            hit = [p for p in range(first, last + 1) if reg.is_protected(p)]
-            if hit:
+            if first == last:  # the first protected page the write touches, if any
+                hit = first if first in protected else None
+            else:
+                hit = next((p for p in range(first, last + 1) if p in protected), None)
+            if hit is not None:
                 trap = reg.record_trap(
                     time=now,
                     addr=addr,
                     length=len(data),
-                    page=hit[0],
+                    page=hit,
                     kind=self._classify_write(addr, len(data)),
                 )
                 return WriteOutcome(applied=False, trap=trap)
         self._store(addr, data)
-        return WriteOutcome(applied=True)
+        return _APPLIED
 
     def privileged_write(self, addr: int, data: bytes) -> None:
         """Hypervisor-side write; bypasses the protection check."""
@@ -223,12 +229,17 @@ class GuestMachine:
         self._store(addr, data)
 
     def _store(self, addr: int, data: bytes) -> None:
-        for pos, index, offset, n in self._spans(addr, len(data)):
-            page = self._pages.get(index)
+        ps, pages, pos, end = self.page_size, self._pages, 0, len(data)
+        while pos < end:  # a page at a time; a write within one page takes one step
+            index, offset = divmod(addr + pos, ps)
+            n = min(ps - offset, end - pos)
+            page = pages.get(index)
             if page is None:
-                page = self._pages[index] = bytearray(self.page_size)
+                page = pages[index] = bytearray(ps)
             page[offset : offset + n] = data[pos : pos + n]
-        self.written.update(self.objects_overlapping(addr, len(data)))
+            pos += n
+        if end:
+            self.written.update(self.objects.overlapping(addr, addr + end))
 
     def _classify_write(self, addr: int, length: int) -> TrapKind:
         end = addr + length
@@ -287,7 +298,7 @@ class GuestMachine:
         encoded = handler_addr.to_bytes(IDT_ENTRY_SIZE, "little")
         if privileged:
             self.privileged_write(entry_addr, encoded)
-            return WriteOutcome(applied=True)
+            return _APPLIED
         if reg is None:
             raise ConfigurationError("guest IDT write requires the protection registry")
         return self.guest_write(reg, entry_addr, encoded, now=now)

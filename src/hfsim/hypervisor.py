@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Optional
 
 from . import integrity
 from .errors import AddressError, ConfigurationError, check_bounds, positive, require, spec
@@ -77,9 +77,6 @@ class ProtectionRegistry:
     def unprotect_pages(self, pages: Iterable[int]) -> None:
         """Remove pages from the protected set; absent pages are a no-op."""
         self.protected_pages.difference_update(self._check_pages(pages))
-
-    def is_protected(self, page: int) -> bool:
-        return page in self.protected_pages
 
     def record_trap(
         self, time: Ticks, addr: int, length: int, page: int, kind: TrapKind
@@ -157,6 +154,7 @@ def fire_interrupt(
     costs: "CostModel",
     now: Ticks = 0,
     trace: Optional[Callable[[dict], None]] = None,
+    skip: Container = frozenset(),
 ) -> integrity.CheckReport:
     """Unlock-dispatch-sweep-relock envelope for one device interrupt.
 
@@ -166,7 +164,7 @@ def fire_interrupt(
     is refused and a subverted report carries an integrity-subversion
     detection instead. The envelope is atomic with respect to guest
     events: no guest write can interleave between the unlock and the
-    relock.
+    relock. Targets in `skip`, the handler among them, get no violation.
     """
     module = machine.module
     if module is None:
@@ -177,20 +175,22 @@ def fire_interrupt(
     except (ConfigurationError, AddressError):
         handler = None
     if handler is None or not module.contains(handler):
-        violation = integrity.Violation(
-            target=integrity.HANDLER_TARGET,
-            expected=(module.addr, module.end),
-            found=handler,
-            time=now + delivery,
-        )
-        return integrity.CheckReport(violations=[violation], subverted=True)
+        report = integrity.CheckReport(diverged=1, subverted=True)
+        if integrity.HANDLER_TARGET not in skip:
+            report.violations.append(integrity.Violation(
+                target=integrity.HANDLER_TARGET,
+                expected=(module.addr, module.end),
+                found=handler,
+                time=now + delivery,
+            ))
+        return report
 
     pages = list(module.page_range(machine.page_size))
     reg.unprotect_pages(pages)
     if trace is not None:
         trace({"t": now, "kind": "module_unprotect", "pages": pages})
     report = integrity.check_all(
-        machine, table, hash_ticks_per_byte=costs.t_hash_per_byte, now=now + delivery
+        machine, table, hash_ticks_per_byte=costs.t_hash_per_byte, now=now + delivery, skip=skip
     )
     reg.protect_pages(pages)
     if trace is not None:
@@ -204,6 +204,7 @@ def on_control_register_write(
     costs: "CostModel",
     k: int,
     now: Ticks = 0,
+    skip: Container = frozenset(),
 ) -> integrity.CheckReport:
     """Model one MOV_CR* VMExit: map, check the next k objects, re-enter.
 
@@ -211,13 +212,14 @@ def on_control_register_write(
     page it touches (the in-hypervisor checker cannot read guest memory
     natively); the report counts those pages, computed from the object
     layout. A batch that wraps past the last object covers two id spans.
-    The batch cursor advances round-robin.
+    The batch cursor advances round-robin. Targets in `skip` get no
+    violation.
     """
     start = table.cursor
     pages_mapped = machine.object_pages(start, start + min(k, len(table)))
     begin = now + costs.t_vmexit + pages_mapped * costs.t_map_page
     report = integrity.check_batch(
-        machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=begin
+        machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=begin, skip=skip
     )
     report.pages_mapped = pages_mapped
     return report

@@ -10,19 +10,22 @@ is out of scope for this model.
 A check costs O(diverged objects in its range), not O(objects checked).
 The table folds in each object the guest writes and keeps those whose
 digest now differs from their baseline; a check reads their ids and
-computes no digest. Folding digests each distinct object content once:
-the table memoises {content: digest}, seeded by the snapshot, so a write
-of bytes seen before (the same patch in another object, a restore to the
-baseline) costs a dict lookup. The memo holds at most MEMO_ENTRIES
-contents and MEMO_BYTES of their bytes, and is cleared when full. Every object has the layout's one
-length, so the simulated hash cost and each violation's timestamp are
-that length times a count of objects, never a walk over the range.
+computes no digest. It counts every diverged target in its range, and
+builds a violation only for those its caller has not reported yet.
+Folding digests each distinct object content once: the table memoises
+{content: digest}, seeded by the snapshot, so a write of bytes seen
+before (the same patch in another object, a restore to the baseline)
+costs a dict lookup. The memo holds at most MEMO_ENTRIES contents and
+MEMO_BYTES of their bytes, and is cleared when full. Every object has
+the layout's one length, so the simulated hash cost and each violation's
+timestamp are that length times a count of objects, never a walk over
+the range.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
@@ -71,13 +74,16 @@ class CheckReport:
 
     The same type serves a batch (`check_batch`, plus the pages a VMExit
     mapped for it) and a sweep (`check_all`, or a forced interrupt whose
-    sweep was refused because its dispatch was `subverted`). `duration`
-    is the hash time alone; callers charge transitions, mapping and
-    delivery from their cost model.
+    sweep was refused because its dispatch was `subverted`). `diverged`
+    counts every checked target that differs from its baseline;
+    `violations` holds those of them not in the check's `skip`, in check
+    order. `duration` is the hash time alone; callers charge transitions,
+    mapping and delivery from their cost model.
     """
 
     objects_checked: int = 0
     violations: list = field(default_factory=list)
+    diverged: int = 0
     duration: Ticks = 0
     cycle_completed: bool = False
     pages_mapped: int = 0
@@ -147,9 +153,9 @@ class BaselineTable:
 
     def fold(self, machine: "GuestMachine") -> list[int]:
         """Digest the objects written since the last fold; return the diverged ids."""
+        layout = machine.objects
         for oid in machine.written:
-            obj = machine.objects[oid]
-            digest = self.digest(machine.read(obj.addr, obj.length))
+            digest = self.digest(machine.read(layout.base + oid * layout.stride, layout.length))
             if digest != self.entries[oid]:
                 if oid not in self.diverged:
                     insort(self.diverged_ids, oid)
@@ -204,13 +210,14 @@ def verify_idtr(
 
 def _check_window(
     machine: "GuestMachine", table: BaselineTable, start: int, k: int,
-    hash_ticks_per_byte: Ticks, now: Ticks,
+    hash_ticks_per_byte: Ticks, now: Ticks, skip: Container,
 ) -> CheckReport:
     """Check the k objects from id `start` on, wrapping past the last id to id 0.
 
     They hash in that order from `now`, and a violation is stamped when its
     object's hash ends. Whenever the window covers the last id a cycle has
-    completed and the IDTR rides along as a pseudo-object.
+    completed and the IDTR rides along as a pseudo-object. Targets in
+    `skip` are counted in `diverged` but get no violation.
     """
     n, end = len(table), start + k
     per_object = machine.objects.length * hash_ticks_per_byte
@@ -218,14 +225,18 @@ def _check_window(
     diverged = table.fold(machine)
     # the diverged ids in [start, n), then in [0, end - n) past the wrap
     for lo, hi, first in ((start, min(end, n), start), (0, end - n, start - n)):
-        for oid in diverged[bisect_left(diverged, lo):bisect_left(diverged, hi)]:
-            report.violations.append(Violation(
-                target=oid, expected=table.entries[oid],
-                found=table.diverged[oid],
-                time=now + (oid + 1 - first) * per_object,
-            ))
-    if report.cycle_completed and (idtr := verify_idtr(machine, table, now + report.duration)):
-        report.violations.append(idtr)
+        ids = diverged[bisect_left(diverged, lo):bisect_left(diverged, hi)]
+        report.diverged += len(ids)
+        for oid in ids:
+            if oid not in skip:
+                report.violations.append(Violation(
+                    target=oid, expected=table.entries[oid], found=table.diverged[oid],
+                    time=now + (oid + 1 - first) * per_object,
+                ))
+    if report.cycle_completed and (machine.idtr.base, machine.idtr.limit) != table.idtr_baseline:
+        report.diverged += 1
+        if IDTR_TARGET not in skip:
+            report.violations.append(verify_idtr(machine, table, now + report.duration))
     return report
 
 
@@ -235,14 +246,16 @@ def check_batch(
     k: int,
     hash_ticks_per_byte: Ticks = 0,
     now: Ticks = 0,
+    skip: Container = frozenset(),
 ) -> CheckReport:
     """Check the next k objects from the cursor (wrapping), advance it.
 
-    k saturates at the object count, so k >= N is one full pass.
+    k saturates at the object count, so k >= N is one full pass. Targets
+    in `skip` get no violation.
     """
     require("batch size", positive(k))
     k = min(k, len(table))
-    report = _check_window(machine, table, table.cursor, k, hash_ticks_per_byte, now)
+    report = _check_window(machine, table, table.cursor, k, hash_ticks_per_byte, now, skip)
     table.cursor = (table.cursor + k) % len(table)
     return report
 
@@ -252,6 +265,10 @@ def check_all(
     table: BaselineTable,
     hash_ticks_per_byte: Ticks = 0,
     now: Ticks = 0,
+    skip: Container = frozenset(),
 ) -> CheckReport:
-    """Check every object once plus the IDTR; the cursor is untouched."""
-    return _check_window(machine, table, 0, len(table), hash_ticks_per_byte, now)
+    """Check every object once plus the IDTR; the cursor is untouched.
+
+    Targets in `skip` get no violation.
+    """
+    return _check_window(machine, table, 0, len(table), hash_ticks_per_byte, now, skip)

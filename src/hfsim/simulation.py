@@ -14,9 +14,12 @@ identity testable to the tick. Event-op base costs (t_syscall_base,
 t_ctxswitch_base) describe the cost of the operation itself; they are
 reported in absolute per-event latency but never extend the run.
 
-The engine alternates two steps: it drains the workload arrivals due
-before the next one-off event (a device firing or an attack action),
-then dispatches that event. Each workload source draws its arrivals a
+Every one-off event (a device firing or an attack action) is known at
+set-up, so the run holds them in one list, sorted once. Set-up also
+resolves what the layout fixes: each attack write's address, its bytes
+and the ids of the objects it overlaps. The engine walks the list in two
+steps: it drains the workload arrivals due before the next event, then
+dispatches that event. Each workload source draws its arrivals a
 bounded chunk at a time, so memory does not grow with the event count.
 Poisson arrivals stay the float seconds they were drawn as, and one is
 rounded to its tick only where the engine reads a tick. Baseline and hf
@@ -27,7 +30,9 @@ the others run a check. When every window maps the same pages, a stretch
 that holds only such windows is counted per source; otherwise, or under
 a trace, the sources' arrivals are merged into dispatch order first.
 Charges that are the same for every event are derived from counts when
-the run finishes.
+the run finishes. Each check skips the targets whose current divergence
+episode is already reported, so it builds violations only for new
+episodes, and an untraced run builds no trace entry.
 
 Determinism: identical (setup, strategy, workload, attacks, costs, seed)
 inputs replay to a byte-identical serialized result. All randomness flows
@@ -37,18 +42,18 @@ from named substreams of the run seed.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from . import threat
 from .errors import (
-    ConfigFileError, ConfigurationError, check_bounds, nonneg, one_of, positive, spec,
+    ConfigFileError, ConfigurationError, byte, check_bounds, nonneg, one_of, positive, spec,
 )
 from .guest import IDT_ENTRY_SIZE, GuestMachine, page_size_problem
 from .guest import handler_problem, idtr_limit_problem
@@ -77,7 +82,7 @@ IDT_VECTORS = 64
 class EventKind(enum.IntEnum):
     """Tie-break priority for simultaneous events (lower fires first).
 
-    Only firings and attack actions are queued; the drains take workload
+    Only firings and attack actions are listed; the drains take workload
     arrivals strictly before an event's tick, so they come last.
     """
 
@@ -86,23 +91,9 @@ class EventKind(enum.IntEnum):
     WORKLOAD = 3
 
 
-class EventQueue:
-    """Firings and attack actions, in (time, kind priority, insertion sequence) order.
-
-    A pushed event takes the next sequence number; `pop` takes the earliest.
-    Workload arrivals are not queued: each source buffers its own (`_Source`).
-    """
-
-    def __init__(self):
-        self._events: list[tuple[int, int, int, tuple]] = []
-        self._seq = itertools.count()
-
-    def push(self, time: Ticks, kind: EventKind, payload: tuple) -> None:
-        heapq.heappush(self._events, (time, kind, next(self._seq), payload))
-
-    def pop(self) -> Optional[tuple[int, int, int, tuple]]:
-        """The earliest event's heap tuple, or None when there is none."""
-        return heapq.heappop(self._events) if self._events else None
+# a run's events are (time, kind, payload), sorted by this key; the sort is
+# stable, so events at one tick of one kind keep the order they were listed in
+EVENT_ORDER = itemgetter(0, 1)
 
 
 class Arrival(enum.Enum):
@@ -219,13 +210,14 @@ def plan_layout(setup: SetupSpec) -> Layout:
 def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
     """Validate labelled attack scripts against a setup before t=0.
 
-    Object tampers must name a registered object and, like code tampers,
-    write only bytes inside guest memory; IDT tampers must name a vector
-    inside the IDT, and IDTR tampers a table inside guest memory; no two
-    scripts may target the same object or the IDTR, since a detection
-    could not then be attributed. Returns {target: label} for the object
-    and IDTR tampers. Raises ConfigFileError with one problem per
-    offending script, keyed by its label.
+    Object tampers must name a registered object, XOR a byte into it
+    and, like code tampers, write only bytes inside guest memory; IDT
+    tampers must name a vector inside the IDT, and IDTR tampers a table
+    inside guest memory; no two scripts may target the same object or
+    the IDTR, since a detection could not then be attributed. Returns
+    {target: label} for the object and IDTR tampers. Raises
+    ConfigFileError with one problem per offending script, keyed by its
+    label.
     """
     memory = setup.machine.page_count * setup.machine.page_size
     layout = _layout(setup)
@@ -238,6 +230,9 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
             if not 0 <= target < setup.objects.count:
                 problems.append((f"{key}.object_index", f"object index {target} "
                                  f"outside [0, {setup.objects.count})"))
+                continue
+            if problem := byte(script.xor_mask):
+                problems.append((f"{key}.xor_mask", problem))
                 continue
             addr = layout.objects_base + target * layout.objects_stride + script.offset
             if not 0 <= addr < memory:
@@ -585,9 +580,10 @@ class _ScenarioRun:
             for label, script in self.scripts
         }
 
-        # divergence episode per target, added on first use:
-        # [dirty_since, episode_detected]
-        self.state: dict = {}
+        # the tick each diverged target's current episode began, and the
+        # targets whose current episode is reported; checks skip those
+        self.dirty_since: dict = {}
+        self.reported: set = set()
 
         self.breakdown = {
             "vmexit": 0, "vmentry": 0, "map_page": 0, "hash": 0, "interrupt_delivery": 0,
@@ -611,33 +607,32 @@ class _ScenarioRun:
                 min(strategy.batch_k, setup.objects.count))
         self.detections: list[DetectionRecord] = []
 
-        self.queue = EventQueue()
-        self._schedule_firings()
-        self._schedule_attacks()
+        # every event of the run, firings before attack actions at one tick
+        self._firing_times = [] if self.schedule is None else self.schedule.firing_times(
+            self.horizon, salt=self.seed)
+        firings = [(t, EventKind.DEVICE_FIRING, ()) for t in self._firing_times]
+        self.events = sorted(firings + self._attack_events(), key=EVENT_ORDER)
 
     # -- setup ----------------------------------------------------------
 
-    def _schedule_firings(self) -> None:
-        if self.schedule is None:
-            return
-        self._firing_times = self.schedule.firing_times(self.horizon, salt=self.seed)
-        for t in self._firing_times:
-            self.queue.push(t, EventKind.DEVICE_FIRING, ("firing",))
+    def _attack_events(self) -> list:
+        """Each attack action as (time, ATTACK, payload), in script order.
 
-    def _schedule_attacks(self) -> None:
+        A write's payload is (action, label, address, bytes, the ids of the
+        objects the bytes overlap), all fixed by the layout.
+        """
+        machine, events = self.machine, []
+        objects, overlapping = machine.objects, machine.objects_overlapping
         for label, script in self.scripts:
-            if isinstance(script, threat.PersistentTamper):
-                obj = self.machine.objects[script.object_index]
-                orig = self.machine.read(obj.addr + script.offset, 1)[0]
-                data = bytes([orig ^ script.xor_mask])
-                self.queue.push(script.at, EventKind.ATTACK,
-                                (_ACT_WRITE, label, obj.addr + script.offset, data))
-            elif isinstance(script, threat.TransientTamper):
-                obj = self.machine.objects[script.object_index]
-                addr = obj.addr + script.offset
-                orig = self.machine.read(addr, 1)[0]
-                dirty = bytes([orig ^ script.xor_mask])
-                clean = bytes([orig])
+            if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
+                addr = objects.base + script.object_index * objects.stride + script.offset
+                orig = machine.read(addr, 1)[0]
+                oids = overlapping(addr, 1)
+                dirty = (_ACT_WRITE, label, addr, bytes((orig ^ script.xor_mask,)), oids)
+                if isinstance(script, threat.PersistentTamper):
+                    events.append((script.at, EventKind.ATTACK, dirty))
+                    continue
+                clean = (_ACT_RESTORE, label, addr, bytes((orig,)), oids)
                 windows = script.windows
                 # the attacker learns firing times only from a guest-visible device
                 if (script.knowledge is threat.ScheduleKnowledge.GUEST_VISIBLE_ONLY
@@ -645,40 +640,36 @@ class _ScenarioRun:
                     windows = threat.clip_windows(windows, self._firing_times,
                                                   EVASION_GUARD_TICKS)
                 for start, end in windows:
-                    self.queue.push(start, EventKind.ATTACK, (_ACT_WRITE, label, addr, dirty))
-                    self.queue.push(end, EventKind.ATTACK, (_ACT_RESTORE, label, addr, clean))
+                    events += ((start, EventKind.ATTACK, dirty), (end, EventKind.ATTACK, clean))
             elif isinstance(script, threat.CodeTamper):
-                addr = self.machine.module.addr + script.offset
-                self.queue.push(script.at, EventKind.ATTACK,
-                                (_ACT_MODULE, label, addr, script.payload))
+                addr = machine.module.addr + script.offset
+                events.append((script.at, EventKind.ATTACK, (
+                    _ACT_MODULE, label, addr, script.payload,
+                    overlapping(addr, len(script.payload)))))
             elif isinstance(script, threat.IdtTamper):
-                self.queue.push(script.at, EventKind.ATTACK,
-                                (_ACT_IDT, label, script.vector, script.new_handler))
+                events.append((script.at, EventKind.ATTACK,
+                               (_ACT_IDT, label, script.vector, script.new_handler)))
             elif isinstance(script, threat.IdtrTamper):
-                self.queue.push(script.at, EventKind.ATTACK,
-                                (_ACT_IDTR, label, script.new_base, script.new_limit))
+                events.append((script.at, EventKind.ATTACK,
+                               (_ACT_IDTR, label, script.new_base, script.new_limit)))
             else:
                 raise ConfigurationError(f"unknown attack script {script!r}")
+        return events
 
     # -- event dispatch --------------------------------------------------
 
     def run(self) -> ScenarioResult:
         drain = self._drain_vmexits if self.strategy.kind == STRATEGY_HRK else self._drain_arrivals
         handlers = {EventKind.DEVICE_FIRING: self._on_firing, EventKind.ATTACK: self._on_attack}
-        pop, horizon = self.queue.pop, self.horizon
-        while True:
-            event = pop()
-            if event is None or event[0] > horizon:
-                drain(math.inf)
-                return self._finish()
+        horizon = self.horizon
+        for time, kind, payload in self.events:
+            if time > horizon:
+                break
             # a firing or an attack action precedes the arrivals at its tick
-            time, kind, _, payload = event
             drain(time)
             handlers[kind](time, payload)
-
-    def _emit(self, entry: dict) -> None:
-        if self.trace is not None:
-            self.trace(entry)
+        drain(math.inf)
+        return self._finish()
 
     def _drain_arrivals(self, limit: Union[Ticks, float]) -> None:
         """Count the workload arrivals before `limit` (baseline and hf)."""
@@ -752,11 +743,12 @@ class _ScenarioRun:
                 if trace is not None:
                     trace({"t": now, "kind": op})
                 table.cursor = cursor
-                report = on_control_register_write(machine, table, self.costs, k, now=now)
+                report = on_control_register_write(machine, table, self.costs, k, now=now,
+                                                   skip=self.reported)
                 sources[source].pages_mapped += report.pages_mapped
                 if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
                     trace({"t": now, "kind": "vmexit_check", "checked": k + report.cycle_completed,
-                           "violations": len(report.violations)})
+                           "violations": report.diverged})
                 if report.violations:
                     self._process_violations(report.violations, via="hrk_vmexit")
                 cursor = table.cursor
@@ -791,32 +783,30 @@ class _ScenarioRun:
         return diverged[0] + n if diverged else math.inf
 
     def _on_firing(self, now: Ticks, payload: tuple) -> None:
+        trace = self.trace
         self.counts["firings"] += 1
-        self._emit({"t": now, "kind": "firing_start"})
-        report = fire_interrupt(
-            self.machine, self.registry, self.table, self.costs, now=now, trace=self.trace
-        )
+        if trace is not None:
+            trace({"t": now, "kind": "firing_start"})
+        report = fire_interrupt(self.machine, self.registry, self.table, self.costs, now=now,
+                                trace=trace, skip=self.reported)
         self.breakdown["interrupt_delivery"] += self.costs.t_interrupt_delivery
         self.breakdown["hash"] += report.duration
         self.counts["objects_checked"] += report.objects_checked
-        self._emit({
-            "t": now, "kind": "firing_end",
-            # targets checked: every sweep that runs also checks the IDTR
-            "checked": report.objects_checked + (not report.subverted),
-            "violations": len(report.violations),
-            "subverted": report.subverted,
-        })
+        if trace is not None:  # targets checked: every sweep that runs also checks the IDTR
+            trace({"t": now, "kind": "firing_end",
+                   "checked": report.objects_checked + (not report.subverted),
+                   "violations": report.diverged, "subverted": report.subverted})
         self._process_violations(report.violations, via="hf_interrupt")
 
     def _on_attack(self, now: Ticks, payload: tuple) -> None:
         action, label = payload[0], payload[1]
         outcome = self.outcomes[label]
         if action in (_ACT_WRITE, _ACT_RESTORE, _ACT_MODULE):
-            addr, data = payload[2], payload[3]
+            addr, data, oids = payload[2:]
             result = self.machine.guest_write(self.registry, addr, data, now=now)
             self._account_write(outcome, result, now)
             if result.applied:
-                for oid in self.machine.objects_overlapping(addr, len(data)):
+                for oid in oids:
                     if action == _ACT_MODULE:  # past the module page, as for an IDT write
                         self.target_label.setdefault(oid, label)
                     self._refresh_object_state(oid, now)
@@ -839,7 +829,8 @@ class _ScenarioRun:
             outcome.attempted += 1
             outcome.applied += 1
             self._refresh_idtr_state(now)
-        self._emit({"t": now, "kind": "attack", "label": label, "action": action})
+        if self.trace is not None:
+            self.trace({"t": now, "kind": "attack", "label": label, "action": action})
 
     def _account_write(self, outcome, result, now: Ticks) -> None:
         outcome.attempted += 1
@@ -848,7 +839,8 @@ class _ScenarioRun:
         else:
             outcome.trapped += 1
             outcome.note_detection(now)
-            self._emit({"t": now, "kind": "trap", "trap": result.trap.to_json_dict()})
+            if self.trace is not None:
+                self.trace({"t": now, "kind": "trap", "trap": result.trap.to_json_dict()})
 
     def _refresh_object_state(self, oid: int, now: Ticks) -> None:
         clean = self.table.current_digest(self.machine, oid) == self.table.entries[oid]
@@ -859,14 +851,12 @@ class _ScenarioRun:
         self._refresh_state(IDTR_TARGET, clean, now)
 
     def _refresh_state(self, target, clean: bool, now: Ticks) -> None:
-        st = self.state.setdefault(target, [None, False])
         if clean:
-            st[0] = None
-            st[1] = False
+            self.dirty_since.pop(target, None)
+            self.reported.discard(target)
             return
-        if st[0] is None:
-            st[0] = now
-            st[1] = False
+        # opens an episode unless one is open; a target is reported only inside one
+        self.dirty_since.setdefault(target, now)
         label = self.target_label.get(target)
         if label is not None:
             self.outcomes[label].was_dirty = True
@@ -874,20 +864,20 @@ class _ScenarioRun:
     def _process_violations(self, violations, via: str) -> None:
         for violation in violations:
             target = violation.target
-            st = self.state.setdefault(target, [None, False])
-            if st[1]:
-                continue  # this divergence episode was already reported
-            st[1] = True
-            tamper_time = st[0]
+            if target in self.reported:
+                continue  # a check without `skip` repeats a reported episode
+            self.reported.add(target)
+            tamper_time = self.dirty_since.get(target)
             if target == HANDLER_TARGET and tamper_time is None:
                 # handler subversion traces back to the IDTR move, if any
-                tamper_time = self.state.get(IDTR_TARGET, (None,))[0]
+                tamper_time = self.dirty_since.get(IDTR_TARGET)
             record = DetectionRecord(
                 target=target, tamper_time=tamper_time,
                 detected_time=violation.time, via=via,
             )
             self.detections.append(record)
-            self._emit({"t": violation.time, "kind": "detection", **record.to_json_dict()})
+            if self.trace is not None:
+                self.trace({"t": violation.time, "kind": "detection", **record.to_json_dict()})
             label = self.target_label.get(target)
             if label is None and target == HANDLER_TARGET:
                 label = self.target_label.get(IDTR_TARGET)

@@ -1,5 +1,7 @@
 """Shared helpers and independent oracles for the test suite."""
 
+import heapq
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +12,6 @@ from hfsim.simulation import (
     Arrival,
     CostModel,
     EventKind,
-    EventQueue,
     MachineSpec,
     ObjectsSpec,
     SetupSpec,
@@ -68,6 +69,7 @@ def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckRep
     table.cursor = (table.cursor + k_eff) % n
     report.duration = duration
     report.cycle_completed = wrapped
+    report.diverged = len(report.violations)
     return report
 
 
@@ -87,6 +89,7 @@ def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
     if violation is not None:
         report.violations.append(violation)
     report.duration = duration
+    report.diverged = len(report.violations)
     return report
 
 
@@ -202,7 +205,8 @@ def _on_arrival_ref(run, now, op) -> None:
     """One workload event; under hrk, one VMExit and its batch check."""
     tally = run.sources[("syscall", "ctxswitch").index(op)]
     tally.events += 1
-    run._emit({"t": now, "kind": op})
+    if run.trace is not None:
+        run.trace({"t": now, "kind": op})
     if run.strategy.kind != "hrk":
         return
     report = on_control_register_write(
@@ -213,11 +217,12 @@ def _on_arrival_ref(run, now, op) -> None:
     batch = min(run.strategy.batch_k, len(run.table))
     assert report.objects_checked == batch
     assert report.duration == batch * run.machine.objects.length * run.costs.t_hash_per_byte
-    run._emit({
-        "t": now, "kind": "vmexit_check",
-        "checked": report.objects_checked + report.cycle_completed,
-        "violations": len(report.violations),
-    })
+    if run.trace is not None:  # checked without skip: every diverged target is a violation
+        run.trace({
+            "t": now, "kind": "vmexit_check",
+            "checked": report.objects_checked + report.cycle_completed,
+            "violations": len(report.violations),
+        })
     if report.violations:
         run._process_violations(report.violations, via="hrk_vmexit")
 
@@ -227,23 +232,24 @@ def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), 
     """The per-event engine loop: the oracle for run_scenario's drains.
 
     Sets the run up as run_scenario does, then pushes every workload
-    arrival as its own event (drawn up front, as in event_order_ref) ahead
-    of the run's firings and attack actions, and dispatches one `pop` at a
-    time. Under hrk every arrival's VMExit goes through
-    on_control_register_write, whatever its batch holds.
+    arrival as its own event (drawn up front, as in event_order_ref) on a
+    heap of (time, kind priority, insertion sequence), ahead of the run's
+    sorted firings and attack actions, and dispatches one pop at a time.
+    Under hrk every arrival's VMExit goes through
+    on_control_register_write without skip, whatever its batch holds.
     """
     run = _ScenarioRun(setup, strategy, workload, attacks, costs, seed, trace)
-    queue = EventQueue()
+    heap, seq = [], itertools.count()
     for op, rate in (("syscall", workload.syscall_rate),
                      ("ctxswitch", workload.ctxswitch_rate)):
         rng = random.Random(f"workload-{op}:{seed}")
         for t in _arrival_times_ref(rate, workload.horizon, workload.arrival, rng):
-            queue.push(t, EventKind.WORKLOAD, (op,))
-    while (event := run.queue.pop()) is not None:  # firings and attacks, in order
-        queue.push(event[0], event[1], event[3])
+            heapq.heappush(heap, (t, EventKind.WORKLOAD, next(seq), (op,)))
+    for time, kind, payload in run.events:  # firings and attacks, in order
+        heapq.heappush(heap, (time, kind, next(seq), payload))
     handlers = {EventKind.DEVICE_FIRING: run._on_firing, EventKind.ATTACK: run._on_attack}
-    while (event := queue.pop()) is not None and event[0] <= workload.horizon:
-        time, kind, _, payload = event
+    while heap and heap[0][0] <= workload.horizon:
+        time, kind, _, payload = heapq.heappop(heap)
         if kind == EventKind.WORKLOAD:
             _on_arrival_ref(run, time, payload[0])
         else:

@@ -7,7 +7,9 @@ straddle pages and share them.
 
 Random batch sizes and cursor phases, and random write, restore and
 IDTR-move sequences, some applied before the snapshot: every batch and
-sweep must match the walk-every-object oracle in conftest.
+sweep must match the walk-every-object oracle in conftest. The same check
+with a drawn skip set must give that report less the skipped targets,
+with the same count and the same cursor.
 
 Some objects on pages written before the snapshot: overlap queries,
 window page counts (one window, or a run of consecutive ones) and
@@ -15,6 +17,7 @@ baseline digests must match a walk over every object. A layout's uniform
 window page count must be the one count all its windows map, if they do.
 """
 
+import dataclasses
 import math
 
 from hypothesis import example, given, settings
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 from conftest import batch_pages_ref, check_all_ref, check_batch_ref, fnv1a64_ref
 from hfsim.guest import GuestMachine
 from hfsim.hypervisor import on_control_register_write
-from hfsim.integrity import check_all, snapshot_baselines
+from hfsim.integrity import IDTR_TARGET, check_all, snapshot_baselines
 from hfsim.simulation import CostModel
 
 PAGE_SIZE = 64
@@ -72,28 +75,29 @@ _operations = st.lists(
     t_hash=st.integers(0, 7),
     t_map=st.integers(0, 1000),
     operations=_operations,
+    skip=st.sets(st.one_of(st.integers(0, 11), st.just(IDTR_TARGET))),
 )
 # the IDTR moves, then a window with no diverged object wraps: the IDTR
 # still rides along and its violation is reported
 @example(layout=(16, 8, 8, 3), early_writes=[], phase=2, t_hash=3, t_map=7,
-         operations=[("idtr", (8, 16)), ("batch", 2, 5), ("batch", 2, 5)])
+         operations=[("idtr", (8, 16)), ("batch", 2, 5), ("batch", 2, 5)], skip={IDTR_TARGET})
 # a wrapping window whose only diverged object lies past the wrap
 @example(layout=(16, 8, 8, 3), early_writes=[], phase=2, t_hash=3, t_map=7,
-         operations=[("write", 16, b"\x01"), ("batch", 2, 5)])
+         operations=[("write", 16, b"\x01"), ("batch", 2, 5)], skip=set())
 # a transient write restored before the window that holds its object
 @example(layout=(64, 8, 8, 3), early_writes=[], phase=0, t_hash=3, t_map=7,
          operations=[("write", 73, b"\x01"), ("restore", 1), ("batch", 3, 5),
-                     ("batch", 2, 5)])
+                     ("batch", 2, 5)], skip={1})
 # a write that restores an object: the sweep after it finds nothing
 @example(layout=(64, 8, 8, 3), early_writes=[], phase=0, t_hash=3, t_map=7,
          operations=[("write", 73, b"\x01"), ("sweep", 5), ("write", 73, b"\x00"),
-                     ("sweep", 5), ("batch", 3, 5)])
+                     ("sweep", 5), ("batch", 3, 5)], skip={0, 2})
 # two writes that leave an object diverged with a new digest
 @example(layout=(64, 8, 8, 3), early_writes=[], phase=0, t_hash=3, t_map=7,
          operations=[("write", 73, b"\x01"), ("batch", 3, 5), ("write", 74, b"\x02"),
-                     ("sweep", 5), ("batch", 3, 5)])
+                     ("sweep", 5), ("batch", 3, 5)], skip={1})
 def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_map,
-                                         operations):
+                                         operations, skip):
     base, stride, length, count = layout
     m = GuestMachine(PAGE_COUNT, PAGE_SIZE)
     m.set_idtr(IDT_BASE, IDT_LIMIT)
@@ -118,18 +122,26 @@ def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_
             pages = batch_pages_ref(m, ref, k)
             start = now + costs.t_vmexit + pages * costs.t_map_page
             expected = check_batch_ref(m, ref, k, hash_ticks_per_byte=t_hash, now=start)
+            cursor = table.cursor
+            skipped = on_control_register_write(m, table, costs, k, now=now, skip=skip)
+            skipped_cursor, table.cursor = table.cursor, cursor
             got = on_control_register_write(m, table, costs, k, now=now)
             assert got.pages_mapped == pages
             assert got.violations == expected.violations
+            assert got.diverged == expected.diverged
             assert got.duration == expected.duration
             assert got.objects_checked == expected.objects_checked
             assert got.cycle_completed == expected.cycle_completed
-            assert table.cursor == ref.cursor
+            assert table.cursor == ref.cursor == skipped_cursor
         else:
             now += op[1]
+            skipped = check_all(m, table, hash_ticks_per_byte=t_hash, now=now, skip=skip)
             got = check_all(m, table, hash_ticks_per_byte=t_hash, now=now)
             assert got == check_all_ref(m, ref, hash_ticks_per_byte=t_hash, now=now)
             assert table.cursor == ref.cursor
+        if op[0] in ("batch", "sweep"):  # less the skipped targets, in order; the same count
+            assert skipped == dataclasses.replace(
+                got, violations=[v for v in got.violations if v.target not in skip])
 
 
 LAYOUT_PAGES = 24

@@ -1,9 +1,11 @@
 """Event engine ordering, determinism, accounting, and overhead metrics."""
 
 import gc
+import importlib.util
 import itertools
 import json
 import math
+import pathlib
 import random
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +18,7 @@ from conftest import (
     _arrival_times_ref, assert_conservation, event_order_ref, make_setup, run_per_event_ref,
 )
 from hfsim import integrity, simulation
+from hfsim.config import parse_config_text
 from hfsim.errors import ConfigurationError
 from hfsim.hypervisor import FiringSchedule, ScheduleMode
 from hfsim.simulation import (
@@ -23,13 +26,14 @@ from hfsim.simulation import (
     Arrival,
     CostModel,
     DetectionRecord,
+    EVENT_ORDER,
     EventKind,
-    EventQueue,
     StrategyConfig,
     WorkloadSpec,
     _arrival_chunks,
     _merged,
     _poisson_tick,
+    _ScenarioRun,
     _Source,
     _stretches,
     run_scenario,
@@ -49,26 +53,28 @@ def _hf(period_s=4):
 
 
 # ---------------------------------------------------------------------------
-# event queue ordering
+# event list ordering
 # ---------------------------------------------------------------------------
 
 def test_tie_break_is_kind_priority_then_insertion():
-    q = EventQueue()
-    q.push(4 * SEC, EventKind.WORKLOAD, ("w1",))
-    q.push(4 * SEC, EventKind.ATTACK, ("a1",))
-    q.push(4 * SEC, EventKind.DEVICE_FIRING, ("f1",))
-    q.push(4 * SEC, EventKind.ATTACK, ("a2",))
-    order = [q.pop()[3][0] for _ in range(4)]
-    assert order == ["f1", "a1", "a2", "w1"]
+    # two attack actions and a firing at 4 s, listed attack, attack, firing
+    attacks = [("a1", PersistentTamper(object_index=0, at=4 * SEC)),
+               ("a2", CodeTamper(offset=0, at=4 * SEC))]
+    run = _ScenarioRun(make_setup(count=2), _hf(period_s=4), _workload(horizon_s=5),
+                       attacks, CostModel(), seed=0)
+    order = [(t, kind, payload[1] if payload else "f1") for t, kind, payload in run.events]
+    assert order == [(4 * SEC, EventKind.DEVICE_FIRING, "f1"), (4 * SEC, EventKind.ATTACK, "a1"),
+                     (4 * SEC, EventKind.ATTACK, "a2")]
 
 
 def test_times_pop_nondecreasing():
-    q = EventQueue()
-    for t in (5, 1, 3, 2, 4):
-        q.push(t, EventKind.WORKLOAD, (t,))
-    times = [q.pop()[0] for _ in range(5)]
-    assert times == sorted(times)
-    assert q.pop() is None
+    # listed out of order, between and on the firings at 1, 2 and 3 s
+    attacks = [(f"a{t}", PersistentTamper(object_index=t - 1, at=t * SEC // 2))
+               for t in (5, 1, 3, 2, 4)]
+    run = _ScenarioRun(make_setup(count=5), _hf(period_s=1), _workload(horizon_s=3),
+                       attacks, CostModel(), seed=0)
+    times = [t for t, _, _ in run.events]
+    assert times == sorted(times) and len(times) == 3 + 5
 
 
 def _arrivals(chunks):
@@ -76,31 +82,28 @@ def _arrivals(chunks):
     return _Source(iter(chunks))
 
 
-def _stretched_then_popped(sources, q):
+def _stretched_then_taken(sources, one_offs):
     """(t, kind, label) of every event, as the engine takes them: the
-    arrivals due before each one-off event of `q`, in dispatch order, then
-    that event; an arrival's label is its source index."""
+    arrivals due before each one-off (t, kind, label) event, in dispatch
+    order, then that event; an arrival's label is its source index."""
     events = []
-    while True:
-        event = q.pop()
+    for event in sorted(one_offs, key=EVENT_ORDER) + [None]:
         for stops in _stretches(sources, math.inf if event is None else event[0]):
             stretch, index = _merged(sources, stops)
             events += [(t, EventKind.WORKLOAD, i) for t, i in (
                 divmod(tag, 2) if index is None else (tag, index) for tag in stretch)]
-        if event is None:
-            return events
-        events.append((event[0], event[1], event[3][0]))
+        if event is not None:
+            events.append(event)
+    return events
 
 
 def test_one_off_events_precede_stream_events_at_the_same_tick():
-    q = EventQueue()
     sources = (_arrivals([[5, 5], [9]]), _arrivals([[5], [9]]))
-    q.push(5, EventKind.ATTACK, ("a",))
-    q.push(9, EventKind.ATTACK, ("b",))
-    q.push(5, EventKind.DEVICE_FIRING, ("f",))
-    order = [(t, label) for t, _, label in _stretched_then_popped(sources, q)]
+    one_offs = [(5, EventKind.ATTACK, "a"), (9, EventKind.ATTACK, "b"),
+                (5, EventKind.DEVICE_FIRING, "f")]
+    order = [(t, label) for t, _, label in _stretched_then_taken(sources, one_offs)]
     assert order == [(5, "f"), (5, "a"), (5, 0), (5, 0), (5, 1), (9, "b"), (9, 0), (9, 1)]
-    assert q.pop() is None and list(_stretches(sources, math.inf)) == []
+    assert list(_stretches(sources, math.inf)) == []
     assert [(s.events, s.next, s.end) for s in sources] == [(3, math.inf, math.inf),
                                                             (2, math.inf, math.inf)]
 
@@ -121,16 +124,13 @@ _chunked_times = st.tuples(
     st.integers(0, 12), st.sampled_from([EventKind.DEVICE_FIRING, EventKind.ATTACK])),
     max_size=6))
 def test_drain_then_pop_matches_pushing_every_event_up_front(syscalls, ctxswitches, one_offs):
-    streamed, pushed = EventQueue(), EventQueue()
-    for index, chunks in enumerate((syscalls, ctxswitches)):
-        for t in itertools.chain.from_iterable(chunks):
-            pushed.push(t, EventKind.WORKLOAD, (index,))
-    for i, (t, kind) in enumerate(one_offs):
-        streamed.push(t, kind, (f"e{i}",))
-        pushed.push(t, kind, (f"e{i}",))
-    expected = [(t, k, p[0]) for t, k, _, p in iter(pushed.pop, None)]
+    pushed = [(t, EventKind.WORKLOAD, index)
+              for index, chunks in enumerate((syscalls, ctxswitches))
+              for t in itertools.chain.from_iterable(chunks)]
+    listed = [(t, kind, f"e{i}") for i, (t, kind) in enumerate(one_offs)]
+    expected = sorted(pushed + listed, key=EVENT_ORDER)  # stable: insertion order breaks ties
     sources = (_arrivals(syscalls), _arrivals(ctxswitches))
-    assert _stretched_then_popped(sources, streamed) == expected
+    assert _stretched_then_taken(sources, listed) == expected
 
 
 @pytest.mark.parametrize("rate", [0.5, 3, 100, 8000.25])
@@ -632,6 +632,35 @@ def test_a_run_digests_each_written_object_once_per_write(strategy, monkeypatch)
     assert writes == 5
     assert 0 < len(digests) <= writes
     assert {d.target for d in result.detections} == {4, 7}
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, the benchmark's seeded config generators."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("sizes", [dict(objects=2000, horizon_s=2), {}], ids=["tiny", "full"])
+def test_an_hf_sweep_builds_violations_only_for_new_episodes(sizes, monkeypatch):
+    # tamper_sweep's persistent tampers stay diverged across every later
+    # sweep; only the sweep that first finds one builds its violation
+    config = parse_config_text(_perfbench_workloads().tamper_sweep(3, **sizes))
+    built = []
+    violation = integrity.Violation
+
+    def counting_violation(*args, **kwargs):
+        built.append(violation(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(integrity, "Violation", counting_violation)
+    result = run_scenario(config.setup(), config.strategies["hf"], config.workload,
+                          config.expanded_attacks(), config.costs, config.seed)
+    assert len(built) == len(result.detections) > 0
+    if not sizes:
+        assert len(result.detections) == 777
 
 
 def test_an_idt_write_through_a_moved_idtr_is_dated_and_credited_on_the_objects_it_hits():

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import assert_conservation, make_setup
-from hfsim.errors import ConfigurationError
+from hfsim.errors import ConfigFileError, ConfigurationError
 from hfsim.hypervisor import FiringSchedule, ScheduleMode
 from hfsim.simulation import (
     Arrival,
@@ -282,6 +282,18 @@ def test_duplicate_targets_rejected():
             [("a", PersistentTamper(object_index=1, at=0)),
              ("b", TransientTamper(object_index=1, windows=((1, 2),)))],
         )
+
+
+@pytest.mark.parametrize("script", [
+    PersistentTamper(object_index=1, at=SEC, xor_mask=300),
+    TransientTamper(object_index=1, windows=((SEC, 2 * SEC),), xor_mask=-1),
+])
+def test_directly_built_mask_outside_a_byte_is_a_config_error(script):
+    # the config rejects the same value with the same message
+    with pytest.raises(ConfigFileError) as exc_info:
+        run_scenario(make_setup(count=4), _hf(), _workload(4), [("t", script)],
+                     CostModel(), seed=0)
+    assert exc_info.value.problems == [("attack t.xor_mask", "must be a byte")]
 
 
 def test_supremacy_exhaustive_over_module_offsets():

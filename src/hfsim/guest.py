@@ -17,6 +17,7 @@ the baseline table drains; no other object has changed since its last drain.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -400,33 +401,6 @@ class GuestMachine:
         wrap_last = (end + (stop - n - 1) * stride) // ps  # ids 0..stop-n-1, below start
         return (last - first + 1) + (wrap_last - base // ps + 1) - max(wrap_last - first + 1, 0)
 
-    def window_pages(self, start: int, k: int, count: int) -> list[int]:
-        """`object_pages` of each of `count` consecutive windows of k ids, the first from `start`.
-
-        k is at most the object count and `start` an id. A window that ends at or before the last id covers the pages from
-        its first object's first byte to its last object's last byte; the
-        one window per cycle that wraps is `object_pages`'s own case.
-        """
-        ps, layout = self.page_size, self.objects
-        base, stride, n = layout.base, layout.stride, layout.count
-        if count == 1:
-            return [self.object_pages(start, start + k)]
-        span = (k - 1) * stride + layout.length - 1  # a window's first byte to its last
-        pages: list[int] = []
-        while count:
-            fit = min(count, (n - start) // k)  # windows that end at or before id n
-            pages += [(addr + span) // ps - addr // ps + 1 for addr in
-                      range(base + start * stride, base + (start + fit * k) * stride, k * stride)]
-            start += fit * k
-            count -= fit
-            if start == n:
-                start = 0
-            elif count:
-                pages.append(self.object_pages(start, start + k))
-                start += k - n
-                count -= 1
-        return pages
-
     def uniform_window_pages(self, k: int) -> Optional[int]:
         """The pages every window of k consecutive ids maps, the wrapping ones too, or None.
 
@@ -438,13 +412,9 @@ class GuestMachine:
         windows that end at or before the last id and one of those that
         wrap decide it.
         """
-        ps, layout = self.page_size, self.objects
-        base, stride, n = layout.base, layout.stride, layout.count
-        period = ps // math.gcd(stride, ps)
-        span = (k - 1) * stride + layout.length - 1  # a window's first byte to its last
+        n = self.objects.count
+        period = self.page_size // math.gcd(self.objects.stride, self.page_size)
         whole = n - k + 1  # windows that end at or before id n - 1
-        counts = {(addr + span) // ps - addr // ps + 1
-                  for addr in range(base, base + min(whole, period) * stride, stride)}
-        counts.update(self.object_pages(start, start + k)
-                      for start in range(whole, min(n, whole + period)))
+        counts = {self.object_pages(start, start + k) for start in itertools.chain(
+            range(min(whole, period)), range(whole, min(n, whole + period)))}
         return counts.pop() if len(counts) == 1 else None

@@ -17,18 +17,23 @@ reported in absolute per-event latency but never extend the run.
 Every one-off event (a device firing or an attack action) is known at
 set-up, so the run holds them in one list, sorted once. Set-up also
 resolves what the layout fixes: each attack write's address, its bytes
-and the ids of the objects it overlaps. The engine walks the list in two
-steps: it drains the workload arrivals due before the next event, then
-dispatches that event. Each workload source draws its arrivals a
-bounded chunk at a time, so memory does not grow with the event count.
-Poisson arrivals stay the float seconds they were drawn as, and one is
-rounded to its tick only where the engine reads a tick. Baseline and hf
-count a drain's arrivals by bisecting each chunk. Under hrk every arrival
-is a VMExit. The batch windows that lead a stretch of arrivals and cannot
-find a violation are costed together from the object layout, and only
-the others run a check. When every window maps the same pages, a stretch
-that holds only such windows is counted per source; otherwise, or under
-a trace, the sources' arrivals are merged into dispatch order first.
+and the ids of the objects it overlaps. Each workload source draws its
+arrivals a bounded chunk at a time, so memory does not grow with the
+event count. Poisson arrivals stay the float seconds they were drawn as,
+and one is rounded to its tick only where the engine reads a tick.
+
+The engine walks the event list. Before each event it takes the
+workload arrivals due before that event, by one rule per run:
+- Under hrk every arrival is a VMExit. An untraced hrk run whose windows
+  all map one page count only counts a stretch of arrivals whose windows
+  cannot find a violation.
+- Every other stretch of an hrk run, and every stretch of a traced run,
+  goes exit by exit in dispatch order. Each arrival is traced and, under
+  hrk, its window runs its check, unless the run is untraced and the
+  window cannot find a violation: then it is only costed from the layout.
+- An untraced baseline or hf run reads its arrivals only as counts, so
+  it takes none inside the loop and counts them all at the end.
+
 Charges that are the same for every event are derived from counts when
 the run finishes. Each check skips the targets whose current divergence
 episode is already reported, so it builds violations only for new
@@ -449,11 +454,13 @@ class _Source:
     yet taken and `end` one past the chunk's last: every arrival before
     `end` is in `times`. Both are inf once the source is spent.
 
-    `events` counts the arrivals taken and, under hrk, `pages_mapped` the
-    pages their VMExits mapped. Every event of the source costs its base
-    cost, and under hrk each one is a VMExit charging t_vmexit, t_vmentry
-    and the hash time of min(k, n) objects of the layout's one length, so
-    those charges follow from `events` alone and `_finish` derives them.
+    `events` counts the arrivals taken: a stretch at a time or, in an
+    untraced baseline or hf run, a whole chunk at a time once the events
+    are done. Under hrk, `pages_mapped` counts the pages their VMExits
+    mapped. Every event of the source costs its base cost, and under hrk
+    each one is a VMExit charging t_vmexit, t_vmentry and the hash time
+    of min(k, n) objects of the layout's one length, so those charges
+    follow from `events` alone and `_finish` derives them.
     """
 
     __slots__ = ("times", "pos", "next", "end", "tick", "_chunks", "events", "pages_mapped")
@@ -496,8 +503,8 @@ def _stretches(
     A stretch ends at the first chunk end of either source, so it holds
     every arrival of both before that end: source i's are its
     `times[pos:stop_i]`. They are taken once the consumer asks for the
-    next stretch, so it reads them, as they are or through `_merged`,
-    before then.
+    next stretch, so it counts them, or reads them through
+    `_dispatch_order`, before then.
     """
     a, b = sources
     while a.next < limit or b.next < limit:
@@ -511,26 +518,18 @@ def _stretches(
             b.take(b_stop)
 
 
-def _merged(sources: tuple[_Source, _Source], stops: tuple[int, int]) -> tuple[list, Optional[int]]:
-    """A stretch's arrivals in dispatch order, as ticks, from the stops `_stretches` yielded.
+def _dispatch_order(
+    sources: tuple[_Source, _Source], stops: tuple[int, int],
+) -> Iterator[tuple[Ticks, int]]:
+    """(tick, source index) of each arrival of a stretch, from the stops `_stretches` yielded.
 
-    A stretch of one source is its ticks with that source's index. A
-    stretch of both is merged as tagged ticks 2t + source with index None,
-    so a syscall (source 0) comes before a context switch at the same tick.
+    The arrivals are merged as tagged ticks 2t + source, so a syscall
+    (source 0) comes before a context switch at the same tick.
     """
     (a, b), (a_stop, b_stop) = sources, stops
-    if b_stop == b.pos:
-        return a.ticks(a_stop), 0
-    if a_stop == a.pos:
-        return b.ticks(b_stop), 1
-    return sorted([2 * t for t in a.ticks(a_stop)] + [2 * t + 1 for t in b.ticks(b_stop)]), None
-
-
-def _dispatch_order(stretch: list, index: Optional[int]) -> Iterator[tuple[Ticks, str]]:
-    """(instant, op) of each arrival of a stretch that `_merged` returned."""
-    if index is None:
-        return ((tag >> 1, _SOURCES[tag & 1][0]) for tag in stretch)
-    return zip(stretch, itertools.repeat(_SOURCES[index][0]))
+    tags = [2 * t for t in a.ticks(a_stop)] + [2 * t + 1 for t in b.ticks(b_stop)]
+    tags.sort()
+    return map(divmod, tags, itertools.repeat(2))
 
 
 class _ScenarioRun:
@@ -599,12 +598,12 @@ class _ScenarioRun:
                                     random.Random(f"workload-{op}:{seed}")), seconds)
             for (op, _), rate in zip(_SOURCES, (workload.syscall_rate, workload.ctxswitch_rate))
         )
-        # the pages every hrk VMExit maps, when that is one count and no trace
-        # needs each exit; else None
+        # the objects each hrk VMExit checks, and the pages it maps when that
+        # is one count; else None
+        self.batch = min(strategy.batch_k, setup.objects.count)
         self.uniform_pages = None
-        if strategy.kind == STRATEGY_HRK and trace is None:
-            self.uniform_pages = self.machine.uniform_window_pages(
-                min(strategy.batch_k, setup.objects.count))
+        if strategy.kind == STRATEGY_HRK:
+            self.uniform_pages = self.machine.uniform_window_pages(self.batch)
         self.detections: list[DetectionRecord] = []
 
         # every event of the run, firings before attack actions at one tick
@@ -659,128 +658,104 @@ class _ScenarioRun:
     # -- event dispatch --------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        drain = self._drain_vmexits if self.strategy.kind == STRATEGY_HRK else self._drain_arrivals
         handlers = {EventKind.DEVICE_FIRING: self._on_firing, EventKind.ATTACK: self._on_attack}
         horizon = self.horizon
+        # an untraced baseline or hf run reads its arrivals only as counts, in
+        # `_finish`, so it takes none inside the loop and counts them after it
+        counted = self.trace is None and self.strategy.kind != STRATEGY_HRK
         for time, kind, payload in self.events:
             if time > horizon:
                 break
-            # a firing or an attack action precedes the arrivals at its tick
-            drain(time)
+            if not counted:  # a firing or an attack action precedes the arrivals at its tick
+                self._drain(time)
             handlers[kind](time, payload)
-        drain(math.inf)
+        if not counted:
+            self._drain(math.inf)
+        for source in self.sources:  # what no drain took
+            while source.times:
+                source.take(len(source.times))
         return self._finish()
 
-    def _drain_arrivals(self, limit: Union[Ticks, float]) -> None:
-        """Count the workload arrivals before `limit` (baseline and hf)."""
-        if self.trace is not None:
-            for stops in _stretches(self.sources, limit):
-                for now, op in _dispatch_order(*_merged(self.sources, stops)):
-                    self.trace({"t": now, "kind": op})
-            return
-        for source in self.sources:
-            while source.next < limit:
-                source.take(bisect_left(source.times, limit, source.pos, key=source.tick))
+    def _drain(self, limit: Union[Ticks, float]) -> None:
+        """Take the workload arrivals before `limit`: every hrk run's, and every traced run's.
 
-    def _drain_vmexits(self, limit: Union[Ticks, float]) -> None:
-        """Run the VMExits of the workload arrivals before `limit` (hrk).
-
-        Each arrival's control-register write exits to a check of the next
-        min(k, n) objects. Only attacks write, so the diverged ids and the
-        IDTR stand still within a drain. A window [cursor, cursor + k) that
-        holds no diverged id, and completes no cycle while the IDTR is
-        moved, finds nothing, and so does every window before it. So the
-        clean windows that lead a stretch follow from the cursor, the first
-        diverged id and the IDTR at once: they only map their pages and
-        move the cursor. When every window maps the same pages and no
-        trace needs each exit, a stretch that is clean throughout is only
+        Under hrk every arrival is a VMExit. When every window maps the
+        same pages, a stretch whose windows all find nothing is only
         counted: its arrivals are neither merged nor rounded to ticks.
-        `on_control_register_write` checks every other window.
+        `_dispatch` takes every other stretch exit by exit.
         """
-        sources = self.sources
+        sources, table, uniform = self.sources, self.table, self.uniform_pages
         syscalls, ctxswitches = sources
         if syscalls.next >= limit and ctxswitches.next >= limit:
             return
-        machine, table, trace, uniform = self.machine, self.table, self.trace, self.uniform_pages
-        n = machine.objects.count
-        k = min(self.strategy.batch_k, n)
-        idtr_clean = (machine.idtr.base, machine.idtr.limit) == table.idtr_baseline
-        cursor = table.cursor
-        dirty_at = self._dirty_at(cursor, n)
         for stops in _stretches(sources, limit):
-            done, count = 0, stops[0] - syscalls.pos + stops[1] - ctxswitches.pos
-            stretch = index = None  # the arrivals as `_merged` gives them, once read
-            while True:
-                # windows stop at cursor + k, cursor + 2k, ...: clean while they
-                # stop at or before dirty_at, and before n if the IDTR is moved
-                clean = count - done
-                if dirty_at != math.inf:
-                    clean = min(clean, (dirty_at - cursor) // k)
-                if not idtr_clean:
-                    clean = min(clean, (n - 1 - cursor) // k)
-                if clean == count and uniform is not None:  # read no arrival: count them
-                    syscalls.pages_mapped += (stops[0] - syscalls.pos) * uniform
-                    ctxswitches.pages_mapped += (stops[1] - ctxswitches.pos) * uniform
-                elif stretch is None:
-                    stretch, index = _merged(sources, stops)
-                if clean:
-                    if stretch is not None:
-                        self._map_clean_windows(
-                            stretch if clean == count else stretch[done:done + clean],
-                            index, cursor, k)
-                    done += clean
-                    cursor += clean * k
-                    if cursor >= n:  # cycles complete: unrolled ids move back by as many
-                        cycles = cursor // n
-                        cursor, dirty_at = cursor - cycles * n, dirty_at - cycles * n
-                if done == count:
-                    break
-                now, source = stretch[done], index
-                if index is None:
-                    now, source = divmod(now, 2)
-                done += 1
-                op = _SOURCES[source][0]
-                if trace is not None:
-                    trace({"t": now, "kind": op})
-                table.cursor = cursor
-                report = on_control_register_write(machine, table, self.costs, k, now=now,
-                                                   skip=self.reported)
-                sources[source].pages_mapped += report.pages_mapped
-                if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
-                    trace({"t": now, "kind": "vmexit_check", "checked": k + report.cycle_completed,
-                           "violations": report.diverged})
-                if report.violations:
-                    self._process_violations(report.violations, via="hrk_vmexit")
-                cursor = table.cursor
-                dirty_at = self._dirty_at(cursor, n)
+            exits = (stops[0] - syscalls.pos, stops[1] - ctxswitches.pos)
+            if uniform is None or self._clean_windows(table.cursor) < sum(exits):
+                self._dispatch(stops)
+                continue
+            syscalls.pages_mapped += exits[0] * uniform
+            ctxswitches.pages_mapped += exits[1] * uniform
+            table.cursor = (table.cursor + sum(exits) * self.batch) % len(table)
+
+    def _dispatch(self, stops: tuple[int, int]) -> None:
+        """Take a stretch's arrivals one by one, in dispatch order.
+
+        Each arrival is traced. Under hrk its control-register write exits
+        to a check of the next min(k, n) objects: a window that
+        `_clean_windows` counts only maps its pages and moves the cursor,
+        and `on_control_register_write` checks every other.
+        """
+        trace, sources, hrk = self.trace, self.sources, self.strategy.kind == STRATEGY_HRK
+        machine, table, uniform, k = self.machine, self.table, self.uniform_pages, self.batch
+        n = len(table)
+        cursor = table.cursor
+        clean = self._clean_windows(cursor) if hrk else 0
+        for now, source in _dispatch_order(sources, stops):
+            if trace is not None:
+                trace({"t": now, "kind": _SOURCES[source][0]})
+            if not hrk:
+                continue
+            if clean:
+                clean -= 1
+                stop = cursor + k
+                sources[source].pages_mapped += uniform or machine.object_pages(cursor, stop)
+                cursor = stop - n if stop >= n else stop
+                continue
+            table.cursor = cursor
+            report = on_control_register_write(machine, table, self.costs, k, now=now,
+                                               skip=self.reported)
+            sources[source].pages_mapped += report.pages_mapped
+            if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
+                trace({"t": now, "kind": "vmexit_check", "checked": k + report.cycle_completed,
+                       "violations": report.diverged})
+            if report.violations:
+                self._process_violations(report.violations, via="hrk_vmexit")
+            cursor = table.cursor
+            clean = self._clean_windows(cursor)
         table.cursor = cursor
 
-    def _map_clean_windows(self, stretch: list, index: Optional[int], cursor: int, k: int) -> None:
-        """Charge the pages of one clean VMExit per arrival of `stretch`, from window `cursor` on."""
-        pages = self.machine.window_pages(cursor, k, len(stretch))
-        if index is None:
-            ctx_pages = sum([p for p, tag in zip(pages, stretch) if tag & 1])
-            syscalls, ctxswitches = self.sources
-            ctxswitches.pages_mapped += ctx_pages
-            syscalls.pages_mapped += sum(pages) - ctx_pages
-        else:
-            self.sources[index].pages_mapped += sum(pages)
-        if self.trace is not None:
-            n = self.machine.objects.count
-            for now, op in _dispatch_order(stretch, index):
-                stop = cursor + k
-                self.trace({"t": now, "kind": op})
-                self.trace({"t": now, "kind": "vmexit_check", "checked": k + (stop >= n),
-                            "violations": 0})
-                cursor = stop - n if stop >= n else stop
+    def _clean_windows(self, cursor: int) -> Union[int, float]:
+        """How many hrk windows from `cursor` on find nothing; 0 under a trace, which checks each.
 
-    def _dirty_at(self, cursor: int, n: int) -> Union[int, float]:
-        """The first diverged id at or past `cursor`, unrolled across the wrap of n ids."""
-        diverged = self.table.fold(self.machine)
-        i = bisect_left(diverged, cursor)
-        if i < len(diverged):
-            return diverged[i]
-        return diverged[0] + n if diverged else math.inf
+        Only attacks write, so the diverged ids and the IDTR stand still
+        within a drain. Windows stop at cursor + k, cursor + 2k, ...: one
+        finds nothing while it stops at or before the first diverged id
+        at or past the cursor (unrolled across the wrap of n ids) and,
+        while the IDTR is moved, before id n, where it would complete a
+        cycle.
+        """
+        if self.trace is not None:
+            return 0
+        machine, table, k = self.machine, self.table, self.batch
+        n = len(table)
+        clean = math.inf
+        diverged = table.fold(machine)
+        if diverged:
+            i = bisect_left(diverged, cursor)
+            clean = ((diverged[i] if i < len(diverged) else diverged[0] + n) - cursor) // k
+        if (machine.idtr.base, machine.idtr.limit) != table.idtr_baseline:
+            clean = min(clean, (n - 1 - cursor) // k)
+        return clean
 
     def _on_firing(self, now: Ticks, payload: tuple) -> None:
         trace = self.trace
@@ -893,7 +868,7 @@ class _ScenarioRun:
         counts["traps"] = len(self.registry.trap_log)
         hrk = self.strategy.kind == STRATEGY_HRK
         # every hrk VMExit checks min(k, n) objects of the layout's one length
-        batch = min(self.strategy.batch_k, len(self.table))
+        batch = self.batch
         batch_hash = batch * self.machine.objects.length * costs.t_hash_per_byte
         base, per_event_added = {}, {}
         for (op, count_key), tally, base_cost in zip(

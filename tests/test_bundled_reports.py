@@ -4,7 +4,9 @@ The report digests were recorded before the touched-set check engine and
 sparse guest memory replaced the full-walk checker; the trace digests
 with that engine in place. Every bundled config places its objects one
 per page, so a packed config with attacks is pinned too; its digest was
-recorded while objects were still registered one by one. A change that
+recorded while objects were still registered one by one, and its trace
+digests while the clean hrk windows of a packed layout were still traced
+in bulk rather than exit by exit. A change that
 alters any of them changes simulated results or the `--trace` output and
 must say why.
 """
@@ -106,6 +108,12 @@ repeats = 2
 seed = 77
 """
 PACKED_SHA256 = "3475c6421a1510521ec9e7601e897a9e112836b0e4d9e12a750db746b0ec3409"
+PACKED_TRACE_SHA256 = {
+    "trace-hrk-77.jsonl": "f691c48bba98b0e6e94747e24e5110faa17ea5fa2f519d2a41ca5e0e25a43ac2",
+    "trace-hrk-78.jsonl": "d1fee14b303a44042b7c7b1790ebfadb7854fb40f508dcfe9f69154c9e856fdf",
+    "trace-hf-77.jsonl": "4e2d893a48a93e3dafd156d50b5cd31316459466e59c53f7ac0db5834295d120",
+    "trace-hf-78.jsonl": "bc8b39f14325f6830a76bdae936823cbe9cdf85f21762dc7c169b70fbf0e0e81",
+}
 
 
 def test_every_bundled_config_has_a_recorded_digest():
@@ -136,3 +144,12 @@ def test_packed_report_is_byte_identical(tmp_path, capsys):
     cfg.write_text(PACKED_CFG)
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == PACKED_SHA256
+
+
+def test_packed_trace_is_byte_identical(tmp_path, capsys):
+    cfg, out = tmp_path / "packed.cfg", tmp_path / "out"
+    cfg.write_text(PACKED_CFG)
+    assert main(["run", str(cfg), "--out", str(out), "--trace"]) == 0
+    assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == PACKED_SHA256
+    for trace, expected in PACKED_TRACE_SHA256.items():
+        assert hashlib.sha256((out / trace).read_bytes()).hexdigest() == expected

@@ -12,13 +12,12 @@ with a drawn skip set must give that report less the skipped targets,
 with the same count and the same cursor.
 
 Some objects on pages written before the snapshot: overlap queries,
-window page counts (one window, or a run of consecutive ones) and
+the page count of the window from every cursor and
 baseline digests must match a walk over every object. A layout's uniform
 window page count must be the one count all its windows map, if they do.
 """
 
 import dataclasses
-import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -187,11 +186,9 @@ def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writ
             table.cursor = cursor
             pages_at.append(batch_pages_ref(m, table, k))
             assert on_control_register_write(m, table, costs, k).pages_mapped == pages_at[-1]
-        # a run of consecutive windows, as the hrk drain costs a clean stretch
+        # each window as an hrk exit that finds nothing costs it, with no check
         k = min(k, count)
-        for start in range(count):
-            cursors = [(start + i * k) % count for i in range(2 * count + 1)]
-            assert m.window_pages(start, k, len(cursors)) == [pages_at[c] for c in cursors]
+        assert [m.object_pages(cursor, cursor + k) for cursor in range(count)] == pages_at
 
 
 @st.composite
@@ -225,7 +222,9 @@ def test_uniform_window_pages_is_the_count_every_window_maps(layout, k):
     k = 1 + (k - 1) % count  # 1..count, k = n among them
     m = GuestMachine(128, PAGE_SIZE)
     m.register_kernel_object(base, length, count, stride)
-    # one period of windows from each start below gcd(n, k) holds every window once
-    g = math.gcd(count, k)
-    counts = {p for start in range(g) for p in m.window_pages(start, k, count // g)}
+    # every window's pages, walked object by object
+    table, counts = snapshot_baselines(m), set()
+    for start in range(count):
+        table.cursor = start
+        counts.add(batch_pages_ref(m, table, k))
     assert m.uniform_window_pages(k) == (counts.pop() if len(counts) == 1 else None)

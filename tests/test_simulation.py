@@ -31,7 +31,7 @@ from hfsim.simulation import (
     StrategyConfig,
     WorkloadSpec,
     _arrival_chunks,
-    _merged,
+    _dispatch_order,
     _poisson_tick,
     _ScenarioRun,
     _Source,
@@ -89,9 +89,7 @@ def _stretched_then_taken(sources, one_offs):
     events = []
     for event in sorted(one_offs, key=EVENT_ORDER) + [None]:
         for stops in _stretches(sources, math.inf if event is None else event[0]):
-            stretch, index = _merged(sources, stops)
-            events += [(t, EventKind.WORKLOAD, i) for t, i in (
-                divmod(tag, 2) if index is None else (tag, index) for tag in stretch)]
+            events += [(t, EventKind.WORKLOAD, i) for t, i in _dispatch_order(sources, stops)]
         if event is not None:
             events.append(event)
     return events
@@ -341,104 +339,129 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
     rates=st.tuples(st.one_of(st.integers(0, 300), st.floats(0.5, 300)), st.integers(0, 100)),
     horizon_ms=st.one_of(st.just(700), st.integers(1, 700)),  # often past every attack
     attacks=_attack_specs, seed=st.integers(0, 1 << 16),
-    traced=st.booleans(),
 )
 # the IDTR moves, then a window with no diverged object completes a cycle
 @example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=200,
-         attacks=[("idtr", 0, 25)], seed=0, traced=True)
+         attacks=[("idtr", 0, 25)], seed=0)
 # a window ends the cycle exactly, short of the diverged object 0; the next holds it
 @example(placement="spread", count=4, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
-         attacks=[("persistent", 0, 15)], seed=0, traced=False)
+         attacks=[("persistent", 0, 15)], seed=0)
 # a wrapping window whose only diverged object lies past the wrap
 @example(placement="packed", count=3, size=40, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
-         attacks=[("persistent", 0, 15)], seed=0, traced=True)
+         attacks=[("persistent", 0, 15)], seed=0)
 # a transient write restored before the window that holds its object
 @example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=1),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
-         attacks=[("transient", 1, [5, 8])], seed=0, traced=False)
+         attacks=[("transient", 1, [5, 8])], seed=0)
 # under hrk and under hf: a code write past the module page diverges
 # object 0 again with a new digest, then the transient's restore brings it
 # back to its baseline
 @example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=1),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
-         attacks=[("transient", 0, [5, 30]), ("code", 64, 15)], seed=0, traced=True)
+         attacks=[("transient", 0, [5, 30]), ("code", 64, 15)], seed=0)
 @example(placement="spread", count=3, size=8,
          strategy=StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC,
                                                                     _ms(10))),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
-         attacks=[("transient", 0, [5, 30]), ("code", 64, 15)], seed=0, traced=True)
+         attacks=[("transient", 0, [5, 30]), ("code", 64, 15)], seed=0)
 # more arrivals than one chunk holds, from both sources
 @example(placement="packed", count=5, size=30, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(3000, 1000), horizon_ms=700,
-         attacks=[("persistent", 1, 300), ("transient", 3, [100, 450])], seed=0, traced=True)
+         attacks=[("persistent", 1, 300), ("transient", 3, [100, 450])], seed=0)
 # equal fixed rates: every arrival is tied with one of the other source
 @example(placement="packed", count=4, size=40, strategy=StrategyConfig(kind="hrk", batch_k=3),
          arrival=Arrival.FIXED, rates=(100, 100), horizon_ms=700,
-         attacks=[("transient", 2, [50, 200])], seed=0, traced=True)
+         attacks=[("transient", 2, [50, 200])], seed=0)
 # one source at rate 0
 @example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.POISSON, rates=(0, 100), horizon_ms=700,
-         attacks=[("persistent", 4, 120)], seed=3, traced=False)
+         attacks=[("persistent", 4, 120)], seed=3)
 # under a moved IDTR, a clean stretch of two windows ends where the next
 # would stop at n and complete the cycle
 @example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
-         attacks=[("idtr", 0, 5)], seed=0, traced=True)
+         attacks=[("idtr", 0, 5)], seed=0)
 # the drains before the attack actions at 3, 4, 9, 21 and 32 ms hold 0, 0,
 # 1, 4 (ending in a tie between the sources) and 2 arrivals of one source
 @example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(200, 50), horizon_ms=100,
-         attacks=[("transient", 1, [3, 4, 9, 21]), ("persistent", 3, 32)], seed=0, traced=True)
+         attacks=[("transient", 1, [3, 4, 9, 21]), ("persistent", 3, 32)], seed=0)
 # drains of one tied arrival from each source, then of none
 @example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 100), horizon_ms=100,
-         attacks=[("transient", 2, [5, 15, 25, 26])], seed=0, traced=False)
+         attacks=[("transient", 2, [5, 15, 25, 26])], seed=0)
 # untraced hrk on layouts where every window maps the same pages, so clean
 # stretches are only counted: Poisson arrivals on both sources, more than a
 # chunk of each, and no attack
 @example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=4),
          arrival=Arrival.POISSON, rates=(2000, 900), horizon_ms=700,
-         attacks=[], seed=1, traced=False)
+         attacks=[], seed=1)
 # a persistent tamper whose object then holds a dirty window inside every
 # later stretch
 @example(placement="spread", count=8, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(300, 100), horizon_ms=700,
-         attacks=[("persistent", 5, 350)], seed=0, traced=False)
+         attacks=[("persistent", 5, 350)], seed=0)
 # an IDTR move, then a transient window on Poisson arrivals
 @example(placement="spread", count=7, size=8, strategy=StrategyConfig(kind="hrk", batch_k=3),
          arrival=Arrival.POISSON, rates=(250, 80), horizon_ms=700,
-         attacks=[("idtr", 128, 200), ("transient", 2, [400, 450])], seed=2, traced=False)
+         attacks=[("idtr", 128, 200), ("transient", 2, [400, 450])], seed=2)
 # the context-switch source at rate 0
 @example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.POISSON, rates=(280, 0), horizon_ms=700,
-         attacks=[("transient", 1, [100, 300])], seed=4, traced=False)
+         attacks=[("transient", 1, [100, 300])], seed=4)
 # packed objects of a whole page each, with windows that wrap
 @example(placement="packed", count=7, size=64, strategy=StrategyConfig(kind="hrk", batch_k=3),
          arrival=Arrival.FIXED, rates=(300, 70), horizon_ms=700,
-         attacks=[("transient", 4, [120, 500])], seed=0, traced=False)
+         attacks=[("transient", 4, [120, 500])], seed=0)
 # 1e9 and 2e9 Poisson arrivals/s over 3 us: draws of either source end and
 # begin with arrivals that round to one tick, and a tamper lands at 1 us
 @example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=4),
          arrival=Arrival.POISSON, rates=(1e9, 2e9), horizon_ms=Fraction(3, 1000),
-         attacks=[("persistent", 3, Fraction(1, 1000))], seed=8, traced=False)
+         attacks=[("persistent", 3, Fraction(1, 1000))], seed=8)
+# untraced baseline and hf count their arrivals only after the last event:
+# the same 3 us at 1e9 and 2e9 arrivals/s, hf firing every 1 us
+@example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="baseline"),
+         arrival=Arrival.POISSON, rates=(1e9, 2e9), horizon_ms=Fraction(3, 1000),
+         attacks=[("persistent", 3, Fraction(1, 1000))], seed=8)
+@example(placement="spread", count=6, size=8, strategy=StrategyConfig(
+             kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, _ms(Fraction(1, 1000)))),
+         arrival=Arrival.POISSON, rates=(1e9, 2e9), horizon_ms=Fraction(3, 1000),
+         attacks=[("persistent", 3, Fraction(1, 1000))], seed=8)
+# fixed arrivals of both sources, a firing and a tamper on the horizon tick
+@example(placement="spread", count=4, size=8, strategy=StrategyConfig(kind="baseline"),
+         arrival=Arrival.FIXED, rates=(100, 40), horizon_ms=100,
+         attacks=[("persistent", 1, 100)], seed=0)
+@example(placement="spread", count=4, size=8, strategy=StrategyConfig(
+             kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, _ms(50))),
+         arrival=Arrival.FIXED, rates=(100, 40), horizon_ms=100,
+         attacks=[("persistent", 1, 100)], seed=0)
+# one source at rate 0
+@example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="baseline"),
+         arrival=Arrival.POISSON, rates=(0, 100), horizon_ms=700,
+         attacks=[("persistent", 4, 120)], seed=3)
+@example(placement="spread", count=5, size=8, strategy=StrategyConfig(
+             kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, _ms(200))),
+         arrival=Arrival.POISSON, rates=(0, 100), horizon_ms=700,
+         attacks=[("persistent", 4, 120)], seed=3)
 def test_drained_run_matches_the_per_event_loop(placement, count, size, strategy, arrival,
-                                                rates, horizon_ms, attacks, seed, traced):
+                                                rates, horizon_ms, attacks, seed):
     setup = make_setup(count=count, size_bytes=min(size, 64) if placement == "spread" else size,
                        page_size=64, placement=placement)
     workload = WorkloadSpec(syscall_rate=rates[0], ctxswitch_rate=rates[1], arrival=arrival,
                             horizon=_ms(horizon_ms))
     scripts = _attack_scripts(attacks, count)
-    ref_trace, trace = ([], []) if traced else (None, None)
-    expected = run_per_event_ref(setup, strategy, workload, scripts, _ENGINE_COSTS, seed,
-                                 None if ref_trace is None else ref_trace.append)
-    got = run_scenario(setup, strategy, workload, scripts, _ENGINE_COSTS, seed,
-                       None if trace is None else trace.append)
-    assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
-    assert trace == ref_trace
-    assert_conservation(got, _ENGINE_COSTS)
+    # untraced, then traced: a traced run takes every arrival exit by exit
+    for ref_trace, trace in ((None, None), ([], [])):
+        expected = run_per_event_ref(setup, strategy, workload, scripts, _ENGINE_COSTS, seed,
+                                     None if ref_trace is None else ref_trace.append)
+        got = run_scenario(setup, strategy, workload, scripts, _ENGINE_COSTS, seed,
+                           None if trace is None else trace.append)
+        assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert trace == ref_trace
+        assert_conservation(got, _ENGINE_COSTS)
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ def execute_config(config: ScenarioConfig, trace_dir: Optional[Path] = None) -> 
     line, to `trace-<strategy>-<seed>.jsonl` there as it produces them.
     """
     attacks = config.expanded_attacks()
+    encode = json.JSONEncoder(sort_keys=True).encode  # the bytes of json.dumps(sort_keys=True)
     results = {}
     for name, strategy in config.strategies.items():
         runs = results[name] = []
@@ -81,7 +82,7 @@ def execute_config(config: ScenarioConfig, trace_dir: Optional[Path] = None) -> 
                 continue
             with (trace_dir / f"trace-{name}-{seed}.jsonl").open("w") as fh:
                 def write(entry: dict) -> None:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                    fh.write(encode(entry) + "\n")
 
                 runs.append(run_scenario(*inputs, trace=write))
     return results

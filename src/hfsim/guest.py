@@ -9,8 +9,9 @@ and for test harnesses that need to model bugs bypassing protection.
 Memory is sparse: a page is materialised on its first write, and pages
 never written read as zeros. A machine's kernel objects are one layout of
 equal-length objects at a fixed stride, less than a page apart, registered
-once; finding objects and counting the pages of a range of them is
-arithmetic, whatever their number.
+once: object i lies at `base + i*stride`. Finding an object's address, the
+objects a range overlaps and the pages of a range of them is arithmetic,
+whatever their number.
 Every applied write also adds the objects it overlaps to `written`, which
 the baseline table drains; no other object has changed since its last drain.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -61,22 +61,13 @@ class Idtr:
         return self.limit // IDT_ENTRY_SIZE
 
 
-@dataclass(frozen=True)
-class KernelObjectDescriptor:
-    """A registered invariant kernel object: a guest-physical range."""
-
-    object_id: int
-    addr: int
-    length: int
-
-
-@dataclass(frozen=True, slots=True, eq=False)  # eq=False: it compares as a mapping
-class ObjectLayout(Mapping):
+@dataclass(frozen=True, slots=True)
+class ObjectLayout:
     """`count` objects of `length` bytes at `base + i*stride`; object i has id i.
 
-    Read as a {id: KernelObjectDescriptor} mapping. Consecutive objects lie
-    less than a page apart (stride - length < page size), so any range of
-    consecutive ids covers one contiguous interval of pages.
+    Consecutive objects lie less than a page apart (stride - length < page
+    size), so any range of consecutive ids covers one contiguous interval
+    of pages.
     """
 
     base: int
@@ -84,16 +75,9 @@ class ObjectLayout(Mapping):
     length: int
     count: int
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self.count))
-
-    def __getitem__(self, oid: int) -> KernelObjectDescriptor:
-        if not 0 <= oid < self.count:
-            raise KeyError(oid)
-        return KernelObjectDescriptor(oid, self.base + oid * self.stride, self.length)
+    def addr(self, oid: int) -> int:
+        """The address of object `oid`'s first byte."""
+        return self.base + oid * self.stride
 
     def overlapping(self, addr: int, end: int) -> range:
         """Ids of the objects intersecting [addr, end); an empty range may start past its stop."""
@@ -281,27 +265,16 @@ class GuestMachine:
         return self.idtr.base + IDT_ENTRY_SIZE * vector
 
     def set_idt_entry(
-        self,
-        vector: int,
-        handler_addr: int,
-        reg: Optional[ProtectionRegistry] = None,
-        now: Ticks = 0,
-        privileged: bool = False,
+        self, vector: int, handler_addr: int, reg: ProtectionRegistry, now: Ticks = 0,
     ) -> WriteOutcome:
-        """Write the 8-byte little-endian handler address for a vector.
+        """Guest write of the 8-byte little-endian handler address for a vector.
 
-        The guest path is an ordinary mediated write, so it traps once the
-        IDT page is protected. The privileged path (module loading) always
-        applies.
+        An ordinary mediated write, so it traps once the IDT page is
+        protected.
         """
         entry_addr = self._vector_addr(vector)
         require("handler address", handler_problem(handler_addr))
         encoded = handler_addr.to_bytes(IDT_ENTRY_SIZE, "little")
-        if privileged:
-            self.privileged_write(entry_addr, encoded)
-            return _APPLIED
-        if reg is None:
-            raise ConfigurationError("guest IDT write requires the protection registry")
         return self.guest_write(reg, entry_addr, encoded, now=now)
 
     def idt_entry(self, vector: int) -> int:
@@ -330,7 +303,7 @@ class GuestMachine:
         length = pages * self.page_size
         self._check_range(addr, length)
         region = ModuleRegion(addr=addr, length=length, handler_vector=handler_vector)
-        self._vector_addr(handler_vector)  # validates the vector
+        entry_addr = self._vector_addr(handler_vector)  # validates the vector
         for page in region.page_range(self.page_size):
             if page in self.idt_pages():
                 raise ConfigurationError(
@@ -340,7 +313,7 @@ class GuestMachine:
         if overlap:
             raise ConfigurationError(f"module region overlaps object {overlap[0]}")
         self.privileged_write(addr, code)
-        self.set_idt_entry(handler_vector, addr, privileged=True)
+        self.privileged_write(entry_addr, addr.to_bytes(IDT_ENTRY_SIZE, "little"))
         self.module = region
         return region
 
@@ -353,7 +326,7 @@ class GuestMachine:
         layout is set once, and its objects must lie less than a page
         apart; a rejected call registers nothing.
         """
-        if self.objects:
+        if self.objects.count:
             raise ConfigurationError("kernel objects are already registered")
         stride = length if stride is None else stride
         require("object length", positive(length))

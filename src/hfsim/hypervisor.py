@@ -216,7 +216,7 @@ def on_control_register_write(
     violation.
     """
     start = table.cursor
-    pages_mapped = machine.object_pages(start, start + min(k, len(table)))
+    pages_mapped = machine.object_pages(start, start + min(k, table.count))
     begin = now + costs.t_vmexit + pages_mapped * costs.t_map_page
     report = integrity.check_batch(
         machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=begin, skip=skip

@@ -25,7 +25,7 @@ the range.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Container, Mapping
+from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
@@ -90,47 +90,25 @@ class CheckReport:
     subverted: bool = False
 
 
-class _Baselines(Mapping):
-    """Read-only {id: baseline digest}: one default digest plus overrides."""
-
-    def __init__(self, default: int, overrides: dict[int, int], count: int):
-        self._default = default
-        self._overrides = overrides
-        self._count = count
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self):
-        return iter(range(self._count))
-
-    def __getitem__(self, oid: int) -> int:
-        digest = self._overrides.get(oid)
-        if digest is not None:
-            return digest
-        if not 0 <= oid < self._count:
-            raise KeyError(oid)
-        return self._default
-
-
 class BaselineTable:
     """Per-object baseline digests, the diverged objects, and the round-robin cursor.
 
-    Objects are checked in id order. `diverged` maps each object whose
-    digest differs from its baseline to its current digest, and
-    `diverged_ids` holds its ids sorted. A machine feeds one live table:
-    folding drains the machine's `written`, which no other table then sees.
-    `digest` calls `digest_fn` once per distinct content while the memo
-    holds it.
+    Objects are checked in id order. Every one of the `count` objects has
+    the baseline `default`, unless `overrides` ({id: digest}, the objects
+    on pages written before the snapshot) names another; `baseline` reads
+    them. `diverged` maps each object whose digest differs from its
+    baseline to its current digest, and `diverged_ids` holds its ids
+    sorted. A machine feeds one live table: folding drains the machine's
+    `written`, which no other table then sees. `digest` calls `digest_fn`
+    once per distinct content while the memo holds it.
     """
 
     def __init__(
-        self,
-        entries: Mapping[int, int],
-        idtr_baseline: tuple[int, int],
-        digest_fn: DigestFn = compute_digest,
+        self, count: int, idtr_baseline: tuple[int, int], digest_fn: DigestFn = compute_digest,
     ):
-        self.entries = entries
+        self.count = count
+        self.default: Optional[int] = None  # set by the snapshot
+        self.overrides: dict[int, int] = {}
         self.idtr_baseline = idtr_baseline
         self.digest_fn = digest_fn
         self.cursor = 0
@@ -138,8 +116,9 @@ class BaselineTable:
         self.diverged_ids: list[int] = []
         self._memo: dict[bytes, int] = {}
 
-    def __len__(self) -> int:
-        return len(self.entries)
+    def baseline(self, oid: int) -> int:
+        """Object `oid`'s baseline digest."""
+        return self.overrides.get(oid, self.default)
 
     def digest(self, data: bytes) -> int:
         """digest_fn(data), memoised; a full memo is cleared first."""
@@ -155,8 +134,8 @@ class BaselineTable:
         """Digest the objects written since the last fold; return the diverged ids."""
         layout = machine.objects
         for oid in machine.written:
-            digest = self.digest(machine.read(layout.base + oid * layout.stride, layout.length))
-            if digest != self.entries[oid]:
+            digest = self.digest(machine.read(layout.addr(oid), layout.length))
+            if digest != self.baseline(oid):
                 if oid not in self.diverged:
                     insort(self.diverged_ids, oid)
                 self.diverged[oid] = digest
@@ -169,7 +148,7 @@ class BaselineTable:
         """Digest of the object's current bytes: its diverged digest, else its baseline."""
         self.fold(machine)
         digest = self.diverged.get(object_id)
-        return self.entries[object_id] if digest is None else digest
+        return self.baseline(object_id) if digest is None else digest
 
 
 def snapshot_baselines(
@@ -178,21 +157,20 @@ def snapshot_baselines(
     """Digest every registered object and snapshot the IDTR; cursor = 0.
 
     Meant to run during the trusted setup phase, before any attacker event.
-    Only objects on materialised pages are read; every other object holds
-    zeros and shares one digest of `bytes(length)`. The digests go through
-    the table's content memo, so identical contents share one digest_fn
-    call, and a later write back to baseline bytes costs none.
+    Only objects on materialised pages are read, into the table's
+    `overrides`; every other object holds zeros and shares the `default`
+    digest of `bytes(length)`. The digests go through the table's content
+    memo, so identical contents share one digest_fn call, and a later write
+    back to baseline bytes costs none.
     """
     layout = machine.objects
-    if not layout:
+    if not layout.count:
         raise ConfigurationError("cannot snapshot baselines: no objects registered")
-    table = BaselineTable({}, (machine.idtr.base, machine.idtr.limit), digest_fn)
-    overrides = {}
+    table = BaselineTable(layout.count, (machine.idtr.base, machine.idtr.limit), digest_fn)
     for oid in sorted(machine.objects_on_written_pages()):
-        obj = layout[oid]
-        overrides[oid] = table.digest(machine.read(obj.addr, obj.length))
+        table.overrides[oid] = table.digest(machine.read(layout.addr(oid), layout.length))
     machine.written.clear()  # writes made so far are in the baselines
-    table.entries = _Baselines(table.digest(bytes(layout.length)), overrides, layout.count)
+    table.default = table.digest(bytes(layout.length))
     return table
 
 
@@ -219,7 +197,7 @@ def _check_window(
     completed and the IDTR rides along as a pseudo-object. Targets in
     `skip` are counted in `diverged` but get no violation.
     """
-    n, end = len(table), start + k
+    n, end = table.count, start + k
     per_object = machine.objects.length * hash_ticks_per_byte
     report = CheckReport(objects_checked=k, duration=k * per_object, cycle_completed=end >= n)
     diverged = table.fold(machine)
@@ -230,7 +208,7 @@ def _check_window(
         for oid in ids:
             if oid not in skip:
                 report.violations.append(Violation(
-                    target=oid, expected=table.entries[oid], found=table.diverged[oid],
+                    target=oid, expected=table.baseline(oid), found=table.diverged[oid],
                     time=now + (oid + 1 - first) * per_object,
                 ))
     if report.cycle_completed and (machine.idtr.base, machine.idtr.limit) != table.idtr_baseline:
@@ -254,9 +232,9 @@ def check_batch(
     in `skip` get no violation.
     """
     require("batch size", positive(k))
-    k = min(k, len(table))
+    k = min(k, table.count)
     report = _check_window(machine, table, table.cursor, k, hash_ticks_per_byte, now, skip)
-    table.cursor = (table.cursor + k) % len(table)
+    table.cursor = (table.cursor + k) % table.count
     return report
 
 
@@ -271,4 +249,4 @@ def check_all(
 
     Targets in `skip` get no violation.
     """
-    return _check_window(machine, table, 0, len(table), hash_ticks_per_byte, now, skip)
+    return _check_window(machine, table, 0, table.count, hash_ticks_per_byte, now, skip)

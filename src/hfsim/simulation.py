@@ -60,7 +60,7 @@ from . import threat
 from .errors import (
     ConfigFileError, ConfigurationError, byte, check_bounds, nonneg, one_of, positive, spec,
 )
-from .guest import IDT_ENTRY_SIZE, GuestMachine, page_size_problem
+from .guest import IDT_ENTRY_SIZE, GuestMachine, ObjectLayout, page_size_problem
 from .guest import handler_problem, idtr_limit_problem
 from .hypervisor import (
     FiringSchedule,
@@ -172,13 +172,12 @@ class SetupSpec:
 
 @dataclass(frozen=True)
 class Layout:
-    """Concrete placement; object i sits at `objects_base + i*objects_stride`."""
+    """Concrete placement; object i sits at `objects.addr(i)`."""
 
     idt_base: int
     idt_limit: int
     module_addr: int
-    objects_base: int
-    objects_stride: int
+    objects: ObjectLayout
     pages_required: int
 
 
@@ -192,8 +191,8 @@ def _layout(setup: SetupSpec) -> Layout:
         stride, obj_pages = ps, objs.count
     else:
         stride, obj_pages = objs.size_bytes, -(-objs.count * objs.size_bytes // ps)
-    return Layout(ps, idt_limit, module_page * ps, first_obj_page * ps, stride,
-                  first_obj_page + obj_pages)
+    objects = ObjectLayout(first_obj_page * ps, stride, objs.size_bytes, objs.count)
+    return Layout(ps, idt_limit, module_page * ps, objects, first_obj_page + obj_pages)
 
 
 def plan_layout(setup: SetupSpec) -> Layout:
@@ -239,7 +238,7 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
             if problem := byte(script.xor_mask):
                 problems.append((f"{key}.xor_mask", problem))
                 continue
-            addr = layout.objects_base + target * layout.objects_stride + script.offset
+            addr = layout.objects.addr(target) + script.offset
             if not 0 <= addr < memory:
                 problems.append((f"{key}.offset", f"byte {addr} outside memory of "
                                  f"{memory} bytes"))
@@ -557,10 +556,9 @@ class _ScenarioRun:
         self.machine.load_module(
             _module_code(setup.machine.page_size), layout.module_addr, HANDLER_VECTOR
         )
+        objects = layout.objects
         self.machine.register_kernel_object(
-            layout.objects_base, setup.objects.size_bytes,
-            count=setup.objects.count, stride=layout.objects_stride,
-        )
+            objects.base, objects.length, count=objects.count, stride=objects.stride)
         self.registry = ProtectionRegistry(setup.machine.page_count)
         self.table = snapshot_baselines(self.machine)
 
@@ -624,7 +622,7 @@ class _ScenarioRun:
         objects, overlapping = machine.objects, machine.objects_overlapping
         for label, script in self.scripts:
             if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
-                addr = objects.base + script.object_index * objects.stride + script.offset
+                addr = objects.addr(script.object_index) + script.offset
                 orig = machine.read(addr, 1)[0]
                 oids = overlapping(addr, 1)
                 dirty = (_ACT_WRITE, label, addr, bytes((orig ^ script.xor_mask,)), oids)
@@ -695,7 +693,7 @@ class _ScenarioRun:
                 continue
             syscalls.pages_mapped += exits[0] * uniform
             ctxswitches.pages_mapped += exits[1] * uniform
-            table.cursor = (table.cursor + sum(exits) * self.batch) % len(table)
+            table.cursor = (table.cursor + sum(exits) * self.batch) % table.count
 
     def _dispatch(self, stops: tuple[int, int]) -> None:
         """Take a stretch's arrivals one by one, in dispatch order.
@@ -707,7 +705,7 @@ class _ScenarioRun:
         """
         trace, sources, hrk = self.trace, self.sources, self.strategy.kind == STRATEGY_HRK
         machine, table, uniform, k = self.machine, self.table, self.uniform_pages, self.batch
-        n = len(table)
+        n = table.count
         cursor = table.cursor
         clean = self._clean_windows(cursor) if hrk else 0
         for now, source in _dispatch_order(sources, stops):
@@ -747,7 +745,7 @@ class _ScenarioRun:
         if self.trace is not None:
             return 0
         machine, table, k = self.machine, self.table, self.batch
-        n = len(table)
+        n = table.count
         clean = math.inf
         diverged = table.fold(machine)
         if diverged:
@@ -818,7 +816,7 @@ class _ScenarioRun:
                 self.trace({"t": now, "kind": "trap", "trap": result.trap.to_json_dict()})
 
     def _refresh_object_state(self, oid: int, now: Ticks) -> None:
-        clean = self.table.current_digest(self.machine, oid) == self.table.entries[oid]
+        clean = self.table.current_digest(self.machine, oid) == self.table.baseline(oid)
         self._refresh_state(oid, clean, now)
 
     def _refresh_idtr_state(self, now: Ticks) -> None:

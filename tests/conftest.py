@@ -33,9 +33,15 @@ def fnv1a64_ref(data: bytes) -> int:
     return h
 
 
+def _ref_span(machine, oid) -> tuple[int, int]:
+    """Object oid's (address, length), from the layout's fields, not from its own arithmetic."""
+    layout = machine.objects
+    assert 0 <= oid < layout.count
+    return layout.base + oid * layout.stride, layout.length
+
+
 def _ref_digest(machine, oid) -> int:
-    obj = machine.objects[oid]
-    return fnv1a64_ref(machine.read(obj.addr, obj.length))
+    return fnv1a64_ref(machine.read(*_ref_span(machine, oid)))
 
 
 def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckReport:
@@ -46,7 +52,7 @@ def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckRep
     IDTR ride along when the last object in id order is covered, then
     advances the cursor.
     """
-    n = len(table)
+    n = table.count
     k_eff = min(k, n)
     report = CheckReport(objects_checked=k_eff)
     duration = 0
@@ -55,11 +61,11 @@ def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckRep
         oid = (table.cursor + i) % n  # position p holds object p
         if oid == n - 1:
             wrapped = True
-        duration += machine.objects[oid].length * hash_ticks_per_byte
+        duration += _ref_span(machine, oid)[1] * hash_ticks_per_byte
         found = _ref_digest(machine, oid)
-        if found != table.entries[oid]:
+        if found != table.baseline(oid):
             report.violations.append(
-                Violation(target=oid, expected=table.entries[oid], found=found,
+                Violation(target=oid, expected=table.baseline(oid), found=found,
                           time=now + duration)
             )
     if wrapped:
@@ -75,14 +81,14 @@ def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckRep
 
 def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
     """Walk-every-object sweep: the oracle for integrity.check_all."""
-    report = CheckReport(objects_checked=len(table), cycle_completed=True)
+    report = CheckReport(objects_checked=table.count, cycle_completed=True)
     duration = 0
-    for oid in range(len(table)):
-        duration += machine.objects[oid].length * hash_ticks_per_byte
+    for oid in range(table.count):
+        duration += _ref_span(machine, oid)[1] * hash_ticks_per_byte
         found = _ref_digest(machine, oid)
-        if found != table.entries[oid]:
+        if found != table.baseline(oid):
             report.violations.append(
-                Violation(target=oid, expected=table.entries[oid], found=found,
+                Violation(target=oid, expected=table.baseline(oid), found=found,
                           time=now + duration)
             )
     violation = verify_idtr(machine, table, now=now + duration)
@@ -95,12 +101,12 @@ def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
 
 def batch_pages_ref(machine, table, k) -> int:
     """Distinct pages the next k objects from the cursor occupy."""
-    n = len(table)
+    n = table.count
     pages = set()
     for i in range(min(k, n)):
-        obj = machine.objects[(table.cursor + i) % n]
-        pages.update(range(obj.addr // machine.page_size,
-                           (obj.addr + obj.length - 1) // machine.page_size + 1))
+        addr, length = _ref_span(machine, (table.cursor + i) % n)
+        pages.update(range(addr // machine.page_size,
+                           (addr + length - 1) // machine.page_size + 1))
     return len(pages)
 
 
@@ -214,7 +220,7 @@ def _on_arrival_ref(run, now, op) -> None:
     )
     tally.pages_mapped += report.pages_mapped
     # the engine derives each VMExit's objects and hash time from the layout
-    batch = min(run.strategy.batch_k, len(run.table))
+    batch = min(run.strategy.batch_k, run.table.count)
     assert report.objects_checked == batch
     assert report.duration == batch * run.machine.objects.length * run.costs.t_hash_per_byte
     if run.trace is not None:  # checked without skip: every diverged target is a violation

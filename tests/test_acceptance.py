@@ -285,16 +285,16 @@ def test_criterion_6_batch_oracle_equivalence():
         m.set_idtr(4096, 512)
         m.register_kernel_object(3 * 4096, 8, count=n)
         table = snapshot_baselines(m)
-        pristine = {oid: m.read(obj.addr, obj.length) for oid, obj in m.objects.items()}
+        addrs = [3 * 4096 + 8 * oid for oid in range(n)]  # packed: object i at base + 8i
+        pristine = [m.read(addr, 8) for addr in addrs]
         rng = random.Random(n)
         for oid in rng.sample(range(n), rng.randrange(0, n + 1)):
-            obj = m.objects[oid]
-            m.privileged_write(obj.addr, bytes([m.read(obj.addr, 1)[0] ^ 0xA5]))
+            m.privileged_write(addrs[oid], bytes([m.read(addrs[oid], 1)[0] ^ 0xA5]))
         # brute-force full-scan oracle on the frozen machine, reference hash
-        oracle = sorted(
-            oid for oid, obj in m.objects.items()
-            if fnv1a64_ref(m.read(obj.addr, obj.length)) != fnv1a64_ref(pristine[oid])
-        )
+        oracle = [
+            oid for oid, addr in enumerate(addrs)
+            if fnv1a64_ref(m.read(addr, 8)) != fnv1a64_ref(pristine[oid])
+        ]
         full = sorted(v.target for v in check_all(m, table).violations
                       if isinstance(v.target, int))
         assert full == oracle, n

@@ -103,9 +103,10 @@ def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_
     m.register_kernel_object(base, length, count, stride)
     for _, addr, data in early_writes:  # written before the snapshot
         m.privileged_write(addr, data)
-    clean = {oid: m.read(obj.addr, obj.length) for oid, obj in m.objects.items()}
+    addrs = [base + oid * stride for oid in range(count)]
+    clean = [m.read(addr, length) for addr in addrs]
     table, ref = snapshot_baselines(m), snapshot_baselines(m)
-    table.cursor = ref.cursor = phase % len(table)
+    table.cursor = ref.cursor = phase % table.count
     costs = CostModel(t_vmexit=11, t_vmentry=5, t_map_page=t_map, t_hash_per_byte=t_hash)
     now = 0
     for op in operations:
@@ -113,7 +114,7 @@ def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_
             m.privileged_write(op[1], op[2])
         elif op[0] == "restore":  # back to clean: the object's snapshot bytes
             oid = op[1] % count
-            m.privileged_write(m.objects[oid].addr, clean[oid])
+            m.privileged_write(addrs[oid], clean[oid])
         elif op[0] == "idtr":
             m.set_idtr(*op[1])
         elif op[0] == "batch":
@@ -165,18 +166,18 @@ def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writ
     m = GuestMachine(LAYOUT_PAGES, PAGE_SIZE)
     m.set_idtr(IDT_BASE, IDT_LIMIT)
     if idt_entry:  # materialises the IDT page under any object on it
-        m.set_idt_entry(1, 0x1234, privileged=True)
+        m.privileged_write(IDT_BASE + 8, (0x1234).to_bytes(8, "little"))
     m.register_kernel_object(base, length, count, stride)
     spans = [(base + i * stride, length) for i in range(count)]
     for _, addr, data in early_writes:
         if addr + len(data) <= LAYOUT_MEMORY:
             m.privileged_write(addr, data)
-    assert [(o.addr, o.length) for o in m.objects.values()] == spans
+    assert [(m.objects.addr(oid), m.objects.length) for oid in range(m.objects.count)] == spans
     for addr, length in queries:
         expected = [oid for oid, (a, n) in enumerate(spans) if a < addr + length and a + n > addr]
         assert sorted(m.objects_overlapping(addr, length)) == expected
     table = snapshot_baselines(m)
-    assert [table.entries[oid] for oid in range(len(table))] == [
+    assert [table.baseline(oid) for oid in range(table.count)] == [
         fnv1a64_ref(m.read(a, n)) for a, n in spans
     ]
     costs = CostModel()

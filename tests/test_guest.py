@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from hfsim.errors import AddressError, ConfigurationError
-from hfsim.guest import GuestMachine
+from hfsim.guest import GuestMachine, ObjectLayout
 from hfsim.hypervisor import ProtectionRegistry, TrapKind
 
 
@@ -23,7 +23,7 @@ def test_new_machine_zero_initialized():
     m = GuestMachine(4, 4096)
     assert m.size == 16384
     assert m.read(0, 16384) == bytes(16384)
-    assert m.objects == {}
+    assert m.objects.count == 0
     assert m.module is None
     assert (m.idtr.base, m.idtr.limit) == (0, 0)
 
@@ -167,10 +167,8 @@ def test_reload_module_replaces_content_and_reregisters():
 def test_object_ids_are_sequential_and_deterministic():
     m = _machine_with_idt()
     m.register_kernel_object(0x3200, 16, count=3, stride=32)
-    assert [(o.object_id, o.addr, o.length) for o in m.objects.values()] == [
-        (0, 0x3200, 16), (1, 0x3220, 16), (2, 0x3240, 16),
-    ]
-    assert list(m.objects) == [0, 1, 2] and 3 not in m.objects
+    assert m.objects == ObjectLayout(base=0x3200, stride=32, length=16, count=3)
+    assert [m.objects.addr(oid) for oid in range(m.objects.count)] == [0x3200, 0x3220, 0x3240]
 
 
 def test_object_overlapping_module_rejected():
@@ -201,17 +199,16 @@ def test_object_bad_ranges():
         m.register_kernel_object(0, 8, count=2, stride=8 + 4096)
     with pytest.raises(ConfigurationError):  # a gap over one page
         m.register_kernel_object(0, 8, count=2, stride=8 + 4097)
-    assert m.objects == {}
+    assert m.objects.count == 0
     m.load_module(bytes(4096), 8192, 0x20)
     with pytest.raises(ConfigurationError):  # the second of the layout hits the module
         m.register_kernel_object(4096 + 512, 8, count=2, stride=4096)
-    assert m.objects == {}
+    assert m.objects.count == 0
     m.register_kernel_object(0x3000, 8, count=4, stride=16)  # valid after the rejections
     with pytest.raises(ConfigurationError):  # a second registration
         m.register_kernel_object(0x3000 + 2048, 8)
-    assert [(o.addr, o.length) for o in m.objects.values()] == [
-        (0x3000 + 16 * i, 8) for i in range(4)
-    ]
+    assert m.objects == ObjectLayout(base=0x3000, stride=16, length=8, count=4)
+    assert [m.objects.addr(oid) for oid in range(4)] == [0x3000 + 16 * i for i in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +227,15 @@ def test_set_idt_entry_guest_path_traps_once_protected():
     assert m.idt_entry(3) == 0x2000
 
 
-def test_set_idt_entry_privileged_bypasses_protection():
+def test_load_module_writes_its_entry_while_the_idt_is_protected():
     m = _machine_with_idt()
     reg = ProtectionRegistry(4)
     reg.protect_pages(m.idt_pages())
-    assert m.set_idt_entry(3, 0x2000, privileged=True).applied
-    assert m.idt_entry(3) == 0x2000
+    m.load_module(bytes(4096), 8192, 3)
+    assert m.idt_entry(3) == 8192
+    assert reg.trap_log == []
+    assert m.set_idt_entry(3, 0x2000, reg).trapped  # the guest path still traps
+    assert m.idt_entry(3) == 8192
 
 
 def test_set_idtr_is_never_trapped():

@@ -143,7 +143,7 @@ def test_clean_interrupt_duration_is_per_object_cost():
 
 def test_interrupt_detects_tampered_object_with_latency():
     m, reg, table = _hf_machine(n_objects=4, size=8)
-    m.privileged_write(m.objects[2].addr, b"\x01")
+    m.privileged_write(m.objects.addr(2), b"\x01")
     costs = CostModel(t_interrupt_delivery=50, t_hash_per_byte=10)
     report = fire_interrupt(m, reg, table, costs, now=1000)
     assert [v.target for v in report.violations] == [2]
@@ -161,7 +161,7 @@ def test_envelope_restores_protection():
 def test_redirected_idt_entry_yields_subversion_detection():
     m, reg, table = _hf_machine()
     # privileged harness injection: corrupt the IDT entry under protection
-    m.set_idt_entry(0x20, 0x100, privileged=True)
+    m.privileged_write(m.idtr.base + 8 * 0x20, (0x100).to_bytes(8, "little"))
     report = fire_interrupt(m, reg, table, CostModel())
     assert report.subverted
     assert [v.target for v in report.violations] == [HANDLER_TARGET]
@@ -192,8 +192,8 @@ def test_fire_interrupt_requires_module():
 
 def _tamper_all(m):
     # every object diverges, so each exit reports exactly what it covered
-    for obj in m.objects.values():
-        m.privileged_write(obj.addr, b"\x01")
+    for oid in range(m.objects.count):
+        m.privileged_write(m.objects.addr(oid), b"\x01")
 
 
 def test_vmexit_round_robin_covers_all_objects():
@@ -216,7 +216,7 @@ def test_vmexit_charges_transitions_mapping_and_hash():
     assert report.pages_mapped == 1
     assert report.duration == 3 * 8 * 10  # hash time only
     # the batch is checked after the exit and the page remap
-    m.privileged_write(m.objects[3].addr, b"\x01")
+    m.privileged_write(m.objects.addr(3), b"\x01")
     report = on_control_register_write(m, table, costs, k=3, now=5000)
     assert [v.time for v in report.violations] == [5000 + 100 + 1000 + 8 * 10]
 
@@ -224,7 +224,7 @@ def test_vmexit_charges_transitions_mapping_and_hash():
 def test_tamper_at_cursor_plus_one_detected_on_second_exit():
     # brute-force cursor walk: k=1 checks object 0 first, object 1 second
     m, reg, table = _hf_machine(n_objects=3, size=8)
-    m.privileged_write(m.objects[1].addr, b"\x01")
+    m.privileged_write(m.objects.addr(1), b"\x01")
     first = on_control_register_write(m, table, CostModel(), k=1)
     second = on_control_register_write(m, table, CostModel(), k=1)
     assert first.violations == []

@@ -72,7 +72,7 @@ def test_snapshot_then_check_all_is_clean():
 def test_single_fault_injection_yields_one_violation():
     m = _objects_machine(5)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects[2].addr, b"\x01")
+    m.privileged_write(m.objects.addr(2), b"\x01")
     report = check_all(m, table)
     assert [v.target for v in report.violations] == [2]
     assert report.violations[0].expected != report.violations[0].found
@@ -83,7 +83,7 @@ def test_snapshot_of_15000_synthetic_objects():
     m.set_idtr(4096, 512)
     m.register_kernel_object(8192, 64, count=15000)
     table = snapshot_baselines(m)
-    assert len(table) == 15000
+    assert table.count == 15000
     assert check_all(m, table).violations == []
 
 
@@ -103,12 +103,12 @@ def test_the_table_digests_each_distinct_content_once():
 
     table = snapshot_baselines(m, digest_fn=counting_digest)
     assert digested == [bytes(64)]  # every object reads as zeros
-    for obj in m.objects.values():  # one patch into every object, then its restore
-        m.privileged_write(obj.addr + 5, b"\x2a")
+    for oid in range(50):  # one patch into every object, then its restore
+        m.privileged_write(m.objects.addr(oid) + 5, b"\x2a")
     report = check_all(m, table)
     assert len({v.found for v in report.violations}) == 1 and len(report.violations) == 50
-    for obj in m.objects.values():
-        m.privileged_write(obj.addr + 5, b"\x00")
+    for oid in range(50):
+        m.privileged_write(m.objects.addr(oid) + 5, b"\x00")
     assert check_all(m, table).violations == []
     assert digested == [bytes(64), bytes(5) + b"\x2a" + bytes(58)]
 
@@ -124,13 +124,13 @@ def test_the_content_memo_stays_bounded_and_digests_stay_exact(length):
     rng = random.Random(3)
     sizes = []
     for i in range(3 * cap):  # more distinct contents than the memo holds
-        obj = m.objects[rng.randrange(100)]
-        m.privileged_write(obj.addr + rng.randrange(length), bytes([i % 255 + 1]))
+        addr = m.objects.addr(rng.randrange(100))
+        m.privileged_write(addr + rng.randrange(length), bytes([i % 255 + 1]))
         table.fold(m)
         sizes.append(len(table._memo))
     assert max(sizes) == cap
     assert table.diverged and table.diverged == {
-        oid: compute_digest(m.read(m.objects[oid].addr, length)) for oid in table.diverged
+        oid: compute_digest(m.read(m.objects.addr(oid), length)) for oid in table.diverged
     }
     assert sorted(table.diverged) == table.diverged_ids
 
@@ -141,8 +141,9 @@ def test_the_content_memo_stays_bounded_and_digests_stay_exact(length):
 
 def _tamper_all(m):
     # every object diverges, so each check reports exactly what it covered
-    for obj in m.objects.values():
-        m.privileged_write(obj.addr, bytes([m.read(obj.addr, 1)[0] ^ 0xFF]))
+    for oid in range(m.objects.count):
+        addr = m.objects.addr(oid)
+        m.privileged_write(addr, bytes([m.read(addr, 1)[0] ^ 0xFF]))
 
 
 def test_batch_round_robin_wraps():
@@ -173,7 +174,7 @@ def test_violation_in_object_4_found_on_third_k2_call():
     # in the third window
     m = _objects_machine(5)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects[4].addr, b"\x01")
+    m.privileged_write(m.objects.addr(4), b"\x01")
     hits = []
     for call in range(1, 4):
         report = check_batch(m, table, 2)
@@ -184,7 +185,7 @@ def test_violation_in_object_4_found_on_third_k2_call():
 def test_k_at_least_n_behaves_as_check_all():
     m = _objects_machine(4)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects[1].addr, b"\x01")
+    m.privileged_write(m.objects.addr(1), b"\x01")
     report = check_batch(m, table, 9)
     assert report.objects_checked == 4  # k saturates at N
     assert [v.target for v in report.violations] == [1]
@@ -213,17 +214,16 @@ def test_batch_duration_charges_per_byte():
 def test_double_fault_with_recompute_oracle():
     m = _objects_machine(6)
     table = snapshot_baselines(m)
-    baseline_bytes = {
-        oid: m.read(obj.addr, obj.length) for oid, obj in m.objects.items()
-    }
-    m.privileged_write(m.objects[1].addr, b"\xee")
-    m.privileged_write(m.objects[5].addr + 3, b"\xdd")
+    addrs = [3 * 4096 + 8 * oid for oid in range(6)]  # packed 8-byte objects from page 3
+    baseline_bytes = [m.read(addr, 8) for addr in addrs]
+    m.privileged_write(m.objects.addr(1), b"\xee")
+    m.privileged_write(m.objects.addr(5) + 3, b"\xdd")
     report = check_all(m, table)
     # independent oracle: recompute digests of raw bytes with the reference
-    expected = sorted(
-        oid for oid, obj in m.objects.items()
-        if fnv1a64_ref(m.read(obj.addr, obj.length)) != fnv1a64_ref(baseline_bytes[oid])
-    )
+    expected = [
+        oid for oid, addr in enumerate(addrs)
+        if fnv1a64_ref(m.read(addr, 8)) != fnv1a64_ref(baseline_bytes[oid])
+    ]
     assert sorted(v.target for v in report.violations) == expected == [1, 5]
 
 
@@ -281,8 +281,8 @@ def test_batch_cycle_equals_full_scan_small():
     table = snapshot_baselines(m)
     rng = random.Random(5)
     for oid in rng.sample(range(9), 4):
-        obj = m.objects[oid]
-        m.privileged_write(obj.addr, bytes([m.read(obj.addr, 1)[0] ^ 0xFF]))
+        addr = m.objects.addr(oid)
+        m.privileged_write(addr, bytes([m.read(addr, 1)[0] ^ 0xFF]))
     full = sorted(v.target for v in check_all(m, table).violations)
     for k in (1, 2, 4, 9):
         table.cursor = 0
@@ -295,7 +295,7 @@ def test_batch_cycle_equals_full_scan_small():
 def test_persistent_divergence_found_in_first_covering_window():
     m = _objects_machine(6)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects[3].addr, b"\x42")
+    m.privileged_write(m.objects.addr(3), b"\x42")
     # first batch whose window contains object 3 must report it
     report1 = check_batch(m, table, 2)  # {0,1}
     report2 = check_batch(m, table, 2)  # {2,3}

@@ -19,7 +19,8 @@ from conftest import (
 )
 from hfsim import integrity, simulation
 from hfsim.config import parse_config_text
-from hfsim.errors import ConfigurationError
+from hfsim.errors import ConfigFileError, ConfigurationError
+from hfsim.guest import ObjectLayout
 from hfsim.hypervisor import FiringSchedule, ScheduleMode
 from hfsim.simulation import (
     ARRIVAL_CHUNK,
@@ -27,6 +28,7 @@ from hfsim.simulation import (
     CostModel,
     DetectionRecord,
     EVENT_ORDER,
+    IDT_VECTORS,
     EventKind,
     StrategyConfig,
     WorkloadSpec,
@@ -36,6 +38,7 @@ from hfsim.simulation import (
     _ScenarioRun,
     _Source,
     _stretches,
+    check_attacks,
     run_scenario,
 )
 from hfsim.threat import CodeTamper, IdtrTamper, IdtTamper, PersistentTamper, TransientTamper
@@ -686,10 +689,43 @@ def test_an_hf_sweep_builds_violations_only_for_new_episodes(sizes, monkeypatch)
         assert len(result.detections) == 777
 
 
+@settings(max_examples=60, deadline=None)
+@given(placement=st.sampled_from(["spread", "packed"]), count=st.integers(1, 40),
+       size=st.integers(1, 64), page_size=st.sampled_from([64, 128, 4096]),
+       extra_pages=st.integers(0, 2), index=st.integers(0, 39), offset=st.integers(0, 400),
+       mask=st.integers(1, 255))
+def test_a_run_registers_and_tampers_the_planned_object_layout(
+        placement, count, size, page_size, extra_pages, index, offset, mask):
+    setup = make_setup(count=count, size_bytes=size, page_size=page_size, placement=placement,
+                       extra_pages=extra_pages)
+    objects = simulation.plan_layout(setup).objects
+    # objects start on the page after the module's, which follows the IDT's from page 1
+    base = (2 + -(-IDT_VECTORS * 8 // page_size)) * page_size
+    assert objects == ObjectLayout(base, page_size if placement == "spread" else size, size,
+                                   count)
+    index %= count
+    script = ("tamper", PersistentTamper(object_index=index, at=SEC, offset=offset,
+                                         xor_mask=mask))
+    addr = objects.addr(index) + offset
+    memory = setup.machine.page_count * page_size
+    if addr >= memory:
+        with pytest.raises(ConfigFileError):
+            check_attacks(setup, [script])
+        return
+    assert check_attacks(setup, [script]) == {index: "tamper"}
+    run = _ScenarioRun(setup, StrategyConfig(kind="baseline"), _workload(2), [script],
+                       CostModel(), 0)
+    assert run.machine.objects == objects
+    before = bytearray(run.machine.read(0, memory))
+    run.run()
+    before[addr] ^= mask  # the tamper's one byte, and no other, changed
+    assert run.machine.read(0, memory) == before
+
+
 def test_an_idt_write_through_a_moved_idtr_is_dated_and_credited_on_the_objects_it_hits():
     setup = make_setup(count=4)
     args = (setup, StrategyConfig(kind="hrk", batch_k=2), _workload(2, syscall_rate=10),
-            [("idtr", IdtrTamper(new_base=simulation.plan_layout(setup).objects_base, at=SEC)),
+            [("idtr", IdtrTamper(new_base=simulation.plan_layout(setup).objects.base, at=SEC)),
              ("idt", IdtTamper(vector=1, new_handler=0x41, at=SEC + 1))])
     result = run_scenario(*args)
     # vector 1's entry is now bytes 8-15 of object 0, which the exit at

@@ -31,8 +31,17 @@ workload arrivals due before that event, by one rule per run:
   goes exit by exit in dispatch order. Each arrival is traced and, under
   hrk, its window runs its check, unless the run is untraced and the
   window cannot find a violation: then it is only costed from the layout.
-- An untraced baseline or hf run reads its arrivals only as counts, so
-  it takes none inside the loop and counts them all at the end.
+- An untraced baseline or hf run reads its arrivals only as counts, and
+  so does an untraced hrk run whose windows all map one page count when
+  no attack acts by the horizon: every window is clean. Such a run takes
+  none inside the loop and counts them all at the end.
+
+Every run that draws records each source's arrival count in a memo keyed
+weakly by its `WorkloadSpec`, under the name its substream is seeded
+with. A later run that reads only counts takes both from there and draws
+nothing, since a seed's streams are the same under every strategy. An
+entry lives as long as its spec: the runs of one parsed config share it,
+and no drawn arrival is kept.
 
 Charges that are the same for every event are derived from counts when
 the run finishes. Each check skips the targets whose current divergence
@@ -50,6 +59,7 @@ import enum
 import itertools
 import math
 import random
+import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -214,8 +224,8 @@ def plan_layout(setup: SetupSpec) -> Layout:
 def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
     """Validate labelled attack scripts against a setup before t=0.
 
-    Object tampers must name a registered object, XOR a byte into it
-    and, like code tampers, write only bytes inside guest memory; IDT
+    Object tampers must name a registered object and XOR a byte inside
+    it; code tampers must write only bytes inside guest memory; IDT
     tampers must name a vector inside the IDT, and IDTR tampers a table
     inside guest memory; no two scripts may target the same object or
     the IDTR, since a detection could not then be attributed. Returns
@@ -238,10 +248,9 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
             if problem := byte(script.xor_mask):
                 problems.append((f"{key}.xor_mask", problem))
                 continue
-            addr = layout.objects.addr(target) + script.offset
-            if not 0 <= addr < memory:
-                problems.append((f"{key}.offset", f"byte {addr} outside memory of "
-                                 f"{memory} bytes"))
+            if script.offset >= setup.objects.size_bytes:  # a planned object lies in memory
+                problems.append((f"{key}.offset", f"byte {script.offset} outside the object "
+                                 f"of {setup.objects.size_bytes} bytes"))
                 continue
         elif isinstance(script, threat.CodeTamper):
             addr = layout.module_addr + script.offset
@@ -442,6 +451,11 @@ _ACT_IDTR = "idtr_set"
 # workload sources, as (op, count key); the syscall source comes first
 _SOURCES = (("syscall", "syscalls"), ("ctxswitch", "ctxswitches"))
 
+# {WorkloadSpec: {substream name: arrival count}}: each source's arrivals, recorded
+# by every run that draws them, for later runs of the spec that read only counts; an
+# entry lives as long as its spec, so the runs of one parsed config share it
+_COUNTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 class _Source:
     """One workload source: its arrivals, a chunk at a time, and its tally.
@@ -453,13 +467,18 @@ class _Source:
     yet taken and `end` one past the chunk's last: every arrival before
     `end` is in `times`. Both are inf once the source is spent.
 
-    `events` counts the arrivals taken: a stretch at a time or, in an
-    untraced baseline or hf run, a whole chunk at a time once the events
-    are done. Under hrk, `pages_mapped` counts the pages their VMExits
+    `events` counts the arrivals taken: a stretch at a time or, in a run
+    that reads only counts, a whole chunk at a time once the events are
+    done. Under hrk, `pages_mapped` counts the pages their VMExits
     mapped. Every event of the source costs its base cost, and under hrk
     each one is a VMExit charging t_vmexit, t_vmentry and the hash time
     of min(k, n) objects of the layout's one length, so those charges
     follow from `events` alone and `_finish` derives them.
+
+    A run builds its sources, and draws their first chunks, only once it
+    knows it must draw: a run that reads only counts builds none when
+    `_COUNTS` holds its spec's counts, which the first run of the spec
+    and seed recorded from its sources' `events`.
     """
 
     __slots__ = ("times", "pos", "next", "end", "tick", "_chunks", "events", "pages_mapped")
@@ -589,13 +608,6 @@ class _ScenarioRun:
             "syscalls": 0, "ctxswitches": 0, "firings": 0, "vmexits": 0,
             "objects_checked": 0, "traps": 0,
         }
-        # one source per workload op, each with its own random substream
-        seconds = workload.arrival is Arrival.POISSON
-        self.sources = tuple(
-            _Source(_arrival_chunks(rate, self.horizon, workload.arrival,
-                                    random.Random(f"workload-{op}:{seed}")), seconds)
-            for (op, _), rate in zip(_SOURCES, (workload.syscall_rate, workload.ctxswitch_rate))
-        )
         # the objects each hrk VMExit checks, and the pages it maps when that
         # is one count; else None
         self.batch = min(strategy.batch_k, setup.objects.count)
@@ -657,10 +669,20 @@ class _ScenarioRun:
 
     def run(self) -> ScenarioResult:
         handlers = {EventKind.DEVICE_FIRING: self._on_firing, EventKind.ATTACK: self._on_attack}
-        horizon = self.horizon
-        # an untraced baseline or hf run reads its arrivals only as counts, in
-        # `_finish`, so it takes none inside the loop and counts them after it
-        counted = self.trace is None and self.strategy.kind != STRATEGY_HRK
+        horizon, uniform, workload = self.horizon, self.uniform_pages, self.workload
+        # an untraced run reads its arrivals only as counts, in `_finish`, unless
+        # it is hrk and a window can map another page count or an attack acts by
+        # the horizon; it takes none inside the loop and counts them after it
+        counted = self.trace is None and (self.strategy.kind != STRATEGY_HRK or uniform is not None
+                                          and not (self.events and self.events[0][0] <= horizon))
+        names = [f"workload-{op}:{self.seed}" for op, _ in _SOURCES]
+        known = _COUNTS.setdefault(workload, {})
+        # one source per workload op, each with its own random substream, unless the
+        # run reads only counts and an earlier run of the spec recorded them
+        self.sources = () if counted and all(name in known for name in names) else tuple(
+            _Source(_arrival_chunks(rate, horizon, workload.arrival, random.Random(name)),
+                    workload.arrival is Arrival.POISSON)
+            for name, rate in zip(names, (workload.syscall_rate, workload.ctxswitch_rate)))
         for time, kind, payload in self.events:
             if time > horizon:
                 break
@@ -672,10 +694,14 @@ class _ScenarioRun:
         for source in self.sources:  # what no drain took
             while source.times:
                 source.take(len(source.times))
-        return self._finish()
+        known.update(zip(names, (source.events for source in self.sources)))
+        events = [known[name] for name in names]
+        if counted:  # every window is clean, or the run is not hrk and maps none
+            return self._finish(events, [n * (uniform or 0) for n in events])
+        return self._finish(events, [source.pages_mapped for source in self.sources])
 
     def _drain(self, limit: Union[Ticks, float]) -> None:
-        """Take the workload arrivals before `limit`: every hrk run's, and every traced run's.
+        """Take the workload arrivals before `limit`: those of a run that reads more than counts.
 
         Under hrk every arrival is a VMExit. When every window maps the
         same pages, a stretch whose windows all find nothing is only
@@ -859,7 +885,8 @@ class _ScenarioRun:
 
     # -- result assembly --------------------------------------------------
 
-    def _finish(self) -> ScenarioResult:
+    def _finish(self, events: Sequence[int], pages: Sequence[int]) -> ScenarioResult:
+        """The result, from each source's arrivals and the pages their VMExits mapped."""
         for outcome in self.outcomes.values():
             outcome.finalize()
         costs, counts, breakdown = self.costs, self.counts, self.breakdown
@@ -869,20 +896,20 @@ class _ScenarioRun:
         batch = self.batch
         batch_hash = batch * self.machine.objects.length * costs.t_hash_per_byte
         base, per_event_added = {}, {}
-        for (op, count_key), tally, base_cost in zip(
-            _SOURCES, self.sources, (costs.t_syscall_base, costs.t_ctxswitch_base)
+        for (op, count_key), n, pages_mapped, base_cost in zip(
+            _SOURCES, events, pages, (costs.t_syscall_base, costs.t_ctxswitch_base)
         ):
-            exits = tally.events if hrk else 0
-            map_ticks = tally.pages_mapped * costs.t_map_page
+            exits = n if hrk else 0
+            map_ticks = pages_mapped * costs.t_map_page
             hash_ticks = exits * batch_hash
-            counts[count_key] = tally.events
+            counts[count_key] = n
             counts["vmexits"] += exits
             counts["objects_checked"] += exits * batch
             breakdown["map_page"] += map_ticks
             breakdown["hash"] += hash_ticks
-            base[op] = tally.events * base_cost
+            base[op] = n * base_cost
             added = exits * (costs.t_vmexit + costs.t_vmentry) + map_ticks + hash_ticks
-            per_event_added[op] = added / tally.events if tally.events else 0.0
+            per_event_added[op] = added / n if n else 0.0
         breakdown["vmexit"] = counts["vmexits"] * costs.t_vmexit
         breakdown["vmentry"] = counts["vmexits"] * costs.t_vmentry
         echo = {name: asdict(spec, dict_factory=_echo_dict) for name, spec in (

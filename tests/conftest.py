@@ -207,10 +207,10 @@ def event_order_ref(workload, seed, firing_times=(), attack_times=()) -> list:
     return [(t, kind) for t, _, _, kind in keyed if t <= workload.horizon]
 
 
-def _on_arrival_ref(run, now, op) -> None:
-    """One workload event; under hrk, one VMExit and its batch check."""
-    tally = run.sources[("syscall", "ctxswitch").index(op)]
-    tally.events += 1
+def _on_arrival_ref(run, tally, now, op) -> None:
+    """One workload event, counted in `tally` ([events, pages mapped]); under hrk, one
+    VMExit and its batch check."""
+    tally[0] += 1
     if run.trace is not None:
         run.trace({"t": now, "kind": op})
     if run.strategy.kind != "hrk":
@@ -218,7 +218,7 @@ def _on_arrival_ref(run, now, op) -> None:
     report = on_control_register_write(
         run.machine, run.table, run.costs, run.strategy.batch_k, now=now,
     )
-    tally.pages_mapped += report.pages_mapped
+    tally[1] += report.pages_mapped
     # the engine derives each VMExit's objects and hash time from the layout
     batch = min(run.strategy.batch_k, run.table.count)
     assert report.objects_checked == batch
@@ -245,7 +245,7 @@ def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), 
     on_control_register_write without skip, whatever its batch holds.
     """
     run = _ScenarioRun(setup, strategy, workload, attacks, costs, seed, trace)
-    heap, seq = [], itertools.count()
+    heap, seq, tallies = [], itertools.count(), {"syscall": [0, 0], "ctxswitch": [0, 0]}
     for op, rate in (("syscall", workload.syscall_rate),
                      ("ctxswitch", workload.ctxswitch_rate)):
         rng = random.Random(f"workload-{op}:{seed}")
@@ -257,7 +257,7 @@ def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), 
     while heap and heap[0][0] <= workload.horizon:
         time, kind, _, payload = heapq.heappop(heap)
         if kind == EventKind.WORKLOAD:
-            _on_arrival_ref(run, time, payload[0])
+            _on_arrival_ref(run, tallies[payload[0]], time, payload[0])
         else:
             handlers[kind](time, payload)
-    return run._finish()
+    return run._finish(*zip(*tallies.values()))

@@ -18,6 +18,7 @@ from hfsim.report import build_report, diff_reports, render_text, report_to_json
 from hfsim.errors import AddressError, ConfigFileError, ReportMismatchError
 from hfsim.guest import GuestMachine
 from hfsim.simulation import run_scenario
+from hfsim.threat import PersistentTamper, TransientTamper
 
 SMALL = """
 [machine]
@@ -204,9 +205,12 @@ def test_engine_level_inconsistency_is_config_error(tmp_path, capsys):
     "kind = persistent\nobject_index = 1\noffset = 1000000000\nat_s = 1\n",
     "kind = transient\nobject_index = 1\nwindows = 1:2\noffset = 1000000000\n",
     "kind = code\noffset = 999999999\nat_s = 1\n",  # past the end of memory
+    "kind = persistent\nobject_index = 1\noffset = 64\nat_s = 1\n",  # objects are 64 bytes
+    "kind = transient\nobject_index = 1\nwindows = 1:2\noffset = 64\n",
 ], ids=["idt_vector_100", "idtr_past_memory", "idt_handler_too_wide", "idtr_partial_entry",
         "persistent_offset_past_memory", "transient_offset_past_memory",
-        "code_offset_past_memory"])
+        "code_offset_past_memory", "persistent_offset_past_object",
+        "transient_offset_past_object"])
 def test_validate_rejects_what_run_rejects(attack, tmp_path, capsys):
     cfg = tmp_path / "bad_attack.cfg"
     cfg.write_text(SMALL + "\n[attack stray]\n" + attack)
@@ -373,6 +377,10 @@ def test_a_drawn_config_round_trips_and_validates_as_it_runs(text):
     except ConfigFileError:
         config = None
     if config is not None:
+        # an object tamper whose offset (drawn up to size + 2) runs past its object is rejected
+        assert all(script.offset < config.objects.size_bytes
+                   for _, script in config.expanded_attacks()
+                   if isinstance(script, (PersistentTamper, TransientTamper)))
         canonical = serialize_config(config)
         again = parse_config_text(canonical)
         assert again == config

@@ -1,5 +1,6 @@
 """Event engine ordering, determinism, accounting, and overhead metrics."""
 
+import dataclasses
 import gc
 import importlib.util
 import itertools
@@ -8,6 +9,8 @@ import math
 import pathlib
 import random
 import tracemalloc
+import types
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -468,6 +471,192 @@ def test_drained_run_matches_the_per_event_loop(placement, count, size, strategy
 
 
 # ---------------------------------------------------------------------------
+# arrival counts shared by the runs of one workload spec
+# ---------------------------------------------------------------------------
+
+class _Named(random.Random):
+    def __init__(self, name):
+        super().__init__(name)
+        self.name = name
+
+
+def _counting_streams(patch):
+    """A list that gets the substream name of each arrival stream runs construct."""
+    names, chunks = [], simulation._arrival_chunks
+
+    def counted(rate, horizon, arrival, rng):
+        names.append(rng.name)
+        return chunks(rate, horizon, arrival, rng)
+
+    patch.setattr(simulation, "_arrival_chunks", counted)
+    patch.setattr(simulation, "random", types.SimpleNamespace(Random=_Named))
+    return names
+
+
+def _drawn(setup, strategy, workload, scripts, seed, trace=None):
+    """The run as it goes when it must draw: an empty count memo."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_COUNTS", weakref.WeakKeyDictionary())
+        return run_scenario(setup, strategy, workload, scripts, _ENGINE_COSTS, seed, trace)
+
+
+def _reads_counts(setup, strategy, workload, scripts, seed):
+    """Whether an untraced run reads its arrivals only as totals."""
+    probe = _ScenarioRun(setup, strategy, workload, scripts, _ENGINE_COSTS, seed)
+    return strategy.kind != "hrk" or probe.uniform_pages is not None and all(
+        t > workload.horizon for t, _, _ in probe.events)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    placement=st.sampled_from(["spread", "packed"]), count=st.integers(1, 8),
+    strategies=st.lists(_engine_strategies, min_size=1, max_size=3),
+    arrival=st.sampled_from(list(Arrival)),
+    rates=st.tuples(st.one_of(st.integers(0, 300), st.floats(0.5, 300)), st.integers(0, 100)),
+    horizon_ms=st.one_of(st.just(700), st.integers(1, 700)),
+    attacks=_attack_specs, seed=st.one_of(st.integers(0, 1 << 16), st.just(True)),
+)
+# Poisson arrivals, then fixed ones on the horizon tick: hf before hrk
+@example(placement="spread", count=6, strategies=[
+             StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, _ms(50))),
+             StrategyConfig(kind="hrk", batch_k=4)],
+         arrival=Arrival.POISSON, rates=(2000, 900), horizon_ms=700, attacks=[], seed=1)
+@example(placement="spread", count=4, strategies=[
+             StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, _ms(50))),
+             StrategyConfig(kind="hrk", batch_k=2)],
+         arrival=Arrival.FIXED, rates=(100, 40), horizon_ms=100, attacks=[], seed=0)
+# an hrk run with an attack draws, after a baseline run that recorded
+@example(placement="spread", count=4, strategies=[
+             StrategyConfig(kind="baseline"), StrategyConfig(kind="hrk", batch_k=2)],
+         arrival=Arrival.FIXED, rates=(100, 40), horizon_ms=100,
+         attacks=[("persistent", 1, 100)], seed=0)
+# one source at rate 0, in a config with no hrk strategy
+@example(placement="spread", count=5, strategies=[
+             StrategyConfig(kind="baseline"),
+             StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, _ms(200)))],
+         arrival=Arrival.POISSON, rates=(0, 100), horizon_ms=700,
+         attacks=[("persistent", 4, 120)], seed=3)
+# 1e9 and 2e9 Poisson arrivals/s over 3 us: arrivals tied on one tick
+@example(placement="spread", count=6, strategies=[
+             StrategyConfig(kind="hrk", batch_k=4), StrategyConfig(kind="baseline"),
+             StrategyConfig(kind="hrk", batch_k=2)],
+         arrival=Arrival.POISSON, rates=(1e9, 2e9), horizon_ms=Fraction(3, 1000), attacks=[],
+         seed=8)
+def test_a_run_that_takes_counts_equals_one_that_draws(placement, count, strategies, arrival,
+                                                       rates, horizon_ms, attacks, seed):
+    setup = make_setup(count=count, size_bytes=8, page_size=64, placement=placement)
+    workload = WorkloadSpec(syscall_rate=rates[0], ctxswitch_rate=rates[1], arrival=arrival,
+                            horizon=_ms(horizon_ms))
+    scripts = _attack_scripts(attacks, count)
+    names = [f"workload-{op}:{seed}" for op in ("syscall", "ctxswitch")]
+    memo = weakref.WeakKeyDictionary()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_COUNTS", memo)
+        streams = _counting_streams(patch)
+        for i, strategy in enumerate(strategies):
+            streams.clear()
+            got = run_scenario(setup, strategy, workload, scripts, _ENGINE_COSTS, seed)
+            # the first run draws and records; a later one draws unless it reads counts
+            takes = i > 0 and _reads_counts(setup, strategy, workload, scripts, seed)
+            assert streams == ([] if takes else names)
+            assert memo[workload] == dict(zip(names, (got.counts["syscalls"],
+                                                      got.counts["ctxswitches"])))
+            expected = json.dumps(run_per_event_ref(setup, strategy, workload, scripts,
+                                                    _ENGINE_COSTS, seed).to_json_dict())
+            assert json.dumps(got.to_json_dict()) == expected
+            assert json.dumps(_drawn(setup, strategy, workload, scripts, seed)
+                              .to_json_dict()) == expected
+
+
+def test_a_traced_run_after_an_untraced_one_draws_and_traces_the_same_bytes(monkeypatch):
+    setup = make_setup(count=6, size_bytes=8, page_size=64)
+    workload = _workload(2, syscall_rate=300, ctx_rate=70, arrival=Arrival.POISSON)
+    strategy = StrategyConfig(kind="hrk", batch_k=2)
+    alone = []
+    _drawn(setup, strategy, workload, (), 5, alone.append)
+    streams = _counting_streams(monkeypatch)
+    untraced = run_scenario(setup, strategy, workload, (), _ENGINE_COSTS, 5)
+    assert len(streams) == 2
+    traced = []
+    again = run_scenario(setup, strategy, workload, (), _ENGINE_COSTS, 5, traced.append)
+    assert len(streams) == 4  # a traced run never takes counts
+    assert again == untraced
+    encode = json.JSONEncoder(sort_keys=True).encode
+    assert [encode(e) for e in traced] == [encode(e) for e in alone]
+
+
+def test_equal_specs_share_counts_and_seeds_name_their_substreams(monkeypatch):
+    setup, strategy = make_setup(count=4), StrategyConfig(kind="baseline")
+    first = _workload(3, syscall_rate=40, ctx_rate=10, arrival=Arrival.POISSON)
+    second = dataclasses.replace(first)
+    assert second == first and second is not first
+    streams = _counting_streams(monkeypatch)
+    a = run_scenario(setup, strategy, first, (), _ENGINE_COSTS, 1)
+    b = run_scenario(setup, strategy, second, (), _ENGINE_COSTS, 1)
+    assert streams == ["workload-syscall:1", "workload-ctxswitch:1"] and a == b
+    # seed True is equal to seed 1, but its substreams are named for True
+    c = run_scenario(setup, strategy, second, (), _ENGINE_COSTS, True)
+    assert streams[2:] == ["workload-syscall:True", "workload-ctxswitch:True"]
+    monkeypatch.undo()
+    for seed, result in ((1, a), (1, b), (True, c)):
+        assert result == run_per_event_ref(setup, strategy, first, (), _ENGINE_COSTS, seed)
+    assert (c.counts["syscalls"], c.counts["ctxswitches"]) != (
+        a.counts["syscalls"], a.counts["ctxswitches"])
+
+
+_SHARED = """
+[machine]
+page_count = 12
+
+[objects]
+count = 8
+size_bytes = 64
+
+[workload]
+syscall_rate = 400
+ctxswitch_rate = 100
+arrival = poisson
+horizon_s = 3
+
+[strategy hrk]
+kind = hrk
+batch_k = 2
+
+[strategy hf]
+kind = hf
+schedule = periodic
+period_s = 1
+
+[run]
+repeats = 3
+"""
+
+
+def test_the_count_memo_holds_nothing_once_its_spec_is_collected(monkeypatch):
+    # a pass as perfbench runs it: parse, then every strategy x repeat; the
+    # runs of a pass share draws, and a later pass, with a new spec, draws anew
+    streams = _counting_streams(monkeypatch)
+    per_pass = []
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            streams.clear()
+            config = parse_config_text(_SHARED)
+            for strategy in config.strategies.values():
+                for r in range(config.repeats):
+                    run_scenario(config.setup(), strategy, config.workload,
+                                 config.expanded_attacks(), config.costs, config.seed + r)
+            assert len(simulation._COUNTS) == 1
+            per_pass.append(len(streams))
+            del config
+            assert len(simulation._COUNTS) == 0
+    finally:
+        gc.enable()
+    assert per_pass == [2 * 3, 2 * 3]  # the hrk runs draw, the hf runs take their counts
+
+
+# ---------------------------------------------------------------------------
 # run_scenario basics
 # ---------------------------------------------------------------------------
 
@@ -706,12 +895,14 @@ def test_a_run_registers_and_tampers_the_planned_object_layout(
     index %= count
     script = ("tamper", PersistentTamper(object_index=index, at=SEC, offset=offset,
                                          xor_mask=mask))
+    if offset >= size:  # past its object, onto the next or a gap, whatever memory holds
+        with pytest.raises(ConfigFileError) as exc_info:
+            check_attacks(setup, [script])
+        assert exc_info.value.problems == [
+            ("attack tamper.offset", f"byte {offset} outside the object of {size} bytes")]
+        return
     addr = objects.addr(index) + offset
     memory = setup.machine.page_count * page_size
-    if addr >= memory:
-        with pytest.raises(ConfigFileError):
-            check_attacks(setup, [script])
-        return
     assert check_attacks(setup, [script]) == {index: "tamper"}
     run = _ScenarioRun(setup, StrategyConfig(kind="baseline"), _workload(2), [script],
                        CostModel(), 0)

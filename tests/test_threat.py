@@ -1,5 +1,7 @@
 """Attacker scripts driven through full scenario runs."""
 
+import dataclasses
+
 import pytest
 
 from conftest import assert_conservation, make_setup
@@ -294,6 +296,27 @@ def test_directly_built_mask_outside_a_byte_is_a_config_error(script):
         run_scenario(make_setup(count=4), _hf(), _workload(4), [("t", script)],
                      CostModel(), seed=0)
     assert exc_info.value.problems == [("attack t.xor_mask", "must be a byte")]
+
+
+@pytest.mark.parametrize("offset", [8, 64], ids=["gap", "next_object"])
+@pytest.mark.parametrize("kind", ["persistent", "transient"])
+def test_an_object_tamper_past_its_object_is_a_config_error(kind, offset):
+    # 8-byte objects, one a 64-byte page: byte 64 of object 0 is byte 0 of
+    # object 1, and byte 8 lies in the gap between the two
+    setup = make_setup(count=4, size_bytes=8, page_size=64)
+    script = (PersistentTamper(object_index=0, offset=offset, at=SEC) if kind == "persistent"
+              else TransientTamper(object_index=0, offset=offset, windows=((SEC, 2 * SEC),)))
+    with pytest.raises(ConfigFileError) as exc_info:
+        run_scenario(setup, StrategyConfig(kind="hrk", batch_k=2),
+                     _workload(3, syscall_rate=10), [("t", script)], CostModel(), seed=0)
+    assert exc_info.value.problems == [("attack t.offset",
+                                        f"byte {offset} outside the object of 8 bytes")]
+    # the object's last byte is its own: the detection is the attack's
+    inside = dataclasses.replace(script, offset=7)
+    result = run_scenario(setup, StrategyConfig(kind="hrk", batch_k=2),
+                          _workload(3, syscall_rate=10), [("t", inside)], CostModel(), seed=0)
+    assert [d.target for d in result.detections] == [0]
+    assert result.attack_outcomes[0].detected_at == result.detections[0].detected_time
 
 
 def test_supremacy_exhaustive_over_module_offsets():

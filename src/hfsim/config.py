@@ -301,7 +301,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
     config = ScenarioConfig(**specs, **run, strategies=strategies, attacks=attacks)
     problems = []  # those of the sections taken together
-    for check in (plan_layout, lambda setup: check_attacks(setup, config.expanded_attacks())):
+    for check in (plan_layout, lambda setup: check_attacks(setup, config.attacks)):
         try:
             check(config.setup())
         except ConfigFileError as exc:

@@ -29,12 +29,15 @@ from .timebase import Ticks
 
 IDT_ENTRY_SIZE = 8
 MIN_PAGE_SIZE = 64
+MAX_PAGE_SIZE = 1 << 16  # a written page is held whole: host memory is written pages x this
 
 
 def page_size_problem(page_size: int) -> Optional[str]:
     """Why `page_size` cannot size a machine's pages, or None if it can."""
     if page_size < MIN_PAGE_SIZE or page_size & (page_size - 1) != 0:
         return f"must be a power of two >= {MIN_PAGE_SIZE}, got {page_size}"
+    if page_size > MAX_PAGE_SIZE:
+        return f"must be at most {MAX_PAGE_SIZE}, got {page_size}"
     return None
 
 

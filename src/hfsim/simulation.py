@@ -61,7 +61,7 @@ import math
 import random
 import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterator, Optional, Sequence, Union
@@ -222,23 +222,37 @@ def plan_layout(setup: SetupSpec) -> Layout:
 
 
 def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
-    """Validate labelled attack scripts against a setup before t=0.
+    """Validate labelled attack scripts or specs against a setup before t=0.
 
     Object tampers must name a registered object and XOR a byte inside
     it; code tampers must write only bytes inside guest memory; IDT
     tampers must name a vector inside the IDT, and IDTR tampers a table
     inside guest memory; no two scripts may target the same object or
-    the IDTR, since a detection could not then be attributed. Returns
-    {target: label} for the object and IDTR tampers. Raises
-    ConfigFileError with one problem per offending script, keyed by its
-    label.
+    the IDTR, since a detection could not then be attributed. A sweep is
+    checked in place, tamper by tamper under its `expand_attacks` label:
+    each tamper's index, offset and mask are valid by construction, so
+    only its target can collide. Returns {target: label} for the object
+    and IDTR tampers. Raises ConfigFileError with one problem per
+    offending script, keyed by its label, in script order.
     """
     memory = setup.machine.page_count * setup.machine.page_size
     layout = _layout(setup)
     targets: dict = {}
     problems = []
+
+    def claim(target, label: str) -> None:
+        if target in targets:
+            problems.append((f"attack {label}",
+                             f"targets the same object as attack {targets[target]!r}"))
+        else:
+            targets[target] = label
+
     for label, script in scripts:
         key = f"attack {label}"
+        if isinstance(script, threat.SweepSpec):
+            for i, target in enumerate(script.targets(setup.objects.count)):
+                claim(target, f"{label}[{i:03d}]")
+            continue
         if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
             target = script.object_index
             if not 0 <= target < setup.objects.count:
@@ -279,10 +293,7 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
                 continue
         else:
             continue
-        if target in targets:
-            problems.append((key, f"targets the same object as attack {targets[target]!r}"))
-        else:
-            targets[target] = label
+        claim(target, label)
     if problems:
         raise ConfigFileError(problems)
     return targets
@@ -912,7 +923,7 @@ class _ScenarioRun:
             per_event_added[op] = added / n if n else 0.0
         breakdown["vmexit"] = counts["vmexits"] * costs.t_vmexit
         breakdown["vmentry"] = counts["vmexits"] * costs.t_vmentry
-        echo = {name: asdict(spec, dict_factory=_echo_dict) for name, spec in (
+        echo = {name: _echo(spec) for name, spec in (
             ("machine", self.setup.machine), ("objects", self.setup.objects),
             ("workload", self.workload), ("strategy", self.strategy))}
         echo["seed"] = self.seed
@@ -932,10 +943,12 @@ class _ScenarioRun:
         )
 
 
-def _echo_dict(items) -> dict:
-    """A spec's fields as JSON values: an enum member becomes its value."""
-    return {key: value.value if isinstance(value, enum.Enum) else value
-            for key, value in items}
+def _echo(spec) -> dict:
+    """A spec's fields as JSON values: an enum member becomes its value, a nested spec a dict."""
+    values = ((name, getattr(spec, name)) for name in spec.__dataclass_fields__)
+    return {name: value.value if isinstance(value, enum.Enum)
+            else _echo(value) if hasattr(value, "__dataclass_fields__") else value
+            for name, value in values}
 
 
 def run_scenario(

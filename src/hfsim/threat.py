@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import byte, nonneg, positive, require
 from .timebase import Ticks
@@ -126,14 +126,14 @@ class SweepSpec:
     bounds = dict(count=positive, start=nonneg, step=nonneg, object_start=nonneg,
                   object_stride=positive)
 
+    def targets(self, object_count: int) -> Iterator[int]:
+        """The object index of each tamper, in order."""
+        return ((self.object_start + i * self.object_stride) % object_count
+                for i in range(self.count))
+
     def expand(self, object_count: int) -> list[PersistentTamper]:
-        return [
-            PersistentTamper(
-                object_index=(self.object_start + i * self.object_stride) % object_count,
-                at=self.start + i * self.step,
-            )
-            for i in range(self.count)
-        ]
+        return [PersistentTamper(object_index=target, at=self.start + i * self.step)
+                for i, target in enumerate(self.targets(object_count))]
 
 
 AttackScript = Union[PersistentTamper, TransientTamper, CodeTamper, IdtTamper, IdtrTamper]
@@ -211,8 +211,9 @@ def expand_attacks(
 ) -> list[tuple[str, AttackScript]]:
     """Flatten config-level attack specs into concrete scripts.
 
-    Sweeps become one labeled script per tamper point. The scripts are
-    validated against the machine by `simulation.check_attacks`.
+    Sweeps become one labeled script per tamper point, `<label>[<i:03d>]`.
+    Callers expand once per config: `simulation.check_attacks` validates
+    the specs at parse without expanding, and the scripts as each run starts.
     """
     scripts: list[tuple[str, AttackScript]] = []
     for label, spec in specs:

@@ -15,9 +15,9 @@ from hfsim import cli
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text, serialize_config
 from hfsim.report import build_report, diff_reports, render_text, report_to_json
-from hfsim.errors import AddressError, ConfigFileError, ReportMismatchError
+from hfsim.errors import AddressError, ConfigFileError, ConfigurationError, ReportMismatchError
 from hfsim.guest import GuestMachine
-from hfsim.simulation import run_scenario
+from hfsim.simulation import MachineSpec, run_scenario
 from hfsim.threat import PersistentTamper, TransientTamper
 
 SMALL = """
@@ -236,6 +236,27 @@ def test_validate_and_run_judge_page_size_alike(page_size, code, tmp_path, capsy
     problem = f"  machine.page_size: must be a power of two >= 64, got {page_size}"
     assert problems == ([] if code == 0 else [problem] * 2)
     assert out.exists() == (code == 0)
+
+
+@pytest.mark.parametrize("page_size", [1 << 17, 1 << 28])
+def test_a_page_over_64_kib_is_a_config_error(page_size, tmp_path, capsys):
+    # a written page is held whole: 256 MiB pages once passed validate and then
+    # ran out of memory, so no config here is ever run
+    text = _load_config_text("paper_detection.cfg")[0].replace(
+        "page_size = 4096", f"page_size = {page_size}")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    problem = ("machine.page_size", f"must be at most 65536, got {page_size}")
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines()[1:] == [f"  {problem[0]}: {problem[1]}"]
+    with pytest.raises(ConfigFileError) as exc_info:
+        parse_config_text(text)
+    assert exc_info.value.problems == [problem]
+    for build in (lambda size: MachineSpec(page_count=4, page_size=size),
+                  lambda size: GuestMachine(4, size)):
+        with pytest.raises(ConfigurationError, match=problem[1]):
+            build(page_size)
+        assert build(1 << 16).page_size == 1 << 16
 
 
 def _quiet_main(argv) -> int:

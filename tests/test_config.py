@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hfsim import threat
 from hfsim.cli import _load_config_text, bundled_config_names
 from hfsim.config import (
     _ATTACKS,
@@ -16,6 +17,7 @@ from hfsim.config import (
     serialize_config,
 )
 from hfsim.errors import ConfigFileError, ConfigurationError
+from hfsim.report import build_report
 from hfsim.simulation import (
     Arrival,
     MachineSpec,
@@ -183,6 +185,52 @@ at_s = 2
     assert "'a'" in problems["attack b"]
 
 
+_SWEPT = MINIMAL.replace("page_count = 8", "page_count = 304").replace(
+    "count = 4", "count = 300") + """
+[strategy hrk]
+kind = hrk
+batch_k = 25
+
+[attack sweep]
+kind = persistent_sweep
+count = 250
+start_s = 0.5
+step_s = 0.01
+
+[run]
+repeats = 2
+"""
+
+
+def test_a_sweep_is_checked_at_parse_without_being_expanded(monkeypatch):
+    def refuse(specs, object_count):
+        raise AssertionError("attacks expanded at parse")
+
+    monkeypatch.setattr(threat, "expand_attacks", refuse)
+    assert parse_config_text(_SWEPT).attacks[0][1].count == 250
+    # a collision is still found, under the colliding tamper's label
+    hit = "\n[attack hit]\nkind = persistent\nobject_index = 7\nat_s = 1\n"
+    assert _problems(_SWEPT + hit) == {
+        "attack hit": "targets the same object as attack 'sweep[007]'"}
+    before_sweep = _SWEPT.replace("[attack sweep]", hit + "\n[attack sweep]")
+    assert _problems(before_sweep) == {
+        "attack sweep[007]": "targets the same object as attack 'hit'"}
+
+
+def test_a_pass_expands_its_attacks_once(monkeypatch):
+    # a pass as perfbench runs it: parse, expand, every strategy x repeat, report
+    calls = []
+    expand = threat.expand_attacks
+    monkeypatch.setattr(threat, "expand_attacks", lambda *args: calls.append(args) or expand(*args))
+    config = parse_config_text(_SWEPT)
+    attacks = config.expanded_attacks()
+    results = {name: [run_scenario(config.setup(), strategy, config.workload, attacks,
+                                   config.costs, config.seed + r) for r in range(config.repeats)]
+               for name, strategy in config.strategies.items()}
+    build_report(config, results)
+    assert len(calls) == 1 and len(attacks) == 250
+
+
 def test_machine_too_small_for_layout():
     text = MINIMAL.replace("page_count = 8", "page_count = 4")
     assert "machine.page_count" in _problems(text)
@@ -343,7 +391,7 @@ repeats = 1
 # which breaks a rule that spans sections
 _PROBES = {
     "machine.page_count": ["-1", "0", "4096"],
-    "machine.page_size": ["-64", "0", "32", "100", "64", "4096"],
+    "machine.page_size": ["-64", "0", "32", "100", "64", "4096", "65536", "131072"],
     "objects.count": ["-1", "0", "1", "4"],
     "objects.size_bytes": ["-1", "0", "1", "64"],
     "objects.placement": ["spread", "packed", "diagonal"],

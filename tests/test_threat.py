@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_conservation, make_setup
 from hfsim.errors import ConfigFileError, ConfigurationError
@@ -275,6 +277,40 @@ def test_sweep_expansion():
     assert [label for label, _ in scripts] == ["s[000]", "s[001]", "s[002]"]
     assert [s.object_index for _, s in scripts] == [1, 5, 9]
     assert [s.at for _, s in scripts] == [SEC, SEC + SEC // 2, SEC + 2 * (SEC // 2)]
+
+
+_CHECKED_SPECS = st.one_of(
+    st.builds(SweepSpec, count=st.integers(1, 8), start=st.integers(0, SEC),
+              step=st.integers(0, SEC), object_start=st.integers(0, 20),
+              object_stride=st.integers(1, 6)),
+    st.builds(PersistentTamper, object_index=st.integers(0, 13), at=st.integers(0, SEC),
+              offset=st.sampled_from([0, 63, 64]), xor_mask=st.sampled_from([0xFF, 300])),
+    st.builds(TransientTamper, object_index=st.integers(0, 13), windows=st.just(((1, 2),))),
+    st.builds(IdtrTamper, new_base=st.sampled_from([4096, 1 << 40]), at=st.just(0)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(count=st.integers(1, 12), specs=st.lists(_CHECKED_SPECS, max_size=6))
+@example(count=4, specs=[
+    PersistentTamper(object_index=2, at=0),
+    SweepSpec(count=8, start=0, step=SEC, object_start=2, object_stride=2),
+    IdtrTamper(new_base=4096, at=0),
+    TransientTamper(object_index=0, windows=((1, 2),)),
+    IdtrTamper(new_base=4096, at=SEC),
+])
+def test_a_sweep_checked_in_place_is_checked_as_its_expansion(count, specs):
+    # the same problems in the same order, or the same {target: label}
+    setup = make_setup(count=count)
+    labelled = [(f"a{i}", spec) for i, spec in enumerate(specs)]
+
+    def checked(scripts):
+        try:
+            return list(check_attacks(setup, scripts).items())
+        except ConfigFileError as exc:
+            return exc.problems
+
+    assert checked(labelled) == checked(expand_attacks(labelled, count))
 
 
 def test_duplicate_targets_rejected():

@@ -29,6 +29,7 @@ from .hypervisor import FiringSchedule, ScheduleMode, jitter_problem
 from .integrity import compute_digest
 from .simulation import (
     Arrival,
+    AttackPlan,
     CostModel,
     MachineSpec,
     ObjectsSpec,
@@ -38,6 +39,7 @@ from .simulation import (
     StrategyConfig,
     WorkloadSpec,
     check_attacks,
+    plan_attacks,
     plan_layout,
 )
 from .timebase import Ticks, ticks_from_ns, ticks_from_seconds, ticks_from_us
@@ -67,8 +69,15 @@ class ScenarioConfig:
     def setup(self) -> SetupSpec:
         return SetupSpec(machine=self.machine, objects=self.objects)
 
-    def expanded_attacks(self) -> list:
-        return threat.expand_attacks(self.attacks, self.objects.count)
+    def expanded_attacks(self) -> AttackPlan:
+        """The attack plan (`simulation.plan_attacks`) that every run of the config shares.
+
+        Each call builds a new plan, so a pass or a CLI run calls it once;
+        nothing is cached. The name is kept for the benchmark harness,
+        which calls it, and changes with the next change to perfbench/
+        (ROADMAP item 8).
+        """
+        return plan_attacks(self.setup(), self.attacks)
 
 
 class _Collector:

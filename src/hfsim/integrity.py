@@ -58,7 +58,7 @@ def compute_digest(data: bytes) -> int:
     return h
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Violation:
     """A checked target whose current value differs from its baseline."""
 

@@ -89,7 +89,7 @@ _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
 def _records_to_json(records, pad: str) -> Optional[str]:
-    """A record list as _to_json writes it after `pad`, or None for any other list.
+    """A record list as _write writes it after `pad`, or None for any other list.
 
     A record list holds >= 2 exact dicts that share one set of str keys
     and hold only exact str, int, float, bool and None values. Its values
@@ -117,37 +117,48 @@ def _records_to_json(records, pad: str) -> Optional[str]:
     return layout % tuple(_RECORD_ENCODER.encode(values)[1:-1].split("\n"))
 
 
-def _to_json(value, pad: str) -> str:
-    """`value` as json.dumps(value, sort_keys=True, indent=2) writes it after `pad`.
+def _write(value, pad: str, out: list) -> None:
+    """Append `value` to `out` as json.dumps(value, sort_keys=True, indent=2) writes it after `pad`.
 
     `pad` is a newline and the indent of the line `value` starts on. Each
     exact str, int, finite float, bool, None, dict with str keys, list and
     tuple is written here, a record list (`_records_to_json`) at once;
-    json.dumps writes nan, infinities and the rest.
+    json.dumps writes nan, infinities and the rest. Every piece goes to
+    the one list, so no text is copied before the final join.
     """
     kind = type(value)
     if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is float and math.isfinite(value):
-        return float.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    inner = pad + "  "
-    if kind is dict and value and all(type(key) is str for key in value):
-        items = [encode_basestring_ascii(key) + ": " + _to_json(value[key], inner)
-                 for key in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if (kind is list or kind is tuple) and value:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is dict and value and all(type(key) is str for key in value):
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif (kind is list or kind is tuple) and value:
         records = _records_to_json(value, pad)
         if records is not None:
-            return records
-        items = [_to_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
+            out.append(records)
+            return
+        inner = pad + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(pad + "]")
+    else:
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", pad))
 
 
 def report_to_json(report: dict) -> str:
@@ -156,7 +167,10 @@ def report_to_json(report: dict) -> str:
     Lists of flat records, which make up most of a report with attacks,
     cost one C-encoder call each rather than a Python call per value.
     """
-    return _to_json(report, "\n") + "\n"
+    out: list = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_text(report: dict, include_attacks: bool = True) -> str:

@@ -15,9 +15,13 @@ t_ctxswitch_base) describe the cost of the operation itself; they are
 reported in absolute per-event latency but never extend the run.
 
 Every one-off event (a device firing or an attack action) is known at
-set-up, so the run holds them in one list, sorted once. Set-up also
-resolves what the layout fixes: each attack write's address, its bytes
-and the ids of the objects it overlaps. Each workload source draws its
+set-up, so the run holds them in one list, sorted once. The attack
+actions come from an `AttackPlan`, which checks a setup's attacks and
+resolves what the layout fixes once for every run that shares it: each
+write's address, its bytes and the ids of the objects it overlaps, a
+sweep's tampers in place. A run copies only the outcomes and the
+{target: label} map it changes, and clips an evader's windows against its
+own firings. Each workload source draws its
 arrivals a bounded chunk at a time, so memory does not grow with the
 event count. Poisson arrivals stay the float seconds they were drawn as,
 and one is rounded to its tick only where the engine reads a tick.
@@ -59,12 +63,13 @@ import enum
 import itertools
 import math
 import random
+import types
 import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import threat
 from .errors import (
@@ -299,7 +304,7 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
     return targets
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DetectionRecord:
     """First detection of one divergence episode of a target."""
 
@@ -459,6 +464,104 @@ _ACT_MODULE = "module_write"
 _ACT_IDT = "idt_write"
 _ACT_IDTR = "idtr_set"
 
+
+def _guest(setup: SetupSpec, layout: Layout) -> GuestMachine:
+    """A guest as every run starts it: the IDT, the module on its vector, the objects."""
+    machine = GuestMachine(setup.machine.page_count, setup.machine.page_size)
+    machine.set_idtr(layout.idt_base, layout.idt_limit)
+    machine.load_module(_module_code(setup.machine.page_size), layout.module_addr, HANDLER_VECTOR)
+    objects = layout.objects
+    machine.register_kernel_object(
+        objects.base, objects.length, count=objects.count, stride=objects.stride)
+    return machine
+
+
+def _window_events(windows, dirty: tuple, clean: tuple) -> list:
+    """A transient tamper's actions: its dirty write at each window's start, its restore at the end."""
+    return [(t, EventKind.ATTACK, payload)
+            for start, end in windows for t, payload in ((start, dirty), (end, clean))]
+
+
+@dataclass(frozen=True, eq=False)
+class AttackPlan:
+    """A config's attacks against its setup, checked and resolved once for all its runs.
+
+    `labels` is each script's (label, kind) in script order; a sweep's
+    tampers are `<label>[<i:03d>]`, of kind persistent. `target_label` is
+    `check_attacks`' {target: label}. `events` is every attack action as
+    (time, ATTACK, payload) in script order. A write's payload is (action,
+    label, address, bytes, the ids of the objects the bytes overlap), all
+    fixed by the layout. A transient tamper whose attacker can read a
+    guest-visible schedule is also in `evasive`, as (start, stop, windows,
+    dirty, clean): a run under such a schedule puts its windows, clipped
+    against the run's firings, in place of `events[start:stop]`. A run
+    copies what it changes, so one plan serves every run of its setup.
+    """
+
+    setup: SetupSpec
+    layout: Layout
+    labels: tuple
+    target_label: Mapping
+    events: tuple
+    evasive: tuple
+
+
+def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
+    """Check labelled attack specs against a setup and resolve each of their actions.
+
+    Raises ConfigFileError as `plan_layout` and `check_attacks` do, and
+    ConfigurationError for a spec of no attack kind. Each write's bytes are
+    read from a guest set up as a run's guest is. A sweep is resolved in
+    place, tamper by tamper, as `threat.expand_attacks` spells it out.
+    """
+    layout = plan_layout(setup)
+    target_label = check_attacks(setup, specs)
+    machine = _guest(setup, layout) if specs else None
+    labels, events, evasive = [], [], []
+    swept = threat.PersistentTamper  # a sweep's tampers take its default offset and mask
+
+    def dirty(label: str, index: int, offset: int, mask: int) -> tuple:
+        addr = layout.objects.addr(index) + offset
+        data = bytes((machine.read(addr, 1)[0] ^ mask,))
+        return (_ACT_WRITE, label, addr, data, machine.objects_overlapping(addr, 1))
+
+    for label, spec in specs:
+        if isinstance(spec, threat.SweepSpec):
+            for i, target in enumerate(spec.targets(setup.objects.count)):
+                tamper = f"{label}[{i:03d}]"
+                labels.append((tamper, swept.kind))
+                events.append((spec.start + i * spec.step, EventKind.ATTACK,
+                               dirty(tamper, target, swept.offset, swept.xor_mask)))
+            continue
+        if isinstance(spec, threat.PersistentTamper):
+            events.append((spec.at, EventKind.ATTACK,
+                           dirty(label, spec.object_index, spec.offset, spec.xor_mask)))
+        elif isinstance(spec, threat.TransientTamper):
+            write = dirty(label, spec.object_index, spec.offset, spec.xor_mask)
+            _, _, addr, _, oids = write
+            restore = (_ACT_RESTORE, label, addr, machine.read(addr, 1), oids)
+            if spec.knowledge is threat.ScheduleKnowledge.GUEST_VISIBLE_ONLY:
+                evasive.append((len(events), len(events) + 2 * len(spec.windows),
+                                spec.windows, write, restore))
+            events += _window_events(spec.windows, write, restore)
+        elif isinstance(spec, threat.CodeTamper):
+            addr = machine.module.addr + spec.offset
+            events.append((spec.at, EventKind.ATTACK, (
+                _ACT_MODULE, label, addr, spec.payload,
+                machine.objects_overlapping(addr, len(spec.payload)))))
+        elif isinstance(spec, threat.IdtTamper):
+            events.append((spec.at, EventKind.ATTACK,
+                           (_ACT_IDT, label, spec.vector, spec.new_handler)))
+        elif isinstance(spec, threat.IdtrTamper):
+            events.append((spec.at, EventKind.ATTACK,
+                           (_ACT_IDTR, label, spec.new_base, spec.new_limit)))
+        else:
+            raise ConfigurationError(f"unknown attack script {spec!r}")
+        labels.append((label, spec.kind))
+    return AttackPlan(setup, layout, tuple(labels), types.MappingProxyType(target_label),
+                      tuple(events), tuple(evasive))
+
+
 # workload sources, as (op, count key); the syscall source comes first
 _SOURCES = (("syscall", "syscalls"), ("ctxswitch", "ctxswitches"))
 
@@ -567,12 +670,17 @@ class _ScenarioRun:
         setup: SetupSpec,
         strategy: StrategyConfig,
         workload: WorkloadSpec,
-        attacks: Sequence,
+        attacks: Union[AttackPlan, Sequence],
         costs: CostModel,
         seed: int,
         trace: Optional[Callable[[dict], None]] = None,
     ):
+        if not isinstance(attacks, AttackPlan):
+            attacks = plan_attacks(setup, attacks)
+        elif attacks.setup != setup:
+            raise ConfigurationError("the attack plan was built for another setup")
         self.setup = setup
+        self.plan = plan = attacks
         self.strategy = strategy
         self.workload = workload
         self.costs = costs
@@ -580,15 +688,7 @@ class _ScenarioRun:
         self.trace = trace
         self.horizon = workload.horizon
 
-        layout = plan_layout(setup)
-        self.machine = GuestMachine(setup.machine.page_count, setup.machine.page_size)
-        self.machine.set_idtr(layout.idt_base, layout.idt_limit)
-        self.machine.load_module(
-            _module_code(setup.machine.page_size), layout.module_addr, HANDLER_VECTOR
-        )
-        objects = layout.objects
-        self.machine.register_kernel_object(
-            objects.base, objects.length, count=objects.count, stride=objects.stride)
+        self.machine = _guest(setup, plan.layout)
         self.registry = ProtectionRegistry(setup.machine.page_count)
         self.table = snapshot_baselines(self.machine)
 
@@ -599,13 +699,9 @@ class _ScenarioRun:
             self.registry.protect_pages(self.machine.module.page_range(setup.machine.page_size))
             self.registry.protect_pages(self.machine.idt_pages())
 
-        self.scripts = attacks  # (label, script) pairs
         # {target: label}; a code or IDT write that lands on kernel objects adds them
-        self.target_label = check_attacks(setup, self.scripts)
-        self.outcomes = {
-            label: threat.AttackOutcome(label=label, kind=script.kind)
-            for label, script in self.scripts
-        }
+        self.target_label = plan.target_label.copy()
+        self.outcomes = {label: threat.AttackOutcome(label, kind) for label, kind in plan.labels}
 
         # the tick each diverged target's current episode began, and the
         # targets whose current episode is reported; checks skip those
@@ -628,53 +724,17 @@ class _ScenarioRun:
         self.detections: list[DetectionRecord] = []
 
         # every event of the run, firings before attack actions at one tick
-        self._firing_times = [] if self.schedule is None else self.schedule.firing_times(
+        firing_times = [] if self.schedule is None else self.schedule.firing_times(
             self.horizon, salt=self.seed)
-        firings = [(t, EventKind.DEVICE_FIRING, ()) for t in self._firing_times]
-        self.events = sorted(firings + self._attack_events(), key=EVENT_ORDER)
-
-    # -- setup ----------------------------------------------------------
-
-    def _attack_events(self) -> list:
-        """Each attack action as (time, ATTACK, payload), in script order.
-
-        A write's payload is (action, label, address, bytes, the ids of the
-        objects the bytes overlap), all fixed by the layout.
-        """
-        machine, events = self.machine, []
-        objects, overlapping = machine.objects, machine.objects_overlapping
-        for label, script in self.scripts:
-            if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
-                addr = objects.addr(script.object_index) + script.offset
-                orig = machine.read(addr, 1)[0]
-                oids = overlapping(addr, 1)
-                dirty = (_ACT_WRITE, label, addr, bytes((orig ^ script.xor_mask,)), oids)
-                if isinstance(script, threat.PersistentTamper):
-                    events.append((script.at, EventKind.ATTACK, dirty))
-                    continue
-                clean = (_ACT_RESTORE, label, addr, bytes((orig,)), oids)
-                windows = script.windows
-                # the attacker learns firing times only from a guest-visible device
-                if (script.knowledge is threat.ScheduleKnowledge.GUEST_VISIBLE_ONLY
-                        and self.schedule is not None and self.schedule.guest_visible_times):
-                    windows = threat.clip_windows(windows, self._firing_times,
-                                                  EVASION_GUARD_TICKS)
-                for start, end in windows:
-                    events += ((start, EventKind.ATTACK, dirty), (end, EventKind.ATTACK, clean))
-            elif isinstance(script, threat.CodeTamper):
-                addr = machine.module.addr + script.offset
-                events.append((script.at, EventKind.ATTACK, (
-                    _ACT_MODULE, label, addr, script.payload,
-                    overlapping(addr, len(script.payload)))))
-            elif isinstance(script, threat.IdtTamper):
-                events.append((script.at, EventKind.ATTACK,
-                               (_ACT_IDT, label, script.vector, script.new_handler)))
-            elif isinstance(script, threat.IdtrTamper):
-                events.append((script.at, EventKind.ATTACK,
-                               (_ACT_IDTR, label, script.new_base, script.new_limit)))
-            else:
-                raise ConfigurationError(f"unknown attack script {script!r}")
-        return events
+        attacks = plan.events
+        # the attacker learns firing times only from a guest-visible device
+        if plan.evasive and self.schedule is not None and self.schedule.guest_visible_times:
+            attacks = list(attacks)
+            for start, stop, windows, dirty, clean in reversed(plan.evasive):
+                clipped = threat.clip_windows(windows, firing_times, EVASION_GUARD_TICKS)
+                attacks[start:stop] = _window_events(clipped, dirty, clean)
+        firings = [(t, EventKind.DEVICE_FIRING, ()) for t in firing_times]
+        self.events = sorted([*firings, *attacks], key=EVENT_ORDER)
 
     # -- event dispatch --------------------------------------------------
 
@@ -938,7 +998,7 @@ class _ScenarioRun:
             per_event_added=per_event_added,
             detections=self.detections,
             trap_records=list(self.registry.trap_log),
-            attack_outcomes=[self.outcomes[label] for label, _ in self.scripts],
+            attack_outcomes=[self.outcomes[label] for label, _ in self.plan.labels],
             config_echo=echo,
         )
 
@@ -955,10 +1015,15 @@ def run_scenario(
     setup: SetupSpec,
     strategy: StrategyConfig,
     workload: WorkloadSpec,
-    attacks: Sequence = (),
+    attacks: Union[AttackPlan, Sequence] = (),
     costs: CostModel = CostModel(),
     seed: int = 0,
     trace: Optional[Callable[[dict], None]] = None,
 ) -> ScenarioResult:
-    """Execute one deterministic run and return its full result."""
+    """Execute one deterministic run and return its full result.
+
+    `attacks` is the setup's `AttackPlan`, which every run of a config
+    shares, or labelled attack specs, which are planned for this run alone.
+    Raises ConfigurationError for a plan of another setup.
+    """
     return _ScenarioRun(setup, strategy, workload, attacks, costs, seed, trace).run()

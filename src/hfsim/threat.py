@@ -7,8 +7,10 @@ windows and restores the exact baseline bytes at window end. When it knows
 the check schedule (only possible against a guest-visible device) it clips
 its dirty windows to be clean around every known firing.
 
-Each attack spec states its fields' bounds in ``bounds`` for the config; a sweep
-builds hundreds of tampers, so only a transient tamper's windows are checked when built.
+Each attack spec states its fields' bounds in ``bounds`` for the config, and
+`simulation.check_attacks` checks them against a setup; only a transient tamper's
+windows are checked when built. The simulation resolves a sweep's tampers in place;
+`expand_attacks` spells them out as scripts, the reference it is held to.
 """
 
 from __future__ import annotations
@@ -112,8 +114,9 @@ class IdtrTamper:
 class SweepSpec:
     """Config-level generator for a persistent-tamper latency sweep.
 
-    Expands to `count` persistent tampers: tamper i hits object
-    `(object_start + i*object_stride) mod N` at `start + i*step`.
+    Stands for `count` persistent tampers of the default offset and mask:
+    tamper i hits object `(object_start + i*object_stride) mod N` at
+    `start + i*step`, labelled `<label>[<i:03d>]`.
     """
 
     count: int
@@ -131,16 +134,12 @@ class SweepSpec:
         return ((self.object_start + i * self.object_stride) % object_count
                 for i in range(self.count))
 
-    def expand(self, object_count: int) -> list[PersistentTamper]:
-        return [PersistentTamper(object_index=target, at=self.start + i * self.step)
-                for i, target in enumerate(self.targets(object_count))]
-
 
 AttackScript = Union[PersistentTamper, TransientTamper, CodeTamper, IdtTamper, IdtrTamper]
 AttackSpec = Union[AttackScript, SweepSpec]
 
 
-@dataclass
+@dataclass(slots=True)
 class AttackOutcome:
     """Per-script bookkeeping: write attempts and whether it was noticed.
 
@@ -212,14 +211,14 @@ def expand_attacks(
     """Flatten config-level attack specs into concrete scripts.
 
     Sweeps become one labeled script per tamper point, `<label>[<i:03d>]`.
-    Callers expand once per config: `simulation.check_attacks` validates
-    the specs at parse without expanding, and the scripts as each run starts.
+    The simulation never expands: `simulation.plan_attacks` resolves each
+    sweep in place, and a run of these scripts equals a run of that plan.
     """
     scripts: list[tuple[str, AttackScript]] = []
     for label, spec in specs:
         if isinstance(spec, SweepSpec):
-            for i, script in enumerate(spec.expand(object_count)):
-                scripts.append((f"{label}[{i:03d}]", script))
+            scripts += ((f"{label}[{i:03d}]", PersistentTamper(target, spec.start + i * spec.step))
+                        for i, target in enumerate(spec.targets(object_count)))
         else:
             scripts.append((label, spec))
     return scripts

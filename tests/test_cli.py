@@ -398,10 +398,11 @@ def test_a_drawn_config_round_trips_and_validates_as_it_runs(text):
     except ConfigFileError:
         config = None
     if config is not None:
-        # an object tamper whose offset (drawn up to size + 2) runs past its object is rejected
-        assert all(script.offset < config.objects.size_bytes
-                   for _, script in config.expanded_attacks()
-                   if isinstance(script, (PersistentTamper, TransientTamper)))
+        # an object tamper whose offset (drawn up to size + 2) runs past its object is
+        # rejected; a sweep's tampers all write at offset 0
+        assert all(spec.offset < config.objects.size_bytes
+                   for _, spec in config.attacks
+                   if isinstance(spec, (PersistentTamper, TransientTamper)))
         canonical = serialize_config(config)
         again = parse_config_text(canonical)
         assert again == config

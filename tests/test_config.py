@@ -20,6 +20,7 @@ from hfsim.errors import ConfigFileError, ConfigurationError
 from hfsim.report import build_report
 from hfsim.simulation import (
     Arrival,
+    AttackPlan,
     MachineSpec,
     ObjectsSpec,
     SetupSpec,
@@ -217,18 +218,28 @@ def test_a_sweep_is_checked_at_parse_without_being_expanded(monkeypatch):
         "attack sweep[007]": "targets the same object as attack 'hit'"}
 
 
-def test_a_pass_expands_its_attacks_once(monkeypatch):
-    # a pass as perfbench runs it: parse, expand, every strategy x repeat, report
-    calls = []
-    expand = threat.expand_attacks
-    monkeypatch.setattr(threat, "expand_attacks", lambda *args: calls.append(args) or expand(*args))
+def test_a_pass_plans_its_attacks_once(monkeypatch):
+    # a pass as perfbench runs it: parse, plan, every strategy x repeat, report; the
+    # sweep is resolved in place, so no tamper is built and nothing is expanded
+    plans, tampers = [], []
+    plan_init, tamper_init = AttackPlan.__init__, threat.PersistentTamper.__init__
+    monkeypatch.setattr(AttackPlan, "__init__",
+                        lambda self, *args: plans.append(args) or plan_init(self, *args))
+    monkeypatch.setattr(threat.PersistentTamper, "__init__",
+                        lambda self, *args, **kw: tampers.append(args) or tamper_init(self, *args, **kw))
+
+    def refuse(specs, object_count):
+        raise AssertionError("attacks expanded")
+
+    monkeypatch.setattr(threat, "expand_attacks", refuse)
     config = parse_config_text(_SWEPT)
-    attacks = config.expanded_attacks()
-    results = {name: [run_scenario(config.setup(), strategy, config.workload, attacks,
+    plan = config.expanded_attacks()
+    results = {name: [run_scenario(config.setup(), strategy, config.workload, plan,
                                    config.costs, config.seed + r) for r in range(config.repeats)]
                for name, strategy in config.strategies.items()}
     build_report(config, results)
-    assert len(calls) == 1 and len(attacks) == 250
+    assert len(plans) == 1 and tampers == [] and len(plan.labels) == 250
+    assert [len(run.attack_outcomes) for runs in results.values() for run in runs] == [250] * 4
 
 
 def test_machine_too_small_for_layout():

@@ -42,9 +42,13 @@ from hfsim.simulation import (
     _Source,
     _stretches,
     check_attacks,
+    plan_attacks,
     run_scenario,
 )
-from hfsim.threat import CodeTamper, IdtrTamper, IdtTamper, PersistentTamper, TransientTamper
+from hfsim.threat import (
+    CodeTamper, IdtrTamper, IdtTamper, PersistentTamper, ScheduleKnowledge, SweepSpec,
+    TransientTamper,
+)
 from hfsim.timebase import TICKS_PER_SECOND as SEC
 
 
@@ -945,6 +949,60 @@ def test_a_code_write_past_the_module_page_is_credited_on_the_objects_it_hits():
         ("code", 1, SEC * 11 // 10, False),
     ]
     assert json.dumps(result.to_json_dict()) == json.dumps(run_per_event_ref(*args).to_json_dict())
+
+
+# 64-byte pages: the module is page 9 and object i is page 10 + i, so the
+# code write's 80 bytes land on objects 0 and 1, which no script targets
+_PLANNED_SETUP = make_setup(count=8, page_size=64)
+_PLANNED = [
+    ("sweep", SweepSpec(count=5, start=SEC // 4, step=SEC // 5, object_start=3)),
+    ("evade", TransientTamper(object_index=2, windows=((SEC // 8, SEC),),
+                              knowledge=ScheduleKnowledge.GUEST_VISIBLE_ONLY)),
+    ("code", CodeTamper(offset=64, at=SEC // 2, payload=b"\xcc" * 80)),
+]
+_PLANNED_STRATEGIES = (
+    StrategyConfig(kind="hrk", batch_k=2),
+    StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.GUEST_VISIBLE, SEC // 3)),
+    StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC_JITTERED, SEC // 3,
+                                                      SEC // 10, seed=4)),
+)
+
+
+def test_one_plan_serves_every_run_as_a_fresh_plan_does():
+    plan = plan_attacks(_PLANNED_SETUP, _PLANNED)
+    for strategy in _PLANNED_STRATEGIES:
+        for seed in range(3):
+            args = (_PLANNED_SETUP, strategy, _workload(2, syscall_rate=30))
+            shared = run_scenario(*args, plan, _ENGINE_COSTS, seed)
+            fresh = run_scenario(*args, plan_attacks(_PLANNED_SETUP, _PLANNED), _ENGINE_COSTS,
+                                 seed)
+            assert json.dumps(shared.to_json_dict()) == json.dumps(fresh.to_json_dict())
+
+
+def test_runs_crediting_a_code_write_on_objects_leave_the_plan_unchanged():
+    plan = plan_attacks(_PLANNED_SETUP, _PLANNED)
+    targets, events = dict(plan.target_label), plan.events
+    assert 0 not in targets and 1 not in targets
+    for strategy in _PLANNED_STRATEGIES[:2]:
+        result = run_scenario(_PLANNED_SETUP, strategy, _workload(2, syscall_rate=30), plan)
+        outcomes = {o.label: o for o in result.attack_outcomes}
+        code, evade = outcomes["code"], outcomes["evade"]
+        assert code.applied == 1
+        if strategy.kind == "hrk":  # the run credits the code write with objects 0 and 1
+            assert code.detected_at is not None
+            assert {d.target for d in result.detections} >= {0, 1}
+        else:  # the evader's window, clipped around every firing, is never seen dirty
+            assert evade.evaded and evade.applied == evade.attempted > 2
+    assert dict(plan.target_label) == targets and plan.events is events
+    with pytest.raises(TypeError):
+        plan.target_label[0] = "code"
+
+
+def test_a_plan_for_another_setup_is_refused():
+    plan = plan_attacks(_PLANNED_SETUP, _PLANNED)
+    other = make_setup(count=9, page_size=64)
+    with pytest.raises(ConfigurationError, match="another setup"):
+        run_scenario(other, _PLANNED_STRATEGIES[0], _workload(2, syscall_rate=30), plan)
 
 
 def test_zero_cost_model_means_zero_overhead_everywhere():

@@ -3,7 +3,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_conservation, make_setup
@@ -15,6 +15,7 @@ from hfsim.simulation import (
     StrategyConfig,
     WorkloadSpec,
     check_attacks,
+    plan_attacks,
     run_scenario,
 )
 from hfsim.threat import (
@@ -311,6 +312,43 @@ def test_a_sweep_checked_in_place_is_checked_as_its_expansion(count, specs):
             return exc.problems
 
     assert checked(labelled) == checked(expand_attacks(labelled, count))
+
+
+_PLANNED_STRATEGIES = (
+    StrategyConfig(kind="hrk", batch_k=2),
+    StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, SEC // 2)),
+    StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.GUEST_VISIBLE, SEC // 2)),
+    StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC_JITTERED, SEC // 2,
+                                                      SEC // 8, seed=1)),
+)
+_PLANNED_COSTS = CostModel(t_vmexit=1_000, t_interrupt_delivery=500, t_map_page=100,
+                           t_hash_per_byte=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(count=st.integers(1, 12), specs=st.lists(_CHECKED_SPECS, max_size=6),
+       strategy=st.sampled_from(_PLANNED_STRATEGIES), seed=st.integers(0, 3))
+@example(count=4, specs=[  # an evader's windows clipped against a guest-visible schedule
+    SweepSpec(count=3, start=0, step=SEC // 3, object_start=2),
+    TransientTamper(object_index=1, windows=((SEC // 4, 3 * SEC // 2),),
+                    knowledge=ScheduleKnowledge.GUEST_VISIBLE_ONLY),
+], strategy=_PLANNED_STRATEGIES[2], seed=0)
+@example(count=4, specs=[  # a code write past the module page lands on objects 0 and 1
+    SweepSpec(count=2, start=SEC, step=SEC // 2, object_start=1),
+    CodeTamper(offset=4096, at=SEC // 3, payload=b"\xcc" * 4160),
+], strategy=_PLANNED_STRATEGIES[0], seed=0)
+def test_a_run_from_the_plan_equals_a_run_from_the_expanded_scripts(count, specs, strategy, seed):
+    # the plan resolves sweeps in place; expand_attacks spells them out as tampers
+    setup = make_setup(count=count)
+    labelled = [(f"a{i}", spec) for i, spec in enumerate(specs)]
+    try:
+        plan = plan_attacks(setup, labelled)
+    except ConfigFileError:
+        assume(False)
+    runs = [run_scenario(setup, strategy, _workload(2, syscall_rate=40), attacks,
+                         _PLANNED_COSTS, seed)
+            for attacks in (plan, expand_attacks(labelled, count))]
+    assert runs[0].to_json_dict() == runs[1].to_json_dict()
 
 
 def test_duplicate_targets_rejected():

@@ -26,19 +26,16 @@ arrivals a bounded chunk at a time, so memory does not grow with the
 event count. Poisson arrivals stay the float seconds they were drawn as,
 and one is rounded to its tick only where the engine reads a tick.
 
-The engine walks the event list. Before each event it takes the
-workload arrivals due before that event, by one rule per run:
-- Under hrk every arrival is a VMExit. An untraced hrk run whose windows
-  all map one page count only counts a stretch of arrivals whose windows
-  cannot find a violation.
-- Every other stretch of an hrk run, and every stretch of a traced run,
-  goes exit by exit in dispatch order. Each arrival is traced and, under
-  hrk, its window runs its check, unless the run is untraced and the
-  window cannot find a violation: then it is only costed from the layout.
+The engine walks the event list. Under hrk every arrival is a VMExit. A
+run takes its workload arrivals by one of two rules:
 - An untraced baseline or hf run reads its arrivals only as counts, and
   so does an untraced hrk run whose windows all map one page count when
   no attack acts by the horizon: every window is clean. Such a run takes
   none inside the loop and counts them all at the end.
+- Every other run takes the arrivals due before each event exit by exit,
+  in dispatch order. Each arrival is traced and, under hrk, its window
+  runs its check, unless the run is untraced and the window cannot find
+  a violation: then it is only costed from the layout.
 
 Every run that draws records each source's arrival count in a memo keyed
 weakly by its `WorkloadSpec`, under the name its substream is seeded
@@ -73,7 +70,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import threat
 from .errors import (
-    ConfigFileError, ConfigurationError, byte, check_bounds, nonneg, one_of, positive, spec,
+    ConfigFileError, ConfigurationError, check_bounds, nonneg, one_of, positive, spec,
 )
 from .guest import IDT_ENTRY_SIZE, GuestMachine, ObjectLayout, page_size_problem
 from .guest import handler_problem, idtr_limit_problem
@@ -229,16 +226,17 @@ def plan_layout(setup: SetupSpec) -> Layout:
 def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
     """Validate labelled attack scripts or specs against a setup before t=0.
 
-    Object tampers must name a registered object and XOR a byte inside
-    it; code tampers must write only bytes inside guest memory; IDT
-    tampers must name a vector inside the IDT, and IDTR tampers a table
-    inside guest memory; no two scripts may target the same object or
-    the IDTR, since a detection could not then be attributed. A sweep is
-    checked in place, tamper by tamper under its `expand_attacks` label:
-    each tamper's index, offset and mask are valid by construction, so
-    only its target can collide. Returns {target: label} for the object
-    and IDTR tampers. Raises ConfigFileError with one problem per
-    offending script, keyed by its label, in script order.
+    Each spec must keep its kind's `bounds`, which only a spec built
+    directly can break. Then object tampers must name a registered object
+    and XOR a byte inside it; code tampers must write only inside guest
+    memory; IDT tampers must name a vector inside the IDT, and IDTR
+    tampers a table inside guest memory; no two scripts may target the
+    same object or the IDTR, since a detection could not then be
+    attributed. A sweep is checked in place, tamper by tamper under its
+    `expand_attacks` label, where only its targets can collide. Returns
+    {target: label} for the object and IDTR tampers. Raises ConfigFileError
+    keyed by label and field, in script order: a script's broken bounds,
+    else its first problem against the setup.
     """
     memory = setup.machine.page_count * setup.machine.page_size
     layout = _layout(setup)
@@ -254,18 +252,21 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
 
     for label, script in scripts:
         key = f"attack {label}"
+        bounded = [(f"{key}.{name}", problem)
+                   for name, bound in getattr(type(script), "bounds", {}).items()
+                   if (problem := bound(getattr(script, name)))]
+        if bounded:
+            problems += bounded
+            continue
         if isinstance(script, threat.SweepSpec):
             for i, target in enumerate(script.targets(setup.objects.count)):
                 claim(target, f"{label}[{i:03d}]")
             continue
         if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
             target = script.object_index
-            if not 0 <= target < setup.objects.count:
+            if target >= setup.objects.count:
                 problems.append((f"{key}.object_index", f"object index {target} "
                                  f"outside [0, {setup.objects.count})"))
-                continue
-            if problem := byte(script.xor_mask):
-                problems.append((f"{key}.xor_mask", problem))
                 continue
             if script.offset >= setup.objects.size_bytes:  # a planned object lies in memory
                 problems.append((f"{key}.offset", f"byte {script.offset} outside the object "
@@ -273,13 +274,13 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
                 continue
         elif isinstance(script, threat.CodeTamper):
             addr = layout.module_addr + script.offset
-            if not 0 <= addr <= memory - len(script.payload):
+            if addr > memory - len(script.payload):
                 problems.append((f"{key}.offset", f"write [{addr}, "
                                  f"{addr + len(script.payload)}) outside memory of "
                                  f"{memory} bytes"))
             continue
         elif isinstance(script, threat.IdtTamper):
-            if not 0 <= script.vector < IDT_VECTORS:
+            if script.vector >= IDT_VECTORS:
                 problems.append((f"{key}.vector", f"vector {script.vector} outside "
                                  f"the IDT of {IDT_VECTORS} entries"))
             elif problem := handler_problem(script.new_handler):
@@ -291,7 +292,7 @@ def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
             if problem := idtr_limit_problem(limit):
                 problems.append((f"{key}.new_limit", problem))
                 continue
-            if not 0 <= script.new_base <= memory - limit:
+            if script.new_base > memory - limit:
                 problems.append((f"{key}.new_base", f"IDTR [{script.new_base}, "
                                  f"{script.new_base + limit}) outside memory of "
                                  f"{memory} bytes"))
@@ -510,20 +511,20 @@ def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
     """Check labelled attack specs against a setup and resolve each of their actions.
 
     Raises ConfigFileError as `plan_layout` and `check_attacks` do, and
-    ConfigurationError for a spec of no attack kind. Each write's bytes are
-    read from a guest set up as a run's guest is. A sweep is resolved in
+    ConfigurationError for a spec of no attack kind. Set-up writes only
+    the IDT and the module page, so every object byte starts as zero: a
+    tamper writes its mask and restores a zero. A sweep is resolved in
     place, tamper by tamper, as `threat.expand_attacks` spells it out.
     """
     layout = plan_layout(setup)
     target_label = check_attacks(setup, specs)
-    machine = _guest(setup, layout) if specs else None
+    objects = layout.objects
     labels, events, evasive = [], [], []
     swept = threat.PersistentTamper  # a sweep's tampers take its default offset and mask
 
     def dirty(label: str, index: int, offset: int, mask: int) -> tuple:
-        addr = layout.objects.addr(index) + offset
-        data = bytes((machine.read(addr, 1)[0] ^ mask,))
-        return (_ACT_WRITE, label, addr, data, machine.objects_overlapping(addr, 1))
+        addr = objects.addr(index) + offset
+        return (_ACT_WRITE, label, addr, bytes((mask,)), objects.overlapping(addr, addr + 1))
 
     for label, spec in specs:
         if isinstance(spec, threat.SweepSpec):
@@ -539,16 +540,16 @@ def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
         elif isinstance(spec, threat.TransientTamper):
             write = dirty(label, spec.object_index, spec.offset, spec.xor_mask)
             _, _, addr, _, oids = write
-            restore = (_ACT_RESTORE, label, addr, machine.read(addr, 1), oids)
+            restore = (_ACT_RESTORE, label, addr, bytes(1), oids)
             if spec.knowledge is threat.ScheduleKnowledge.GUEST_VISIBLE_ONLY:
                 evasive.append((len(events), len(events) + 2 * len(spec.windows),
                                 spec.windows, write, restore))
             events += _window_events(spec.windows, write, restore)
         elif isinstance(spec, threat.CodeTamper):
-            addr = machine.module.addr + spec.offset
-            events.append((spec.at, EventKind.ATTACK, (
-                _ACT_MODULE, label, addr, spec.payload,
-                machine.objects_overlapping(addr, len(spec.payload)))))
+            addr, length = layout.module_addr + spec.offset, len(spec.payload)
+            oids = objects.overlapping(addr, addr + length) if length else range(0)  # none if empty
+            events.append((spec.at, EventKind.ATTACK,
+                           (_ACT_MODULE, label, addr, spec.payload, oids)))
         elif isinstance(spec, threat.IdtTamper):
             events.append((spec.at, EventKind.ATTACK,
                            (_ACT_IDT, label, spec.vector, spec.new_handler)))
@@ -611,12 +612,6 @@ class _Source:
         else:
             self._refill()
 
-    def ticks(self, stop: int) -> list[Ticks]:
-        """The ticks of the arrivals from `pos` up to index `stop`."""
-        span = self.times[self.pos:stop]
-        # the rounding of `_poisson_tick`, inlined
-        return span if self.tick is None else [round(t * _PER_SECOND) for t in span]
-
     def _refill(self) -> None:
         self.times, self.pos = next(self._chunks, ()), 0
         if not self.times:
@@ -627,41 +622,33 @@ class _Source:
             self.next, self.end = self.tick(self.times[0]), self.tick(self.times[-1]) + 1
 
 
-def _stretches(
+def _dispatch_order(
     sources: tuple[_Source, _Source], limit: Union[Ticks, float],
-) -> Iterator[tuple[int, int]]:
-    """Take the arrivals before `limit` a stretch at a time, yielding each source's stop index.
+) -> Iterator[tuple[Ticks, int]]:
+    """(tick, source index) of each arrival before `limit`, in dispatch order.
 
-    A stretch ends at the first chunk end of either source, so it holds
-    every arrival of both before that end: source i's are its
-    `times[pos:stop_i]`. They are taken once the consumer asks for the
-    next stretch, so it counts them, or reads them through
-    `_dispatch_order`, before then.
+    The arrivals go a stretch at a time. A stretch ends at the first chunk
+    end of either source, so it holds every arrival of both before that
+    end. They are merged as tagged ticks 2t + source, so a syscall (source
+    0) comes before a context switch at the same tick, and taken once the
+    consumer has walked them all. Both sources draw one kind of arrival.
     """
     a, b = sources
     while a.next < limit or b.next < limit:
         bound = min(limit, a.end, b.end)
         a_stop = a.pos if a.next >= bound else bisect_left(a.times, bound, a.pos, key=a.tick)
         b_stop = b.pos if b.next >= bound else bisect_left(b.times, bound, b.pos, key=b.tick)
-        yield a_stop, b_stop
+        a_span, b_span = a.times[a.pos:a_stop], b.times[b.pos:b_stop]
+        if a.tick is not None:  # Poisson seconds: the rounding of `_poisson_tick`, inlined
+            a_span = [round(t * _PER_SECOND) for t in a_span]
+            b_span = [round(t * _PER_SECOND) for t in b_span]
+        tags = [2 * t for t in a_span] + [2 * t + 1 for t in b_span]
+        tags.sort()
+        yield from map(divmod, tags, itertools.repeat(2))
         if a_stop > a.pos:
             a.take(a_stop)
         if b_stop > b.pos:
             b.take(b_stop)
-
-
-def _dispatch_order(
-    sources: tuple[_Source, _Source], stops: tuple[int, int],
-) -> Iterator[tuple[Ticks, int]]:
-    """(tick, source index) of each arrival of a stretch, from the stops `_stretches` yielded.
-
-    The arrivals are merged as tagged ticks 2t + source, so a syscall
-    (source 0) comes before a context switch at the same tick.
-    """
-    (a, b), (a_stop, b_stop) = sources, stops
-    tags = [2 * t for t in a.ticks(a_stop)] + [2 * t + 1 for t in b.ticks(b_stop)]
-    tags.sort()
-    return map(divmod, tags, itertools.repeat(2))
 
 
 class _ScenarioRun:
@@ -772,40 +759,23 @@ class _ScenarioRun:
         return self._finish(events, [source.pages_mapped for source in self.sources])
 
     def _drain(self, limit: Union[Ticks, float]) -> None:
-        """Take the workload arrivals before `limit`: those of a run that reads more than counts.
+        """Take the arrivals before `limit` exit by exit, in a run that reads more than counts.
 
-        Under hrk every arrival is a VMExit. When every window maps the
-        same pages, a stretch whose windows all find nothing is only
-        counted: its arrivals are neither merged nor rounded to ticks.
-        `_dispatch` takes every other stretch exit by exit.
+        Each arrival is traced. Under hrk every arrival is a VMExit: its
+        control-register write exits to a check of the next min(k, n)
+        objects. A window that `_clean_windows` counts only maps its pages
+        and moves the cursor, and `on_control_register_write` checks every
+        other.
         """
-        sources, table, uniform = self.sources, self.table, self.uniform_pages
-        syscalls, ctxswitches = sources
-        if syscalls.next >= limit and ctxswitches.next >= limit:
+        sources = self.sources
+        if sources[0].next >= limit and sources[1].next >= limit:
             return
-        for stops in _stretches(sources, limit):
-            exits = (stops[0] - syscalls.pos, stops[1] - ctxswitches.pos)
-            if uniform is None or self._clean_windows(table.cursor) < sum(exits):
-                self._dispatch(stops)
-                continue
-            syscalls.pages_mapped += exits[0] * uniform
-            ctxswitches.pages_mapped += exits[1] * uniform
-            table.cursor = (table.cursor + sum(exits) * self.batch) % table.count
-
-    def _dispatch(self, stops: tuple[int, int]) -> None:
-        """Take a stretch's arrivals one by one, in dispatch order.
-
-        Each arrival is traced. Under hrk its control-register write exits
-        to a check of the next min(k, n) objects: a window that
-        `_clean_windows` counts only maps its pages and moves the cursor,
-        and `on_control_register_write` checks every other.
-        """
-        trace, sources, hrk = self.trace, self.sources, self.strategy.kind == STRATEGY_HRK
+        trace, hrk = self.trace, self.strategy.kind == STRATEGY_HRK
         machine, table, uniform, k = self.machine, self.table, self.uniform_pages, self.batch
         n = table.count
         cursor = table.cursor
         clean = self._clean_windows(cursor) if hrk else 0
-        for now, source in _dispatch_order(sources, stops):
+        for now, source in _dispatch_order(sources, limit):
             if trace is not None:
                 trace({"t": now, "kind": _SOURCES[source][0]})
             if not hrk:

@@ -40,7 +40,6 @@ from hfsim.simulation import (
     _poisson_tick,
     _ScenarioRun,
     _Source,
-    _stretches,
     check_attacks,
     plan_attacks,
     run_scenario,
@@ -98,8 +97,8 @@ def _stretched_then_taken(sources, one_offs):
     order, then that event; an arrival's label is its source index."""
     events = []
     for event in sorted(one_offs, key=EVENT_ORDER) + [None]:
-        for stops in _stretches(sources, math.inf if event is None else event[0]):
-            events += [(t, EventKind.WORKLOAD, i) for t, i in _dispatch_order(sources, stops)]
+        limit = math.inf if event is None else event[0]
+        events += [(t, EventKind.WORKLOAD, i) for t, i in _dispatch_order(sources, limit)]
         if event is not None:
             events.append(event)
     return events
@@ -111,7 +110,7 @@ def test_one_off_events_precede_stream_events_at_the_same_tick():
                 (5, EventKind.DEVICE_FIRING, "f")]
     order = [(t, label) for t, _, label in _stretched_then_taken(sources, one_offs)]
     assert order == [(5, "f"), (5, "a"), (5, 0), (5, 0), (5, 1), (9, "b"), (9, 0), (9, 1)]
-    assert list(_stretches(sources, math.inf)) == []
+    assert list(_dispatch_order(sources, math.inf)) == []
     assert [(s.events, s.next, s.end) for s in sources] == [(3, math.inf, math.inf),
                                                             (2, math.inf, math.inf)]
 
@@ -403,12 +402,17 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
 @example(placement="spread", count=5, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(100, 100), horizon_ms=100,
          attacks=[("transient", 2, [5, 15, 25, 26])], seed=0)
-# untraced hrk on layouts where every window maps the same pages, so clean
-# stretches are only counted: Poisson arrivals on both sources, more than a
-# chunk of each, and no attack
+# untraced hrk on a layout where every window maps the same pages and no
+# attack acts, so the run reads only counts: Poisson arrivals on both
+# sources, more than a chunk of each
 @example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=4),
          arrival=Arrival.POISSON, rates=(2000, 900), horizon_ms=700,
          attacks=[], seed=1)
+# the same run with a late tamper: the drain before it walks more than a
+# chunk of clean windows exit by exit, costing each from the layout
+@example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=4),
+         arrival=Arrival.POISSON, rates=(2000, 900), horizon_ms=700,
+         attacks=[("persistent", 3, 650)], seed=1)
 # a persistent tamper whose object then holds a dirty window inside every
 # later stretch
 @example(placement="spread", count=8, size=8, strategy=StrategyConfig(kind="hrk", batch_k=2),
@@ -915,6 +919,42 @@ def test_a_run_registers_and_tampers_the_planned_object_layout(
     run.run()
     before[addr] ^= mask  # the tamper's one byte, and no other, changed
     assert run.machine.read(0, memory) == before
+
+
+@settings(max_examples=60, deadline=None)
+@given(placement=st.sampled_from(["spread", "packed"]), count=st.integers(1, 40),
+       size=st.integers(1, 64), page_size=st.sampled_from([64, 128, 4096]),
+       extra_pages=st.integers(0, 2), index=st.integers(0, 39), offset=st.integers(0, 63),
+       mask=st.integers(0, 255), code_offset=st.integers(0, 400), code_length=st.integers(0, 80))
+def test_the_plan_resolves_attack_bytes_as_a_set_up_guest_reads_them(
+        placement, count, size, page_size, extra_pages, index, offset, mask, code_offset,
+        code_length):
+    # the plan builds no guest: every object byte starts as zero, so a
+    # tamper writes its mask and restores a zero
+    setup = make_setup(count=count, size_bytes=size, page_size=page_size, placement=placement,
+                       extra_pages=extra_pages)
+    layout = simulation.plan_layout(setup)
+    guest = simulation._guest(setup, layout)
+    objects = layout.objects
+    assert not any(guest.read(objects.base, objects.addr(count - 1) + size - objects.base))
+    index, offset = index % count, offset % size
+    room = guest.size - layout.module_addr  # the module page and all past it
+    code_offset %= room
+    code_length = min(code_length, room - code_offset)
+    payload = bytes(range(1, code_length + 1))
+    plan = plan_attacks(setup, [
+        ("t", TransientTamper(object_index=index, windows=((1, 2),), offset=offset,
+                              xor_mask=mask)),
+        ("c", CodeTamper(offset=code_offset, at=0, payload=payload))])
+    addr = objects.addr(index) + offset
+    code_addr = guest.module.addr + code_offset
+    assert [payload for _, _, payload in plan.events] == [
+        ("write", "t", addr, bytes((guest.read(addr, 1)[0] ^ mask,)),
+         guest.objects_overlapping(addr, 1)),
+        ("restore", "t", addr, guest.read(addr, 1), guest.objects_overlapping(addr, 1)),
+        ("module_write", "c", code_addr, payload,
+         guest.objects_overlapping(code_addr, code_length)),
+    ]
 
 
 def test_an_idt_write_through_a_moved_idtr_is_dated_and_credited_on_the_objects_it_hits():

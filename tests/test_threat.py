@@ -372,6 +372,22 @@ def test_directly_built_mask_outside_a_byte_is_a_config_error(script):
     assert exc_info.value.problems == [("attack t.xor_mask", "must be a byte")]
 
 
+@pytest.mark.parametrize("strategy", [StrategyConfig(kind="hrk", batch_k=2), _hf()],
+                         ids=["hrk", "hf"])
+@pytest.mark.parametrize("script, field", [
+    # byte -1 of object 0 is the module's last byte: under hrk the write went
+    # through unnoticed, and under hf its trap was credited to the tamper
+    (PersistentTamper(object_index=0, at=5, offset=-1), "offset"),
+    (PersistentTamper(object_index=0, at=-50), "at"),  # was reported as tamper_time -50
+], ids=["offset", "at"])
+def test_a_directly_built_spec_breaking_its_bounds_is_a_config_error(strategy, script, field):
+    # the config rejects the same value with the same message
+    with pytest.raises(ConfigFileError) as exc_info:
+        run_scenario(make_setup(count=4), strategy, _workload(2, syscall_rate=10),
+                     [("t", script)], CostModel(), seed=0)
+    assert exc_info.value.problems == [(f"attack t.{field}", "must be >= 0")]
+
+
 @pytest.mark.parametrize("offset", [8, 64], ids=["gap", "next_object"])
 @pytest.mark.parametrize("kind", ["persistent", "transient"])
 def test_an_object_tamper_past_its_object_is_a_config_error(kind, offset):

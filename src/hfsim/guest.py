@@ -1,10 +1,13 @@
 """Simulated guest machine: paged physical memory, IDT, IDTR, kernel objects.
 
-Every guest-initiated write goes through :meth:`GuestMachine.guest_write`,
-which consults the hypervisor's protection registry and vetoes the write
-whole if it touches any protected page. Reads are never mediated. A
-privileged write path exists for hypervisor-side setup (module loading)
-and for test harnesses that need to model bugs bypassing protection.
+A guest write goes through :meth:`GuestMachine.guest_write`, which
+consults the hypervisor's protection registry and vetoes the write whole
+if it touches any protected page, unless it is one object byte on an
+open page: only module and IDT pages are ever protected, and no object
+shares one, so :meth:`GuestMachine.store_byte` stores it in place. Reads
+are never mediated. A privileged write path exists for hypervisor-side
+setup (module loading) and for test harnesses that need to model bugs
+bypassing protection.
 
 Memory is sparse: a page is materialised on its first write, and pages
 never written read as zeros. A machine's kernel objects are one layout of
@@ -12,8 +15,8 @@ equal-length objects at a fixed stride, less than a page apart, registered
 once: object i lies at `base + i*stride`. Finding an object's address, the
 objects a range overlaps and the pages of a range of them is arithmetic,
 whatever their number.
-Every applied write also adds the objects it overlaps to `written`, which
-the baseline table drains; no other object has changed since its last drain.
+Every other applied write also adds the objects it overlaps to `written`,
+which the baseline table drains; `store_byte`'s caller refreshes its object.
 """
 
 from __future__ import annotations
@@ -85,7 +88,7 @@ class ObjectLayout:
     def overlapping(self, addr: int, end: int) -> range:
         """Ids of the objects intersecting [addr, end); an empty range may start past its stop."""
         lo = (addr - self.base - self.length) // self.stride + 1
-        hi = -((self.base - end) // self.stride)
+        hi = -((self.base - end) // self.stride) if end > addr else 0  # none if empty
         return range(lo if lo > 0 else 0, hi if hi < self.count else self.count)
 
 
@@ -131,7 +134,7 @@ class WriteOutcome:
         return not self.applied
 
 
-_APPLIED = WriteOutcome(applied=True)  # every applied write's outcome
+APPLIED = WriteOutcome(applied=True)  # every applied write's outcome
 
 
 class GuestMachine:
@@ -209,7 +212,7 @@ class GuestMachine:
                 )
                 return WriteOutcome(applied=False, trap=trap)
         self._store(addr, data)
-        return _APPLIED
+        return APPLIED
 
     def privileged_write(self, addr: int, data: bytes) -> None:
         """Hypervisor-side write; bypasses the protection check."""
@@ -226,8 +229,13 @@ class GuestMachine:
                 page = pages[index] = bytearray(ps)
             page[offset : offset + n] = data[pos : pos + n]
             pos += n
-        if end:
-            self.written.update(self.objects.overlapping(addr, addr + end))
+        self.written.update(self.objects.overlapping(addr, addr + end))
+
+    def store_byte(self, addr: int, value: int) -> None:
+        """Unmediated store of one byte that adds nothing to `written`."""
+        index, offset = divmod(addr, self.page_size)
+        pages = self._pages
+        (pages.get(index) or pages.setdefault(index, bytearray(self.page_size)))[offset] = value
 
     def _classify_write(self, addr: int, length: int) -> TrapKind:
         end = addr + length
@@ -348,8 +356,6 @@ class GuestMachine:
 
     def objects_overlapping(self, addr: int, length: int) -> range:
         """Ids of registered objects intersecting [addr, addr+length)."""
-        if length <= 0:
-            return range(0)
         return self.objects.overlapping(addr, addr + length)
 
     def objects_on_written_pages(self) -> set[int]:

@@ -8,10 +8,11 @@ or over a round-robin batch per call (the in-hypervisor path). The hash is
 is out of scope for this model.
 
 A check costs O(diverged objects in its range), not O(objects checked).
-The table folds in each object the guest writes and keeps those whose
-digest now differs from their baseline; a check reads their ids and
-computes no digest. It counts every diverged target in its range, and
-builds a violation only for those its caller has not reported yet.
+The table folds in each object the guest writes, or records the digest
+its writer computed, and keeps those whose digest now differs from their
+baseline; a check reads their ids and computes no digest. It counts
+every diverged target in its range, and builds a violation only for
+those its caller has not reported yet.
 Folding digests each distinct object content once: the table memoises
 {content: digest}, seeded by the snapshot, so a write of bytes seen
 before (the same patch in another object, a restore to the baseline)
@@ -130,17 +131,20 @@ class BaselineTable:
             value = memo[data] = self.digest_fn(data)
         return value
 
+    def record(self, oid: int, digest: int) -> None:
+        """Note `digest` as object `oid`'s current one: diverged unless it is the baseline."""
+        if digest != self.baseline(oid):
+            if oid not in self.diverged:
+                insort(self.diverged_ids, oid)
+            self.diverged[oid] = digest
+        elif self.diverged.pop(oid, None) is not None:
+            del self.diverged_ids[bisect_left(self.diverged_ids, oid)]
+
     def fold(self, machine: "GuestMachine") -> list[int]:
         """Digest the objects written since the last fold; return the diverged ids."""
         layout = machine.objects
         for oid in machine.written:
-            digest = self.digest(machine.read(layout.addr(oid), layout.length))
-            if digest != self.baseline(oid):
-                if oid not in self.diverged:
-                    insort(self.diverged_ids, oid)
-                self.diverged[oid] = digest
-            elif self.diverged.pop(oid, None) is not None:
-                del self.diverged_ids[bisect_left(self.diverged_ids, oid)]
+            self.record(oid, self.digest(machine.read(layout.addr(oid), layout.length)))
         machine.written.clear()
         return self.diverged_ids
 

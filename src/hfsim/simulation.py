@@ -15,27 +15,30 @@ t_ctxswitch_base) describe the cost of the operation itself; they are
 reported in absolute per-event latency but never extend the run.
 
 Every one-off event (a device firing or an attack action) is known at
-set-up, so the run holds them in one list, sorted once. The attack
-actions come from an `AttackPlan`, which checks a setup's attacks and
-resolves what the layout fixes once for every run that shares it: each
-write's address, its bytes and the ids of the objects it overlaps, a
-sweep's tampers in place. A run copies only the outcomes and the
-{target: label} map it changes, and clips an evader's windows against its
-own firings. Each workload source draws its
-arrivals a bounded chunk at a time, so memory does not grow with the
-event count. Poisson arrivals stay the float seconds they were drawn as,
-and one is rounded to its tick only where the engine reads a tick.
+set-up, so the run holds them in one list, sorted once. The attack actions
+come from an `AttackPlan`, which checks a setup's attacks and resolves
+what the layout fixes once for every run that shares it: each write's
+address, its bytes and the ids of the objects it overlaps, a sweep's
+tampers in place. A run copies only the outcomes and the {target: label}
+map it changes, and clips an evader's windows against its own firings. An
+object tamper's one byte lies on a page no strategy protects, so the run
+stores it and records that object's digest itself; code and IDT writes go
+through the guest's mediated write. Each workload source draws its
+arrivals a bounded chunk at a time, so memory does not grow with the event
+count. Poisson arrivals stay the float seconds they were drawn as, and one
+is rounded to its tick only where the engine reads a tick.
 
-The engine walks the event list. Under hrk every arrival is a VMExit. A
-run takes its workload arrivals by one of two rules:
+The engine walks the arrivals once and takes each event before the first
+arrival at or after its tick. Under hrk every arrival is a VMExit. A run
+takes its workload arrivals by one of two rules:
 - An untraced baseline or hf run reads its arrivals only as counts, and
   so does an untraced hrk run whose windows all map one page count when
-  no attack acts by the horizon: every window is clean. Such a run takes
-  none inside the loop and counts them all at the end.
-- Every other run takes the arrivals due before each event exit by exit,
-  in dispatch order. Each arrival is traced and, under hrk, its window
-  runs its check, unless the run is untraced and the window cannot find
-  a violation: then it is only costed from the layout.
+  no attack acts by the horizon: every window is clean. Such a run walks
+  none: it takes its events and then counts the arrivals.
+- Every other run takes them exit by exit, in dispatch order. Each
+  arrival is traced and, under hrk, its window runs its check, unless
+  the run is untraced and the window cannot find a violation: then it is
+  only costed from the layout.
 
 Every run that draws records each source's arrival count in a memo keyed
 weakly by its `WorkloadSpec`, under the name its substream is seeded
@@ -72,7 +75,7 @@ from . import threat
 from .errors import (
     ConfigFileError, ConfigurationError, check_bounds, nonneg, one_of, positive, spec,
 )
-from .guest import IDT_ENTRY_SIZE, GuestMachine, ObjectLayout, page_size_problem
+from .guest import APPLIED, IDT_ENTRY_SIZE, GuestMachine, ObjectLayout, page_size_problem
 from .guest import handler_problem, idtr_limit_problem
 from .hypervisor import (
     FiringSchedule,
@@ -99,8 +102,8 @@ IDT_VECTORS = 64
 class EventKind(enum.IntEnum):
     """Tie-break priority for simultaneous events (lower fires first).
 
-    Only firings and attack actions are listed; the drains take workload
-    arrivals strictly before an event's tick, so they come last.
+    Only firings and attack actions are listed; the walk takes a workload
+    arrival after every event at or before its tick, so arrivals come last.
     """
 
     DEVICE_FIRING = 1
@@ -111,6 +114,7 @@ class EventKind(enum.IntEnum):
 # a run's events are (time, kind, payload), sorted by this key; the sort is
 # stable, so events at one tick of one kind keep the order they were listed in
 EVENT_ORDER = itemgetter(0, 1)
+_EVENT_TIME = itemgetter(0)
 
 
 class Arrival(enum.Enum):
@@ -547,9 +551,8 @@ def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
             events += _window_events(spec.windows, write, restore)
         elif isinstance(spec, threat.CodeTamper):
             addr, length = layout.module_addr + spec.offset, len(spec.payload)
-            oids = objects.overlapping(addr, addr + length) if length else range(0)  # none if empty
-            events.append((spec.at, EventKind.ATTACK,
-                           (_ACT_MODULE, label, addr, spec.payload, oids)))
+            events.append((spec.at, EventKind.ATTACK, (
+                _ACT_MODULE, label, addr, spec.payload, objects.overlapping(addr, addr + length))))
         elif isinstance(spec, threat.IdtTamper):
             events.append((spec.at, EventKind.ATTACK,
                            (_ACT_IDT, label, spec.vector, spec.new_handler)))
@@ -722,60 +725,46 @@ class _ScenarioRun:
                 attacks[start:stop] = _window_events(clipped, dirty, clean)
         firings = [(t, EventKind.DEVICE_FIRING, ()) for t in firing_times]
         self.events = sorted([*firings, *attacks], key=EVENT_ORDER)
+        del self.events[bisect_right(self.events, self.horizon, key=_EVENT_TIME):]
 
     # -- event dispatch --------------------------------------------------
 
     def run(self) -> ScenarioResult:
-        handlers = {EventKind.DEVICE_FIRING: self._on_firing, EventKind.ATTACK: self._on_attack}
-        horizon, uniform, workload = self.horizon, self.uniform_pages, self.workload
-        # an untraced run reads its arrivals only as counts, in `_finish`, unless
-        # it is hrk and a window can map another page count or an attack acts by
-        # the horizon; it takes none inside the loop and counts them after it
-        counted = self.trace is None and (self.strategy.kind != STRATEGY_HRK or uniform is not None
-                                          and not (self.events and self.events[0][0] <= horizon))
-        names = [f"workload-{op}:{self.seed}" for op, _ in _SOURCES]
-        known = _COUNTS.setdefault(workload, {})
-        # one source per workload op, each with its own random substream, unless the
-        # run reads only counts and an earlier run of the spec recorded them
-        self.sources = () if counted and all(name in known for name in names) else tuple(
-            _Source(_arrival_chunks(rate, horizon, workload.arrival, random.Random(name)),
-                    workload.arrival is Arrival.POISSON)
-            for name, rate in zip(names, (workload.syscall_rate, workload.ctxswitch_rate)))
-        for time, kind, payload in self.events:
-            if time > horizon:
-                break
-            if not counted:  # a firing or an attack action precedes the arrivals at its tick
-                self._drain(time)
-            handlers[kind](time, payload)
-        if not counted:
-            self._drain(math.inf)
-        for source in self.sources:  # what no drain took
-            while source.times:
-                source.take(len(source.times))
-        known.update(zip(names, (source.events for source in self.sources)))
-        events = [known[name] for name in names]
-        if counted:  # every window is clean, or the run is not hrk and maps none
-            return self._finish(events, [n * (uniform or 0) for n in events])
-        return self._finish(events, [source.pages_mapped for source in self.sources])
-
-    def _drain(self, limit: Union[Ticks, float]) -> None:
-        """Take the arrivals before `limit` exit by exit, in a run that reads more than counts.
+        """Walk the arrivals once, each after every event at or before its tick.
 
         Each arrival is traced. Under hrk every arrival is a VMExit: its
         control-register write exits to a check of the next min(k, n)
         objects. A window that `_clean_windows` counts only maps its pages
         and moves the cursor, and `on_control_register_write` checks every
-        other.
+        other. An untraced run reads its arrivals only as counts unless it
+        is hrk and a window can map another page count or an attack acts
+        by the horizon: it walks none, and counts them after its events.
         """
-        sources = self.sources
-        if sources[0].next >= limit and sources[1].next >= limit:
-            return
+        horizon, uniform, workload = self.horizon, self.uniform_pages, self.workload
         trace, hrk = self.trace, self.strategy.kind == STRATEGY_HRK
-        machine, table, uniform, k = self.machine, self.table, self.uniform_pages, self.batch
-        n = table.count
-        cursor = table.cursor
-        clean = self._clean_windows(cursor) if hrk else 0
-        for now, source in _dispatch_order(sources, limit):
+        counted = trace is None and (not hrk or uniform is not None and not self.events)
+        names = [f"workload-{op}:{self.seed}" for op, _ in _SOURCES]
+        known = _COUNTS.setdefault(workload, {})
+        # one source per workload op, each with its own random substream, unless the
+        # run reads only counts and an earlier run of the spec recorded them
+        self.sources = sources = () if counted and all(name in known for name in names) else tuple(
+            _Source(_arrival_chunks(rate, horizon, workload.arrival, random.Random(name)),
+                    workload.arrival is Arrival.POISSON)
+            for name, rate in zip(names, (workload.syscall_rate, workload.ctxswitch_rate)))
+        handlers = {EventKind.DEVICE_FIRING: self._on_firing, EventKind.ATTACK: self._on_attack}
+        events, machine, table, k = self.events, self.machine, self.table, self.batch
+        n, cursor = table.count, table.cursor
+        done, due = 0, -math.inf  # events taken; the next one's tick (-inf: count `clean` first)
+        walk = () if counted else _dispatch_order(sources, math.inf)
+        for now, source in itertools.chain(walk, ((math.inf, None),)):  # then the events left
+            if now >= due:  # a firing or an attack action precedes the arrivals at its tick
+                taken = bisect_right(events, now, done, key=_EVENT_TIME)
+                for time, kind, payload in events[done:taken]:
+                    handlers[kind](time, payload)
+                if source is None:
+                    break
+                done, due = taken, events[taken][0] if taken < len(events) else math.inf
+                clean = self._clean_windows(cursor)  # 0 in a walk that is not hrk, which is traced
             if trace is not None:
                 trace({"t": now, "kind": _SOURCES[source][0]})
             if not hrk:
@@ -798,12 +787,20 @@ class _ScenarioRun:
             cursor = table.cursor
             clean = self._clean_windows(cursor)
         table.cursor = cursor
+        for source in sources:  # what the walk did not take
+            while source.times:
+                source.take(len(source.times))
+        known.update(zip(names, (source.events for source in sources)))
+        counts = [known[name] for name in names]
+        if counted:  # every window is clean, or the run is not hrk and maps none
+            return self._finish(counts, [c * (uniform or 0) for c in counts])
+        return self._finish(counts, [source.pages_mapped for source in sources])
 
     def _clean_windows(self, cursor: int) -> Union[int, float]:
         """How many hrk windows from `cursor` on find nothing; 0 under a trace, which checks each.
 
         Only attacks write, so the diverged ids and the IDTR stand still
-        within a drain. Windows stop at cursor + k, cursor + 2k, ...: one
+        between the events. Windows stop at cursor + k, cursor + 2k, ...: one
         finds nothing while it stops at or before the first diverged id
         at or past the cursor (unrolled across the wrap of n ids) and,
         while the IDTR is moved, before id n, where it would complete a
@@ -840,10 +837,16 @@ class _ScenarioRun:
 
     def _on_attack(self, now: Ticks, payload: tuple) -> None:
         action, label = payload[0], payload[1]
-        outcome = self.outcomes[label]
+        outcome, machine, table = self.outcomes[label], self.machine, self.table
         if action in (_ACT_WRITE, _ACT_RESTORE, _ACT_MODULE):
             addr, data, oids = payload[2:]
-            result = self.machine.guest_write(self.registry, addr, data, now=now)
+            if action is _ACT_MODULE or addr // machine.page_size in self.registry.protected_pages:
+                result = machine.guest_write(self.registry, addr, data, now=now)
+            else:  # one byte inside one object, on a page with no veto: store it, record its digest
+                machine.store_byte(addr, data[0])
+                oid, objects = oids[0], machine.objects
+                table.record(oid, table.digest(machine.read(objects.addr(oid), objects.length)))
+                result = APPLIED
             self._account_write(outcome, result, now)
             if result.applied:
                 for oid in oids:
@@ -852,20 +855,20 @@ class _ScenarioRun:
                     self._refresh_object_state(oid, now)
         elif action == _ACT_IDT:
             vector, handler = payload[2], payload[3]
-            if vector < self.machine.idtr.vector_count:  # else a moved IDT has no such entry
-                result = self.machine.set_idt_entry(vector, handler, self.registry, now=now)
+            if vector < machine.idtr.vector_count:  # else a moved IDT has no such entry
+                result = machine.set_idt_entry(vector, handler, self.registry, now=now)
                 self._account_write(outcome, result, now)
                 if result.applied:  # through a moved IDTR the entry can land on kernel objects
-                    entry = self.machine.idtr.base + IDT_ENTRY_SIZE * vector
-                    for oid in self.machine.objects_overlapping(entry, IDT_ENTRY_SIZE):
+                    entry = machine.idtr.base + IDT_ENTRY_SIZE * vector
+                    for oid in machine.objects_overlapping(entry, IDT_ENTRY_SIZE):
                         # credited to this write unless a script targets the object
                         self.target_label.setdefault(oid, label)
                         self._refresh_object_state(oid, now)
         elif action == _ACT_IDTR:
             base, limit = payload[2], payload[3]
             if limit is None:
-                limit = self.machine.idtr.limit
-            self.machine.set_idtr(base, limit)
+                limit = machine.idtr.limit
+            machine.set_idtr(base, limit)
             outcome.attempted += 1
             outcome.applied += 1
             self._refresh_idtr_state(now)

@@ -233,9 +233,31 @@ def _on_arrival_ref(run, tally, now, op) -> None:
         run._process_violations(report.violations, via="hrk_vmexit")
 
 
+def _on_attack_ref(run, now, payload) -> None:
+    """One attack action, an object tamper applied as a mediated write of its byte.
+
+    Every object the write overlaps is then refreshed through the table's
+    current_digest, which folds in the machine's `written`. Every other
+    action goes to the engine's own handler.
+    """
+    action, label = payload[0], payload[1]
+    if action not in ("write", "restore"):
+        run._on_attack(now, payload)
+        return
+    addr, data = payload[2], payload[3]
+    result = run.machine.guest_write(run.registry, addr, data, now=now)
+    run._account_write(run.outcomes[label], result, now)
+    if result.applied:
+        for oid in run.machine.objects_overlapping(addr, len(data)):
+            clean = run.table.current_digest(run.machine, oid) == run.table.baseline(oid)
+            run._refresh_state(oid, clean, now)
+    if run.trace is not None:
+        run.trace({"t": now, "kind": "attack", "label": label, "action": action})
+
+
 def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), seed=0,
                       trace=None):
-    """The per-event engine loop: the oracle for run_scenario's drains.
+    """The per-event engine loop: the oracle for run_scenario's arrival walk.
 
     Sets the run up as run_scenario does, then pushes every workload
     arrival as its own event (drawn up front, as in event_order_ref) on a
@@ -243,6 +265,7 @@ def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), 
     sorted firings and attack actions, and dispatches one pop at a time.
     Under hrk every arrival's VMExit goes through
     on_control_register_write without skip, whatever its batch holds.
+    Object tampers go through _on_attack_ref.
     """
     run = _ScenarioRun(setup, strategy, workload, attacks, costs, seed, trace)
     heap, seq, tallies = [], itertools.count(), {"syscall": [0, 0], "ctxswitch": [0, 0]}
@@ -253,7 +276,8 @@ def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), 
             heapq.heappush(heap, (t, EventKind.WORKLOAD, next(seq), (op,)))
     for time, kind, payload in run.events:  # firings and attacks, in order
         heapq.heappush(heap, (time, kind, next(seq), payload))
-    handlers = {EventKind.DEVICE_FIRING: run._on_firing, EventKind.ATTACK: run._on_attack}
+    handlers = {EventKind.DEVICE_FIRING: run._on_firing,
+                EventKind.ATTACK: lambda now, payload: _on_attack_ref(run, now, payload)}
     while heap and heap[0][0] <= workload.horizon:
         time, kind, _, payload = heapq.heappop(heap)
         if kind == EventKind.WORKLOAD:

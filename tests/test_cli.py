@@ -501,11 +501,11 @@ def test_each_trace_is_on_disk_before_the_next_run(small_cfg, tmp_path, monkeypa
 
 
 def test_mid_run_failure_exits_3_with_no_report(small_cfg, tmp_path, capsys, monkeypatch):
-    # a write that fails after t=0 (the attack's) aborts the whole run
+    # a write that fails after t=0 (the attack's object byte) aborts the whole run
     def failing_write(*args, **kwargs):
         raise AddressError("write failed")
 
-    monkeypatch.setattr(GuestMachine, "guest_write", failing_write)
+    monkeypatch.setattr(GuestMachine, "store_byte", failing_write)
     out = tmp_path / "out"
     assert main(["run", str(small_cfg), "--out", str(out)]) == 3
     assert "run failed" in capsys.readouterr().err

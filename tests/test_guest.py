@@ -171,6 +171,22 @@ def test_object_ids_are_sequential_and_deterministic():
     assert [m.objects.addr(oid) for oid in range(m.objects.count)] == [0x3200, 0x3220, 0x3240]
 
 
+def test_an_empty_interval_overlaps_no_object():
+    layout = ObjectLayout(0, 64, 8, 4)
+    assert layout.overlapping(3, 3) == range(0)  # inside object 0
+    assert not layout.overlapping(64, 64)  # at object 1's first byte
+    assert not layout.overlapping(5, 2)  # reversed
+    assert layout.overlapping(3, 4) == range(0, 1)
+
+
+def test_store_byte_lands_and_marks_nothing_written():
+    # its caller refreshes the object's digest itself
+    m = _machine_with_idt()
+    m.register_kernel_object(0x3000, 8, count=2)
+    m.store_byte(0x3009, 0xAB)
+    assert m.read(0x3008, 3) == b"\x00\xab\x00" and not m.written
+
+
 def test_object_overlapping_module_rejected():
     m = _machine_with_idt()
     m.load_module(bytes(4096), 8192, 0x20)

@@ -18,7 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _arrival_times_ref, assert_conservation, event_order_ref, make_setup, run_per_event_ref,
+    _arrival_times_ref, assert_conservation, event_order_ref, fnv1a64_ref, make_setup,
+    run_per_event_ref,
 )
 from hfsim import integrity, simulation
 from hfsim.config import parse_config_text
@@ -376,6 +377,17 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
                                                                     _ms(10))),
          arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
          attacks=[("transient", 0, [5, 30]), ("code", 64, 15)], seed=0)
+# under hrk and under hf: a code write past the module page lands on the
+# byte a transient has dirtied, in an object across two pages, before the
+# transient restores it
+@example(placement="packed", count=4, size=40, strategy=StrategyConfig(kind="hrk", batch_k=1),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("transient", 1, [5, 30]), ("code", 104, 15)], seed=0)
+@example(placement="packed", count=4, size=40,
+         strategy=StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC,
+                                                                    _ms(10))),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("transient", 1, [5, 30]), ("code", 104, 15)], seed=0)
 # more arrivals than one chunk holds, from both sources
 @example(placement="packed", count=5, size=30, strategy=StrategyConfig(kind="hrk", batch_k=2),
          arrival=Arrival.FIXED, rates=(3000, 1000), horizon_ms=700,
@@ -989,6 +1001,48 @@ def test_a_code_write_past_the_module_page_is_credited_on_the_objects_it_hits():
         ("code", 1, SEC * 11 // 10, False),
     ]
     assert json.dumps(result.to_json_dict()) == json.dumps(run_per_event_ref(*args).to_json_dict())
+
+
+# 8 packed objects of 48 B on 64 B pages: object 1 lies across two pages, and
+# its byte 20 on the second
+_STRADDLING = (make_setup(count=8, size_bytes=48, page_size=64, placement="packed"),
+               WorkloadSpec(syscall_rate=20, ctxswitch_rate=0, horizon=3 * SEC))
+_STRADDLING_STRATEGIES = {
+    "hrk": StrategyConfig(kind="hrk", batch_k=2),
+    "hf": StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, SEC // 2)),
+}
+
+
+def _straddling_run(kind, scripts):
+    setup, workload = _STRADDLING
+    objects = simulation.plan_layout(setup).objects
+    first = objects.addr(1)
+    assert first // 64 != (first + 47) // 64 == (first + 20) // 64
+    run = _ScenarioRun(setup, _STRADDLING_STRATEGIES[kind], workload, scripts, CostModel(), 0)
+    result = run.run()
+    expected = run_per_event_ref(setup, _STRADDLING_STRATEGIES[kind], workload, scripts)
+    assert json.dumps(result.to_json_dict()) == json.dumps(expected.to_json_dict())
+    return run, result
+
+
+@pytest.mark.parametrize("kind", ["hrk", "hf"])
+def test_a_restored_tamper_leaves_an_object_across_two_pages_clean(kind):
+    # dirty from 0.1 s to 0.2 s, while the exits check other objects and no sweep runs
+    run, result = _straddling_run(kind, [
+        ("t", TransientTamper(object_index=1, windows=((SEC // 10, SEC // 5),), offset=20))])
+    assert result.detections == [] and run.table.diverged == {}
+    assert [(o.applied, o.evaded) for o in result.attack_outcomes] == [(2, True)]
+
+
+@pytest.mark.parametrize("kind, detected, via", [
+    ("hrk", SEC // 4, "hrk_vmexit"), ("hf", SEC // 2, "hf_interrupt")])
+def test_a_tamper_on_an_object_across_two_pages_digests_both_pages(kind, detected, via):
+    # the exit at 0.25 s checks objects 0 and 1; the first sweep runs at 0.5 s
+    run, result = _straddling_run(kind, [
+        ("p", PersistentTamper(object_index=1, at=SEC // 10, offset=20))])
+    assert result.detections == [
+        DetectionRecord(target=1, tamper_time=SEC // 10, detected_time=detected, via=via)]
+    assert run.table.diverged == {1: fnv1a64_ref(bytes(20) + b"\xff" + bytes(27))}
 
 
 # 64-byte pages: the module is page 9 and object i is page 10 + i, so the

@@ -42,13 +42,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_config_text(name: str) -> tuple[str, str]:
-    """Config text from a filesystem path or a bundled config name."""
+    """Config text, read as UTF-8, from a filesystem path or a bundled config name."""
     path = Path(name)
-    if path.is_file():
-        return path.read_text(), str(path)
     bundled = importlib.resources.files("hfsim").joinpath("configs", name)
-    if bundled.is_file():
-        return bundled.read_text(), f"builtin:{name}"
+    for source, display in ((path, str(path)), (bundled, f"builtin:{name}")):
+        if source.is_file():
+            try:
+                return source.read_text(encoding="utf-8"), display
+            except UnicodeDecodeError as exc:
+                raise ConfigFileError([(name, f"not UTF-8 text: {exc}")]) from None
     raise ConfigFileError([(name, "config file not found (and no bundled config matches)")])
 
 
@@ -163,9 +165,9 @@ def _cmd_validate(args) -> int:
 
 def _cmd_diff(args) -> int:
     try:
-        a = json.loads(Path(args.report_a).read_text())
-        b = json.loads(Path(args.report_b).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        a = json.loads(Path(args.report_a).read_text(encoding="utf-8"))
+        b = json.loads(Path(args.report_b).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"cannot load reports: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:

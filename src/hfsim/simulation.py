@@ -24,9 +24,11 @@ map it changes, and clips an evader's windows against its own firings. An
 object tamper's one byte lies on a page no strategy protects, so the run
 stores it and records that object's digest itself; code and IDT writes go
 through the guest's mediated write. Each workload source draws its
-arrivals a bounded chunk at a time, so memory does not grow with the event
-count. Poisson arrivals stay the float seconds they were drawn as, and one
-is rounded to its tick only where the engine reads a tick.
+arrivals a bounded chunk at a time, and a walk merges the two sources'
+chunks as they come, so memory does not grow with the event count.
+Poisson arrivals stay the float seconds they were drawn as, and one is
+rounded to its tick only where a tick is read: at each draw's horizon
+check and where the walk merges it.
 
 The engine walks the arrivals once and takes each event before the first
 arrival at or after its tick. Under hrk every arrival is a VMExit. A run
@@ -40,12 +42,12 @@ takes its workload arrivals by one of two rules:
   the run is untraced and the window cannot find a violation: then it is
   only costed from the layout.
 
-Every run that draws records each source's arrival count in a memo keyed
-weakly by its `WorkloadSpec`, under the name its substream is seeded
-with. A later run that reads only counts takes both from there and draws
-nothing, since a seed's streams are the same under every strategy. An
-entry lives as long as its spec: the runs of one parsed config share it,
-and no drawn arrival is kept.
+Every run that draws records each source's arrival count in its plan's
+`counts`, under its `WorkloadSpec` and the name its substream is seeded
+with. A later run of the plan that reads only counts takes both from
+there and draws nothing, since a seed's streams are the same under every
+strategy. Runs share counts exactly when they share a plan, as the runs
+of one config do, and no drawn arrival is kept.
 
 Charges that are the same for every event are derived from counts when
 the run finishes. Each check skips the targets whose current divergence
@@ -64,9 +66,8 @@ import itertools
 import math
 import random
 import types
-import weakref
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
@@ -383,16 +384,13 @@ def _poisson_tick(t_s: float) -> Ticks:
 def _arrival_chunks(
     rate: float, horizon: Ticks, arrival: Arrival, rng: random.Random
 ) -> Iterator[list]:
-    """Arrivals in (0, horizon], nondecreasing, a list at a time.
+    """Arrivals in (0, horizon], nondecreasing, at most ARRIVAL_CHUNK a list.
 
     Fixed arrivals are int ticks. Poisson arrivals are the float seconds
     their gaps sum to, and `_poisson_tick` maps one to its tick; the
-    engine rounds one only where it reads a tick. No list ends inside a
-    run of arrivals at one tick, so every arrival up to a list's last tick
-    is in that list or an earlier one. A list is the run at one tick the
-    last draw ended with, then fewer than ARRIVAL_CHUNK more. Each draw is
-    sized from the arrivals expected before the horizon, so a short run
-    draws little more than it uses.
+    engine rounds one only where it reads a tick. Each list is one draw,
+    cut at the horizon, sized from the arrivals expected before the
+    horizon, so a short run draws little more than it uses.
 
     Fixed arrivals fall at round(n * TICKS_PER_SECOND / rate), computed
     exactly on the rate's value and rounded half to even as round() does.
@@ -431,27 +429,17 @@ def _arrival_chunks(
             t_s = times[-1]
             return times
 
-    pending: list = []  # the run at one tick the last draw ended with
     last = 0
     while True:
         expected = rate * (horizon - last) / TICKS_PER_SECOND
         times = draw(int(min(ARRIVAL_CHUNK - 16, expected)) + 16)
         last = tick(times[-1])
         if last > horizon:
-            times = pending + times[:bisect_right(times, horizon, key=tick)]
+            times = times[:bisect_right(times, horizon, key=tick)]
             if times:
                 yield times
             return
-        run_start = bisect_left(times, last, key=tick)
-        if run_start:
-            yield pending + times[:run_start]
-            pending = times[run_start:]
-        elif pending and tick(pending[0]) == last:
-            pending += times
-        else:
-            if pending:
-                yield pending
-            pending = times
+        yield times
 
 
 _CODE_PERIOD = bytes(map((0xFF).__and__, range(13, 13 + 7 * 256, 7)))  # (7i + 13) mod 256
@@ -501,6 +489,11 @@ class AttackPlan:
     dirty, clean): a run under such a schedule puts its windows, clipped
     against the run's firings, in place of `events[start:stop]`. A run
     copies what it changes, so one plan serves every run of its setup.
+
+    `counts` is {(WorkloadSpec, substream name): arrival count}, written
+    by each run that draws a source. A seed's streams are the same under
+    every strategy, so a later run of the plan that reads only counts
+    takes them from there and draws nothing; no drawn arrival is kept.
     """
 
     setup: SetupSpec
@@ -509,6 +502,7 @@ class AttackPlan:
     target_label: Mapping
     events: tuple
     evasive: tuple
+    counts: dict = field(default_factory=dict)
 
 
 def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
@@ -569,89 +563,40 @@ def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
 # workload sources, as (op, count key); the syscall source comes first
 _SOURCES = (("syscall", "syscalls"), ("ctxswitch", "ctxswitches"))
 
-# {WorkloadSpec: {substream name: arrival count}}: each source's arrivals, recorded
-# by every run that draws them, for later runs of the spec that read only counts; an
-# entry lives as long as its spec, so the runs of one parsed config share it
-_COUNTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-
-class _Source:
-    """One workload source: its arrivals, a chunk at a time, and its tally.
-
-    `times[pos:]` are the arrivals not yet taken, as `_arrival_chunks`
-    drew them: int ticks, or Poisson float seconds when `seconds` is set.
-    `tick` maps one to its tick (None for int ticks) and is the key of
-    every bisect of `times`. `next` is the tick of the first arrival not
-    yet taken and `end` one past the chunk's last: every arrival before
-    `end` is in `times`. Both are inf once the source is spent.
-
-    `events` counts the arrivals taken: a stretch at a time or, in a run
-    that reads only counts, a whole chunk at a time once the events are
-    done. Under hrk, `pages_mapped` counts the pages their VMExits
-    mapped. Every event of the source costs its base cost, and under hrk
-    each one is a VMExit charging t_vmexit, t_vmentry and the hash time
-    of min(k, n) objects of the layout's one length, so those charges
-    follow from `events` alone and `_finish` derives them.
-
-    A run builds its sources, and draws their first chunks, only once it
-    knows it must draw: a run that reads only counts builds none when
-    `_COUNTS` holds its spec's counts, which the first run of the spec
-    and seed recorded from its sources' `events`.
-    """
-
-    __slots__ = ("times", "pos", "next", "end", "tick", "_chunks", "events", "pages_mapped")
-
-    def __init__(self, chunks: Iterator[list], seconds: bool = False):
-        self._chunks, self.tick = chunks, _poisson_tick if seconds else None
-        self.events = self.pages_mapped = 0
-        self._refill()
-
-    def take(self, stop: int) -> None:
-        """Take and count the arrivals before index `stop`; draw the next chunk once all are."""
-        self.events += stop - self.pos
-        if stop < len(self.times):
-            self.pos = stop
-            self.next = self.times[stop] if self.tick is None else self.tick(self.times[stop])
+def _tagged(chunks: Iterator[list], source: int, seconds: bool, tally: list) -> Iterator[list]:
+    """Each chunk as tags 2t + `source`, Poisson `seconds` rounded inline, counted in `tally`."""
+    for chunk in chunks:
+        tally[source] += len(chunk)
+        if seconds:
+            yield [2 * round(t * _PER_SECOND) + source for t in chunk]
         else:
-            self._refill()
-
-    def _refill(self) -> None:
-        self.times, self.pos = next(self._chunks, ()), 0
-        if not self.times:
-            self.next = self.end = math.inf
-        elif self.tick is None:
-            self.next, self.end = self.times[0], self.times[-1] + 1
-        else:
-            self.next, self.end = self.tick(self.times[0]), self.tick(self.times[-1]) + 1
+            yield [2 * t + source for t in chunk]
 
 
-def _dispatch_order(
-    sources: tuple[_Source, _Source], limit: Union[Ticks, float],
-) -> Iterator[tuple[Ticks, int]]:
-    """(tick, source index) of each arrival before `limit`, in dispatch order.
+def _dispatch_order(a: Iterator[list], b: Iterator[list]) -> Iterator[int]:
+    """The tags of two sources' arrivals, merged in dispatch order.
 
-    The arrivals go a stretch at a time. A stretch ends at the first chunk
-    end of either source, so it holds every arrival of both before that
-    end. They are merged as tagged ticks 2t + source, so a syscall (source
-    0) comes before a context switch at the same tick, and taken once the
-    consumer has walked them all. Both sources draw one kind of arrival.
+    Each source yields nondecreasing chunks of tags 2t + its index, so a
+    syscall (source 0) comes before a context switch at the same tick.
+    Each round yields, sorted, every held tag up to the smaller of the
+    two chunks' last tags, then refills the side that ran dry: a tag
+    still to come is at least that bound, and a tag of the other source
+    never equals it, since the two differ in parity. Once one source is
+    spent, the rest of the other follows.
     """
-    a, b = sources
-    while a.next < limit or b.next < limit:
-        bound = min(limit, a.end, b.end)
-        a_stop = a.pos if a.next >= bound else bisect_left(a.times, bound, a.pos, key=a.tick)
-        b_stop = b.pos if b.next >= bound else bisect_left(b.times, bound, b.pos, key=b.tick)
-        a_span, b_span = a.times[a.pos:a_stop], b.times[b.pos:b_stop]
-        if a.tick is not None:  # Poisson seconds: the rounding of `_poisson_tick`, inlined
-            a_span = [round(t * _PER_SECOND) for t in a_span]
-            b_span = [round(t * _PER_SECOND) for t in b_span]
-        tags = [2 * t for t in a_span] + [2 * t + 1 for t in b_span]
-        tags.sort()
-        yield from map(divmod, tags, itertools.repeat(2))
-        if a_stop > a.pos:
-            a.take(a_stop)
-        if b_stop > b.pos:
-            b.take(b_stop)
+    x, y = next(a, None), next(b, None)
+    while x and y:
+        bound = min(x[-1], y[-1])
+        i, j = bisect_right(x, bound), bisect_right(y, bound)
+        held = x[:i] + y[:j]
+        held.sort()
+        yield from held
+        x, y = x[i:] or next(a, None), y[j:] or next(b, None)
+    rest, chunks = (x, a) if x else (y or (), b)
+    yield from rest
+    for chunk in chunks:
+        yield from chunk
 
 
 class _ScenarioRun:
@@ -743,19 +688,21 @@ class _ScenarioRun:
         horizon, uniform, workload = self.horizon, self.uniform_pages, self.workload
         trace, hrk = self.trace, self.strategy.kind == STRATEGY_HRK
         counted = trace is None and (not hrk or uniform is not None and not self.events)
-        names = [f"workload-{op}:{self.seed}" for op, _ in _SOURCES]
-        known = _COUNTS.setdefault(workload, {})
+        known = self.plan.counts
+        keys = [(workload, f"workload-{op}:{self.seed}") for op, _ in _SOURCES]
         # one source per workload op, each with its own random substream, unless the
-        # run reads only counts and an earlier run of the spec recorded them
-        self.sources = sources = () if counted and all(name in known for name in names) else tuple(
-            _Source(_arrival_chunks(rate, horizon, workload.arrival, random.Random(name)),
-                    workload.arrival is Arrival.POISSON)
-            for name, rate in zip(names, (workload.syscall_rate, workload.ctxswitch_rate)))
+        # run reads only counts and an earlier run of the plan recorded them
+        chunks = [] if counted and all(key in known for key in keys) else [
+            _arrival_chunks(rate, horizon, workload.arrival, random.Random(name))
+            for (_, name), rate in zip(keys, (workload.syscall_rate, workload.ctxswitch_rate))]
+        arrivals, pages = [0, 0], [0, 0]  # per source: arrivals walked, pages their exits mapped
+        walk = () if counted else map(divmod, _dispatch_order(*(
+            _tagged(source_chunks, i, workload.arrival is Arrival.POISSON, arrivals)
+            for i, source_chunks in enumerate(chunks))), itertools.repeat(2))
         handlers = {EventKind.DEVICE_FIRING: self._on_firing, EventKind.ATTACK: self._on_attack}
         events, machine, table, k = self.events, self.machine, self.table, self.batch
         n, cursor = table.count, table.cursor
         done, due = 0, -math.inf  # events taken; the next one's tick (-inf: count `clean` first)
-        walk = () if counted else _dispatch_order(sources, math.inf)
         for now, source in itertools.chain(walk, ((math.inf, None),)):  # then the events left
             if now >= due:  # a firing or an attack action precedes the arrivals at its tick
                 taken = bisect_right(events, now, done, key=_EVENT_TIME)
@@ -772,13 +719,13 @@ class _ScenarioRun:
             if clean:
                 clean -= 1
                 stop = cursor + k
-                sources[source].pages_mapped += uniform or machine.object_pages(cursor, stop)
+                pages[source] += uniform or machine.object_pages(cursor, stop)
                 cursor = stop - n if stop >= n else stop
                 continue
             table.cursor = cursor
             report = on_control_register_write(machine, table, self.costs, k, now=now,
                                                skip=self.reported)
-            sources[source].pages_mapped += report.pages_mapped
+            pages[source] += report.pages_mapped
             if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
                 trace({"t": now, "kind": "vmexit_check", "checked": k + report.cycle_completed,
                        "violations": report.diverged})
@@ -787,14 +734,14 @@ class _ScenarioRun:
             cursor = table.cursor
             clean = self._clean_windows(cursor)
         table.cursor = cursor
-        for source in sources:  # what the walk did not take
-            while source.times:
-                source.take(len(source.times))
-        known.update(zip(names, (source.events for source in sources)))
-        counts = [known[name] for name in names]
+        if chunks:  # record the draws; a run that walks none counts them whole
+            if counted:
+                arrivals = [sum(map(len, source_chunks)) for source_chunks in chunks]
+            known.update(zip(keys, arrivals))
+        counts = [known[key] for key in keys]
         if counted:  # every window is clean, or the run is not hrk and maps none
             return self._finish(counts, [c * (uniform or 0) for c in counts])
-        return self._finish(counts, [source.pages_mapped for source in sources])
+        return self._finish(counts, pages)
 
     def _clean_windows(self, cursor: int) -> Union[int, float]:
         """How many hrk windows from `cursor` on find nothing; 0 under a trace, which checks each.

@@ -441,6 +441,22 @@ def test_non_finite_durations_exit_2_with_one_line(command, key, setting, raw, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "diff"])
+def test_non_utf8_input_exits_2_with_one_line(command, tmp_path, capsys):
+    bad = tmp_path / "bad.in"
+    bad.write_bytes(b"\xff" + SMALL.encode())
+    out = tmp_path / "out"
+    args = {"validate": ["validate", str(bad)], "run": ["run", str(bad), "--out", str(out)],
+            "diff": ["diff", str(bad), str(bad)]}[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert "Traceback" not in err
+    assert err.splitlines() == ([f"cannot load reports: {decode}"] if command == "diff"
+                                else ["config error:", f"  {bad}: not UTF-8 text: {decode}"])
+    assert not out.exists()
+
+
 def test_unwritable_out_exits_3_with_one_line(small_cfg, tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

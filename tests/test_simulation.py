@@ -5,12 +5,10 @@ import gc
 import importlib.util
 import itertools
 import json
-import math
 import pathlib
 import random
 import tracemalloc
 import types
-import weakref
 from fractions import Fraction
 
 import pytest
@@ -31,7 +29,6 @@ from hfsim.simulation import (
     Arrival,
     CostModel,
     DetectionRecord,
-    EVENT_ORDER,
     IDT_VECTORS,
     EventKind,
     StrategyConfig,
@@ -40,7 +37,6 @@ from hfsim.simulation import (
     _dispatch_order,
     _poisson_tick,
     _ScenarioRun,
-    _Source,
     check_attacks,
     plan_attacks,
     run_scenario,
@@ -87,58 +83,29 @@ def test_times_pop_nondecreasing():
     assert times == sorted(times) and len(times) == 3 + 5
 
 
-def _arrivals(chunks):
-    """A workload source holding the given chunks of arrival instants."""
-    return _Source(iter(chunks))
+def _cut(tags, cuts):
+    """`tags` (sorted) cut before each index in `cuts`, inside a run of equal tags or not."""
+    bounds = sorted({c for c in cuts if 0 < c < len(tags)})
+    return [tags[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(tags)]) if lo < hi]
 
 
-def _stretched_then_taken(sources, one_offs):
-    """(t, kind, label) of every event, as the engine takes them: the
-    arrivals due before each one-off (t, kind, label) event, in dispatch
-    order, then that event; an arrival's label is its source index."""
-    events = []
-    for event in sorted(one_offs, key=EVENT_ORDER) + [None]:
-        limit = math.inf if event is None else event[0]
-        events += [(t, EventKind.WORKLOAD, i) for t, i in _dispatch_order(sources, limit)]
-        if event is not None:
-            events.append(event)
-    return events
+def _tag_chunks(source):
+    """A source's tags 2t + `source`, nondecreasing, cut into chunks anywhere."""
+    return st.tuples(
+        st.lists(st.integers(0, 12), max_size=12).map(sorted), st.lists(st.integers(1, 11)),
+    ).map(lambda drawn: _cut([2 * t + source for t in drawn[0]], drawn[1]))
 
 
-def test_one_off_events_precede_stream_events_at_the_same_tick():
-    sources = (_arrivals([[5, 5], [9]]), _arrivals([[5], [9]]))
-    one_offs = [(5, EventKind.ATTACK, "a"), (9, EventKind.ATTACK, "b"),
-                (5, EventKind.DEVICE_FIRING, "f")]
-    order = [(t, label) for t, _, label in _stretched_then_taken(sources, one_offs)]
-    assert order == [(5, "f"), (5, "a"), (5, 0), (5, 0), (5, 1), (9, "b"), (9, 0), (9, 1)]
-    assert list(_dispatch_order(sources, math.inf)) == []
-    assert [(s.events, s.next, s.end) for s in sources] == [(3, math.inf, math.inf),
-                                                            (2, math.inf, math.inf)]
-
-
-def _chunked(times, cuts):
-    """`times` (sorted) cut before each index in `cuts` that starts a new instant."""
-    bounds = sorted({c for c in cuts if 0 < c < len(times) and times[c - 1] < times[c]})
-    return [times[lo:hi] for lo, hi in zip([0] + bounds, bounds + [len(times)]) if lo < hi]
-
-
-_chunked_times = st.tuples(
-    st.lists(st.integers(0, 12), max_size=10).map(sorted), st.lists(st.integers(1, 9)),
-).map(lambda drawn: _chunked(*drawn))
-
-
-@settings(max_examples=120, deadline=None)
-@given(_chunked_times, _chunked_times, st.lists(st.tuples(
-    st.integers(0, 12), st.sampled_from([EventKind.DEVICE_FIRING, EventKind.ATTACK])),
-    max_size=6))
-def test_drain_then_pop_matches_pushing_every_event_up_front(syscalls, ctxswitches, one_offs):
-    pushed = [(t, EventKind.WORKLOAD, index)
-              for index, chunks in enumerate((syscalls, ctxswitches))
-              for t in itertools.chain.from_iterable(chunks)]
-    listed = [(t, kind, f"e{i}") for i, (t, kind) in enumerate(one_offs)]
-    expected = sorted(pushed + listed, key=EVENT_ORDER)  # stable: insertion order breaks ties
-    sources = (_arrivals(syscalls), _arrivals(ctxswitches))
-    assert _stretched_then_taken(sources, listed) == expected
+@settings(max_examples=200, deadline=None)
+@given(_tag_chunks(0), _tag_chunks(1))
+# chunks of both sources that end inside runs of one tick
+@example(syscalls=[[0, 0], [0, 4], [4]], ctxswitches=[[1], [1, 1], [5, 5]])
+# an empty source
+@example(syscalls=[], ctxswitches=[[1, 3], [3, 5]])
+@example(syscalls=[[0], [2]], ctxswitches=[])
+def test_dispatch_order_merges_chunks_cut_anywhere(syscalls, ctxswitches):
+    merged = list(_dispatch_order(iter(syscalls), iter(ctxswitches)))
+    assert merged == sorted(itertools.chain(*syscalls, *ctxswitches))
 
 
 @pytest.mark.parametrize("rate", [0.5, 3, 100, 8000.25])
@@ -183,10 +150,8 @@ def test_arrival_chunks_concatenate_to_the_reference_draws(rate, arrival, seed, 
     chunks = [[tick(t) for t in chunk] for chunk in drawn]
     assert list(itertools.chain.from_iterable(chunks)) == _arrival_times_ref(
         rate, horizon, arrival, random.Random(seed))
-    for chunk, after in zip(chunks, chunks[1:] + [[math.inf]]):
-        assert chunk[-1] < after[0]  # no chunk ends inside a run of equal instants
-        # the run the last draw ended with, then fewer than a chunk's worth
-        assert len(chunk) - chunk.count(chunk[0]) < ARRIVAL_CHUNK
+    for chunk in chunks:
+        assert len(chunk) <= ARRIVAL_CHUNK
 
 
 def test_module_code_repeats_its_256_byte_period():
@@ -447,6 +412,11 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
 @example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=4),
          arrival=Arrival.POISSON, rates=(1e9, 2e9), horizon_ms=Fraction(3, 1000),
          attacks=[("persistent", 3, Fraction(1, 1000))], seed=8)
+# 1e12 and 3e12 Poisson arrivals/s over 3 ticks: both sources' chunks end
+# inside runs of arrivals at one tick, and a tamper at tick 2 makes hrk walk
+@example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="hrk", batch_k=4),
+         arrival=Arrival.POISSON, rates=(1e12, 3e12), horizon_ms=Fraction(3, 10**6),
+         attacks=[("persistent", 3, Fraction(2, 10**6))], seed=0)
 # untraced baseline and hf count their arrivals only after the last event:
 # the same 3 us at 1e9 and 2e9 arrivals/s, hf firing every 1 us
 @example(placement="spread", count=6, size=8, strategy=StrategyConfig(kind="baseline"),
@@ -514,10 +484,9 @@ def _counting_streams(patch):
 
 
 def _drawn(setup, strategy, workload, scripts, seed, trace=None):
-    """The run as it goes when it must draw: an empty count memo."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulation, "_COUNTS", weakref.WeakKeyDictionary())
-        return run_scenario(setup, strategy, workload, scripts, _ENGINE_COSTS, seed, trace)
+    """The run as it goes when it must draw: a fresh plan, with no counts."""
+    return run_scenario(setup, strategy, workload, plan_attacks(setup, scripts), _ENGINE_COSTS,
+                        seed, trace)
 
 
 def _reads_counts(setup, strategy, workload, scripts, seed):
@@ -569,18 +538,17 @@ def test_a_run_that_takes_counts_equals_one_that_draws(placement, count, strateg
                             horizon=_ms(horizon_ms))
     scripts = _attack_scripts(attacks, count)
     names = [f"workload-{op}:{seed}" for op in ("syscall", "ctxswitch")]
-    memo = weakref.WeakKeyDictionary()
+    plan = plan_attacks(setup, scripts)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulation, "_COUNTS", memo)
         streams = _counting_streams(patch)
         for i, strategy in enumerate(strategies):
             streams.clear()
-            got = run_scenario(setup, strategy, workload, scripts, _ENGINE_COSTS, seed)
+            got = run_scenario(setup, strategy, workload, plan, _ENGINE_COSTS, seed)
             # the first run draws and records; a later one draws unless it reads counts
             takes = i > 0 and _reads_counts(setup, strategy, workload, scripts, seed)
             assert streams == ([] if takes else names)
-            assert memo[workload] == dict(zip(names, (got.counts["syscalls"],
-                                                      got.counts["ctxswitches"])))
+            assert plan.counts == {(workload, name): got.counts[key]
+                                   for name, key in zip(names, ("syscalls", "ctxswitches"))}
             expected = json.dumps(run_per_event_ref(setup, strategy, workload, scripts,
                                                     _ENGINE_COSTS, seed).to_json_dict())
             assert json.dumps(got.to_json_dict()) == expected
@@ -595,10 +563,11 @@ def test_a_traced_run_after_an_untraced_one_draws_and_traces_the_same_bytes(monk
     alone = []
     _drawn(setup, strategy, workload, (), 5, alone.append)
     streams = _counting_streams(monkeypatch)
-    untraced = run_scenario(setup, strategy, workload, (), _ENGINE_COSTS, 5)
+    plan = plan_attacks(setup, ())
+    untraced = run_scenario(setup, strategy, workload, plan, _ENGINE_COSTS, 5)
     assert len(streams) == 2
     traced = []
-    again = run_scenario(setup, strategy, workload, (), _ENGINE_COSTS, 5, traced.append)
+    again = run_scenario(setup, strategy, workload, plan, _ENGINE_COSTS, 5, traced.append)
     assert len(streams) == 4  # a traced run never takes counts
     assert again == untraced
     encode = json.JSONEncoder(sort_keys=True).encode
@@ -611,11 +580,12 @@ def test_equal_specs_share_counts_and_seeds_name_their_substreams(monkeypatch):
     second = dataclasses.replace(first)
     assert second == first and second is not first
     streams = _counting_streams(monkeypatch)
-    a = run_scenario(setup, strategy, first, (), _ENGINE_COSTS, 1)
-    b = run_scenario(setup, strategy, second, (), _ENGINE_COSTS, 1)
+    plan = plan_attacks(setup, ())
+    a = run_scenario(setup, strategy, first, plan, _ENGINE_COSTS, 1)
+    b = run_scenario(setup, strategy, second, plan, _ENGINE_COSTS, 1)
     assert streams == ["workload-syscall:1", "workload-ctxswitch:1"] and a == b
     # seed True is equal to seed 1, but its substreams are named for True
-    c = run_scenario(setup, strategy, second, (), _ENGINE_COSTS, True)
+    c = run_scenario(setup, strategy, second, plan, _ENGINE_COSTS, True)
     assert streams[2:] == ["workload-syscall:True", "workload-ctxswitch:True"]
     monkeypatch.undo()
     for seed, result in ((1, a), (1, b), (True, c)):
@@ -652,27 +622,21 @@ repeats = 3
 """
 
 
-def test_the_count_memo_holds_nothing_once_its_spec_is_collected(monkeypatch):
-    # a pass as perfbench runs it: parse, then every strategy x repeat; the
-    # runs of a pass share draws, and a later pass, with a new spec, draws anew
+def test_a_pass_that_hoists_one_plan_draws_once_per_seed(monkeypatch):
+    # a pass as perfbench runs it: parse, plan, then every strategy x repeat; the
+    # runs of a pass share its plan's draws, and a later pass, with a new plan, draws anew
     streams = _counting_streams(monkeypatch)
+    config = parse_config_text(_SHARED)
     per_pass = []
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(2):
-            streams.clear()
-            config = parse_config_text(_SHARED)
-            for strategy in config.strategies.values():
-                for r in range(config.repeats):
-                    run_scenario(config.setup(), strategy, config.workload,
-                                 config.expanded_attacks(), config.costs, config.seed + r)
-            assert len(simulation._COUNTS) == 1
-            per_pass.append(len(streams))
-            del config
-            assert len(simulation._COUNTS) == 0
-    finally:
-        gc.enable()
+    for _ in range(2):
+        streams.clear()
+        plan = config.expanded_attacks()
+        for strategy in config.strategies.values():
+            for r in range(config.repeats):
+                run_scenario(config.setup(), strategy, config.workload, plan, config.costs,
+                             config.seed + r)
+        per_pass.append(len(streams))
+        assert len(plan.counts) == len(streams)
     assert per_pass == [2 * 3, 2 * 3]  # the hrk runs draw, the hf runs take their counts
 
 
@@ -1198,10 +1162,11 @@ def test_result_json_shape():
     json.dumps(data)  # serializable
 
 
-def _run_peak_bytes(count: int, strategy: StrategyConfig, workload=_workload(2)) -> int:
+def _run_peak_bytes(count: int, strategy: StrategyConfig, workload=_workload(2),
+                    attacks=()) -> int:
     tracemalloc.start()
     try:
-        run_scenario(make_setup(count=count), strategy, workload)
+        run_scenario(make_setup(count=count), strategy, workload, attacks)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1217,14 +1182,17 @@ def test_run_memory_does_not_grow_with_the_object_count(strategy):
     )
 
 
-@pytest.mark.parametrize("strategy", [
-    StrategyConfig(kind="baseline"), StrategyConfig(kind="hrk", batch_k=25),
-], ids=["baseline", "hrk"])
-def test_run_memory_does_not_grow_with_the_event_count(strategy):
-    # arrivals are drawn a chunk at a time: 20,000 events peak like 200
+@pytest.mark.parametrize("strategy, attacks", [
+    (StrategyConfig(kind="baseline"), ()), (StrategyConfig(kind="hrk", batch_k=25), ()),
+    # a tamper by the horizon: the hrk run walks its arrivals exit by exit
+    (StrategyConfig(kind="hrk", batch_k=25), [("t", PersistentTamper(object_index=7, at=SEC))]),
+], ids=["baseline", "hrk", "walked"])
+def test_run_memory_does_not_grow_with_the_event_count(strategy, attacks):
+    # arrivals are drawn a chunk at a time and merged as they come: 20,000
+    # events peak like 200
     def peak(rate):
         workload = _workload(2, syscall_rate=rate, ctx_rate=rate / 4, arrival=Arrival.POISSON)
-        return _run_peak_bytes(100, strategy, workload)
+        return _run_peak_bytes(100, strategy, workload, attacks)
 
     assert peak(8_000) <= peak(80) + (1 << 20)
 

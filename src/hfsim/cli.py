@@ -54,11 +54,6 @@ def _load_config_text(name: str) -> tuple[str, str]:
     raise ConfigFileError([(name, "config file not found (and no bundled config matches)")])
 
 
-def bundled_config_names() -> list[str]:
-    root = importlib.resources.files("hfsim").joinpath("configs")
-    return sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
-
-
 def _print_config_problems(exc: ConfigFileError) -> None:
     print("config error:", file=sys.stderr)
     for key, reason in exc.problems:

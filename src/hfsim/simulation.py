@@ -39,8 +39,8 @@ takes its workload arrivals by one of two rules:
   none: it takes its events and then counts the arrivals.
 - Every other run takes them exit by exit, in dispatch order. Each
   arrival is traced and, under hrk, its window runs its check, unless
-  the run is untraced and the window cannot find a violation: then it is
-  only costed from the layout.
+  the window cannot find a violation: then it is only costed from the
+  layout, and traced as its check would be.
 
 Every run that draws records each source's arrival count in its plan's
 `counts`, under its `WorkloadSpec` and the name its substream is seeded
@@ -49,8 +49,8 @@ there and draws nothing, since a seed's streams are the same under every
 strategy. Runs share counts exactly when they share a plan, as the runs
 of one config do, and no drawn arrival is kept.
 
-Charges that are the same for every event are derived from counts when
-the run finishes. Each check skips the targets whose current divergence
+Every charge is derived from the run's counts by `charges` when the run
+finishes. Each check skips the targets whose current divergence
 episode is already reported, so it builds violations only for new
 episodes, and an untraced run builds no trace entry.
 
@@ -599,6 +599,32 @@ def _dispatch_order(a: Iterator[list], b: Iterator[list]) -> Iterator[int]:
         yield from chunk
 
 
+def charges(costs: CostModel, kind: str, batch: int, objects: ObjectsSpec, events: Sequence[int],
+            pages: Sequence[int], firings: int, sweeps: int) -> tuple[dict, dict, dict]:
+    """A run's charges from its counts: (cost_breakdown, per_event_added, counts).
+
+    `events` and `pages` are per workload source, syscalls first: its
+    arrivals and the pages their VMExits mapped. Under hrk every arrival
+    is a VMExit that checks `batch` objects: a transition pair, the
+    batch's hash and its pages' mapping. Every firing is a delivery, and
+    each of the `sweeps` that ran (a subverted firing runs none) hashes
+    every object. `counts` holds every count of the result but `traps`.
+    """
+    hrk = kind == STRATEGY_HRK
+    object_hash = objects.size_bytes * costs.t_hash_per_byte
+    per_exit = costs.t_vmexit + costs.t_vmentry + batch * object_hash if hrk else 0
+    vmexits = sum(events) if hrk else 0
+    checked = vmexits * batch + sweeps * objects.count
+    breakdown = {"vmexit": vmexits * costs.t_vmexit, "vmentry": vmexits * costs.t_vmentry,
+                 "map_page": sum(pages) * costs.t_map_page, "hash": checked * object_hash,
+                 "interrupt_delivery": firings * costs.t_interrupt_delivery}
+    per_event_added = {op: (n * per_exit + p * costs.t_map_page) / n if n else 0.0
+                       for (op, _), n, p in zip(_SOURCES, events, pages)}
+    counts = {key: n for (_, key), n in zip(_SOURCES, events)}
+    counts.update(firings=firings, vmexits=vmexits, objects_checked=checked)
+    return breakdown, per_event_added, counts
+
+
 class _ScenarioRun:
     def __init__(
         self,
@@ -628,9 +654,8 @@ class _ScenarioRun:
         self.table = snapshot_baselines(self.machine)
 
         # the hf device's firing schedule; None under the other strategies
-        self.schedule: Optional[FiringSchedule] = None
-        if strategy.kind == STRATEGY_HF:
-            self.schedule = strategy.schedule
+        schedule = strategy.schedule if strategy.kind == STRATEGY_HF else None
+        if schedule is not None:
             self.registry.protect_pages(self.machine.module.page_range(setup.machine.page_size))
             self.registry.protect_pages(self.machine.idt_pages())
 
@@ -643,27 +668,20 @@ class _ScenarioRun:
         self.dirty_since: dict = {}
         self.reported: set = set()
 
-        self.breakdown = {
-            "vmexit": 0, "vmentry": 0, "map_page": 0, "hash": 0, "interrupt_delivery": 0,
-        }
-        self.counts = {
-            "syscalls": 0, "ctxswitches": 0, "firings": 0, "vmexits": 0,
-            "objects_checked": 0, "traps": 0,
-        }
+        self.firings = self.sweeps = 0  # `charges` prices them when the run finishes
         # the objects each hrk VMExit checks, and the pages it maps when that
         # is one count; else None
         self.batch = min(strategy.batch_k, setup.objects.count)
-        self.uniform_pages = None
-        if strategy.kind == STRATEGY_HRK:
-            self.uniform_pages = self.machine.uniform_window_pages(self.batch)
+        self.uniform_pages = (self.machine.uniform_window_pages(self.batch)
+                              if strategy.kind == STRATEGY_HRK else None)
         self.detections: list[DetectionRecord] = []
 
         # every event of the run, firings before attack actions at one tick
-        firing_times = [] if self.schedule is None else self.schedule.firing_times(
+        firing_times = [] if schedule is None else schedule.firing_times(
             self.horizon, salt=self.seed)
         attacks = plan.events
         # the attacker learns firing times only from a guest-visible device
-        if plan.evasive and self.schedule is not None and self.schedule.guest_visible_times:
+        if plan.evasive and schedule is not None and schedule.guest_visible_times:
             attacks = list(attacks)
             for start, stop, windows, dirty, clean in reversed(plan.evasive):
                 clipped = threat.clip_windows(windows, firing_times, EVASION_GUARD_TICKS)
@@ -679,11 +697,12 @@ class _ScenarioRun:
 
         Each arrival is traced. Under hrk every arrival is a VMExit: its
         control-register write exits to a check of the next min(k, n)
-        objects. A window that `_clean_windows` counts only maps its pages
-        and moves the cursor, and `on_control_register_write` checks every
-        other. An untraced run reads its arrivals only as counts unless it
-        is hrk and a window can map another page count or an attack acts
-        by the horizon: it walks none, and counts them after its events.
+        objects. A window that `_clean_windows` counts, traced or not, only
+        maps its pages, moves the cursor and traces a clean check, and
+        `on_control_register_write` checks every other. An untraced run
+        reads its arrivals only as counts unless it is hrk and a window can
+        map another page count or an attack acts by the horizon: it walks
+        none, and counts them after its events.
         """
         horizon, uniform, workload = self.horizon, self.uniform_pages, self.workload
         trace, hrk = self.trace, self.strategy.kind == STRATEGY_HRK
@@ -711,7 +730,7 @@ class _ScenarioRun:
                 if source is None:
                     break
                 done, due = taken, events[taken][0] if taken < len(events) else math.inf
-                clean = self._clean_windows(cursor)  # 0 in a walk that is not hrk, which is traced
+                clean = hrk and self._clean_windows(cursor)
             if trace is not None:
                 trace({"t": now, "kind": _SOURCES[source][0]})
             if not hrk:
@@ -720,6 +739,9 @@ class _ScenarioRun:
                 clean -= 1
                 stop = cursor + k
                 pages[source] += uniform or machine.object_pages(cursor, stop)
+                if trace is not None:  # the entry a check of a clean window writes
+                    trace({"t": now, "kind": "vmexit_check", "checked": k + (stop >= n),
+                           "violations": 0})
                 cursor = stop - n if stop >= n else stop
                 continue
             table.cursor = cursor
@@ -740,11 +762,11 @@ class _ScenarioRun:
             known.update(zip(keys, arrivals))
         counts = [known[key] for key in keys]
         if counted:  # every window is clean, or the run is not hrk and maps none
-            return self._finish(counts, [c * (uniform or 0) for c in counts])
+            pages = [c * (uniform or 0) for c in counts]
         return self._finish(counts, pages)
 
     def _clean_windows(self, cursor: int) -> Union[int, float]:
-        """How many hrk windows from `cursor` on find nothing; 0 under a trace, which checks each.
+        """How many hrk windows from `cursor` on find nothing.
 
         Only attacks write, so the diverged ids and the IDTR stand still
         between the events. Windows stop at cursor + k, cursor + 2k, ...: one
@@ -753,8 +775,6 @@ class _ScenarioRun:
         while the IDTR is moved, before id n, where it would complete a
         cycle.
         """
-        if self.trace is not None:
-            return 0
         machine, table, k = self.machine, self.table, self.batch
         n = table.count
         clean = math.inf
@@ -768,14 +788,12 @@ class _ScenarioRun:
 
     def _on_firing(self, now: Ticks, payload: tuple) -> None:
         trace = self.trace
-        self.counts["firings"] += 1
+        self.firings += 1
         if trace is not None:
             trace({"t": now, "kind": "firing_start"})
         report = fire_interrupt(self.machine, self.registry, self.table, self.costs, now=now,
                                 trace=trace, skip=self.reported)
-        self.breakdown["interrupt_delivery"] += self.costs.t_interrupt_delivery
-        self.breakdown["hash"] += report.duration
-        self.counts["objects_checked"] += report.objects_checked
+        self.sweeps += not report.subverted
         if trace is not None:  # targets checked: every sweep that runs also checks the IDTR
             trace({"t": now, "kind": "firing_end",
                    "checked": report.objects_checked + (not report.subverted),
@@ -818,7 +836,8 @@ class _ScenarioRun:
             machine.set_idtr(base, limit)
             outcome.attempted += 1
             outcome.applied += 1
-            self._refresh_idtr_state(now)
+            idtr = (machine.idtr.base, machine.idtr.limit)
+            self._refresh_state(IDTR_TARGET, idtr == table.idtr_baseline, now)
         if self.trace is not None:
             self.trace({"t": now, "kind": "attack", "label": label, "action": action})
 
@@ -835,10 +854,6 @@ class _ScenarioRun:
     def _refresh_object_state(self, oid: int, now: Ticks) -> None:
         clean = self.table.current_digest(self.machine, oid) == self.table.baseline(oid)
         self._refresh_state(oid, clean, now)
-
-    def _refresh_idtr_state(self, now: Ticks) -> None:
-        clean = (self.machine.idtr.base, self.machine.idtr.limit) == self.table.idtr_baseline
-        self._refresh_state(IDTR_TARGET, clean, now)
 
     def _refresh_state(self, target, clean: bool, now: Ticks) -> None:
         if clean:
@@ -880,29 +895,13 @@ class _ScenarioRun:
         """The result, from each source's arrivals and the pages their VMExits mapped."""
         for outcome in self.outcomes.values():
             outcome.finalize()
-        costs, counts, breakdown = self.costs, self.counts, self.breakdown
+        costs = self.costs
+        breakdown, per_event_added, counts = charges(
+            costs, self.strategy.kind, self.batch, self.setup.objects, events, pages,
+            self.firings, self.sweeps)
         counts["traps"] = len(self.registry.trap_log)
-        hrk = self.strategy.kind == STRATEGY_HRK
-        # every hrk VMExit checks min(k, n) objects of the layout's one length
-        batch = self.batch
-        batch_hash = batch * self.machine.objects.length * costs.t_hash_per_byte
-        base, per_event_added = {}, {}
-        for (op, count_key), n, pages_mapped, base_cost in zip(
-            _SOURCES, events, pages, (costs.t_syscall_base, costs.t_ctxswitch_base)
-        ):
-            exits = n if hrk else 0
-            map_ticks = pages_mapped * costs.t_map_page
-            hash_ticks = exits * batch_hash
-            counts[count_key] = n
-            counts["vmexits"] += exits
-            counts["objects_checked"] += exits * batch
-            breakdown["map_page"] += map_ticks
-            breakdown["hash"] += hash_ticks
-            base[op] = n * base_cost
-            added = exits * (costs.t_vmexit + costs.t_vmentry) + map_ticks + hash_ticks
-            per_event_added[op] = added / n if n else 0.0
-        breakdown["vmexit"] = counts["vmexits"] * costs.t_vmexit
-        breakdown["vmentry"] = counts["vmexits"] * costs.t_vmentry
+        base = {op: n * cost for (op, _), n, cost in zip(
+            _SOURCES, events, (costs.t_syscall_base, costs.t_ctxswitch_base))}
         echo = {name: _echo(spec) for name, spec in (
             ("machine", self.setup.machine), ("objects", self.setup.objects),
             ("workload", self.workload), ("strategy", self.strategy))}

@@ -1,6 +1,7 @@
 """Shared helpers and independent oracles for the test suite."""
 
 import heapq
+import importlib.resources
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +19,12 @@ from hfsim.simulation import (
     _ScenarioRun,
 )
 from hfsim.timebase import TICKS_PER_SECOND
+
+
+def bundled_config_names() -> list[str]:
+    """The names of the configs hfsim ships, sorted."""
+    root = importlib.resources.files("hfsim").joinpath("configs")
+    return sorted(p.name for p in root.iterdir() if p.name.endswith(".cfg"))
 
 
 def fnv1a64_ref(data: bytes) -> int:
@@ -135,8 +142,8 @@ def assert_conservation(result, costs=None) -> None:
 
     Under hrk every VMExit checks min(batch_k, count) objects of one size.
     With the run's cost model, the fixed charges must also be their counts
-    times their unit costs: a transition pair and that batch's hash time
-    per VMExit, a delivery per firing.
+    times their unit costs: a transition pair per VMExit, a delivery per
+    firing, and under every strategy the hash time of each object checked.
     """
     charged = sum(result.cost_breakdown.values())
     assert result.total_ticks == result.horizon + charged
@@ -150,10 +157,9 @@ def assert_conservation(result, costs=None) -> None:
         batch = min(echo["strategy"]["batch_k"], echo["objects"]["count"])
         assert counts["objects_checked"] == counts["vmexits"] * batch
     if costs is not None:
-        if hrk:
-            assert breakdown["hash"] == (
-                counts["vmexits"] * batch * echo["objects"]["size_bytes"] * costs.t_hash_per_byte
-            )
+        assert breakdown["hash"] == (
+            counts["objects_checked"] * echo["objects"]["size_bytes"] * costs.t_hash_per_byte
+        )
         assert breakdown["vmexit"] == counts["vmexits"] * costs.t_vmexit
         assert breakdown["vmentry"] == counts["vmexits"] * costs.t_vmentry
         assert breakdown["interrupt_delivery"] == (

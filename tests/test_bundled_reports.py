@@ -15,7 +15,8 @@ import hashlib
 
 import pytest
 
-from hfsim.cli import bundled_config_names, main
+from conftest import bundled_config_names
+from hfsim.cli import main
 
 REPORT_SHA256 = {
     "paper_costs.cfg": "bb0ee1a49c7d144b1152b152b1425d346441537dcca352ebba8ee0e2f07a8f6f",

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import bundled_config_names
 from hfsim import threat
-from hfsim.cli import _load_config_text, bundled_config_names
+from hfsim.cli import _load_config_text
 from hfsim.config import (
     _ATTACKS,
     _REQUIRED,

@@ -16,10 +16,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _arrival_times_ref, assert_conservation, event_order_ref, fnv1a64_ref, make_setup,
-    run_per_event_ref,
+    _arrival_times_ref, assert_conservation, bundled_config_names, event_order_ref, fnv1a64_ref,
+    make_setup, run_per_event_ref,
 )
 from hfsim import integrity, simulation
+from hfsim.cli import _load_config_text, execute_config
 from hfsim.config import parse_config_text
 from hfsim.errors import ConfigFileError, ConfigurationError
 from hfsim.guest import ObjectLayout
@@ -37,6 +38,7 @@ from hfsim.simulation import (
     _dispatch_order,
     _poisson_tick,
     _ScenarioRun,
+    charges,
     check_attacks,
     plan_attacks,
     run_scenario,
@@ -744,6 +746,57 @@ def test_hrk_charges_expected_breakdown():
     assert result.total_ticks == SEC + 30 + 60 + 6000 + 192
 
 
+# what one exit or one firing charges under the bundled cost model: 25 + 15 us
+# of transitions, 25 pages mapped at 35 us and 25 x 64 bytes hashed at 180 ns;
+# 100 us of delivery and 15,000 x 64 bytes hashed
+_BUNDLED_TICKS = {"hrk": ("vmexits", 1_203_000), "hf": ("firings", 172_900_000)}
+
+
+@pytest.mark.parametrize("name", bundled_config_names())
+def test_every_bundled_run_is_priced_by_charges_in_closed_form(name):
+    config = parse_config_text(_load_config_text(name)[0])
+    objects = config.objects
+    assert objects.placement == "spread"  # an exit maps one page per object of its batch
+    for strategy_name, runs in execute_config(config).items():
+        strategy = config.strategies[strategy_name]
+        hrk = strategy.kind == "hrk"
+        batch = min(strategy.batch_k, objects.count)
+        assert len(runs) == config.repeats
+        for result in runs:
+            counts = result.counts
+            events = [counts["syscalls"], counts["ctxswitches"]]
+            pages = [n * batch if hrk else 0 for n in events]
+            # no bundled attack moves the IDT, so every firing runs its sweep
+            priced = charges(config.costs, strategy.kind, batch, objects, events, pages,
+                             counts["firings"], counts["firings"])
+            assert priced == (result.cost_breakdown, result.per_event_added,
+                              {key: n for key, n in counts.items() if key != "traps"})
+            count_key, ticks = _BUNDLED_TICKS[strategy.kind]
+            assert result.total_ticks - result.horizon == counts[count_key] * ticks
+
+
+def test_hf_detection_under_jitter_can_take_a_period_and_two_jitters():
+    # firings fall at i*P + u_i with |u_i| <= J: the one due at 32 s comes
+    # 2.987 s early and the one due at 36 s 2.956 s late, so no sweep runs
+    # for P + 2J - 57 ms, and a tamper just after the first waits longer
+    # than P + J + sweep
+    period, jitter = 4 * SEC, 3 * SEC
+    schedule = FiringSchedule(ScheduleMode.PERIODIC_JITTERED, period, jitter, seed=0)
+    firings = schedule.firing_times(60 * SEC, salt=108)
+    assert firings[7:9] == [29_012_605_142, 38_955_965_138]
+    costs = CostModel(t_interrupt_delivery=100_000, t_hash_per_byte=180)
+    setup = make_setup(count=4)
+    result = run_scenario(
+        setup, StrategyConfig(kind="hf", schedule=schedule), _workload(60),
+        [("t", PersistentTamper(object_index=3, at=firings[7] + 1))], costs, seed=108)
+    [detection] = result.detections
+    sweep = setup.objects.count * setup.objects.size_bytes * costs.t_hash_per_byte
+    latency = detection.detected_time - detection.tamper_time
+    assert period + jitter + sweep < latency
+    assert latency <= period + 2 * jitter + costs.t_interrupt_delivery + sweep
+    assert_conservation(result, costs)
+
+
 def _record_batch_checks(monkeypatch) -> list:
     """Patch integrity.check_batch to record the cursor of every call."""
     cursors = []
@@ -1188,13 +1241,14 @@ def test_run_memory_does_not_grow_with_the_object_count(strategy):
     (StrategyConfig(kind="hrk", batch_k=25), [("t", PersistentTamper(object_index=7, at=SEC))]),
 ], ids=["baseline", "hrk", "walked"])
 def test_run_memory_does_not_grow_with_the_event_count(strategy, attacks):
-    # arrivals are drawn a chunk at a time and merged as they come: 20,000
-    # events peak like 200
+    # arrivals are drawn a chunk at a time and merged as they come: past 5,000
+    # events, where both sources draw full chunks, 20,000 events peak higher
+    # by less than one 8-byte reference for each of the 15,000 more
     def peak(rate):
         workload = _workload(2, syscall_rate=rate, ctx_rate=rate / 4, arrival=Arrival.POISSON)
         return _run_peak_bytes(100, strategy, workload, attacks)
 
-    assert peak(8_000) <= peak(80) + (1 << 20)
+    assert peak(8_000) <= peak(2_000) + 8 * 15_000
 
 
 @pytest.mark.parametrize("strategy", [

@@ -9,6 +9,7 @@ import argparse
 import contextlib
 import importlib.resources
 import json
+import math
 import os
 import shutil
 import sys
@@ -61,7 +62,7 @@ def _print_config_problems(exc: ConfigFileError) -> None:
 
 
 def execute_config(config: ScenarioConfig, trace_dir: Optional[Path] = None) -> dict:
-    """Run all (strategy x repeat) combinations of a validated config.
+    """Run all (strategy x repeat) combinations of a config, after planning its attacks.
 
     With `trace_dir`, each run writes its trace entries, one JSON object a
     line, to `trace-<strategy>-<seed>.jsonl` there as it produces them.
@@ -150,7 +151,7 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         text, display = _load_config_text(args.config)
-        parse_config_text(text)
+        parse_config_text(text).expanded_attacks()
     except ConfigFileError as exc:
         _print_config_problems(exc)
         return EXIT_CONFIG
@@ -177,6 +178,13 @@ def _cmd_diff(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(raw: str) -> float:
+    with contextlib.suppress(ValueError):
+        if 0 <= float(raw) < math.inf:  # false for NaN
+            return float(raw)
+    raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {raw!r}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="hfsim", description=__doc__)
     parser.add_argument("--version", action="version", version=f"hfsim {__version__}")
@@ -197,7 +205,7 @@ def build_parser() -> _Parser:
     p_diff = sub.add_parser("diff", help="diff two report.json files")
     p_diff.add_argument("report_a")
     p_diff.add_argument("report_b")
-    p_diff.add_argument("--tol", type=float, default=1.0,
+    p_diff.add_argument("--tol", type=_tolerance, default=1.0,
                         help="tolerance in percent (default 1.0)")
     p_diff.set_defaults(func=_cmd_diff)
     return parser

@@ -109,7 +109,6 @@ class EventKind(enum.IntEnum):
 
     DEVICE_FIRING = 1
     ATTACK = 2
-    WORKLOAD = 3
 
 
 # a run's events are (time, kind, payload), sorted by this key; the sort is
@@ -198,7 +197,8 @@ class Layout:
     pages_required: int
 
 
-def _layout(setup: SetupSpec) -> Layout:
+def _layout(setup: SetupSpec) -> tuple[Layout, list]:
+    """The concrete placement for a setup, and its problems keyed by config key."""
     ps = setup.machine.page_size
     idt_limit = IDT_VECTORS * IDT_ENTRY_SIZE
     module_page = 1 + -(-idt_limit // ps)
@@ -209,105 +209,23 @@ def _layout(setup: SetupSpec) -> Layout:
     else:
         stride, obj_pages = objs.size_bytes, -(-objs.count * objs.size_bytes // ps)
     objects = ObjectLayout(first_obj_page * ps, stride, objs.size_bytes, objs.count)
-    return Layout(ps, idt_limit, module_page * ps, objects, first_obj_page + obj_pages)
+    pages_required = first_obj_page + obj_pages
+    problems = []
+    if objs.placement == "spread" and objs.size_bytes > ps:
+        problems.append(("objects.size_bytes",
+                         "spread placement requires size_bytes <= page_size"))
+    if setup.machine.page_count < pages_required:
+        problems.append(("machine.page_count", f"machine needs >= {pages_required} "
+                         f"pages for this layout, got {setup.machine.page_count}"))
+    return Layout(ps, idt_limit, module_page * ps, objects, pages_required), problems
 
 
 def plan_layout(setup: SetupSpec) -> Layout:
     """The concrete placement for a setup; ConfigFileError, keyed by config key, if invalid."""
-    objs = setup.objects
-    layout = _layout(setup)
-    problems = []
-    if objs.placement == "spread" and objs.size_bytes > setup.machine.page_size:
-        problems.append(("objects.size_bytes",
-                         "spread placement requires size_bytes <= page_size"))
-    if setup.machine.page_count < layout.pages_required:
-        problems.append(("machine.page_count", f"machine needs >= {layout.pages_required} "
-                         f"pages for this layout, got {setup.machine.page_count}"))
+    layout, problems = _layout(setup)
     if problems:
         raise ConfigFileError(problems)
     return layout
-
-
-def check_attacks(setup: SetupSpec, scripts: Sequence) -> dict:
-    """Validate labelled attack scripts or specs against a setup before t=0.
-
-    Each spec must keep its kind's `bounds`, which only a spec built
-    directly can break. Then object tampers must name a registered object
-    and XOR a byte inside it; code tampers must write only inside guest
-    memory; IDT tampers must name a vector inside the IDT, and IDTR
-    tampers a table inside guest memory; no two scripts may target the
-    same object or the IDTR, since a detection could not then be
-    attributed. A sweep is checked in place, tamper by tamper under its
-    `expand_attacks` label, where only its targets can collide. Returns
-    {target: label} for the object and IDTR tampers. Raises ConfigFileError
-    keyed by label and field, in script order: a script's broken bounds,
-    else its first problem against the setup.
-    """
-    memory = setup.machine.page_count * setup.machine.page_size
-    layout = _layout(setup)
-    targets: dict = {}
-    problems = []
-
-    def claim(target, label: str) -> None:
-        if target in targets:
-            problems.append((f"attack {label}",
-                             f"targets the same object as attack {targets[target]!r}"))
-        else:
-            targets[target] = label
-
-    for label, script in scripts:
-        key = f"attack {label}"
-        bounded = [(f"{key}.{name}", problem)
-                   for name, bound in getattr(type(script), "bounds", {}).items()
-                   if (problem := bound(getattr(script, name)))]
-        if bounded:
-            problems += bounded
-            continue
-        if isinstance(script, threat.SweepSpec):
-            for i, target in enumerate(script.targets(setup.objects.count)):
-                claim(target, f"{label}[{i:03d}]")
-            continue
-        if isinstance(script, (threat.PersistentTamper, threat.TransientTamper)):
-            target = script.object_index
-            if target >= setup.objects.count:
-                problems.append((f"{key}.object_index", f"object index {target} "
-                                 f"outside [0, {setup.objects.count})"))
-                continue
-            if script.offset >= setup.objects.size_bytes:  # a planned object lies in memory
-                problems.append((f"{key}.offset", f"byte {script.offset} outside the object "
-                                 f"of {setup.objects.size_bytes} bytes"))
-                continue
-        elif isinstance(script, threat.CodeTamper):
-            addr = layout.module_addr + script.offset
-            if addr > memory - len(script.payload):
-                problems.append((f"{key}.offset", f"write [{addr}, "
-                                 f"{addr + len(script.payload)}) outside memory of "
-                                 f"{memory} bytes"))
-            continue
-        elif isinstance(script, threat.IdtTamper):
-            if script.vector >= IDT_VECTORS:
-                problems.append((f"{key}.vector", f"vector {script.vector} outside "
-                                 f"the IDT of {IDT_VECTORS} entries"))
-            elif problem := handler_problem(script.new_handler):
-                problems.append((f"{key}.new_handler", problem))
-            continue
-        elif isinstance(script, threat.IdtrTamper):
-            target = IDTR_TARGET
-            limit = IDT_VECTORS * IDT_ENTRY_SIZE if script.new_limit is None else script.new_limit
-            if problem := idtr_limit_problem(limit):
-                problems.append((f"{key}.new_limit", problem))
-                continue
-            if script.new_base > memory - limit:
-                problems.append((f"{key}.new_base", f"IDTR [{script.new_base}, "
-                                 f"{script.new_base + limit}) outside memory of "
-                                 f"{memory} bytes"))
-                continue
-        else:
-            continue
-        claim(target, label)
-    if problems:
-        raise ConfigFileError(problems)
-    return targets
 
 
 @dataclass(slots=True)
@@ -479,10 +397,11 @@ def _window_events(windows, dirty: tuple, clean: tuple) -> list:
 class AttackPlan:
     """A config's attacks against its setup, checked and resolved once for all its runs.
 
-    `labels` is each script's (label, kind) in script order; a sweep's
-    tampers are `<label>[<i:03d>]`, of kind persistent. `target_label` is
-    `check_attacks`' {target: label}. `events` is every attack action as
-    (time, ATTACK, payload) in script order. A write's payload is (action,
+    `plan_attacks` builds it. `labels` is each script's (label, kind) in
+    script order; a sweep's tampers are `<label>[<i:03d>]`, of kind
+    persistent. `target_label` is {target: label} for the object and IDTR
+    tampers. `events` is every attack action as (time, ATTACK, payload) in
+    script order. A write's payload is (action,
     label, address, bytes, the ids of the objects the bytes overlap), all
     fixed by the layout. A transient tamper whose attacker can read a
     guest-visible schedule is also in `evasive`, as (start, stop, windows,
@@ -508,55 +427,106 @@ class AttackPlan:
 def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
     """Check labelled attack specs against a setup and resolve each of their actions.
 
-    Raises ConfigFileError as `plan_layout` and `check_attacks` do, and
-    ConfigurationError for a spec of no attack kind. Set-up writes only
-    the IDT and the module page, so every object byte starts as zero: a
-    tamper writes its mask and restores a zero. A sweep is resolved in
-    place, tamper by tamper, as `threat.expand_attacks` spells it out.
+    Each spec must keep its kind's `bounds`. Object tampers must XOR a
+    byte inside a registered object; code tampers must write inside guest
+    memory; IDT tampers must name a vector inside the IDT, and IDTR
+    tampers a table inside guest memory; no two scripts may target the
+    same object or the IDTR, whose detections could not be told apart. A
+    sweep is checked and resolved in place, tamper by tamper under its
+    `threat.expand_attacks` label. One ConfigFileError, keyed by config
+    key, holds every problem: `plan_layout`'s first, then each spec's
+    broken bounds, else its first problem against the setup, in script
+    order. A spec of no attack kind raises ConfigurationError. Set-up
+    writes only the IDT and the module page, so every object byte starts
+    as zero: a tamper writes its mask and restores a zero.
     """
-    layout = plan_layout(setup)
-    target_label = check_attacks(setup, specs)
+    layout, problems = _layout(setup)
+    memory = setup.machine.page_count * setup.machine.page_size
     objects = layout.objects
-    labels, events, evasive = [], [], []
+    targets, labels, events, evasive = {}, [], [], []
     swept = threat.PersistentTamper  # a sweep's tampers take its default offset and mask
+
+    def claim(target, label: str) -> None:
+        if target in targets:
+            problems.append((f"attack {label}",
+                             f"targets the same object as attack {targets[target]!r}"))
+        else:
+            targets[target] = label
 
     def dirty(label: str, index: int, offset: int, mask: int) -> tuple:
         addr = objects.addr(index) + offset
         return (_ACT_WRITE, label, addr, bytes((mask,)), objects.overlapping(addr, addr + 1))
 
     for label, spec in specs:
+        key = f"attack {label}"
+        bounded = [(f"{key}.{name}", problem)
+                   for name, bound in getattr(type(spec), "bounds", {}).items()
+                   if (problem := bound(getattr(spec, name)))]
+        if bounded:
+            problems += bounded
+            continue
         if isinstance(spec, threat.SweepSpec):
             for i, target in enumerate(spec.targets(setup.objects.count)):
                 tamper = f"{label}[{i:03d}]"
+                claim(target, tamper)
                 labels.append((tamper, swept.kind))
                 events.append((spec.start + i * spec.step, EventKind.ATTACK,
                                dirty(tamper, target, swept.offset, swept.xor_mask)))
             continue
-        if isinstance(spec, threat.PersistentTamper):
-            events.append((spec.at, EventKind.ATTACK,
-                           dirty(label, spec.object_index, spec.offset, spec.xor_mask)))
-        elif isinstance(spec, threat.TransientTamper):
-            write = dirty(label, spec.object_index, spec.offset, spec.xor_mask)
-            _, _, addr, _, oids = write
-            restore = (_ACT_RESTORE, label, addr, bytes(1), oids)
-            if spec.knowledge is threat.ScheduleKnowledge.GUEST_VISIBLE_ONLY:
-                evasive.append((len(events), len(events) + 2 * len(spec.windows),
-                                spec.windows, write, restore))
-            events += _window_events(spec.windows, write, restore)
+        if isinstance(spec, (threat.PersistentTamper, threat.TransientTamper)):
+            if spec.object_index >= objects.count:
+                problems.append((f"{key}.object_index", f"object index {spec.object_index} "
+                                 f"outside [0, {objects.count})"))
+                continue
+            if spec.offset >= objects.length:  # a planned object lies in memory
+                problems.append((f"{key}.offset", f"byte {spec.offset} outside the object "
+                                 f"of {objects.length} bytes"))
+                continue
+            claim(spec.object_index, label)
+            action = dirty(label, spec.object_index, spec.offset, spec.xor_mask)
+            if isinstance(spec, threat.TransientTamper):
+                restore = (_ACT_RESTORE, label, action[2], bytes(1), action[4])
+                if spec.knowledge is threat.ScheduleKnowledge.GUEST_VISIBLE_ONLY:
+                    evasive.append((len(events), len(events) + 2 * len(spec.windows),
+                                    spec.windows, action, restore))
+                events += _window_events(spec.windows, action, restore)
+                action = None
         elif isinstance(spec, threat.CodeTamper):
-            addr, length = layout.module_addr + spec.offset, len(spec.payload)
-            events.append((spec.at, EventKind.ATTACK, (
-                _ACT_MODULE, label, addr, spec.payload, objects.overlapping(addr, addr + length))))
+            addr = layout.module_addr + spec.offset
+            end = addr + len(spec.payload)
+            if end > memory:
+                problems.append((f"{key}.offset",
+                                 f"write [{addr}, {end}) outside memory of {memory} bytes"))
+                continue
+            action = (_ACT_MODULE, label, addr, spec.payload, objects.overlapping(addr, end))
         elif isinstance(spec, threat.IdtTamper):
-            events.append((spec.at, EventKind.ATTACK,
-                           (_ACT_IDT, label, spec.vector, spec.new_handler)))
+            if spec.vector >= IDT_VECTORS:
+                problems.append((f"{key}.vector", f"vector {spec.vector} outside "
+                                 f"the IDT of {IDT_VECTORS} entries"))
+                continue
+            if problem := handler_problem(spec.new_handler):
+                problems.append((f"{key}.new_handler", problem))
+                continue
+            action = (_ACT_IDT, label, spec.vector, spec.new_handler)
         elif isinstance(spec, threat.IdtrTamper):
-            events.append((spec.at, EventKind.ATTACK,
-                           (_ACT_IDTR, label, spec.new_base, spec.new_limit)))
+            limit = layout.idt_limit if spec.new_limit is None else spec.new_limit
+            if problem := idtr_limit_problem(limit):
+                problems.append((f"{key}.new_limit", problem))
+                continue
+            if spec.new_base > memory - limit:
+                problems.append((f"{key}.new_base", f"IDTR [{spec.new_base}, "
+                                 f"{spec.new_base + limit}) outside memory of {memory} bytes"))
+                continue
+            claim(IDTR_TARGET, label)
+            action = (_ACT_IDTR, label, spec.new_base, spec.new_limit)
         else:
             raise ConfigurationError(f"unknown attack script {spec!r}")
+        if action is not None:  # a transient tamper's actions are listed already
+            events.append((spec.at, EventKind.ATTACK, action))
         labels.append((label, spec.kind))
-    return AttackPlan(setup, layout, tuple(labels), types.MappingProxyType(target_label),
+    if problems:
+        raise ConfigFileError(problems)
+    return AttackPlan(setup, layout, tuple(labels), types.MappingProxyType(targets),
                       tuple(events), tuple(evasive))
 
 
@@ -805,9 +775,9 @@ class _ScenarioRun:
         outcome, machine, table = self.outcomes[label], self.machine, self.table
         if action in (_ACT_WRITE, _ACT_RESTORE, _ACT_MODULE):
             addr, data, oids = payload[2:]
-            if action is _ACT_MODULE or addr // machine.page_size in self.registry.protected_pages:
+            if action is _ACT_MODULE:
                 result = machine.guest_write(self.registry, addr, data, now=now)
-            else:  # one byte inside one object, on a page with no veto: store it, record its digest
+            else:  # one object byte, on a page no strategy protects: store it, record its digest
                 machine.store_byte(addr, data[0])
                 oid, objects = oids[0], machine.objects
                 table.record(oid, table.digest(machine.read(objects.addr(oid), objects.length)))

@@ -7,10 +7,10 @@ windows and restores the exact baseline bytes at window end. When it knows
 the check schedule (only possible against a guest-visible device) it clips
 its dirty windows to be clean around every known firing.
 
-Each attack spec states its fields' bounds in ``bounds`` for the config, and
-`simulation.check_attacks` checks them against a setup; only a transient tamper's
-windows are checked when built. The simulation resolves a sweep's tampers in place;
-`expand_attacks` spells them out as scripts, the reference it is held to.
+Each attack spec states its fields' bounds in ``bounds``; `simulation.plan_attacks`
+checks them, and the spec against a setup, where it plans the attacks. Only a
+transient tamper's windows are checked when built. The plan resolves a sweep's
+tampers in place; `expand_attacks` spells them out as scripts, its reference.
 """
 
 from __future__ import annotations

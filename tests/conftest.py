@@ -261,6 +261,10 @@ def _on_attack_ref(run, now, payload) -> None:
         run.trace({"t": now, "kind": "attack", "label": label, "action": action})
 
 
+# an arrival's priority on the oracle's heap: after every firing and attack action at its tick
+_WORKLOAD = max(EventKind) + 1
+
+
 def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), seed=0,
                       trace=None):
     """The per-event engine loop: the oracle for run_scenario's arrival walk.
@@ -279,14 +283,14 @@ def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), 
                      ("ctxswitch", workload.ctxswitch_rate)):
         rng = random.Random(f"workload-{op}:{seed}")
         for t in _arrival_times_ref(rate, workload.horizon, workload.arrival, rng):
-            heapq.heappush(heap, (t, EventKind.WORKLOAD, next(seq), (op,)))
+            heapq.heappush(heap, (t, _WORKLOAD, next(seq), (op,)))
     for time, kind, payload in run.events:  # firings and attacks, in order
         heapq.heappush(heap, (time, kind, next(seq), payload))
     handlers = {EventKind.DEVICE_FIRING: run._on_firing,
                 EventKind.ATTACK: lambda now, payload: _on_attack_ref(run, now, payload)}
     while heap and heap[0][0] <= workload.horizon:
         time, kind, _, payload = heapq.heappop(heap)
-        if kind == EventKind.WORKLOAD:
+        if kind == _WORKLOAD:
             _on_arrival_ref(run, tallies[payload[0]], time, payload[0])
         else:
             handlers[kind](time, payload)

@@ -222,6 +222,19 @@ def test_validate_rejects_what_run_rejects(attack, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_run_whose_plan_fails_leaves_nothing_behind(tmp_path, capsys):
+    # the plan is built after the staging directory and --out's ancestors are made
+    cfg = tmp_path / "clash.cfg"
+    cfg.write_text(SMALL + "\n[attack again]\nkind = persistent\nobject_index = 5\nat_s = 2\n")
+    assert main(["validate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "config error:", "  attack again: targets the same object as attack 'boom'"]
+    assert main(["run", str(cfg), "--out", str(tmp_path / "a" / "b" / "out")]) == 2
+    assert capsys.readouterr().err == err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("page_size, code", [
     (0, 2), (32, 2), (100, 2), (-4096, 2), (64, 0), (4096, 0),
 ])
@@ -397,22 +410,29 @@ def test_a_drawn_config_round_trips_and_validates_as_it_runs(text):
         config = parse_config_text(text)
     except ConfigFileError:
         config = None
+    planned = False
     if config is not None:
+        canonical = serialize_config(config)
+        again = parse_config_text(canonical)
+        assert again == config
+        assert serialize_config(again) == canonical
+        try:
+            config.expanded_attacks()
+            planned = True
+        except ConfigFileError:
+            pass
+    if planned:
         # an object tamper whose offset (drawn up to size + 2) runs past its object is
         # rejected; a sweep's tampers all write at offset 0
         assert all(spec.offset < config.objects.size_bytes
                    for _, spec in config.attacks
                    if isinstance(spec, (PersistentTamper, TransientTamper)))
-        canonical = serialize_config(config)
-        again = parse_config_text(canonical)
-        assert again == config
-        assert serialize_config(again) == canonical
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "drawn.cfg"
         cfg.write_text(text)
         validated = _quiet_main(["validate", str(cfg)])
         ran = _quiet_main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
-    assert validated == (2 if config is None else 0)
+    assert validated == (0 if planned else 2)
     assert ran == validated
 
 
@@ -589,6 +609,24 @@ def test_diff_cli_exit_codes(small_cfg, tmp_path, capsys):
     data["config_digest"] = "f" * 16
     other.write_text(json.dumps(data))
     assert main(["diff", str(report), str(other)]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-5", "abc"])
+def test_diff_rejects_a_tolerance_that_breaks_it(tol, small_cfg, tmp_path, capsys):
+    # under --tol nan a 10-point overhead regression went unflagged; under -5 every change was
+    def regress(report):
+        report["strategies"]["hrk"]["overhead_pct"]["mean"] += 10
+
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, report in zip(paths, _report_pair(small_cfg, regress)):
+        path.write_text(json.dumps(report))
+    assert main(["diff", *map(str, paths)]) == 0
+    assert capsys.readouterr().err == "regressions beyond tolerance detected\n"
+    assert main(["diff", *map(str, paths), f"--tol={tol}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"hfsim diff: error: argument --tol: must be a finite number >= 0, got {tol!r}")
 
 
 def test_render_text_contains_all_strategies(small_cfg):

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from conftest import bundled_config_names
-from hfsim import threat
+from hfsim import config as config_module
+from hfsim import simulation, threat
 from hfsim.cli import _load_config_text
 from hfsim.config import (
     _ATTACKS,
@@ -27,6 +28,7 @@ from hfsim.simulation import (
     SetupSpec,
     StrategyConfig,
     WorkloadSpec,
+    plan_attacks,
     run_scenario,
 )
 from hfsim.threat import windows_problem
@@ -55,6 +57,14 @@ kind = baseline
 def _problems(text):
     with pytest.raises(ConfigFileError) as exc_info:
         parse_config_text(text)
+    return dict(exc_info.value.problems)
+
+
+def _plan_problems(text):
+    # the sections taken together, the layout and the attacks, are checked where they are planned
+    config = parse_config_text(text)
+    with pytest.raises(ConfigFileError) as exc_info:
+        config.expanded_attacks()
     return dict(exc_info.value.problems)
 
 
@@ -167,7 +177,7 @@ knowledge = guest_visible
 
 def test_attack_object_index_out_of_range():
     text = MINIMAL + "\n[attack a]\nkind = persistent\nobject_index = 4\nat_s = 1\n"
-    assert "attack a.object_index" in _problems(text)
+    assert _plan_problems(text) == {"attack a.object_index": "object index 4 outside [0, 4)"}
 
 
 def test_duplicate_attack_targets_cross_validated():
@@ -182,9 +192,7 @@ kind = persistent
 object_index = 1
 at_s = 2
 """
-    problems = _problems(text)
-    assert "attack b" in problems
-    assert "'a'" in problems["attack b"]
+    assert _plan_problems(text) == {"attack b": "targets the same object as attack 'a'"}
 
 
 _SWEPT = MINIMAL.replace("page_count = 8", "page_count = 304").replace(
@@ -204,26 +212,31 @@ repeats = 2
 """
 
 
-def test_a_sweep_is_checked_at_parse_without_being_expanded(monkeypatch):
+def test_a_sweep_is_checked_at_plan_without_being_expanded(monkeypatch):
     def refuse(specs, object_count):
-        raise AssertionError("attacks expanded at parse")
+        raise AssertionError("attacks expanded")
 
     monkeypatch.setattr(threat, "expand_attacks", refuse)
-    assert parse_config_text(_SWEPT).attacks[0][1].count == 250
+    config = parse_config_text(_SWEPT)
+    assert config.attacks[0][1].count == 250
+    assert len(config.expanded_attacks().labels) == 250
     # a collision is still found, under the colliding tamper's label
     hit = "\n[attack hit]\nkind = persistent\nobject_index = 7\nat_s = 1\n"
-    assert _problems(_SWEPT + hit) == {
+    assert _plan_problems(_SWEPT + hit) == {
         "attack hit": "targets the same object as attack 'sweep[007]'"}
     before_sweep = _SWEPT.replace("[attack sweep]", hit + "\n[attack sweep]")
-    assert _problems(before_sweep) == {
+    assert _plan_problems(before_sweep) == {
         "attack sweep[007]": "targets the same object as attack 'hit'"}
 
 
 def test_a_pass_plans_its_attacks_once(monkeypatch):
     # a pass as perfbench runs it: parse, plan, every strategy x repeat, report; the
     # sweep is resolved in place, so no tamper is built and nothing is expanded
-    plans, tampers = [], []
+    plans, planned, tampers = [], [], []
     plan_init, tamper_init = AttackPlan.__init__, threat.PersistentTamper.__init__
+    for module in (config_module, simulation):  # each caller's name for the planner
+        monkeypatch.setattr(module, "plan_attacks",
+                            lambda *args, plan=plan_attacks: planned.append(args) or plan(*args))
     monkeypatch.setattr(AttackPlan, "__init__",
                         lambda self, *args: plans.append(args) or plan_init(self, *args))
     monkeypatch.setattr(threat.PersistentTamper, "__init__",
@@ -234,18 +247,20 @@ def test_a_pass_plans_its_attacks_once(monkeypatch):
 
     monkeypatch.setattr(threat, "expand_attacks", refuse)
     config = parse_config_text(_SWEPT)
+    assert planned == []  # parsing plans nothing
     plan = config.expanded_attacks()
     results = {name: [run_scenario(config.setup(), strategy, config.workload, plan,
                                    config.costs, config.seed + r) for r in range(config.repeats)]
                for name, strategy in config.strategies.items()}
     build_report(config, results)
-    assert len(plans) == 1 and tampers == [] and len(plan.labels) == 250
+    assert len(planned) == len(plans) == 1 and tampers == [] and len(plan.labels) == 250
     assert [len(run.attack_outcomes) for runs in results.values() for run in runs] == [250] * 4
 
 
 def test_machine_too_small_for_layout():
     text = MINIMAL.replace("page_count = 8", "page_count = 4")
-    assert "machine.page_count" in _problems(text)
+    assert _plan_problems(text) == {
+        "machine.page_count": "machine needs >= 7 pages for this layout, got 4"}
 
 
 def test_subsecond_precision_rejected():
@@ -301,7 +316,7 @@ def test_windows_problem_is_the_transient_tamper_rule():
 
 def test_spread_object_larger_than_a_page_names_size_bytes():
     text = MINIMAL.replace("size_bytes = 64", "size_bytes = 8192")
-    assert _problems(text) == {
+    assert _plan_problems(text) == {
         "objects.size_bytes": "spread placement requires size_bytes <= page_size",
     }
 

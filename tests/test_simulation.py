@@ -39,7 +39,6 @@ from hfsim.simulation import (
     _poisson_tick,
     _ScenarioRun,
     charges,
-    check_attacks,
     plan_attacks,
     run_scenario,
 )
@@ -915,6 +914,25 @@ def test_an_hf_sweep_builds_violations_only_for_new_episodes(sizes, monkeypatch)
         assert len(result.detections) == 777
 
 
+@settings(max_examples=40, deadline=None)
+@given(placement=st.sampled_from(["spread", "packed"]), count=st.integers(1, 40),
+       size=st.integers(1, 64), page_size=st.sampled_from([64, 128, 4096]),
+       extra_pages=st.integers(0, 2))
+def test_no_object_page_is_protected_under_hf(placement, count, size, page_size, extra_pages):
+    # only the module's and the IDT's pages are protected, so an object tamper's byte
+    # needs no mediated write
+    setup = make_setup(count=count, size_bytes=size, page_size=page_size, placement=placement,
+                       extra_pages=extra_pages)
+    objects = simulation.plan_layout(setup).objects
+    object_pages = range(objects.base // page_size,
+                         -(-(objects.addr(count - 1) + size) // page_size))
+    run = _ScenarioRun(setup, _hf(period_s=1), _workload(3), (), CostModel(), 0)
+    protected = set(run.registry.protected_pages)
+    assert protected and protected.isdisjoint(object_pages)
+    run.run()
+    assert run.firings == 3 and run.registry.protected_pages == protected
+
+
 @settings(max_examples=60, deadline=None)
 @given(placement=st.sampled_from(["spread", "packed"]), count=st.integers(1, 40),
        size=st.integers(1, 64), page_size=st.sampled_from([64, 128, 4096]),
@@ -934,13 +952,13 @@ def test_a_run_registers_and_tampers_the_planned_object_layout(
                                          xor_mask=mask))
     if offset >= size:  # past its object, onto the next or a gap, whatever memory holds
         with pytest.raises(ConfigFileError) as exc_info:
-            check_attacks(setup, [script])
+            plan_attacks(setup, [script])
         assert exc_info.value.problems == [
             ("attack tamper.offset", f"byte {offset} outside the object of {size} bytes")]
         return
     addr = objects.addr(index) + offset
     memory = setup.machine.page_count * page_size
-    assert check_attacks(setup, [script]) == {index: "tamper"}
+    assert plan_attacks(setup, [script]).target_label == {index: "tamper"}
     run = _ScenarioRun(setup, StrategyConfig(kind="baseline"), _workload(2), [script],
                        CostModel(), 0)
     assert run.machine.objects == objects

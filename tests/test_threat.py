@@ -14,7 +14,6 @@ from hfsim.simulation import (
     CostModel,
     StrategyConfig,
     WorkloadSpec,
-    check_attacks,
     plan_attacks,
     run_scenario,
 )
@@ -307,7 +306,7 @@ def test_a_sweep_checked_in_place_is_checked_as_its_expansion(count, specs):
 
     def checked(scripts):
         try:
-            return list(check_attacks(setup, scripts).items())
+            return list(plan_attacks(setup, scripts).target_label.items())
         except ConfigFileError as exc:
             return exc.problems
 
@@ -353,7 +352,7 @@ def test_a_run_from_the_plan_equals_a_run_from_the_expanded_scripts(count, specs
 
 def test_duplicate_targets_rejected():
     with pytest.raises(ConfigurationError):
-        check_attacks(
+        plan_attacks(
             make_setup(count=4),
             [("a", PersistentTamper(object_index=1, at=0)),
              ("b", TransientTamper(object_index=1, windows=((1, 2),)))],

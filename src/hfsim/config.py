@@ -122,13 +122,6 @@ def _parse_int(raw: str) -> int:
     return int(raw, 0)
 
 
-def _parse_rate(raw: str) -> float:
-    value = float(raw)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ValueError("rate must be finite")
-    return value
-
-
 def _parse_enum(cls):
     choice = one_of(*(member.value for member in cls))
 
@@ -179,7 +172,7 @@ def _fmt_choice(value) -> str:
 # other parse function reads a choice
 _FORMATS = {
     _parse_int: str,
-    _parse_rate: repr,
+    float: repr,
     ticks_from_seconds: _fmt_s,
     ticks_from_us: _fmt_us,
     ticks_from_ns: str,
@@ -206,8 +199,8 @@ _SECTIONS = {
                       ("size_bytes", _parse_int),
                       ("placement", str)),
     "workload": _table(WorkloadSpec,
-                       ("syscall_rate", _parse_rate),
-                       ("ctxswitch_rate", _parse_rate),
+                       ("syscall_rate", float),
+                       ("ctxswitch_rate", float),
                        ("arrival", _parse_enum(Arrival)),
                        ("horizon_s", ticks_from_seconds)),
     "costs": _table(CostModel,

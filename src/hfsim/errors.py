@@ -4,6 +4,7 @@ A bound maps a field's value to the reason it is rejected, or None. A spec names
 fields' bounds in ``bounds``; the config checks them key by key, `spec` when built.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,6 +44,11 @@ def nonneg(value) -> Optional[str]:
 
 def positive(value) -> Optional[str]:
     return None if value > 0 else "must be > 0"
+
+
+def finite(bound):
+    """`bound`, for a value that is neither infinite nor NaN."""
+    return lambda value: bound(value) if -math.inf < value < math.inf else "must be finite"
 
 
 def byte(value) -> Optional[str]:

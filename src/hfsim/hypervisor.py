@@ -107,7 +107,10 @@ class FiringSchedule:
 
     Jittered firings are ``i*period + round(u_i * 1e9)`` ticks where the
     ``u_i`` are drawn in order from ``random.Random(f"device:{seed}")``
-    (or ``f"device:{seed}:{salt}"``) as ``uniform(-J, +J)`` seconds.
+    (or ``f"device:{seed}:{salt}"``) as ``uniform(-J, +J)`` seconds. Two
+    consecutive firings can then be ``period + 2J`` apart, so hf detects a
+    persistent object tamper within ``period + 2J`` plus the delivery and
+    one sweep (``period`` plus those when J = 0).
     """
 
     mode: ScheduleMode
@@ -175,15 +178,9 @@ def fire_interrupt(
     except (ConfigurationError, AddressError):
         handler = None
     if handler is None or not module.contains(handler):
-        report = integrity.CheckReport(diverged=1, subverted=True)
-        if integrity.HANDLER_TARGET not in skip:
-            report.violations.append(integrity.Violation(
-                target=integrity.HANDLER_TARGET,
-                expected=(module.addr, module.end),
-                found=handler,
-                time=now + delivery,
-            ))
-        return report
+        violations = [] if integrity.HANDLER_TARGET in skip else [
+            integrity.Violation(integrity.HANDLER_TARGET, now + delivery)]
+        return integrity.CheckReport(violations, diverged=1, subverted=True)
 
     pages = list(module.page_range(machine.page_size))
     reg.unprotect_pages(pages)
@@ -210,16 +207,12 @@ def on_control_register_write(
 
     The batch is checked after the exit and one page-remap per distinct
     page it touches (the in-hypervisor checker cannot read guest memory
-    natively); the report counts those pages, computed from the object
-    layout. A batch that wraps past the last object covers two id spans.
-    The batch cursor advances round-robin. Targets in `skip` get no
-    violation.
+    natively), so its violations are stamped after those; the pages come
+    from the object layout. A batch that wraps past the last object
+    covers two id spans. The batch cursor advances round-robin. Returns
+    the batch check's report, which holds only what it found. Targets in
+    `skip` get no violation.
     """
-    start = table.cursor
-    pages_mapped = machine.object_pages(start, start + min(k, table.count))
-    begin = now + costs.t_vmexit + pages_mapped * costs.t_map_page
-    report = integrity.check_batch(
-        machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte, now=begin, skip=skip
-    )
-    report.pages_mapped = pages_mapped
-    return report
+    pages = machine.object_pages(table.cursor, table.cursor + min(k, table.count))
+    return integrity.check_batch(machine, table, k, hash_ticks_per_byte=costs.t_hash_per_byte,
+                                 now=now + costs.t_vmexit + pages * costs.t_map_page, skip=skip)

@@ -7,12 +7,14 @@ or over a round-robin batch per call (the in-hypervisor path). The hash is
 64-bit FNV-1a behind a pluggable digest function; digest-collision forgery
 is out of scope for this model.
 
+A check returns only what it found: how many targets in its range
+diverged, and a violation (the target, and when its hash ended) for each
+of them its caller has not reported yet. What it covered and what it
+cost follow from its window and the cost model, which the caller holds.
 A check costs O(diverged objects in its range), not O(objects checked).
 The table folds in each object the guest writes, or records the digest
 its writer computed, and keeps those whose digest now differs from their
-baseline; a check reads their ids and computes no digest. It counts
-every diverged target in its range, and builds a violation only for
-those its caller has not reported yet.
+baseline; a check reads their ids and computes no digest.
 Folding digests each distinct object content once: the table memoises
 {content: digest}, seeded by the snapshot, so a write of bytes seen
 before (the same patch in another object, a restore to the baseline)
@@ -61,33 +63,25 @@ def compute_digest(data: bytes) -> int:
 
 @dataclass(slots=True)
 class Violation:
-    """A checked target whose current value differs from its baseline."""
+    """A checked target that differs from its baseline, and when the check found it."""
 
     target: Union[int, str]
-    expected: object
-    found: object
     time: Ticks
 
 
 @dataclass(slots=True)
 class CheckReport:
-    """What one check covered, what it found, and its hash time.
+    """What one check found.
 
-    The same type serves a batch (`check_batch`, plus the pages a VMExit
-    mapped for it) and a sweep (`check_all`, or a forced interrupt whose
-    sweep was refused because its dispatch was `subverted`). `diverged`
-    counts every checked target that differs from its baseline;
-    `violations` holds those of them not in the check's `skip`, in check
-    order. `duration` is the hash time alone; callers charge transitions,
-    mapping and delivery from their cost model.
+    The same type serves a batch (`check_batch`) and a sweep (`check_all`,
+    or a forced interrupt whose sweep was refused because its dispatch was
+    `subverted`). `diverged` counts every checked target that differs from
+    its baseline; `violations` holds those of them not in the check's
+    `skip`, in check order.
     """
 
-    objects_checked: int = 0
     violations: list = field(default_factory=list)
     diverged: int = 0
-    duration: Ticks = 0
-    cycle_completed: bool = False
-    pages_mapped: int = 0
     subverted: bool = False
 
 
@@ -178,18 +172,6 @@ def snapshot_baselines(
     return table
 
 
-def verify_idtr(
-    machine: "GuestMachine", table: BaselineTable, now: Ticks = 0
-) -> Optional[Violation]:
-    """Violation iff the current (base, limit) differs from the snapshot."""
-    current = (machine.idtr.base, machine.idtr.limit)
-    if current == table.idtr_baseline:
-        return None
-    return Violation(
-        target=IDTR_TARGET, expected=table.idtr_baseline, found=current, time=now
-    )
-
-
 def _check_window(
     machine: "GuestMachine", table: BaselineTable, start: int, k: int,
     hash_ticks_per_byte: Ticks, now: Ticks, skip: Container,
@@ -203,22 +185,18 @@ def _check_window(
     """
     n, end = table.count, start + k
     per_object = machine.objects.length * hash_ticks_per_byte
-    report = CheckReport(objects_checked=k, duration=k * per_object, cycle_completed=end >= n)
+    report = CheckReport()
     diverged = table.fold(machine)
     # the diverged ids in [start, n), then in [0, end - n) past the wrap
     for lo, hi, first in ((start, min(end, n), start), (0, end - n, start - n)):
         ids = diverged[bisect_left(diverged, lo):bisect_left(diverged, hi)]
         report.diverged += len(ids)
-        for oid in ids:
-            if oid not in skip:
-                report.violations.append(Violation(
-                    target=oid, expected=table.baseline(oid), found=table.diverged[oid],
-                    time=now + (oid + 1 - first) * per_object,
-                ))
-    if report.cycle_completed and (machine.idtr.base, machine.idtr.limit) != table.idtr_baseline:
+        report.violations += [Violation(oid, now + (oid + 1 - first) * per_object)
+                              for oid in ids if oid not in skip]
+    if end >= n and (machine.idtr.base, machine.idtr.limit) != table.idtr_baseline:
         report.diverged += 1
         if IDTR_TARGET not in skip:
-            report.violations.append(verify_idtr(machine, table, now + report.duration))
+            report.violations.append(Violation(IDTR_TARGET, now + k * per_object))
     return report
 
 

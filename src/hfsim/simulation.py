@@ -74,7 +74,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from . import threat
 from .errors import (
-    ConfigFileError, ConfigurationError, check_bounds, nonneg, one_of, positive, spec,
+    ConfigFileError, ConfigurationError, check_bounds, finite, nonneg, one_of, positive, spec,
 )
 from .guest import APPLIED, IDT_ENTRY_SIZE, GuestMachine, ObjectLayout, page_size_problem
 from .guest import handler_problem, idtr_limit_problem
@@ -122,7 +122,7 @@ class Arrival(enum.Enum):
     POISSON = "poisson"
 
 
-@spec(syscall_rate=nonneg, ctxswitch_rate=nonneg, horizon=positive)
+@spec(syscall_rate=finite(nonneg), ctxswitch_rate=finite(nonneg), horizon=finite(positive))
 class WorkloadSpec:
     """Synthetic guest activity: event rates over a finite horizon."""
 
@@ -427,18 +427,18 @@ class AttackPlan:
 def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
     """Check labelled attack specs against a setup and resolve each of their actions.
 
-    Each spec must keep its kind's `bounds`. Object tampers must XOR a
-    byte inside a registered object; code tampers must write inside guest
-    memory; IDT tampers must name a vector inside the IDT, and IDTR
+    Each spec checked its own `bounds` when built. Object tampers must XOR
+    a byte inside a registered object; code tampers must write inside
+    guest memory; IDT tampers must name a vector inside the IDT, and IDTR
     tampers a table inside guest memory; no two scripts may target the
     same object or the IDTR, whose detections could not be told apart. A
     sweep is checked and resolved in place, tamper by tamper under its
     `threat.expand_attacks` label. One ConfigFileError, keyed by config
     key, holds every problem: `plan_layout`'s first, then each spec's
-    broken bounds, else its first problem against the setup, in script
-    order. A spec of no attack kind raises ConfigurationError. Set-up
-    writes only the IDT and the module page, so every object byte starts
-    as zero: a tamper writes its mask and restores a zero.
+    first problem against the setup, in script order. A spec of no
+    attack kind raises ConfigurationError. Set-up writes only the IDT and
+    the module page, so every object byte starts as zero: a tamper writes
+    its mask and restores a zero.
     """
     layout, problems = _layout(setup)
     memory = setup.machine.page_count * setup.machine.page_size
@@ -459,12 +459,6 @@ def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
 
     for label, spec in specs:
         key = f"attack {label}"
-        bounded = [(f"{key}.{name}", problem)
-                   for name, bound in getattr(type(spec), "bounds", {}).items()
-                   if (problem := bound(getattr(spec, name)))]
-        if bounded:
-            problems += bounded
-            continue
         if isinstance(spec, threat.SweepSpec):
             for i, target in enumerate(spec.targets(setup.objects.count)):
                 tamper = f"{label}[{i:03d}]"
@@ -667,9 +661,9 @@ class _ScenarioRun:
 
         Each arrival is traced. Under hrk every arrival is a VMExit: its
         control-register write exits to a check of the next min(k, n)
-        objects. A window that `_clean_windows` counts, traced or not, only
-        maps its pages, moves the cursor and traces a clean check, and
-        `on_control_register_write` checks every other. An untraced run
+        objects. Each exit maps its window's pages, traces its check and
+        moves the cursor; `on_control_register_write` checks the window
+        unless `_clean_windows` counts it, traced or not. An untraced run
         reads its arrivals only as counts unless it is hrk and a window can
         map another page count or an attack acts by the horizon: it walks
         none, and counts them after its events.
@@ -705,26 +699,23 @@ class _ScenarioRun:
                 trace({"t": now, "kind": _SOURCES[source][0]})
             if not hrk:
                 continue
-            if clean:
+            stop = cursor + k
+            pages[source] += uniform or machine.object_pages(cursor, stop)
+            if clean:  # the window cannot find a violation: no check runs
                 clean -= 1
-                stop = cursor + k
-                pages[source] += uniform or machine.object_pages(cursor, stop)
-                if trace is not None:  # the entry a check of a clean window writes
-                    trace({"t": now, "kind": "vmexit_check", "checked": k + (stop >= n),
-                           "violations": 0})
-                cursor = stop - n if stop >= n else stop
-                continue
-            table.cursor = cursor
-            report = on_control_register_write(machine, table, self.costs, k, now=now,
-                                               skip=self.reported)
-            pages[source] += report.pages_mapped
+                diverged, violations = 0, ()
+            else:
+                table.cursor = cursor
+                report = on_control_register_write(machine, table, self.costs, k, now=now,
+                                                   skip=self.reported)
+                diverged, violations = report.diverged, report.violations
+                clean = self._clean_windows(table.cursor)
             if trace is not None:  # targets checked: the IDTR rides along on a completed cycle
-                trace({"t": now, "kind": "vmexit_check", "checked": k + report.cycle_completed,
-                       "violations": report.diverged})
-            if report.violations:
-                self._process_violations(report.violations, via="hrk_vmexit")
-            cursor = table.cursor
-            clean = self._clean_windows(cursor)
+                trace({"t": now, "kind": "vmexit_check", "checked": k + (stop >= n),
+                       "violations": diverged})
+            if violations:
+                self._process_violations(violations, via="hrk_vmexit")
+            cursor = stop - n if stop >= n else stop
         table.cursor = cursor
         if chunks:  # record the draws; a run that walks none counts them whole
             if counted:
@@ -766,7 +757,7 @@ class _ScenarioRun:
         self.sweeps += not report.subverted
         if trace is not None:  # targets checked: every sweep that runs also checks the IDTR
             trace({"t": now, "kind": "firing_end",
-                   "checked": report.objects_checked + (not report.subverted),
+                   "checked": 0 if report.subverted else self.table.count + 1,
                    "violations": report.diverged, "subverted": report.subverted})
         self._process_violations(report.violations, via="hf_interrupt")
 

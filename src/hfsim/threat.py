@@ -7,10 +7,10 @@ windows and restores the exact baseline bytes at window end. When it knows
 the check schedule (only possible against a guest-visible device) it clips
 its dirty windows to be clean around every known firing.
 
-Each attack spec states its fields' bounds in ``bounds``; `simulation.plan_attacks`
-checks them, and the spec against a setup, where it plans the attacks. Only a
-transient tamper's windows are checked when built. The plan resolves a sweep's
-tampers in place; `expand_attacks` spells them out as scripts, its reference.
+Each attack spec states its fields' bounds once, in ``bounds``, and checks them
+when built, as every other spec does; `simulation.plan_attacks` checks the spec
+against a setup, where it plans the attacks. The plan resolves a sweep's tampers
+in place; `expand_attacks` spells them out as scripts, its reference.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
-from .errors import byte, nonneg, positive, require
+from .errors import byte, nonneg, positive, spec
 from .timebase import Ticks
 
 
@@ -40,7 +40,7 @@ def windows_problem(windows: tuple[tuple[Ticks, Ticks], ...]) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@spec(object_index=nonneg, at=nonneg, offset=nonneg, xor_mask=byte)
 class PersistentTamper:
     """One write at `at` that leaves the object diverged until detected.
 
@@ -54,10 +54,9 @@ class PersistentTamper:
     xor_mask: int = 0xFF
 
     kind = "persistent"
-    bounds = dict(object_index=nonneg, at=nonneg, offset=nonneg, xor_mask=byte)
 
 
-@dataclass(frozen=True)
+@spec(object_index=nonneg, windows=windows_problem, offset=nonneg, xor_mask=byte)
 class TransientTamper:
     """Dirty the object inside each window, restore baseline at window end."""
 
@@ -68,13 +67,9 @@ class TransientTamper:
     xor_mask: int = 0xFF
 
     kind = "transient"
-    bounds = dict(object_index=nonneg, windows=windows_problem, offset=nonneg, xor_mask=byte)
-
-    def __post_init__(self):
-        require("windows", windows_problem(self.windows))
 
 
-@dataclass(frozen=True)
+@spec(offset=nonneg, at=nonneg)
 class CodeTamper:
     """Write into the monitoring module region at `at`."""
 
@@ -83,10 +78,9 @@ class CodeTamper:
     payload: bytes = b"\xcc"
 
     kind = "code"
-    bounds = dict(offset=nonneg, at=nonneg)
 
 
-@dataclass(frozen=True)
+@spec(vector=nonneg, new_handler=nonneg, at=nonneg)
 class IdtTamper:
     """Overwrite an IDT entry through the guest write path at `at`."""
 
@@ -95,10 +89,9 @@ class IdtTamper:
     at: Ticks
 
     kind = "idt"
-    bounds = dict(vector=nonneg, new_handler=nonneg, at=nonneg)
 
 
-@dataclass(frozen=True)
+@spec(new_base=nonneg, at=nonneg)
 class IdtrTamper:
     """Repoint the IDTR (a register write; applies silently) at `at`."""
 
@@ -107,10 +100,9 @@ class IdtrTamper:
     new_limit: Optional[int] = None
 
     kind = "idtr"
-    bounds = dict(new_base=nonneg, at=nonneg)
 
 
-@dataclass(frozen=True)
+@spec(count=positive, start=nonneg, step=nonneg, object_start=nonneg, object_stride=positive)
 class SweepSpec:
     """Config-level generator for a persistent-tamper latency sweep.
 
@@ -126,8 +118,6 @@ class SweepSpec:
     object_stride: int = 1
 
     kind = "persistent_sweep"
-    bounds = dict(count=positive, start=nonneg, step=nonneg, object_start=nonneg,
-                  object_stride=positive)
 
     def targets(self, object_count: int) -> Iterator[int]:
         """The object index of each tamper, in order."""

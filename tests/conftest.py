@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from hfsim.hypervisor import on_control_register_write
-from hfsim.integrity import CheckReport, Violation, verify_idtr
+from hfsim.integrity import IDTR_TARGET, CheckReport, Violation
 from hfsim.simulation import (
     IDT_VECTORS,
     Arrival,
@@ -51,57 +51,47 @@ def _ref_digest(machine, oid) -> int:
     return fnv1a64_ref(machine.read(*_ref_span(machine, oid)))
 
 
+def _idtr_ref(machine, table, now) -> list:
+    """The IDTR's violation at `now` if (base, limit) differs from the snapshot, else none."""
+    moved = (machine.idtr.base, machine.idtr.limit) != table.idtr_baseline
+    return [Violation(IDTR_TARGET, now)] if moved else []
+
+
 def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckReport:
     """Walk-every-object batch check: the oracle for integrity.check_batch.
 
     Rehashes each of the next k objects from the table's cursor with
-    fnv1a64_ref, charges and stamps violations object by object, lets the
-    IDTR ride along when the last object in id order is covered, then
-    advances the cursor.
+    fnv1a64_ref, stamps violations object by object as their hash time
+    adds up, lets the IDTR ride along when the last object in id order is
+    covered, then advances the cursor.
     """
     n = table.count
-    k_eff = min(k, n)
-    report = CheckReport(objects_checked=k_eff)
-    duration = 0
+    report = CheckReport()
+    elapsed = 0
     wrapped = False
-    for i in range(k_eff):
+    for i in range(min(k, n)):
         oid = (table.cursor + i) % n  # position p holds object p
         if oid == n - 1:
             wrapped = True
-        duration += _ref_span(machine, oid)[1] * hash_ticks_per_byte
-        found = _ref_digest(machine, oid)
-        if found != table.baseline(oid):
-            report.violations.append(
-                Violation(target=oid, expected=table.baseline(oid), found=found,
-                          time=now + duration)
-            )
+        elapsed += _ref_span(machine, oid)[1] * hash_ticks_per_byte
+        if _ref_digest(machine, oid) != table.baseline(oid):
+            report.violations.append(Violation(oid, now + elapsed))
     if wrapped:
-        violation = verify_idtr(machine, table, now=now + duration)
-        if violation is not None:
-            report.violations.append(violation)
-    table.cursor = (table.cursor + k_eff) % n
-    report.duration = duration
-    report.cycle_completed = wrapped
+        report.violations += _idtr_ref(machine, table, now + elapsed)
+    table.cursor = (table.cursor + min(k, n)) % n
     report.diverged = len(report.violations)
     return report
 
 
 def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
     """Walk-every-object sweep: the oracle for integrity.check_all."""
-    report = CheckReport(objects_checked=table.count, cycle_completed=True)
-    duration = 0
+    report = CheckReport()
+    elapsed = 0
     for oid in range(table.count):
-        duration += _ref_span(machine, oid)[1] * hash_ticks_per_byte
-        found = _ref_digest(machine, oid)
-        if found != table.baseline(oid):
-            report.violations.append(
-                Violation(target=oid, expected=table.baseline(oid), found=found,
-                          time=now + duration)
-            )
-    violation = verify_idtr(machine, table, now=now + duration)
-    if violation is not None:
-        report.violations.append(violation)
-    report.duration = duration
+        elapsed += _ref_span(machine, oid)[1] * hash_ticks_per_byte
+        if _ref_digest(machine, oid) != table.baseline(oid):
+            report.violations.append(Violation(oid, now + elapsed))
+    report.violations += _idtr_ref(machine, table, now + elapsed)
     report.diverged = len(report.violations)
     return report
 
@@ -221,18 +211,18 @@ def _on_arrival_ref(run, tally, now, op) -> None:
         run.trace({"t": now, "kind": op})
     if run.strategy.kind != "hrk":
         return
+    # the window's pages by a walk over its objects, and its targets by the cursor:
+    # min(k, n) objects, and the IDTR when the window reaches the last object
+    n, cursor = run.table.count, run.table.cursor
+    batch = min(run.strategy.batch_k, n)
+    tally[1] += batch_pages_ref(run.machine, run.table, batch)
     report = on_control_register_write(
         run.machine, run.table, run.costs, run.strategy.batch_k, now=now,
     )
-    tally[1] += report.pages_mapped
-    # the engine derives each VMExit's objects and hash time from the layout
-    batch = min(run.strategy.batch_k, run.table.count)
-    assert report.objects_checked == batch
-    assert report.duration == batch * run.machine.objects.length * run.costs.t_hash_per_byte
+    assert run.table.cursor == (cursor + batch) % n
     if run.trace is not None:  # checked without skip: every diverged target is a violation
         run.trace({
-            "t": now, "kind": "vmexit_check",
-            "checked": report.objects_checked + report.cycle_completed,
+            "t": now, "kind": "vmexit_check", "checked": batch + (cursor + batch >= n),
             "violations": len(report.violations),
         })
     if report.violations:

@@ -461,6 +461,22 @@ def test_non_finite_durations_exit_2_with_one_line(command, key, setting, raw, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "Infinity", "nan"])
+@pytest.mark.parametrize("setting", ["syscall_rate = 40", "ctxswitch_rate = 10"],
+                         ids=["syscall_rate", "ctxswitch_rate"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_rates_exit_2_with_one_line(command, setting, value, tmp_path, capsys):
+    key = setting.split(" = ")[0]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(SMALL.replace(setting, f"{key} = {value}"))
+    out = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out)] if command == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines() == ["config error:", f"  workload.{key}: must be finite"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "diff"])
 def test_non_utf8_input_exits_2_with_one_line(command, tmp_path, capsys):
     bad = tmp_path / "bad.in"

@@ -1,6 +1,7 @@
 """Config parsing, strict validation, canonical serialization, digests."""
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -330,6 +331,17 @@ def test_run_scenario_rejects_a_bad_layout_by_config_key():
     assert [key for key, _ in exc_info.value.problems] == [
         "objects.size_bytes", "machine.page_count",
     ]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("syscall_rate", math.inf), ("ctxswitch_rate", -math.inf), ("syscall_rate", math.nan),
+    ("horizon", math.inf),
+])
+def test_a_directly_built_workload_rejects_a_value_that_is_not_finite(field, value):
+    # an infinite rate or horizon never ends the run's walk; the config checks the same bound
+    fields = dict(syscall_rate=1, ctxswitch_rate=0, horizon=SEC, arrival=Arrival.POISSON)
+    with pytest.raises(ConfigurationError, match=rf"^{field}: must be finite$"):
+        WorkloadSpec(**{**fields, field: value})
 
 
 def _readme_attack_keys() -> dict:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import batch_pages_ref
 from hfsim.errors import AddressError, ConfigurationError
 from hfsim.guest import GuestMachine
 from hfsim.hypervisor import (
@@ -13,7 +14,7 @@ from hfsim.hypervisor import (
     fire_interrupt,
     on_control_register_write,
 )
-from hfsim.integrity import HANDLER_TARGET, snapshot_baselines
+from hfsim.integrity import HANDLER_TARGET, IDTR_TARGET, Violation, snapshot_baselines
 from hfsim.simulation import CostModel
 from hfsim.timebase import TICKS_PER_SECOND as SEC
 
@@ -138,7 +139,10 @@ def test_clean_interrupt_duration_is_per_object_cost():
     report = fire_interrupt(m, reg, table, costs, now=0)
     assert report.violations == []
     assert not report.subverted
-    assert report.duration == 4 * 8 * 100
+    m.set_idtr(4096, 1024)  # the handler's entry still lies inside: the sweep runs
+    # the IDTR rides along after the objects: it is found once all 4 are hashed
+    report = fire_interrupt(m, reg, table, costs, now=0)
+    assert report.violations == [Violation(IDTR_TARGET, 4 * 8 * 100)]
 
 
 def test_interrupt_detects_tampered_object_with_latency():
@@ -162,11 +166,13 @@ def test_redirected_idt_entry_yields_subversion_detection():
     m, reg, table = _hf_machine()
     # privileged harness injection: corrupt the IDT entry under protection
     m.privileged_write(m.idtr.base + 8 * 0x20, (0x100).to_bytes(8, "little"))
-    report = fire_interrupt(m, reg, table, CostModel())
+    m.privileged_write(m.objects.addr(0), b"\x01")
+    costs = CostModel(t_interrupt_delivery=50, t_hash_per_byte=10)
+    report = fire_interrupt(m, reg, table, costs, now=1000)
     assert report.subverted
-    assert [v.target for v in report.violations] == [HANDLER_TARGET]
-    assert report.objects_checked == 0  # sweep refused
-    assert report.duration == 0
+    # sweep refused: the tampered object goes unchecked, and no hash time passes
+    assert report.violations == [Violation(HANDLER_TARGET, 1000 + 50)]
+    assert report.diverged == 1
 
 
 def test_idtr_move_also_subverts_dispatch():
@@ -200,9 +206,10 @@ def test_vmexit_round_robin_covers_all_objects():
     m, reg, table = _hf_machine(n_objects=10, size=8)
     _tamper_all(m)
     covered = set()
-    for _ in range(4):  # ceil(10/3) = 4 exits
+    for exit_index in range(4):  # ceil(10/3) = 4 exits, of 3 objects each
         report = on_control_register_write(m, table, CostModel(), k=3)
-        assert report.objects_checked == 3
+        assert [v.target for v in report.violations] == [
+            (3 * exit_index + i) % 10 for i in range(3)]
         covered.update(v.target for v in report.violations)
     assert covered == set(range(10))
     assert table.cursor == 2  # 12 mod 10
@@ -211,11 +218,13 @@ def test_vmexit_round_robin_covers_all_objects():
 def test_vmexit_charges_transitions_mapping_and_hash():
     m, reg, table = _hf_machine(n_objects=6, size=8)
     costs = CostModel(t_vmexit=100, t_vmentry=70, t_map_page=1000, t_hash_per_byte=10)
-    report = on_control_register_write(m, table, costs, k=3)
     # 6 packed 8-byte objects share page 3: the 3-object batch maps 1 page
-    assert report.pages_mapped == 1
-    assert report.duration == 3 * 8 * 10  # hash time only
-    # the batch is checked after the exit and the page remap
+    assert m.object_pages(0, 3) == batch_pages_ref(m, table, 3) == 1
+    # the batch is checked after the exit and the page remap; object 2 is
+    # found once all 3 are hashed, before the re-entry
+    m.privileged_write(m.objects.addr(2), b"\x01")
+    report = on_control_register_write(m, table, costs, k=3, now=5000)
+    assert [v.time for v in report.violations] == [5000 + 100 + 1000 + 3 * 8 * 10]
     m.privileged_write(m.objects.addr(3), b"\x01")
     report = on_control_register_write(m, table, costs, k=3, now=5000)
     assert [v.time for v in report.violations] == [5000 + 100 + 1000 + 8 * 10]

@@ -1,4 +1,4 @@
-"""Digest, baseline snapshot, batched and full checking, IDTR check."""
+"""Digest, baseline snapshot, batched and full checking, the IDTR check."""
 
 import random
 
@@ -12,11 +12,11 @@ from hfsim.integrity import (
     IDTR_TARGET,
     MEMO_BYTES,
     MEMO_ENTRIES,
+    Violation,
     check_all,
     check_batch,
     compute_digest,
     snapshot_baselines,
-    verify_idtr,
 )
 
 
@@ -64,18 +64,19 @@ def test_snapshot_then_check_all_is_clean():
     m = _objects_machine(5)
     table = snapshot_baselines(m)
     report = check_all(m, table)
-    assert report.violations == []
-    assert report.objects_checked == 5
-    assert report.cycle_completed  # the IDTR rides along on every sweep
+    assert report.violations == [] and report.diverged == 0
+    m.set_idtr(0, 512)  # the IDTR rides along on every sweep, after all 5 objects
+    assert check_all(m, table, hash_ticks_per_byte=1).violations == [Violation(IDTR_TARGET, 5 * 8)]
 
 
 def test_single_fault_injection_yields_one_violation():
     m = _objects_machine(5)
     table = snapshot_baselines(m)
     m.privileged_write(m.objects.addr(2), b"\x01")
-    report = check_all(m, table)
-    assert [v.target for v in report.violations] == [2]
-    assert report.violations[0].expected != report.violations[0].found
+    report = check_all(m, table, hash_ticks_per_byte=1, now=100)
+    # stamped when object 2's hash ends
+    assert report.violations == [Violation(2, 100 + 3 * 8)]
+    assert report.diverged == 1
 
 
 def test_snapshot_of_15000_synthetic_objects():
@@ -106,7 +107,7 @@ def test_the_table_digests_each_distinct_content_once():
     for oid in range(50):  # one patch into every object, then its restore
         m.privileged_write(m.objects.addr(oid) + 5, b"\x2a")
     report = check_all(m, table)
-    assert len({v.found for v in report.violations}) == 1 and len(report.violations) == 50
+    assert len(report.violations) == 50 and len(set(table.diverged.values())) == 1
     for oid in range(50):
         m.privileged_write(m.objects.addr(oid) + 5, b"\x00")
     assert check_all(m, table).violations == []
@@ -150,15 +151,13 @@ def test_batch_round_robin_wraps():
     m = _objects_machine(5)
     table = snapshot_baselines(m)
     _tamper_all(m)
-    seen, cycles = [], []
+    m.set_idtr(0, 512)  # found on the batch that completes a cycle
+    seen, cursors = [], []
     for _ in range(3):
-        report = check_batch(m, table, 2)
-        assert report.objects_checked == 2
-        seen.append([v.target for v in report.violations])
-        cycles.append(report.cycle_completed)
-    assert seen == [[0, 1], [2, 3], [4, 0]]
-    assert cycles == [False, False, True]
-    assert table.cursor == 1
+        seen.append([v.target for v in check_batch(m, table, 2).violations])
+        cursors.append(table.cursor)
+    assert seen == [[0, 1], [2, 3], [4, 0, IDTR_TARGET]]
+    assert cursors == [2, 4, 1]
 
 
 def test_idtr_rides_along_only_on_the_wrapping_batch():
@@ -186,11 +185,11 @@ def test_k_at_least_n_behaves_as_check_all():
     m = _objects_machine(4)
     table = snapshot_baselines(m)
     m.privileged_write(m.objects.addr(1), b"\x01")
-    report = check_batch(m, table, 9)
-    assert report.objects_checked == 4  # k saturates at N
-    assert [v.target for v in report.violations] == [1]
+    m.set_idtr(0, 512)
+    report = check_batch(m, table, 9, hash_ticks_per_byte=1)
+    # k saturates at N: the IDTR rides along after 4 objects, not 9
+    assert report.violations == [Violation(1, 2 * 8), Violation(IDTR_TARGET, 4 * 8)]
     assert table.cursor == 0  # advanced by exactly one full cycle
-    assert report.cycle_completed
 
 
 def test_batch_k_below_one_rejected():
@@ -203,12 +202,14 @@ def test_batch_k_below_one_rejected():
 def test_batch_duration_charges_per_byte():
     m = _objects_machine(3, size=16)
     table = snapshot_baselines(m)
+    m.privileged_write(m.objects.addr(1), b"\x01")
     report = check_batch(m, table, 2, hash_ticks_per_byte=100)
-    assert report.duration == 2 * 16 * 100
+    # the batch's last object is found when the batch's hash time has passed
+    assert report.violations == [Violation(1, 2 * 16 * 100)]
 
 
 # ---------------------------------------------------------------------------
-# check_all / verify_idtr
+# check_all and the IDTR
 # ---------------------------------------------------------------------------
 
 def test_double_fault_with_recompute_oracle():
@@ -231,10 +232,9 @@ def test_idtr_move_reported_even_when_objects_clean():
     m = _objects_machine(3)
     table = snapshot_baselines(m)
     m.set_idtr(0, 512)
-    report = check_all(m, table)
-    assert [v.target for v in report.violations] == [IDTR_TARGET]
-    assert report.violations[0].expected == (4096, 512)
-    assert report.violations[0].found == (0, 512)
+    report = check_all(m, table, now=7)
+    assert report.violations == [Violation(IDTR_TARGET, 7)]
+    assert report.diverged == 1
 
 
 def test_check_all_does_not_move_cursor():
@@ -246,16 +246,20 @@ def test_check_all_does_not_move_cursor():
     assert table.cursor == 3
 
 
-def test_verify_idtr_cases():
+def test_idtr_check_cases():
     m = _objects_machine(2)
     table = snapshot_baselines(m)
-    assert verify_idtr(m, table) is None
+
+    def idtr_found() -> bool:
+        return [v.target for v in check_all(m, table).violations] == [IDTR_TARGET]
+
+    assert not idtr_found()
     m.set_idtr(4096 + 8, 512)
-    assert verify_idtr(m, table).found == (4096 + 8, 512)
+    assert idtr_found()
     m.set_idtr(4096, 1024)  # limit changed only
-    assert verify_idtr(m, table).found == (4096, 1024)
+    assert idtr_found()
     m.set_idtr(4096, 512)  # restored
-    assert verify_idtr(m, table) is None
+    assert not idtr_found()
 
 
 # ---------------------------------------------------------------------------

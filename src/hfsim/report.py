@@ -137,7 +137,9 @@ def _write(value, pad: str, out: list) -> None:
         out.append("null")
     elif kind is bool:
         out.append("true" if value else "false")
-    elif kind is dict and value and all(type(key) is str for key in value):
+    elif (kind is list or kind is tuple or kind is dict) and not value:
+        out.append("{}" if kind is dict else "[]")
+    elif kind is dict and all(type(key) is str for key in value):
         inner = pad + "  "
         sep = "{" + inner
         for key in sorted(value):
@@ -145,7 +147,7 @@ def _write(value, pad: str, out: list) -> None:
             _write(value[key], inner, out)
             sep = "," + inner
         out.append(pad + "}")
-    elif (kind is list or kind is tuple) and value:
+    elif kind is list or kind is tuple:
         records = _records_to_json(value, pad)
         if records is not None:
             out.append(records)

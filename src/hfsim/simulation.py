@@ -23,8 +23,8 @@ tampers in place. A run copies only the outcomes and the {target: label}
 map it changes, and clips an evader's windows against its own firings. An
 object tamper's one byte lies on a page no strategy protects, so the run
 stores it and records that object's digest itself; code and IDT writes go
-through the guest's mediated write. Each workload source draws its
-arrivals a bounded chunk at a time, and a walk merges the two sources'
+through the guest's mediated write. A run that walks its arrivals draws
+each source a bounded chunk at a time and merges the two sources'
 chunks as they come, so memory does not grow with the event count.
 Poisson arrivals stay the float seconds they were drawn as, and one is
 rounded to its tick only where a tick is read: at each draw's horizon
@@ -36,18 +36,18 @@ takes its workload arrivals by one of two rules:
 - An untraced baseline or hf run reads its arrivals only as counts, and
   so does an untraced hrk run whose windows all map one page count when
   no attack acts by the horizon: every window is clean. Such a run walks
-  none: it takes its events and then counts the arrivals.
+  none: it takes its events and counts each source by `_arrival_count`.
 - Every other run takes them exit by exit, in dispatch order. Each
   arrival is traced and, under hrk, its window runs its check, unless
   the window cannot find a violation: then it is only costed from the
   layout, and traced as its check would be.
 
-Every run that draws records each source's arrival count in its plan's
-`counts`, under its `WorkloadSpec` and the name its substream is seeded
-with. A later run of the plan that reads only counts takes both from
-there and draws nothing, since a seed's streams are the same under every
-strategy. Runs share counts exactly when they share a plan, as the runs
-of one config do, and no drawn arrival is kept.
+Every run records each source's arrival count in its plan's `counts`,
+under its `WorkloadSpec` and the name its substream is seeded with. A
+later run of the plan that reads only counts takes both from there and
+neither counts nor draws, since a seed's streams are the same under
+every strategy. Runs share counts exactly when they share a plan, as
+the runs of one config do, and no drawn arrival is kept.
 
 Every charge is derived from the run's counts by `charges` when the run
 finishes. Each check skips the targets whose current divergence
@@ -304,11 +304,12 @@ def _arrival_chunks(
 ) -> Iterator[list]:
     """Arrivals in (0, horizon], nondecreasing, at most ARRIVAL_CHUNK a list.
 
-    Fixed arrivals are int ticks. Poisson arrivals are the float seconds
-    their gaps sum to, and `_poisson_tick` maps one to its tick; the
-    engine rounds one only where it reads a tick. Each list is one draw,
-    cut at the horizon, sized from the arrivals expected before the
-    horizon, so a short run draws little more than it uses.
+    Walked runs draw here; counted ones take `_arrival_count`. Fixed
+    arrivals are int ticks. Poisson arrivals are the float seconds their
+    gaps sum to, and `_poisson_tick` maps one to its tick; the engine
+    rounds one only where it reads a tick. Each list is one draw, cut at
+    the horizon, sized from the arrivals expected before the horizon, so
+    a short run draws little more than it uses.
 
     Fixed arrivals fall at round(n * TICKS_PER_SECOND / rate), computed
     exactly on the rate's value and rounded half to even as round() does.
@@ -358,6 +359,51 @@ def _arrival_chunks(
                 yield times
             return
         yield times
+
+
+COUNT_BLOCK = 256  # the complements `_arrival_count` multiplies at a time
+
+
+def _arrival_count(rate: float, horizon: Ticks, arrival: Arrival, name: str) -> int:
+    """How many arrivals `_arrival_chunks` yields from random.Random(name), without them.
+
+    Fixed arrival n is in while 2n * step < (2 * horizon + 1) * divisor, or
+    at equality (a half tick, rounded to even) on an even horizon. Poisson:
+    a block of x = 1 - random() has gaps summing to log(prod(xs)) / -rate;
+    it counts whole if it ends `slack` before the edge (horizon + 0.5
+    ticks), else it is halved down to the arrival that crosses the edge.
+    Over n arrivals to S seconds the draw's float sum is off by
+    n * 2**-53 * S, each gap (a log within E ulp, a division) by
+    (E + 1) * 2**-52 of itself; a product of m values in (0, 1] at or above
+    2**-1000 (never subnormal) puts m * 2**-53 on its log. Other roundings
+    add no more, so `slack` is at least 16 times the total for E = 4; an
+    arrival within it of the edge, or a smaller product, draws the stream.
+    """
+    if rate <= 0:
+        return 0
+    horizon = math.floor(horizon)  # arrivals fall on whole ticks
+    if arrival is Arrival.FIXED:
+        divisor, per = Fraction(rate).as_integer_ratio()
+        n, rem = divmod((2 * horizon + 1) * divisor, 2 * TICKS_PER_SECOND * per)
+        return n - (rem == 0 and horizon % 2 == 1)
+    uniform, edge = random.Random(name).random, (horizon + 0.5) / TICKS_PER_SECOND
+    count, t, blocks = 0, 0.0, []  # blocks: the halves still to take, the next one last
+    while True:
+        xs = blocks.pop() if blocks else [1.0 - uniform() for _ in range(COUNT_BLOCK)]
+        p = math.prod(xs, start=1.0)
+        if p < 2.0 ** -1000:  # it may have gone subnormal
+            break
+        end = t + math.log(p) / -rate
+        slack = (4 * (count + len(xs)) + 64) * 2.0 ** -50 * (end + 1 / rate)
+        if end + slack < edge:
+            t, count = end, count + len(xs)
+        elif len(xs) > 1:
+            blocks += xs[len(xs) // 2:], xs[:len(xs) // 2]
+        elif end - slack > edge:
+            return count
+        else:  # too near the edge to tell
+            break
+    return sum(map(len, _arrival_chunks(rate, horizon, arrival, random.Random(name))))
 
 
 _CODE_PERIOD = bytes(map((0xFF).__and__, range(13, 13 + 7 * 256, 7)))  # (7i + 13) mod 256
@@ -666,22 +712,22 @@ class _ScenarioRun:
         unless `_clean_windows` counts it, traced or not. An untraced run
         reads its arrivals only as counts unless it is hrk and a window can
         map another page count or an attack acts by the horizon: it walks
-        none, and counts them after its events.
+        none, and takes each source's count from the plan or `_arrival_count`.
         """
         horizon, uniform, workload = self.horizon, self.uniform_pages, self.workload
         trace, hrk = self.trace, self.strategy.kind == STRATEGY_HRK
         counted = trace is None and (not hrk or uniform is not None and not self.events)
         known = self.plan.counts
         keys = [(workload, f"workload-{op}:{self.seed}") for op, _ in _SOURCES]
-        # one source per workload op, each with its own random substream, unless the
-        # run reads only counts and an earlier run of the plan recorded them
-        chunks = [] if counted and all(key in known for key in keys) else [
-            _arrival_chunks(rate, horizon, workload.arrival, random.Random(name))
-            for (_, name), rate in zip(keys, (workload.syscall_rate, workload.ctxswitch_rate))]
+        rates = (workload.syscall_rate, workload.ctxswitch_rate)
+        if counted:  # count each source an earlier run of the plan did not record
+            known.update({key: _arrival_count(rate, horizon, workload.arrival, key[1])
+                          for key, rate in zip(keys, rates) if key not in known})
         arrivals, pages = [0, 0], [0, 0]  # per source: arrivals walked, pages their exits mapped
         walk = () if counted else map(divmod, _dispatch_order(*(
-            _tagged(source_chunks, i, workload.arrival is Arrival.POISSON, arrivals)
-            for i, source_chunks in enumerate(chunks))), itertools.repeat(2))
+            _tagged(_arrival_chunks(rate, horizon, workload.arrival, random.Random(name)), i,
+                    workload.arrival is Arrival.POISSON, arrivals)
+            for i, ((_, name), rate) in enumerate(zip(keys, rates)))), itertools.repeat(2))
         handlers = {EventKind.DEVICE_FIRING: self._on_firing, EventKind.ATTACK: self._on_attack}
         events, machine, table, k = self.events, self.machine, self.table, self.batch
         n, cursor = table.count, table.cursor
@@ -717,11 +763,8 @@ class _ScenarioRun:
                 self._process_violations(violations, via="hrk_vmexit")
             cursor = stop - n if stop >= n else stop
         table.cursor = cursor
-        if chunks:  # record the draws; a run that walks none counts them whole
-            if counted:
-                arrivals = [sum(map(len, source_chunks)) for source_chunks in chunks]
-            known.update(zip(keys, arrivals))
-        counts = [known[key] for key in keys]
+        counts = [known[key] for key in keys] if counted else arrivals
+        known.update(zip(keys, counts))  # a walked run records its draws
         if counted:  # every window is clean, or the run is not hrk and maps none
             pages = [c * (uniform or 0) for c in counts]
         return self._finish(counts, pages)

@@ -35,6 +35,7 @@ from hfsim.simulation import (
     StrategyConfig,
     WorkloadSpec,
     _arrival_chunks,
+    _arrival_count,
     _dispatch_order,
     _poisson_tick,
     _ScenarioRun,
@@ -153,6 +154,88 @@ def test_arrival_chunks_concatenate_to_the_reference_draws(rate, arrival, seed, 
         rate, horizon, arrival, random.Random(seed))
     for chunk in chunks:
         assert len(chunk) <= ARRIVAL_CHUNK
+
+
+def _drawn_count(rate, horizon, arrival, name):
+    return sum(map(len, _arrival_chunks(rate, horizon, arrival, random.Random(name))))
+
+
+def _spied_draws(patch):
+    """A list that gets the rate of each stream `_arrival_chunks` draws."""
+    rates, chunks = [], simulation._arrival_chunks
+
+    def drawn(rate, horizon, arrival, rng):
+        rates.append(rate)
+        return chunks(rate, horizon, arrival, rng)
+
+    patch.setattr(simulation, "_arrival_chunks", drawn)
+    return rates
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rate=st.one_of(st.just(0), st.integers(1, 5000), st.floats(0.01, 5000),
+                   st.sampled_from([80, 2400, 1e9, 3e12, 2e9 / 3])),
+    arrival=st.sampled_from(list(Arrival)),
+    horizon=st.one_of(st.integers(1, 30 * SEC), st.integers(1, 100)),
+    name=st.one_of(st.builds("workload-{}:{}".format, st.sampled_from(["syscall", "ctxswitch"]),
+                             st.integers(0, 1 << 16)), st.text(max_size=8)),
+)
+# 1e9 and 3e12 Poisson arrivals/s over 1 to 3 ticks: arrivals share ticks
+@example(rate=1e9, arrival=Arrival.POISSON, horizon=3, name="workload-syscall:0")
+@example(rate=3e12, arrival=Arrival.POISSON, horizon=1, name="workload-ctxswitch:0")
+# a float horizon, whole or not, as a direct caller may pass
+@example(rate=2e9, arrival=Arrival.FIXED, horizon=4.5, name="x")
+@example(rate=1e9, arrival=Arrival.POISSON, horizon=1.5, name="x")
+@example(rate=80, arrival=Arrival.FIXED, horizon=float(SEC), name="x")
+def test_arrival_count_equals_the_drawn_count(rate, arrival, horizon, name):
+    if rate:  # at most ~5,000 arrivals expected, so the draw stays quick
+        horizon = min(horizon, max(1, int(5000 * SEC / rate)))
+    count = _arrival_count(rate, horizon, arrival, name)
+    assert type(count) is int and count == _drawn_count(rate, horizon, arrival, name)
+
+
+@pytest.mark.parametrize("rate, counts", [
+    # ticks 0.5n: 0.5, 1.5 and 2.5 are ties, rounded to 0, 2 and 2
+    (2e9, [2, 5, 6, 9]),
+    # ticks 1.5n: 1.5 rounds up past horizon 1, 4.5 down onto horizon 4
+    (Fraction(2 * SEC, 3), [0, 1, 2, 3]),
+    # the float just below 2e9/3 puts arrival 3 just past 4.5 ticks
+    (2e9 / 3, [0, 1, 2, 2]),
+])
+def test_fixed_arrival_count_rounds_half_tick_ties_to_even(rate, counts):
+    for horizon, count in enumerate(counts, 1):
+        assert _arrival_count(rate, horizon, Arrival.FIXED, "x") == count
+        assert _drawn_count(rate, horizon, Arrival.FIXED, "x") == count
+
+
+def test_poisson_arrival_count_draws_when_an_arrival_is_a_half_tick_off(monkeypatch):
+    # arrival 44,972 of this stream is at 558,849,757,436.5 ticks and rounds to
+    # even, onto the horizon: too close to the edge for the block products
+    name, horizon = "workload-syscall:0", 558_849_757_436
+    last = list(itertools.chain.from_iterable(
+        _arrival_chunks(80, horizon, Arrival.POISSON, random.Random(name))))[-1]
+    assert last * SEC == horizon + 0.5
+    draws = _spied_draws(monkeypatch)
+    assert _arrival_count(80, horizon, Arrival.POISSON, name) == 44_972
+    assert draws == [80]
+
+
+def test_poisson_arrival_count_draws_when_a_block_product_underflows(monkeypatch):
+    # 4,096 complements multiply to about e**-4096, far below 2**-1000
+    monkeypatch.setattr(simulation, "COUNT_BLOCK", 4096)
+    draws = _spied_draws(monkeypatch)
+    cases = [(80, 30 * SEC, "workload-syscall:0"), (2400, 20 * SEC, "workload-ctxswitch:7"),
+             (1e9, 40, "x")]
+    for rate, horizon, name in cases:
+        assert _arrival_count(rate, horizon, Arrival.POISSON, name) == _drawn_count(
+            rate, horizon, Arrival.POISSON, name)
+    assert draws == [rate for rate, _, _ in cases]
+
+
+def test_zero_rate_counts_no_arrival_and_seeds_no_stream(monkeypatch):
+    monkeypatch.setattr(simulation, "random", None)
+    assert all(_arrival_count(0, SEC, arrival, "x") == 0 for arrival in Arrival)
 
 
 def test_module_code_repeats_its_256_byte_period():
@@ -472,14 +555,19 @@ class _Named(random.Random):
 
 
 def _counting_streams(patch):
-    """A list that gets the substream name of each arrival stream runs construct."""
-    names, chunks = [], simulation._arrival_chunks
+    """A list that gets the substream name of each arrival stream runs draw or count."""
+    names, chunks, count = [], simulation._arrival_chunks, simulation._arrival_count
 
-    def counted(rate, horizon, arrival, rng):
+    def drawn(rate, horizon, arrival, rng):
         names.append(rng.name)
         return chunks(rate, horizon, arrival, rng)
 
-    patch.setattr(simulation, "_arrival_chunks", counted)
+    def counted(rate, horizon, arrival, name):
+        names.append(name)
+        return count(rate, horizon, arrival, name)
+
+    patch.setattr(simulation, "_arrival_chunks", drawn)
+    patch.setattr(simulation, "_arrival_count", counted)
     patch.setattr(simulation, "random", types.SimpleNamespace(Random=_Named))
     return names
 
@@ -545,7 +633,7 @@ def test_a_run_that_takes_counts_equals_one_that_draws(placement, count, strateg
         for i, strategy in enumerate(strategies):
             streams.clear()
             got = run_scenario(setup, strategy, workload, plan, _ENGINE_COSTS, seed)
-            # the first run draws and records; a later one draws unless it reads counts
+            # a run draws or counts, and records, unless it reads counts a run before recorded
             takes = i > 0 and _reads_counts(setup, strategy, workload, scripts, seed)
             assert streams == ([] if takes else names)
             assert plan.counts == {(workload, name): got.counts[key]
@@ -625,7 +713,7 @@ repeats = 3
 
 def test_a_pass_that_hoists_one_plan_draws_once_per_seed(monkeypatch):
     # a pass as perfbench runs it: parse, plan, then every strategy x repeat; the
-    # runs of a pass share its plan's draws, and a later pass, with a new plan, draws anew
+    # runs of a pass share its plan's counts, and a later pass, with a new plan, counts anew
     streams = _counting_streams(monkeypatch)
     config = parse_config_text(_SHARED)
     per_pass = []
@@ -638,7 +726,7 @@ def test_a_pass_that_hoists_one_plan_draws_once_per_seed(monkeypatch):
                              config.seed + r)
         per_pass.append(len(streams))
         assert len(plan.counts) == len(streams)
-    assert per_pass == [2 * 3, 2 * 3]  # the hrk runs draw, the hf runs take their counts
+    assert per_pass == [2 * 3, 2 * 3]  # the hrk runs count, the hf runs take their counts
 
 
 # ---------------------------------------------------------------------------

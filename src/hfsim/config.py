@@ -7,6 +7,20 @@ A/B comparison) pick the checking strategies; ``[attack NAME]`` sections
 script the attacker. Unknown sections or keys are rejected, and all
 problems are reported in one pass as (key, reason) pairs.
 
+`_read_sections` reads the text as Python's configparser does with
+``delimiters=("=",)``, ``comment_prefixes=("#", ";")`` and
+``inline_comment_prefixes=("#",)``, and keys kept as written. Lines end
+at a newline only. A line whose first non-blank character is ``#`` or
+``;`` is a comment, and so is the rest of a line from a ``#`` after
+whitespace. A header is ``[NAME]``: the name runs to the line's last
+``]``, which may be followed by other text. A key is the text before the
+first ``=``, the value the text after it; both are stripped. A line
+indented deeper than the last line that is neither blank nor a comment
+continues the open key's value, and a blank line inside a value is kept.
+``[DEFAULT]`` is an ordinary section. A section or a key given twice, a
+key before the first section, a line with no ``=`` and an empty key are
+reported under ``file`` as ``line N: ...``, all of them in one pass.
+
 Each fixed section and each attack kind is described once, by a key
 table of (key, parse) rows in canonical order: parsing builds the
 section's spec from it, and serialization walks it with the formatter of
@@ -16,7 +30,6 @@ any ``_s``/``_us``/``_ns`` unit suffix, with that field's default and bound.
 
 from __future__ import annotations
 
-import configparser
 import enum
 import re
 from dataclasses import MISSING, dataclass, field
@@ -77,13 +90,66 @@ class ScenarioConfig:
         return plan_attacks(self.setup(), self.attacks)
 
 
+_INLINE_COMMENT = re.compile(r"\s#")  # a "#" that starts a line starts a whole-line comment
+
+
+def _read_sections(text: str) -> dict:
+    """{section: {key: raw value}} in file order, read in the dialect the module states.
+
+    Raises ConfigFileError with a ("file", "line N: ...") problem for each
+    structural fault.
+    """
+    sections, problems = {}, []
+    keys = value = None  # the open section's keys and the open key's lines
+    indent = 0  # of the last non-blank line
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if stripped.startswith(("#", ";")):
+            continue
+        clean = _INLINE_COMMENT.split(line, 1)[0].strip() if "#" in line else stripped
+        if not clean:  # a blank line: any comment on it starts it, so was skipped
+            if value is not None:
+                value.append("")
+            continue
+        depth = len(line) - len(line.lstrip())
+        if value is not None and depth > indent:
+            value.append(clean)
+            continue
+        indent = depth
+        end = clean.rfind("]")
+        if clean[0] == "[" and end > 1:
+            name, value, keys = clean[1:end], None, {}
+            if name in sections:  # its keys are still checked, against its own
+                problems.append(f"line {number}: section [{name}] given twice")
+            else:
+                sections[name] = keys
+        elif keys is None:
+            problems.append(f"line {number}: {clean!r} comes before the first [section]")
+        elif "=" not in clean:
+            problems.append(f"line {number}: {clean!r} is not key = value")
+        else:
+            key, _, first = clean.partition("=")
+            key = key.rstrip()
+            if not key:
+                problems.append(f"line {number}: {clean!r} has no key")
+            elif key in keys:
+                problems.append(f"line {number}: key {key!r} given twice")
+            keys[key] = value = [first.strip()]
+    if problems:
+        raise ConfigFileError([("file", problem) for problem in problems])
+    for keys in sections.values():
+        for key, lines in keys.items():
+            keys[key] = "\n".join(lines).rstrip()
+    return sections
+
+
 class _Collector:
     """Accumulates (key, reason) problems and typed values."""
 
-    def __init__(self, parser: configparser.ConfigParser):
+    def __init__(self, sections: dict):
         self.problems: list[tuple[str, str]] = []
         # each section's raw values that no `get` has taken yet
-        self.unread = {name: dict(parser.items(name, raw=True)) for name in parser.sections()}
+        self.unread = sections
 
     def get(self, section: str, key: str, parse, default=_REQUIRED, check=None):
         """The key's parsed value; its default if absent; None after a problem."""
@@ -252,22 +318,9 @@ _ATTACK_KIND = one_of(*_ATTACKS)
 
 def parse_config_text(text: str) -> ScenarioConfig:
     """Parse config text; each section is checked alone (see `ScenarioConfig`)."""
-    parser = configparser.ConfigParser(
-        interpolation=None,
-        delimiters=("=",),
-        comment_prefixes=("#", ";"),
-        inline_comment_prefixes=("#",),
-        default_section="",  # no header names it, so [DEFAULT] is an unknown section
-    )
-    parser.optionxform = str
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigFileError([("file", str(exc))]) from None
-
-    col = _Collector(parser)
+    col = _Collector(_read_sections(text))
     named = {"strategy": [], "attack": []}  # (name, section) of each named section
-    for section in parser.sections():
+    for section in col.unread:
         if section in _SECTIONS:
             continue
         prefix, space, name = section.partition(" ")

@@ -51,6 +51,11 @@ def finite(bound):
     return lambda value: bound(value) if -math.inf < value < math.inf else "must be finite"
 
 
+def whole(bound):
+    """`bound`, for a value that is a whole number of ticks."""
+    return lambda value: bound(value) if value % 1 == 0 else "must be a whole number of ticks"
+
+
 def byte(value) -> Optional[str]:
     return None if 0 <= value <= 0xFF else "must be a byte"
 

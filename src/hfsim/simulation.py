@@ -75,6 +75,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 from . import threat
 from .errors import (
     ConfigFileError, ConfigurationError, check_bounds, finite, nonneg, one_of, positive, spec,
+    whole,
 )
 from .guest import APPLIED, IDT_ENTRY_SIZE, GuestMachine, ObjectLayout, page_size_problem
 from .guest import handler_problem, idtr_limit_problem
@@ -122,7 +123,7 @@ class Arrival(enum.Enum):
     POISSON = "poisson"
 
 
-@spec(syscall_rate=finite(nonneg), ctxswitch_rate=finite(nonneg), horizon=finite(positive))
+@spec(syscall_rate=finite(nonneg), ctxswitch_rate=finite(nonneg), horizon=finite(whole(positive)))
 class WorkloadSpec:
     """Synthetic guest activity: event rates over a finite horizon."""
 

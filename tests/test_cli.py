@@ -187,6 +187,38 @@ def test_default_section_exits_2_with_one_problem(command, default_section, tmp_
     assert not out.exists()
 
 
+def _line_of(text, marker, last=False):
+    """The line number of `marker`'s first (or last) place in `text`."""
+    return text[:(text.rindex if last else text.index)(marker)].count("\n") + 1
+
+
+_STRUCTURAL = {
+    "duplicate_section": (SMALL + "[machine]\npage_count = 12\n",
+                          lambda text: f"line {_line_of(text, '[machine]', last=True)}: "
+                                       "section [machine] given twice"),
+    "duplicate_key": (SMALL.replace("count = 8\n", "count = 8\ncount = 9\n"),
+                      lambda text: f"line {_line_of(text, 'count = 9')}: key 'count' given twice"),
+    "key_before_section": ("seed = 1\n" + SMALL,
+                           lambda text: "line 1: 'seed = 1' comes before the first [section]"),
+    "no_equals": (SMALL.replace("batch_k = 2", "batch_k 2"),
+                  lambda text: f"line {_line_of(text, 'batch_k 2')}: 'batch_k 2' is not key = value"),
+}
+
+
+@pytest.mark.parametrize("case", list(_STRUCTURAL))
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_structural_problem_exits_2_with_its_line(command, case, tmp_path, capsys):
+    text, problem = _STRUCTURAL[case]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out)] if command == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["config error:", f"  file: {problem(text)}"]
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists()
+
+
 def test_engine_level_inconsistency_is_config_error(tmp_path, capsys):
     # the IDT has no vector 100: the engine's attack check rejects it
     cfg = tmp_path / "bad_vector.cfg"
@@ -394,7 +426,7 @@ def _config_texts(draw):
     if draw(st.booleans()):
         parts.append("[run]\n" + optional("repeats", st.integers(1, 2))
                      + optional("seed", st.integers(0, 99)))
-    if draw(st.integers(0, 7)) == 0:  # configparser's own section, which is rejected
+    if draw(st.integers(0, 7)) == 0:  # configparser's special section, an unknown one here
         parts.insert(draw(st.integers(0, len(parts))),
                      "[DEFAULT]\n" + optional("offset", st.integers(0, 3)))
     return "\n".join(parts)

@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bundled_config_names
 from hfsim import config as config_module
@@ -15,6 +17,7 @@ from hfsim.config import (
     _ATTACKS,
     _REQUIRED,
     _SECTIONS,
+    _read_sections,
     config_digest,
     parse_config_text,
     serialize_config,
@@ -34,6 +37,7 @@ from hfsim.simulation import (
 )
 from hfsim.threat import windows_problem
 from hfsim.timebase import TICKS_PER_SECOND as SEC
+from reader_parity import INDENTS, PIECES, oracle_sections, ordered, reader_sections
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -274,6 +278,43 @@ def test_malformed_file_reports_parse_problem():
     assert "file" in problems
 
 
+def test_every_structural_problem_is_reported_with_its_line():
+    text = "k = 1\n[a]\nx = 1\nx = 2\n[b]\nno equals\n= 3\n[a]\n"
+    with pytest.raises(ConfigFileError) as exc_info:
+        _read_sections(text)
+    assert exc_info.value.problems == [
+        ("file", "line 1: 'k = 1' comes before the first [section]"),
+        ("file", "line 4: key 'x' given twice"),
+        ("file", "line 6: 'no equals' is not key = value"),
+        ("file", "line 7: '= 3' has no key"),
+        ("file", "line 8: section [a] given twice"),
+    ]
+
+
+def test_reader_keeps_file_order_comments_and_continuation_lines():
+    text = ("[b]  trailing text\nz = 1 # note\ny = a#b ; c\n; comment\n"
+            "[DEFAULT]\nk =\n  first\n\n  # not kept, nor its line\n\tsecond\n\n")
+    assert ordered(_read_sections(text)) == [
+        ("b", [("z", "1"), ("y", "a#b ; c")]),
+        ("DEFAULT", [("k", "\nfirst\n\nsecond")]),
+    ]
+
+
+_LINES = st.builds(lambda indent, pieces: indent + "".join(pieces),
+                   st.sampled_from(INDENTS), st.lists(st.sampled_from(PIECES), max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("", "[s]\n")), st.lists(_LINES, max_size=12))
+@example("[s]\n", ["k = v", "  more", "", "\x1cnot deeper", "  # c", "", "\tlast"])
+@example("[s]\n", ["k = v", "  no equals", "bad", "\tafter a bad line"])
+@example("", ["[a]]] x", "\x0c[b]\r", "=v", "[]", "[", "]"])
+@example("[s]\n", ["[]=v", "[]]", "k = v # c", "  #"])
+def test_reader_reads_as_configparser_does(head, lines):
+    text = head + "\n".join(lines)
+    assert ordered(reader_sections(text)) == ordered(oracle_sections(text))
+
+
 def test_digest_is_formatting_independent():
     cfg_a = parse_config_text(MINIMAL)
     noisy = MINIMAL.replace("count = 4", "count =    4  # comment")
@@ -335,7 +376,7 @@ def test_run_scenario_rejects_a_bad_layout_by_config_key():
 
 @pytest.mark.parametrize("field, value", [
     ("syscall_rate", math.inf), ("ctxswitch_rate", -math.inf), ("syscall_rate", math.nan),
-    ("horizon", math.inf),
+    ("horizon", math.inf), ("horizon", math.nan),
 ])
 def test_a_directly_built_workload_rejects_a_value_that_is_not_finite(field, value):
     # an infinite rate or horizon never ends the run's walk; the config checks the same bound
@@ -358,11 +399,15 @@ def _readme_attack_keys() -> dict:
     return documented
 
 
+def _readme_example() -> str:
+    """README's ```ini config example."""
+    return README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_fixed_keys() -> dict:
     """{section: [(key, default text or None)]} from README's config example, fixed sections."""
-    example = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
     documented, keys = {}, None
-    for line in example.splitlines():
+    for line in _readme_example().splitlines():
         text, _, comment = line.partition("#")
         if line.startswith("["):
             section = text.strip()[1:-1]
@@ -372,6 +417,12 @@ def _readme_fixed_keys() -> dict:
             default = re.search(r"optional, default ([^;\s]+)", comment) or every
             keys.append((text.split(" = ")[0].strip(), default and default[1]))
     return documented
+
+
+def test_readme_example_is_a_whole_valid_config():
+    config = parse_config_text(_readme_example())
+    config.expanded_attacks()
+    assert parse_config_text(serialize_config(config)) == config
 
 
 def test_readme_attack_table_lists_each_kinds_keys_and_defaults():

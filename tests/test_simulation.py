@@ -238,6 +238,18 @@ def test_zero_rate_counts_no_arrival_and_seeds_no_stream(monkeypatch):
     assert all(_arrival_count(0, SEC, arrival, "x") == 0 for arrival in Arrival)
 
 
+def test_a_workload_horizon_must_be_a_whole_number_of_ticks():
+    # a run reports its horizon as is: 2.5 ticks would be a total of 2.5 ticks
+    setup, strategy = make_setup(count=2), StrategyConfig(kind="baseline")
+    with pytest.raises(ConfigurationError, match=r"^horizon: must be a whole number of ticks$"):
+        run_scenario(setup, strategy, WorkloadSpec(syscall_rate=1e9, ctxswitch_rate=0,
+                                                   horizon=2.5),
+                     plan_attacks(setup, ()), _ENGINE_COSTS, 0)
+    whole = WorkloadSpec(syscall_rate=1e9, ctxswitch_rate=0, horizon=2.0)
+    assert run_scenario(setup, strategy, whole, plan_attacks(setup, ()), CostModel(), 0).counts[
+        "syscalls"] == 2
+
+
 def test_module_code_repeats_its_256_byte_period():
     for shift in range(6, 17):
         page_size = 1 << shift
@@ -555,16 +567,25 @@ class _Named(random.Random):
 
 
 def _counting_streams(patch):
-    """A list that gets the substream name of each arrival stream runs draw or count."""
+    """A list that gets the substream name of each arrival stream runs draw or count.
+
+    A count that falls back to the draw records its stream once.
+    """
     names, chunks, count = [], simulation._arrival_chunks, simulation._arrival_count
+    counting = []  # the stream being counted, while it is
 
     def drawn(rate, horizon, arrival, rng):
-        names.append(rng.name)
+        if not counting:
+            names.append(rng.name)
         return chunks(rate, horizon, arrival, rng)
 
     def counted(rate, horizon, arrival, name):
         names.append(name)
-        return count(rate, horizon, arrival, name)
+        counting.append(name)
+        try:
+            return count(rate, horizon, arrival, name)
+        finally:
+            counting.pop()
 
     patch.setattr(simulation, "_arrival_chunks", drawn)
     patch.setattr(simulation, "_arrival_count", counted)
@@ -661,6 +682,18 @@ def test_a_traced_run_after_an_untraced_one_draws_and_traces_the_same_bytes(monk
     assert again == untraced
     encode = json.JSONEncoder(sort_keys=True).encode
     assert [encode(e) for e in traced] == [encode(e) for e in alone]
+
+
+def test_a_count_that_falls_back_to_the_draw_records_its_stream_once(monkeypatch):
+    # the half-tick stream of test_poisson_arrival_count_draws_when_an_arrival_is_a_half_tick_off
+    setup, strategy = make_setup(count=2), StrategyConfig(kind="baseline")
+    workload = WorkloadSpec(syscall_rate=80, ctxswitch_rate=0, horizon=558_849_757_436,
+                            arrival=Arrival.POISSON)
+    draws = _spied_draws(monkeypatch)
+    streams = _counting_streams(monkeypatch)
+    got = run_scenario(setup, strategy, workload, plan_attacks(setup, ()), _ENGINE_COSTS, 0)
+    assert draws == [80] and got.counts["syscalls"] == 44_972
+    assert streams == ["workload-syscall:0", "workload-ctxswitch:0"]
 
 
 def test_equal_specs_share_counts_and_seeds_name_their_substreams(monkeypatch):

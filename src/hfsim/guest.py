@@ -16,7 +16,7 @@ once: object i lies at `base + i*stride`. Finding an object's address, the
 objects a range overlaps and the pages of a range of them is arithmetic,
 whatever their number.
 Every other applied write also adds the objects it overlaps to `written`,
-which the baseline table drains; `store_byte`'s caller refreshes its object.
+which a check drains; the engine refreshes what its own writes overlap.
 """
 
 from __future__ import annotations
@@ -203,13 +203,8 @@ class GuestMachine:
             else:
                 hit = next((p for p in range(first, last + 1) if p in protected), None)
             if hit is not None:
-                trap = reg.record_trap(
-                    time=now,
-                    addr=addr,
-                    length=len(data),
-                    page=hit,
-                    kind=self._classify_write(addr, len(data)),
-                )
+                trap = TrapRecord(now, addr, len(data), hit, self._classify_write(addr, len(data)))
+                reg.trap_log.append(trap)
                 return WriteOutcome(applied=False, trap=trap)
         self._store(addr, data)
         return APPLIED
@@ -274,19 +269,6 @@ class GuestMachine:
                 f"vector {vector} outside IDT of {self.idtr.vector_count} entries"
             )
         return self.idtr.base + IDT_ENTRY_SIZE * vector
-
-    def set_idt_entry(
-        self, vector: int, handler_addr: int, reg: ProtectionRegistry, now: Ticks = 0,
-    ) -> WriteOutcome:
-        """Guest write of the 8-byte little-endian handler address for a vector.
-
-        An ordinary mediated write, so it traps once the IDT page is
-        protected.
-        """
-        entry_addr = self._vector_addr(vector)
-        require("handler address", handler_problem(handler_addr))
-        encoded = handler_addr.to_bytes(IDT_ENTRY_SIZE, "little")
-        return self.guest_write(reg, entry_addr, encoded, now=now)
 
     def idt_entry(self, vector: int) -> int:
         """Read the handler address for a vector through the current IDTR."""

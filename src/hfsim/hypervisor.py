@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Container, Iterable, Optional
+from typing import TYPE_CHECKING, Container, Iterable, Optional
 
 from . import integrity
 from .errors import AddressError, ConfigurationError, check_bounds, positive, require, spec
@@ -77,13 +77,6 @@ class ProtectionRegistry:
     def unprotect_pages(self, pages: Iterable[int]) -> None:
         """Remove pages from the protected set; absent pages are a no-op."""
         self.protected_pages.difference_update(self._check_pages(pages))
-
-    def record_trap(
-        self, time: Ticks, addr: int, length: int, page: int, kind: TrapKind
-    ) -> TrapRecord:
-        record = TrapRecord(time=time, addr=addr, length=length, page=page, kind=kind)
-        self.trap_log.append(record)
-        return record
 
 
 class ScheduleMode(enum.Enum):
@@ -156,7 +149,6 @@ def fire_interrupt(
     table: integrity.BaselineTable,
     costs: "CostModel",
     now: Ticks = 0,
-    trace: Optional[Callable[[dict], None]] = None,
     skip: Container = frozenset(),
 ) -> integrity.CheckReport:
     """Unlock-dispatch-sweep-relock envelope for one device interrupt.
@@ -182,16 +174,12 @@ def fire_interrupt(
             integrity.Violation(integrity.HANDLER_TARGET, now + delivery)]
         return integrity.CheckReport(violations, diverged=1, subverted=True)
 
-    pages = list(module.page_range(machine.page_size))
+    pages = module.page_range(machine.page_size)
     reg.unprotect_pages(pages)
-    if trace is not None:
-        trace({"t": now, "kind": "module_unprotect", "pages": pages})
     report = integrity.check_all(
         machine, table, hash_ticks_per_byte=costs.t_hash_per_byte, now=now + delivery, skip=skip
     )
     reg.protect_pages(pages)
-    if trace is not None:
-        trace({"t": now, "kind": "module_protect", "pages": pages})
     return report
 
 

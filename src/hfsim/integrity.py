@@ -12,9 +12,9 @@ diverged, and a violation (the target, and when its hash ended) for each
 of them its caller has not reported yet. What it covered and what it
 cost follow from its window and the cost model, which the caller holds.
 A check costs O(diverged objects in its range), not O(objects checked).
-The table folds in each object the guest writes, or records the digest
-its writer computed, and keeps those whose digest now differs from their
-baseline; a check reads their ids and computes no digest.
+The table records the `current_digest` of each object a write overlaps,
+the engine's at once and others as a check folds `written`, and keeps those
+that differ from their baseline; a check reads their ids and digests none.
 Folding digests each distinct object content once: the table memoises
 {content: digest}, seeded by the snapshot, so a write of bytes seen
 before (the same patch in another object, a restore to the baseline)
@@ -125,28 +125,28 @@ class BaselineTable:
             value = memo[data] = self.digest_fn(data)
         return value
 
-    def record(self, oid: int, digest: int) -> None:
-        """Note `digest` as object `oid`'s current one: diverged unless it is the baseline."""
-        if digest != self.baseline(oid):
-            if oid not in self.diverged:
-                insort(self.diverged_ids, oid)
-            self.diverged[oid] = digest
-        elif self.diverged.pop(oid, None) is not None:
-            del self.diverged_ids[bisect_left(self.diverged_ids, oid)]
+    def record(self, oid: int, digest: int) -> bool:
+        """Note `digest` as object `oid`'s current one; return whether it is the baseline."""
+        if digest == self.baseline(oid):
+            if self.diverged.pop(oid, None) is not None:
+                del self.diverged_ids[bisect_left(self.diverged_ids, oid)]
+            return True
+        if oid not in self.diverged:
+            insort(self.diverged_ids, oid)
+        self.diverged[oid] = digest
+        return False
+
+    def current_digest(self, machine: "GuestMachine", oid: int) -> int:
+        """Digest of object `oid`'s current bytes: one read, digested through the memo."""
+        layout = machine.objects
+        return self.digest(machine.read(layout.addr(oid), layout.length))
 
     def fold(self, machine: "GuestMachine") -> list[int]:
-        """Digest the objects written since the last fold; return the diverged ids."""
-        layout = machine.objects
+        """Record the objects written since the last fold; return the diverged ids."""
         for oid in machine.written:
-            self.record(oid, self.digest(machine.read(layout.addr(oid), layout.length)))
+            self.record(oid, self.current_digest(machine, oid))
         machine.written.clear()
         return self.diverged_ids
-
-    def current_digest(self, machine: "GuestMachine", object_id: int) -> int:
-        """Digest of the object's current bytes: its diverged digest, else its baseline."""
-        self.fold(machine)
-        digest = self.diverged.get(object_id)
-        return self.baseline(object_id) if digest is None else digest
 
 
 def snapshot_baselines(
@@ -166,7 +166,7 @@ def snapshot_baselines(
         raise ConfigurationError("cannot snapshot baselines: no objects registered")
     table = BaselineTable(layout.count, (machine.idtr.base, machine.idtr.limit), digest_fn)
     for oid in sorted(machine.objects_on_written_pages()):
-        table.overrides[oid] = table.digest(machine.read(layout.addr(oid), layout.length))
+        table.overrides[oid] = table.current_digest(machine, oid)
     machine.written.clear()  # writes made so far are in the baselines
     table.default = table.digest(bytes(layout.length))
     return table

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from json.encoder import encode_basestring_ascii
 from typing import Optional
 
@@ -22,6 +24,11 @@ def _latencies_s(result: ScenarioResult) -> list[float]:
         for d in result.detections
         if d.tamper_time is not None
     ]
+
+
+def float_sum(values) -> float:
+    """The floats added left to right, as sum() does before Python 3.12 compensates."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def build_report(config: ScenarioConfig, results: dict) -> dict:
@@ -54,19 +61,19 @@ def build_report(config: ScenarioConfig, results: dict) -> dict:
             "kind": runs[0].strategy_kind,
             "seeds": [r.seed for r in runs],
             "overhead_pct": {
-                "mean": sum(overheads) / n,
+                "mean": float_sum(overheads) / n,
                 "min": min(overheads),
                 "max": max(overheads),
             },
             "detection": {
                 "count": sum(len(r.detections) for r in runs),
-                "latency_mean_s": (sum(latencies) / len(latencies)) if latencies else None,
+                "latency_mean_s": float_sum(latencies) / len(latencies) if latencies else None,
                 "latency_worst_s": max(latencies) if latencies else None,
             },
             "traps": sum(len(r.trap_records) for r in runs),
             "per_event_added_us": {
-                "syscall": sum(r.per_event_added["syscall"] for r in runs) / n / 1000.0,
-                "ctxswitch": sum(r.per_event_added["ctxswitch"] for r in runs) / n / 1000.0,
+                op: float_sum(r.per_event_added[op] for r in runs) / n / 1000.0
+                for op in ("syscall", "ctxswitch")
             },
             "attacks": [attack_agg[label] for label in sorted(attack_agg)],
             "runs": [r.to_json_dict() for r in runs],

@@ -21,11 +21,11 @@ what the layout fixes once for every run that shares it: each write's
 address, its bytes and the ids of the objects it overlaps, a sweep's
 tampers in place. A run copies only the outcomes and the {target: label}
 map it changes, and clips an evader's windows against its own firings. An
-object tamper's one byte lies on a page no strategy protects, so the run
-stores it and records that object's digest itself; code and IDT writes go
-through the guest's mediated write. A run that walks its arrivals draws
-each source a bounded chunk at a time and merges the two sources'
-chunks as they come, so memory does not grow with the event count.
+object tamper's byte lies on a page no strategy protects, so the run stores
+it; code and IDT writes go through the guest's mediated write. Each applied
+write refreshes the objects it overlaps by `current_digest`. A run that
+walks its arrivals draws each source a bounded chunk at a time and merges
+the two sources' chunks as they come, so memory does not grow with events.
 Poisson arrivals stay the float seconds they were drawn as, and one is
 rounded to its tick only where a tick is read: at each draw's horizon
 check and where the walk merges it.
@@ -448,13 +448,15 @@ class AttackPlan:
     script order; a sweep's tampers are `<label>[<i:03d>]`, of kind
     persistent. `target_label` is {target: label} for the object and IDTR
     tampers. `events` is every attack action as (time, ATTACK, payload) in
-    script order. A write's payload is (action,
-    label, address, bytes, the ids of the objects the bytes overlap), all
-    fixed by the layout. A transient tamper whose attacker can read a
-    guest-visible schedule is also in `evasive`, as (start, stop, windows,
-    dirty, clean): a run under such a schedule puts its windows, clipped
-    against the run's firings, in place of `events[start:stop]`. A run
-    copies what it changes, so one plan serves every run of its setup.
+    script order. A write's payload is (action, label, address, bytes, the
+    ids of the objects the bytes overlap), all fixed by the layout; an IDT
+    write's is (action, label, vector, the handler's 8 little-endian bytes),
+    whose address the run reads through its current IDTR; an IDTR move's is
+    (action, label, base, limit). A transient tamper whose attacker can
+    read a guest-visible schedule is also in `evasive`, as (start, stop,
+    windows, dirty, clean): a run under such a schedule puts its windows,
+    clipped against the run's firings, in place of `events[start:stop]`. A
+    run copies what it changes, so one plan serves every run of its setup.
 
     `counts` is {(WorkloadSpec, substream name): arrival count}, written
     by each run that draws a source. A seed's streams are the same under
@@ -548,7 +550,8 @@ def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
             if problem := handler_problem(spec.new_handler):
                 problems.append((f"{key}.new_handler", problem))
                 continue
-            action = (_ACT_IDT, label, spec.vector, spec.new_handler)
+            action = (_ACT_IDT, label, spec.vector,
+                      spec.new_handler.to_bytes(IDT_ENTRY_SIZE, "little"))
         elif isinstance(spec, threat.IdtrTamper):
             limit = layout.idt_limit if spec.new_limit is None else spec.new_limit
             if problem := idtr_limit_problem(limit):
@@ -559,7 +562,7 @@ def plan_attacks(setup: SetupSpec, specs: Sequence) -> AttackPlan:
                                  f"{spec.new_base + limit}) outside memory of {memory} bytes"))
                 continue
             claim(IDTR_TARGET, label)
-            action = (_ACT_IDTR, label, spec.new_base, spec.new_limit)
+            action = (_ACT_IDTR, label, spec.new_base, limit)  # no other script moves the IDTR
         else:
             raise ConfigurationError(f"unknown attack script {spec!r}")
         if action is not None:  # a transient tamper's actions are listed already
@@ -797,68 +800,56 @@ class _ScenarioRun:
         if trace is not None:
             trace({"t": now, "kind": "firing_start"})
         report = fire_interrupt(self.machine, self.registry, self.table, self.costs, now=now,
-                                trace=trace, skip=self.reported)
+                                skip=self.reported)
         self.sweeps += not report.subverted
         if trace is not None:  # targets checked: every sweep that runs also checks the IDTR
+            if not report.subverted:  # the sweep ran between the module's unlock and relock
+                pages = list(self.machine.module.page_range(self.machine.page_size))
+                trace({"t": now, "kind": "module_unprotect", "pages": pages})
+                trace({"t": now, "kind": "module_protect", "pages": pages})
             trace({"t": now, "kind": "firing_end",
                    "checked": 0 if report.subverted else self.table.count + 1,
                    "violations": report.diverged, "subverted": report.subverted})
         self._process_violations(report.violations, via="hf_interrupt")
 
     def _on_attack(self, now: Ticks, payload: tuple) -> None:
-        action, label = payload[0], payload[1]
-        outcome, machine, table = self.outcomes[label], self.machine, self.table
-        if action in (_ACT_WRITE, _ACT_RESTORE, _ACT_MODULE):
-            addr, data, oids = payload[2:]
-            if action is _ACT_MODULE:
-                result = machine.guest_write(self.registry, addr, data, now=now)
-            else:  # one object byte, on a page no strategy protects: store it, record its digest
-                machine.store_byte(addr, data[0])
-                oid, objects = oids[0], machine.objects
-                table.record(oid, table.digest(machine.read(objects.addr(oid), objects.length)))
+        action, label, where, data = payload[:4]
+        machine = self.machine
+        if action == _ACT_IDTR:  # a register write: it traps nothing
+            machine.set_idtr(where, data)
+            self._account_write(label, APPLIED, (), now)
+            self._refresh_state(IDTR_TARGET, (where, data) == self.table.idtr_baseline, now)
+        elif action != _ACT_IDT or where < machine.idtr.vector_count:  # else a moved IDT lacks it
+            if action == _ACT_IDT:  # the entry through the current IDTR, maybe on kernel objects
+                where = machine.idtr.base + IDT_ENTRY_SIZE * where
+                oids = machine.objects.overlapping(where, where + IDT_ENTRY_SIZE)
+            else:
+                oids = payload[4]
+            if action in (_ACT_WRITE, _ACT_RESTORE):  # a byte on a page no strategy protects
+                machine.store_byte(where, data[0])
                 result = APPLIED
-            self._account_write(outcome, result, now)
-            if result.applied:
-                for oid in oids:
-                    if action == _ACT_MODULE:  # past the module page, as for an IDT write
-                        self.target_label.setdefault(oid, label)
-                    self._refresh_object_state(oid, now)
-        elif action == _ACT_IDT:
-            vector, handler = payload[2], payload[3]
-            if vector < machine.idtr.vector_count:  # else a moved IDT has no such entry
-                result = machine.set_idt_entry(vector, handler, self.registry, now=now)
-                self._account_write(outcome, result, now)
-                if result.applied:  # through a moved IDTR the entry can land on kernel objects
-                    entry = machine.idtr.base + IDT_ENTRY_SIZE * vector
-                    for oid in machine.objects_overlapping(entry, IDT_ENTRY_SIZE):
-                        # credited to this write unless a script targets the object
-                        self.target_label.setdefault(oid, label)
-                        self._refresh_object_state(oid, now)
-        elif action == _ACT_IDTR:
-            base, limit = payload[2], payload[3]
-            if limit is None:
-                limit = machine.idtr.limit
-            machine.set_idtr(base, limit)
-            outcome.attempted += 1
-            outcome.applied += 1
-            idtr = (machine.idtr.base, machine.idtr.limit)
-            self._refresh_state(IDTR_TARGET, idtr == table.idtr_baseline, now)
+            else:
+                result = machine.guest_write(self.registry, where, data, now=now)
+            self._account_write(label, result, oids, now)
         if self.trace is not None:
             self.trace({"t": now, "kind": "attack", "label": label, "action": action})
 
-    def _account_write(self, outcome, result, now: Ticks) -> None:
+    def _account_write(self, label: str, result, oids, now: Ticks) -> None:
+        """Credit a write to its script and refresh each object an applied one overlaps."""
+        outcome = self.outcomes[label]
         outcome.attempted += 1
         if result.applied:
             outcome.applied += 1
+            machine, table = self.machine, self.table
+            for oid in oids:
+                self.target_label.setdefault(oid, label)  # unless a script targets it
+                clean = table.record(oid, table.current_digest(machine, oid))
+                self._refresh_state(oid, clean, now)
         else:
             outcome.trapped += 1
             outcome.note_detection(now)
             if self.trace is not None:
                 self.trace({"t": now, "kind": "trap", "trap": result.trap.to_json_dict()})
-
-    def _refresh_object_state(self, oid: int, now: Ticks) -> None:
-        clean = self.table.current_digest(self.machine, oid) == self.table.baseline(oid)
-        self._refresh_state(oid, clean, now)
 
     def _refresh_state(self, target, clean: bool, now: Ticks) -> None:
         if clean:
@@ -898,8 +889,6 @@ class _ScenarioRun:
 
     def _finish(self, events: Sequence[int], pages: Sequence[int]) -> ScenarioResult:
         """The result, from each source's arrivals and the pages their VMExits mapped."""
-        for outcome in self.outcomes.values():
-            outcome.finalize()
         costs = self.costs
         breakdown, per_event_added, counts = charges(
             costs, self.strategy.kind, self.batch, self.setup.objects, events, pages,

@@ -144,15 +144,15 @@ class AttackOutcome:
     applied: int = 0
     trapped: int = 0
     detected_at: Optional[Ticks] = None
-    evaded: bool = False
     was_dirty: bool = field(default=False, repr=False)
+
+    @property
+    def evaded(self) -> bool:
+        return self.was_dirty and self.detected_at is None
 
     def note_detection(self, time: Ticks) -> None:
         if self.detected_at is None or time < self.detected_at:
             self.detected_at = time
-
-    def finalize(self) -> None:
-        self.evaded = self.was_dirty and self.detected_at is None
 
     def to_json_dict(self) -> dict:
         return {

@@ -230,23 +230,38 @@ def _on_arrival_ref(run, tally, now, op) -> None:
 
 
 def _on_attack_ref(run, now, payload) -> None:
-    """One attack action, an object tamper applied as a mediated write of its byte.
+    """One attack action, every memory write applied as a mediated write of its bytes.
 
-    Every object the write overlaps is then refreshed through the table's
-    current_digest, which folds in the machine's `written`. Every other
-    action goes to the engine's own handler.
+    An IDT write's entry is found through the current IDTR; a moved IDT
+    without its vector takes no write. Every object an applied write
+    overlaps, by a walk over the layout, is credited to the write unless a
+    script targets it, and is refreshed by its reference digest against
+    its baseline. Only an IDTR move goes to the engine's own handler.
     """
-    action, label = payload[0], payload[1]
-    if action not in ("write", "restore"):
+    action, label, where, data = payload[:4]
+    machine, outcome = run.machine, run.outcomes[label]
+    if action == "idtr_set":
         run._on_attack(now, payload)
         return
-    addr, data = payload[2], payload[3]
-    result = run.machine.guest_write(run.registry, addr, data, now=now)
-    run._account_write(run.outcomes[label], result, now)
-    if result.applied:
-        for oid in run.machine.objects_overlapping(addr, len(data)):
-            clean = run.table.current_digest(run.machine, oid) == run.table.baseline(oid)
-            run._refresh_state(oid, clean, now)
+    if action == "idt_write":
+        vectors = machine.idtr.limit // 8
+        where = machine.idtr.base + 8 * where if where < vectors else None
+    if where is not None:
+        result = machine.guest_write(run.registry, where, data, now=now)
+        outcome.attempted += 1
+        if result.applied:
+            outcome.applied += 1
+            for oid in range(machine.objects.count):
+                addr, length = _ref_span(machine, oid)
+                if addr < where + len(data) and where < addr + length:
+                    run.target_label.setdefault(oid, label)
+                    clean = _ref_digest(machine, oid) == run.table.baseline(oid)
+                    run._refresh_state(oid, clean, now)
+        else:
+            outcome.trapped += 1
+            outcome.note_detection(now)
+            if run.trace is not None:
+                run.trace({"t": now, "kind": "trap", "trap": result.trap.to_json_dict()})
     if run.trace is not None:
         run.trace({"t": now, "kind": "attack", "label": label, "action": action})
 
@@ -265,7 +280,7 @@ def run_per_event_ref(setup, strategy, workload, attacks=(), costs=CostModel(), 
     sorted firings and attack actions, and dispatches one pop at a time.
     Under hrk every arrival's VMExit goes through
     on_control_register_write without skip, whatever its batch holds.
-    Object tampers go through _on_attack_ref.
+    Attack actions go through _on_attack_ref.
     """
     run = _ScenarioRun(setup, strategy, workload, attacks, costs, seed, trace)
     heap, seq, tallies = [], itertools.count(), {"syscall": [0, 0], "ctxswitch": [0, 0]}

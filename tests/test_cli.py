@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hfsim import cli
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text, serialize_config
-from hfsim.report import build_report, diff_reports, render_text, report_to_json
+from hfsim.report import build_report, diff_reports, float_sum, render_text, report_to_json
 from hfsim.errors import AddressError, ConfigFileError, ConfigurationError, ReportMismatchError
 from hfsim.guest import GuestMachine
 from hfsim.simulation import MachineSpec, run_scenario
@@ -106,6 +106,23 @@ def test_repeats_one_equals_single_run_verbatim(small_cfg):
         assert agg["runs"] == [run]
         assert agg["overhead_pct"]["mean"] == agg["overhead_pct"]["min"] \
             == agg["overhead_pct"]["max"] == 100.0 * run["overhead_fraction"]
+
+
+def test_report_means_add_their_floats_left_to_right(small_cfg):
+    # a compensated sum, as sum() is from Python 3.12 on, reads 1.0 here
+    values = [1e16, 1.0, -1e16]
+    assert float_sum(values) == 0.0 and math.fsum(values) == 1.0
+    cfg = parse_config_text(small_cfg.read_text())
+    results = execute_config(cfg)
+    for runs in results.values():
+        assert len(runs) == len(values)
+        for run, value in zip(runs, values):
+            run.per_event_added["syscall"] = value
+    text = report_to_json(build_report(cfg, results))
+    for name in results:
+        means = json.loads(text)["strategies"][name]["per_event_added_us"]
+        assert means["syscall"] == 0.0
+    assert text.count('"syscall": 0.0\n') == len(results)
 
 
 def test_every_attack_label_appears_once_per_strategy(small_cfg):

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from hfsim.errors import AddressError, ConfigurationError
-from hfsim.guest import GuestMachine, ObjectLayout
+from hfsim.guest import IDT_ENTRY_SIZE, GuestMachine, ObjectLayout
 from hfsim.hypervisor import ProtectionRegistry, TrapKind
 
 
@@ -228,16 +228,22 @@ def test_object_bad_ranges():
 
 
 # ---------------------------------------------------------------------------
-# set_idt_entry / set_idtr
+# IDT entries / set_idtr
 # ---------------------------------------------------------------------------
+
+def _write_idt_entry(m, vector, handler, reg):
+    """The guest's write of `handler` into `vector`'s entry, through the current IDTR."""
+    return m.guest_write(reg, m.idtr.base + IDT_ENTRY_SIZE * vector,
+                         handler.to_bytes(IDT_ENTRY_SIZE, "little"))
+
 
 def test_set_idt_entry_guest_path_traps_once_protected():
     m = _machine_with_idt()
     reg = ProtectionRegistry(4)
-    assert m.set_idt_entry(3, 0x2000, reg).applied
+    assert _write_idt_entry(m, 3, 0x2000, reg).applied
     assert m.idt_entry(3) == 0x2000
     reg.protect_pages(m.idt_pages())
-    outcome = m.set_idt_entry(3, 0x1234, reg)
+    outcome = _write_idt_entry(m, 3, 0x1234, reg)
     assert outcome.trapped
     assert outcome.trap.kind is TrapKind.IDT_WRITE
     assert m.idt_entry(3) == 0x2000
@@ -250,7 +256,7 @@ def test_load_module_writes_its_entry_while_the_idt_is_protected():
     m.load_module(bytes(4096), 8192, 3)
     assert m.idt_entry(3) == 8192
     assert reg.trap_log == []
-    assert m.set_idt_entry(3, 0x2000, reg).trapped  # the guest path still traps
+    assert _write_idt_entry(m, 3, 0x2000, reg).trapped  # the guest path still traps
     assert m.idt_entry(3) == 8192
 
 

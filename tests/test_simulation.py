@@ -353,8 +353,14 @@ def _ms(ms):
     return ms * SEC // 1000
 
 
-def _attack_scripts(specs, count):
-    """Labelled scripts from drawn (kind, where, when) specs, one per target."""
+def _attack_scripts(specs, setup):
+    """Labelled scripts from drawn (kind, where, when) specs, one per object or IDTR target.
+
+    An IDTR base below zero counts back from the end of memory, so -512
+    puts the tail of the moved 64-entry table on the last objects.
+    """
+    count = setup.objects.count
+    memory = setup.machine.page_count * setup.machine.page_size
     scripts, targets = [], set()
     for i, (kind, where, when) in enumerate(specs):
         if kind in ("persistent", "transient", "idtr"):
@@ -369,7 +375,10 @@ def _attack_scripts(specs, count):
             script = TransientTamper(object_index=where % count,
                                      windows=tuple(zip(bounds[::2], bounds[1::2])))
         elif kind == "idtr":
-            script = IdtrTamper(new_base=where, at=_ms(when))
+            script = IdtrTamper(new_base=where if where >= 0 else memory + where, at=_ms(when))
+        elif kind == "idt":
+            vector, handler = where
+            script = IdtTamper(vector=vector, new_handler=handler, at=_ms(when))
         else:
             script = CodeTamper(offset=where, at=_ms(when))
         scripts.append((f"a{i}", script))
@@ -377,11 +386,16 @@ def _attack_scripts(specs, count):
 
 
 _when = st.one_of(st.integers(0, 700), st.integers(0, 70).map(lambda t: 10 * t))
+# an IDT write's (vector, handler): the handler vector among them, and with
+# page_size 64 the module page starts at byte 576
+_idt_writes = st.tuples(st.one_of(st.just(32), st.integers(0, IDT_VECTORS - 1)),
+                        st.sampled_from([0, 576, 600, (1 << 64) - 1]))
 _attack_specs = st.lists(st.one_of(
     st.tuples(st.just("persistent"), st.integers(0, 11), _when),
     st.tuples(st.just("transient"), st.integers(0, 11),
               st.lists(_when, min_size=2, max_size=6, unique=True)),
-    st.tuples(st.just("idtr"), st.sampled_from([0, 128]), _when),
+    st.tuples(st.just("idtr"), st.sampled_from([0, 128, -512]), _when),
+    st.tuples(st.just("idt"), _idt_writes, _when),
     st.tuples(st.just("code"), st.integers(0, 63), _when),
 ), max_size=4)
 _period = st.integers(20, 400).map(_ms)
@@ -538,13 +552,25 @@ _ENGINE_COSTS = CostModel(t_vmexit=7, t_vmentry=3, t_interrupt_delivery=11, t_ma
              kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC, _ms(200))),
          arrival=Arrival.POISSON, rates=(0, 100), horizon_ms=700,
          attacks=[("persistent", 4, 120)], seed=3)
+# under hrk and under hf: the IDTR moves the table's tail onto the objects,
+# then an IDT write through it lands on object 0; under hf an IDT write
+# before the move traps on the protected table
+@example(placement="spread", count=3, size=8, strategy=StrategyConfig(kind="hrk", batch_k=1),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("idtr", -512, 10), ("idt", (40, (1 << 64) - 1), 20)], seed=0)
+@example(placement="spread", count=3, size=8,
+         strategy=StrategyConfig(kind="hf", schedule=FiringSchedule(ScheduleMode.PERIODIC,
+                                                                    _ms(10))),
+         arrival=Arrival.FIXED, rates=(100, 0), horizon_ms=100,
+         attacks=[("idt", (32, 0), 5), ("idtr", -512, 10), ("idt", (40, (1 << 64) - 1), 20)],
+         seed=0)
 def test_drained_run_matches_the_per_event_loop(placement, count, size, strategy, arrival,
                                                 rates, horizon_ms, attacks, seed):
     setup = make_setup(count=count, size_bytes=min(size, 64) if placement == "spread" else size,
                        page_size=64, placement=placement)
     workload = WorkloadSpec(syscall_rate=rates[0], ctxswitch_rate=rates[1], arrival=arrival,
                             horizon=_ms(horizon_ms))
-    scripts = _attack_scripts(attacks, count)
+    scripts = _attack_scripts(attacks, setup)
     # untraced, then traced: a traced run takes every arrival exit by exit
     for ref_trace, trace in ((None, None), ([], [])):
         expected = run_per_event_ref(setup, strategy, workload, scripts, _ENGINE_COSTS, seed,
@@ -646,7 +672,7 @@ def test_a_run_that_takes_counts_equals_one_that_draws(placement, count, strateg
     setup = make_setup(count=count, size_bytes=8, page_size=64, placement=placement)
     workload = WorkloadSpec(syscall_rate=rates[0], ctxswitch_rate=rates[1], arrival=arrival,
                             horizon=_ms(horizon_ms))
-    scripts = _attack_scripts(attacks, count)
+    scripts = _attack_scripts(attacks, setup)
     names = [f"workload-{op}:{seed}" for op in ("syscall", "ctxswitch")]
     plan = plan_attacks(setup, scripts)
     with pytest.MonkeyPatch.context() as patch:

@@ -5,9 +5,11 @@ consults the hypervisor's protection registry and vetoes the write whole
 if it touches any protected page, unless it is one object byte on an
 open page: only module and IDT pages are ever protected, and no object
 shares one, so :meth:`GuestMachine.store_byte` stores it in place. Reads
-are never mediated. A privileged write path exists for hypervisor-side
-setup (module loading) and for test harnesses that need to model bugs
-bypassing protection.
+are never mediated. A privileged write path serves the trusted set-up
+(module loading) and models writes that bypass protection. The machine
+takes its layout and attacks as given: the planner (`simulation.plan_layout`
+and `plan_attacks`) checks each of their facts once. The machine keeps
+only its address rule: an access outside memory is an AddressError.
 
 Memory is sparse: a page is materialised on its first write, and pages
 never written read as zeros. A machine's kernel objects are one layout of
@@ -16,7 +18,8 @@ once: object i lies at `base + i*stride`. Finding an object's address, the
 objects a range overlaps and the pages of a range of them is arithmetic,
 whatever their number.
 Every other applied write also adds the objects it overlaps to `written`,
-which a check drains; the engine refreshes what its own writes overlap.
+which a check drains; the engine records what its own writes overlap at
+once and takes those ids out of `written`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import AddressError, ConfigurationError, positive, require
+from .errors import AddressError, positive, require
 from .hypervisor import ProtectionRegistry, TrapKind, TrapRecord
 from .timebase import Ticks
 
@@ -252,8 +255,6 @@ class GuestMachine:
         A register write traps nothing, so an attacker moving the table is
         applied silently and only caught later by the IDTR baseline check.
         """
-        require("idtr limit", idtr_limit_problem(limit))
-        self._check_range(base, limit)
         self.idtr = Idtr(base, limit)
 
     def idt_pages(self) -> range:
@@ -263,17 +264,15 @@ class GuestMachine:
         last = (self.idtr.base + self.idtr.limit - 1) // self.page_size
         return range(first, last + 1)
 
-    def _vector_addr(self, vector: int) -> int:
-        if vector < 0 or vector >= self.idtr.vector_count:
-            raise ConfigurationError(
-                f"vector {vector} outside IDT of {self.idtr.vector_count} entries"
-            )
-        return self.idtr.base + IDT_ENTRY_SIZE * vector
+    def vector_addr(self, vector: int) -> Optional[int]:
+        """`vector`'s entry address through the current IDTR, or None if the table lacks it."""
+        idtr = self.idtr
+        return idtr.base + IDT_ENTRY_SIZE * vector if 0 <= vector < idtr.vector_count else None
 
-    def idt_entry(self, vector: int) -> int:
-        """Read the handler address for a vector through the current IDTR."""
-        entry_addr = self._vector_addr(vector)
-        return int.from_bytes(self.read(entry_addr, IDT_ENTRY_SIZE), "little")
+    def idt_entry(self, vector: int) -> Optional[int]:
+        """The handler at `vector` through the current IDTR, or None if the table lacks it."""
+        entry = self.vector_addr(vector)
+        return None if entry is None else int.from_bytes(self.read(entry, IDT_ENTRY_SIZE), "little")
 
     # ------------------------------------------------------------------
     # module and kernel objects
@@ -284,68 +283,35 @@ class GuestMachine:
 
         The code write and the IDT entry update are privileged: loading
         happens during the trusted setup phase. Reloading at the same (or
-        another) address replaces the previous region.
+        another) address replaces the previous region. It assumes what
+        `simulation.plan_layout` checks: the code is non-empty and
+        page-aligned on pages of its own, and the IDT holds `handler_vector`.
         """
-        if not code:
-            raise ConfigurationError("module code must be non-empty")
-        if addr % self.page_size != 0:
-            raise ConfigurationError(f"module address {addr} is not page-aligned")
-        if self.idtr.limit == 0:
-            raise ConfigurationError("IDT must be placed before loading the module")
-        pages = -(-len(code) // self.page_size)
-        length = pages * self.page_size
-        self._check_range(addr, length)
-        region = ModuleRegion(addr=addr, length=length, handler_vector=handler_vector)
-        entry_addr = self._vector_addr(handler_vector)  # validates the vector
-        for page in region.page_range(self.page_size):
-            if page in self.idt_pages():
-                raise ConfigurationError(
-                    "module region may not share pages with the IDT"
-                )
-        overlap = self.objects_overlapping(region.addr, region.length)
-        if overlap:
-            raise ConfigurationError(f"module region overlaps object {overlap[0]}")
+        length = -(-len(code) // self.page_size) * self.page_size
         self.privileged_write(addr, code)
-        self.privileged_write(entry_addr, addr.to_bytes(IDT_ENTRY_SIZE, "little"))
-        self.module = region
-        return region
+        self.privileged_write(self.vector_addr(handler_vector),
+                              addr.to_bytes(IDT_ENTRY_SIZE, "little"))
+        self.module = ModuleRegion(addr=addr, length=length, handler_vector=handler_vector)
+        return self.module
 
     def register_kernel_object(
         self, addr: int, length: int, count: int = 1, stride: Optional[int] = None,
     ) -> None:
         """Register the machine's `count` objects of `length` bytes at `addr + i*stride`.
 
-        `stride` defaults to `length` (packed). Object i has id i. The
-        layout is set once, and its objects must lie less than a page
-        apart; a rejected call registers nothing.
+        `stride` defaults to `length` (packed). Object i has id i. It
+        assumes what `simulation.plan_layout` checks: one positive layout,
+        objects less than a page apart, inside memory and off the module's
+        and the IDT's pages.
         """
-        if self.objects.count:
-            raise ConfigurationError("kernel objects are already registered")
-        stride = length if stride is None else stride
-        require("object length", positive(length))
-        require("object count", positive(count))
-        require("object stride", positive(stride))
-        if stride - length >= self.page_size:
-            raise ConfigurationError(
-                f"objects must lie less than a page apart, got stride {stride} "
-                f"for length {length}"
-            )
-        self._check_range(addr, (count - 1) * stride + length)
-        layout = ObjectLayout(addr, stride, length, count)
-        if self.module is not None and layout.overlapping(self.module.addr, self.module.end):
-            raise ConfigurationError("kernel objects overlap the module region")
-        self.objects = layout
-
-    def objects_overlapping(self, addr: int, length: int) -> range:
-        """Ids of registered objects intersecting [addr, addr+length)."""
-        return self.objects.overlapping(addr, addr + length)
+        self.objects = ObjectLayout(addr, length if stride is None else stride, length, count)
 
     def objects_on_written_pages(self) -> set[int]:
         """Ids of objects on materialised pages; every other object reads as zeros."""
         ps = self.page_size
         ids: set[int] = set()
         for page in self._pages:
-            ids.update(self.objects_overlapping(page * ps, ps))
+            ids.update(self.objects.overlapping(page * ps, page * ps + ps))
         return ids
 
     def object_pages(self, start: int, stop: int) -> int:

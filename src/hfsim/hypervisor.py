@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Container, Iterable, Optional
 
 from . import integrity
-from .errors import AddressError, ConfigurationError, check_bounds, positive, require, spec
+from .errors import ConfigurationError, check_bounds, positive, require, spec
 from .timebase import TICKS_PER_SECOND, Ticks, seconds_from_ticks
 
 if TYPE_CHECKING:
@@ -58,25 +58,17 @@ class TrapRecord:
 class ProtectionRegistry:
     """Write-protected page set plus the append-only, time-ordered trap log."""
 
-    def __init__(self, page_count: int):
-        self.page_count = page_count
+    def __init__(self):
         self.protected_pages: set[int] = set()
         self.trap_log: list[TrapRecord] = []
 
-    def _check_pages(self, pages: Iterable[int]) -> list[int]:
-        pages = list(pages)
-        for p in pages:
-            if p < 0 or p >= self.page_count:
-                raise AddressError(f"page {p} outside machine of {self.page_count} pages")
-        return pages
-
     def protect_pages(self, pages: Iterable[int]) -> None:
         """Add pages to the protected set (idempotent)."""
-        self.protected_pages.update(self._check_pages(pages))
+        self.protected_pages.update(pages)
 
     def unprotect_pages(self, pages: Iterable[int]) -> None:
         """Remove pages from the protected set; absent pages are a no-op."""
-        self.protected_pages.difference_update(self._check_pages(pages))
+        self.protected_pages.difference_update(pages)
 
 
 class ScheduleMode(enum.Enum):
@@ -123,23 +115,18 @@ class FiringSchedule:
 
     def firing_times(self, horizon: Ticks, salt: Optional[int] = None) -> list[Ticks]:
         """All firing instants in (0, horizon], sorted ascending."""
-        times = []
-        if self.mode is ScheduleMode.PERIODIC_JITTERED:
+        jitter, times, i = self.jitter, [], 1
+        if jitter:  # only a jittered schedule has one, and only it draws
             key = f"device:{self.seed}" if salt is None else f"device:{self.seed}:{salt}"
-            rng = random.Random(key)
-            jitter_s = seconds_from_ticks(self.jitter)
-            i = 1
-            while i * self.period - self.jitter <= horizon:
-                t = i * self.period + round(rng.uniform(-jitter_s, jitter_s) * TICKS_PER_SECOND)
-                if 0 < t <= horizon:
-                    times.append(t)
-                i += 1
-            times.sort()
-        else:
-            i = 1
-            while i * self.period <= horizon:
-                times.append(i * self.period)
-                i += 1
+            rng, jitter_s = random.Random(key), seconds_from_ticks(jitter)
+        while i * self.period - jitter <= horizon:
+            t = i * self.period
+            if jitter:
+                t += round(rng.uniform(-jitter_s, jitter_s) * TICKS_PER_SECOND)
+            if 0 < t <= horizon:
+                times.append(t)
+            i += 1
+        times.sort()
         return times
 
 
@@ -161,14 +148,8 @@ def fire_interrupt(
     events: no guest write can interleave between the unlock and the
     relock. Targets in `skip`, the handler among them, get no violation.
     """
-    module = machine.module
-    if module is None:
-        raise ConfigurationError("fire_interrupt requires a loaded module")
-    delivery = costs.t_interrupt_delivery
-    try:
-        handler = machine.idt_entry(module.handler_vector)
-    except (ConfigurationError, AddressError):
-        handler = None
+    module, delivery = machine.module, costs.t_interrupt_delivery
+    handler = machine.idt_entry(module.handler_vector)  # None if a moved IDT lacks the vector
     if handler is None or not module.contains(handler):
         violations = [] if integrity.HANDLER_TARGET in skip else [
             integrity.Violation(integrity.HANDLER_TARGET, now + delivery)]

@@ -32,7 +32,6 @@ from collections.abc import Container
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from .errors import ConfigurationError, positive, require
 from .timebase import Ticks
 
 if TYPE_CHECKING:
@@ -154,7 +153,8 @@ def snapshot_baselines(
 ) -> BaselineTable:
     """Digest every registered object and snapshot the IDTR; cursor = 0.
 
-    Meant to run during the trusted setup phase, before any attacker event.
+    Meant to run during the trusted setup phase, before any attacker event,
+    on a machine whose planned layout registered at least one object.
     Only objects on materialised pages are read, into the table's
     `overrides`; every other object holds zeros and shares the `default`
     digest of `bytes(length)`. The digests go through the table's content
@@ -162,8 +162,6 @@ def snapshot_baselines(
     back to baseline bytes costs none.
     """
     layout = machine.objects
-    if not layout.count:
-        raise ConfigurationError("cannot snapshot baselines: no objects registered")
     table = BaselineTable(layout.count, (machine.idtr.base, machine.idtr.limit), digest_fn)
     for oid in sorted(machine.objects_on_written_pages()):
         table.overrides[oid] = table.current_digest(machine, oid)
@@ -210,10 +208,10 @@ def check_batch(
 ) -> CheckReport:
     """Check the next k objects from the cursor (wrapping), advance it.
 
-    k saturates at the object count, so k >= N is one full pass. Targets
-    in `skip` get no violation.
+    k is at least 1 (`StrategyConfig` checks `batch_k`) and saturates at
+    the object count, so k >= N is one full pass. Targets in `skip` get
+    no violation.
     """
-    require("batch size", positive(k))
     k = min(k, table.count)
     report = _check_window(machine, table, table.cursor, k, hash_ticks_per_byte, now, skip)
     table.cursor = (table.cursor + k) % table.count

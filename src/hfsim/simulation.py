@@ -664,7 +664,7 @@ class _ScenarioRun:
         self.horizon = workload.horizon
 
         self.machine = _guest(setup, plan.layout)
-        self.registry = ProtectionRegistry(setup.machine.page_count)
+        self.registry = ProtectionRegistry()
         self.table = snapshot_baselines(self.machine)
 
         # the hf device's firing schedule; None under the other strategies
@@ -819,12 +819,11 @@ class _ScenarioRun:
             machine.set_idtr(where, data)
             self._account_write(label, APPLIED, (), now)
             self._refresh_state(IDTR_TARGET, (where, data) == self.table.idtr_baseline, now)
-        elif action != _ACT_IDT or where < machine.idtr.vector_count:  # else a moved IDT lacks it
-            if action == _ACT_IDT:  # the entry through the current IDTR, maybe on kernel objects
-                where = machine.idtr.base + IDT_ENTRY_SIZE * where
-                oids = machine.objects.overlapping(where, where + IDT_ENTRY_SIZE)
-            else:
-                oids = payload[4]
+        elif action != _ACT_IDT or (where := machine.vector_addr(where)) is not None:
+            # an IDT write's entry is taken through the current IDTR (a moved IDT may lack
+            # it, and then nothing is written) and may lie on kernel objects
+            oids = (machine.objects.overlapping(where, where + IDT_ENTRY_SIZE)
+                    if action == _ACT_IDT else payload[4])
             if action in (_ACT_WRITE, _ACT_RESTORE):  # a byte on a page no strategy protects
                 machine.store_byte(where, data[0])
                 result = APPLIED
@@ -845,6 +844,7 @@ class _ScenarioRun:
                 self.target_label.setdefault(oid, label)  # unless a script targets it
                 clean = table.record(oid, table.current_digest(machine, oid))
                 self._refresh_state(oid, clean, now)
+            machine.written.difference_update(oids)  # recorded: the next fold need not read them
         else:
             outcome.trapped += 1
             outcome.note_detection(now)

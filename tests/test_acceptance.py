@@ -125,7 +125,7 @@ def test_criterion_3_trap_completeness_exhaustive():
     for protected_mask in range(16):
         protected = {p for p in range(pages) if protected_mask & (1 << p)}
         m = GuestMachine(pages, page_size)
-        reg = ProtectionRegistry(pages)
+        reg = ProtectionRegistry()
         reg.protect_pages(protected)
         for addr in range(size):
             for length in range(1, size - addr + 1):

@@ -172,7 +172,7 @@ def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writ
     assert [(m.objects.addr(oid), m.objects.length) for oid in range(m.objects.count)] == spans
     for addr, length in queries:
         expected = [oid for oid, (a, n) in enumerate(spans) if a < addr + length and a + n > addr]
-        assert sorted(m.objects_overlapping(addr, length)) == expected
+        assert sorted(m.objects.overlapping(addr, addr + length)) == expected
     table = snapshot_baselines(m)
     assert [table.baseline(oid) for oid in range(table.count)] == [
         fnv1a64_ref(m.read(a, n)) for a, n in spans

@@ -16,8 +16,8 @@ from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text, serialize_config
 from hfsim.report import build_report, diff_reports, float_sum, render_text, report_to_json
 from hfsim.errors import AddressError, ConfigFileError, ConfigurationError, ReportMismatchError
-from hfsim.guest import GuestMachine
-from hfsim.simulation import MachineSpec, run_scenario
+from hfsim.guest import IDT_ENTRY_SIZE, GuestMachine
+from hfsim.simulation import HANDLER_VECTOR, IDT_VECTORS, MachineSpec, plan_layout, run_scenario
 from hfsim.threat import PersistentTamper, TransientTamper
 
 SMALL = """
@@ -271,6 +271,19 @@ def test_validate_rejects_what_run_rejects(attack, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("batch_k", ["0", "-1"])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_batch_below_one_object_exits_2(command, batch_k, tmp_path, capsys):
+    # no check rejects it later: the per-exit batch check takes k >= 1 as given
+    cfg = tmp_path / "batch.cfg"
+    cfg.write_text(SMALL.replace("batch_k = 2", f"batch_k = {batch_k}"))
+    out = tmp_path / "out"
+    assert main([command, str(cfg)] + (["--out", str(out)] if command == "run" else [])) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error:", "  strategy hrk.batch_k: must be > 0"]
+    assert not out.exists()
+
+
 def test_a_run_whose_plan_fails_leaves_nothing_behind(tmp_path, capsys):
     # the plan is built after the staging directory and --out's ancestors are made
     cfg = tmp_path / "clash.cfg"
@@ -336,6 +349,7 @@ def _quiet_main(argv) -> int:
     batch_k=st.integers(1, 70),
 )
 @example(page_size=100, page_count=32, count=8, size_bytes=64, placement="spread", batch_k=2)
+@example(page_size=64, page_count=80, count=8, size_bytes=40, placement="packed", batch_k=3)
 def test_a_config_validate_accepts_runs(page_size, page_count, count, size_bytes, placement,
                                         batch_k):
     # drawn geometry under a 2 ms hrk/hf horizon: validate and run exit alike
@@ -351,6 +365,17 @@ def test_a_config_validate_accepts_runs(page_size, page_count, count, size_bytes
         ran = _quiet_main(["run", str(cfg), "--out", str(Path(tmp) / "out")])
     assert validated in (0, 2)
     assert ran == validated
+    if validated:
+        return
+    # the layout facts the guest takes as given: only the planner checks them
+    layout = plan_layout(parse_config_text(text).setup())
+    module, objects = layout.module_addr, layout.objects
+    assert (layout.idt_base, layout.idt_limit) == (page_size, IDT_VECTORS * IDT_ENTRY_SIZE)
+    assert HANDLER_VECTOR < IDT_VECTORS
+    assert module % page_size == 0 and module >= layout.idt_base + layout.idt_limit
+    assert objects.base >= module + page_size  # the module's code fills its one page
+    assert objects.stride - objects.length < page_size
+    assert objects.addr(objects.count - 1) + objects.length <= page_count * page_size
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from conftest import fnv1a64_ref
-from hfsim.errors import ConfigurationError
 from hfsim.guest import GuestMachine
 from hfsim.hypervisor import ProtectionRegistry
 from hfsim.integrity import (
@@ -86,12 +85,6 @@ def test_snapshot_of_15000_synthetic_objects():
     table = snapshot_baselines(m)
     assert table.count == 15000
     assert check_all(m, table).violations == []
-
-
-def test_snapshot_without_objects_is_config_error():
-    m = GuestMachine(1, 4096)
-    with pytest.raises(ConfigurationError):
-        snapshot_baselines(m)
 
 
 def test_the_table_digests_each_distinct_content_once():
@@ -192,13 +185,6 @@ def test_k_at_least_n_behaves_as_check_all():
     assert table.cursor == 0  # advanced by exactly one full cycle
 
 
-def test_batch_k_below_one_rejected():
-    m = _objects_machine(2)
-    table = snapshot_baselines(m)
-    with pytest.raises(ConfigurationError):
-        check_batch(m, table, 0)
-
-
 def test_batch_duration_charges_per_byte():
     m = _objects_machine(3, size=16)
     table = snapshot_baselines(m)
@@ -269,7 +255,7 @@ def test_idtr_check_cases():
 def test_no_false_positives_under_object_free_writes():
     # fuzz: random guest writes that never touch object ranges
     m = _objects_machine(8, size=16)
-    reg = ProtectionRegistry(4)
+    reg = ProtectionRegistry()
     table = snapshot_baselines(m)
     spans = [(0, 3 * 4096 - 1)]  # everything below the object area
     rng = random.Random(99)

@@ -1032,6 +1032,28 @@ def test_a_run_digests_each_written_object_once_per_write(strategy, monkeypatch)
     assert {d.target for d in result.detections} == {4, 7}
 
 
+def test_an_applied_code_write_digests_each_object_it_overlaps_once(monkeypatch):
+    # with 64-byte pages, a code write 64 bytes into the module page covers
+    # all of object 0 and the first byte of object 1; the engine records both
+    # at once, and no later fold reads them again
+    digested = []
+    current_digest = integrity.BaselineTable.current_digest
+
+    def spying(table, machine, oid):
+        digested.append(oid)
+        return current_digest(table, machine, oid)
+
+    monkeypatch.setattr(integrity.BaselineTable, "current_digest", spying)
+    result = run_scenario(
+        make_setup(count=4, page_size=64), StrategyConfig(kind="hrk", batch_k=1),
+        _workload(3, syscall_rate=10),
+        [("c", CodeTamper(offset=64, at=SEC, payload=b"\xcc" * 65))], _HRK_COSTS, seed=0,
+    )
+    assert sorted(digested) == [0, 1]
+    assert sorted(d.target for d in result.detections) == [0, 1]
+    assert [(o.applied, o.trapped) for o in result.attack_outcomes] == [(1, 0)]
+
+
 def _perfbench_workloads():
     """perfbench/workloads.py, the benchmark's seeded config generators."""
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -1144,10 +1166,10 @@ def test_the_plan_resolves_attack_bytes_as_a_set_up_guest_reads_them(
     code_addr = guest.module.addr + code_offset
     assert [payload for _, _, payload in plan.events] == [
         ("write", "t", addr, bytes((guest.read(addr, 1)[0] ^ mask,)),
-         guest.objects_overlapping(addr, 1)),
-        ("restore", "t", addr, guest.read(addr, 1), guest.objects_overlapping(addr, 1)),
+         guest.objects.overlapping(addr, addr + 1)),
+        ("restore", "t", addr, guest.read(addr, 1), guest.objects.overlapping(addr, addr + 1)),
         ("module_write", "c", code_addr, payload,
-         guest.objects_overlapping(code_addr, code_length)),
+         guest.objects.overlapping(code_addr, code_addr + code_length)),
     ]
 
 

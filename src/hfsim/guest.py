@@ -16,10 +16,8 @@ never written read as zeros. A machine's kernel objects are one layout of
 equal-length objects at a fixed stride, less than a page apart, registered
 once: object i lies at `base + i*stride`. Finding an object's address, the
 objects a range overlaps and the pages of a range of them is arithmetic,
-whatever their number.
-Every other applied write also adds the objects it overlaps to `written`,
-which a check drains; the engine records what its own writes overlap at
-once and takes those ids out of `written`.
+whatever their number. The machine keeps no record of which objects a
+write touched: a write's caller records them in the baseline table.
 """
 
 from __future__ import annotations
@@ -153,7 +151,6 @@ class GuestMachine:
         self.idtr = Idtr(0, 0)  # unset sentinel
         self.objects = _NO_OBJECTS  # replaced once, by register_kernel_object
         self.module: Optional[ModuleRegion] = None
-        self.written: set[int] = set()  # ids of objects written since the last fold
 
     # ------------------------------------------------------------------
     # memory access
@@ -227,10 +224,9 @@ class GuestMachine:
                 page = pages[index] = bytearray(ps)
             page[offset : offset + n] = data[pos : pos + n]
             pos += n
-        self.written.update(self.objects.overlapping(addr, addr + end))
 
     def store_byte(self, addr: int, value: int) -> None:
-        """Unmediated store of one byte that adds nothing to `written`."""
+        """Unmediated store of one byte."""
         index, offset = divmod(addr, self.page_size)
         pages = self._pages
         (pages.get(index) or pages.setdefault(index, bytearray(self.page_size)))[offset] = value
@@ -305,14 +301,6 @@ class GuestMachine:
         and the IDT's pages.
         """
         self.objects = ObjectLayout(addr, length if stride is None else stride, length, count)
-
-    def objects_on_written_pages(self) -> set[int]:
-        """Ids of objects on materialised pages; every other object reads as zeros."""
-        ps = self.page_size
-        ids: set[int] = set()
-        for page in self._pages:
-            ids.update(self.objects.overlapping(page * ps, page * ps + ps))
-        return ids
 
     def object_pages(self, start: int, stop: int) -> int:
         """Distinct pages occupied by the objects start..stop-1, ids taken modulo the count.

@@ -91,8 +91,8 @@ class FiringSchedule:
     naive in-guest timer whose (periodic) schedule an attacker can read.
 
     Jittered firings are ``i*period + round(u_i * 1e9)`` ticks where the
-    ``u_i`` are drawn in order from ``random.Random(f"device:{seed}")``
-    (or ``f"device:{seed}:{salt}"``) as ``uniform(-J, +J)`` seconds. Two
+    ``u_i`` are drawn in order from ``random.Random(f"device:{seed}:{salt}")``
+    as ``uniform(-J, +J)`` seconds; a run's salt is its own seed. Two
     consecutive firings can then be ``period + 2J`` apart, so hf detects a
     persistent object tamper within ``period + 2J`` plus the delivery and
     one sweep (``period`` plus those when J = 0).
@@ -113,12 +113,11 @@ class FiringSchedule:
     def guest_visible_times(self) -> bool:
         return self.mode is ScheduleMode.GUEST_VISIBLE
 
-    def firing_times(self, horizon: Ticks, salt: Optional[int] = None) -> list[Ticks]:
+    def firing_times(self, horizon: Ticks, salt: int) -> list[Ticks]:
         """All firing instants in (0, horizon], sorted ascending."""
         jitter, times, i = self.jitter, [], 1
         if jitter:  # only a jittered schedule has one, and only it draws
-            key = f"device:{self.seed}" if salt is None else f"device:{self.seed}:{salt}"
-            rng, jitter_s = random.Random(key), seconds_from_ticks(jitter)
+            rng, jitter_s = random.Random(f"device:{self.seed}:{salt}"), seconds_from_ticks(jitter)
         while i * self.period - jitter <= horizon:
             t = i * self.period
             if jitter:

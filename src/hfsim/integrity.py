@@ -1,21 +1,20 @@
 """Digest-based invariance checking over registered kernel objects.
 
-A baseline table snapshots one digest per object (plus the IDTR value)
-while the machine is still trusted. Checking compares current digests
-against the baseline, either over everything at once (the in-guest sweep)
-or over a round-robin batch per call (the in-hypervisor path). The hash is
-64-bit FNV-1a behind a pluggable digest function; digest-collision forgery
-is out of scope for this model.
+A baseline table snapshots the one digest every object starts with (plus
+the IDTR value) while the machine is still trusted. Checking compares
+current digests against the baseline, either over everything at once
+(the in-guest sweep) or over a round-robin batch per call (the
+in-hypervisor path). The hash is 64-bit FNV-1a behind a pluggable digest
+function; digest-collision forgery is out of scope for this model.
 
 A check returns only what it found: how many targets in its range
 diverged, and a violation (the target, and when its hash ended) for each
 of them its caller has not reported yet. What it covered and what it
 cost follow from its window and the cost model, which the caller holds.
 A check costs O(diverged objects in its range), not O(objects checked).
-The table records the `current_digest` of each object a write overlaps,
-the engine's at once and others as a check folds `written`, and keeps those
-that differ from their baseline; a check reads their ids and digests none.
-Folding digests each distinct object content once: the table memoises
+The engine records the `current_digest` of each object an applied write
+overlaps, and the table keeps those that differ from the baseline; a
+check reads their ids and digests none. The table memoises
 {content: digest}, seeded by the snapshot, so a write of bytes seen
 before (the same patch in another object, a restore to the baseline)
 costs a dict lookup. The memo holds at most MEMO_ENTRIES contents and
@@ -30,7 +29,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections.abc import Container
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .timebase import Ticks
 
@@ -85,34 +84,28 @@ class CheckReport:
 
 
 class BaselineTable:
-    """Per-object baseline digests, the diverged objects, and the round-robin cursor.
+    """The baseline digest, the diverged objects, and the round-robin cursor.
 
-    Objects are checked in id order. Every one of the `count` objects has
-    the baseline `default`, unless `overrides` ({id: digest}, the objects
-    on pages written before the snapshot) names another; `baseline` reads
-    them. `diverged` maps each object whose digest differs from its
-    baseline to its current digest, and `diverged_ids` holds its ids
-    sorted. A machine feeds one live table: folding drains the machine's
-    `written`, which no other table then sees. `digest` calls `digest_fn`
-    once per distinct content while the memo holds it.
+    Objects are checked in id order. Every one of the `count` objects of
+    `length` bytes has the one `baseline`, the digest of `bytes(length)`:
+    set-up writes no object byte. `diverged` maps each object whose
+    recorded digest differs from it to that digest, and `diverged_ids`
+    holds their ids sorted; only `record` changes them. `digest` calls
+    `digest_fn` once per distinct content while the memo holds it.
     """
 
     def __init__(
-        self, count: int, idtr_baseline: tuple[int, int], digest_fn: DigestFn = compute_digest,
+        self, count: int, length: int, idtr_baseline: tuple[int, int],
+        digest_fn: DigestFn = compute_digest,
     ):
         self.count = count
-        self.default: Optional[int] = None  # set by the snapshot
-        self.overrides: dict[int, int] = {}
         self.idtr_baseline = idtr_baseline
         self.digest_fn = digest_fn
         self.cursor = 0
         self.diverged: dict[int, int] = {}
         self.diverged_ids: list[int] = []
         self._memo: dict[bytes, int] = {}
-
-    def baseline(self, oid: int) -> int:
-        """Object `oid`'s baseline digest."""
-        return self.overrides.get(oid, self.default)
+        self.baseline = self.digest(bytes(length))  # seeds the memo
 
     def digest(self, data: bytes) -> int:
         """digest_fn(data), memoised; a full memo is cleared first."""
@@ -126,7 +119,7 @@ class BaselineTable:
 
     def record(self, oid: int, digest: int) -> bool:
         """Note `digest` as object `oid`'s current one; return whether it is the baseline."""
-        if digest == self.baseline(oid):
+        if digest == self.baseline:
             if self.diverged.pop(oid, None) is not None:
                 del self.diverged_ids[bisect_left(self.diverged_ids, oid)]
             return True
@@ -140,34 +133,21 @@ class BaselineTable:
         layout = machine.objects
         return self.digest(machine.read(layout.addr(oid), layout.length))
 
-    def fold(self, machine: "GuestMachine") -> list[int]:
-        """Record the objects written since the last fold; return the diverged ids."""
-        for oid in machine.written:
-            self.record(oid, self.current_digest(machine, oid))
-        machine.written.clear()
-        return self.diverged_ids
-
 
 def snapshot_baselines(
     machine: "GuestMachine", digest_fn: DigestFn = compute_digest
 ) -> BaselineTable:
-    """Digest every registered object and snapshot the IDTR; cursor = 0.
+    """The table of the machine's objects and IDTR as they stand; cursor = 0.
 
     Meant to run during the trusted setup phase, before any attacker event,
-    on a machine whose planned layout registered at least one object.
-    Only objects on materialised pages are read, into the table's
-    `overrides`; every other object holds zeros and shares the `default`
-    digest of `bytes(length)`. The digests go through the table's content
-    memo, so identical contents share one digest_fn call, and a later write
-    back to baseline bytes costs none.
+    on a machine whose planned layout registered at least one object. The
+    planner keeps every object off the pages set-up writes, so every object
+    holds zeros: the one baseline is the digest of `bytes(length)`, and it
+    seeds the table's content memo, so a later write back to baseline
+    bytes costs no digest_fn call.
     """
-    layout = machine.objects
-    table = BaselineTable(layout.count, (machine.idtr.base, machine.idtr.limit), digest_fn)
-    for oid in sorted(machine.objects_on_written_pages()):
-        table.overrides[oid] = table.current_digest(machine, oid)
-    machine.written.clear()  # writes made so far are in the baselines
-    table.default = table.digest(bytes(layout.length))
-    return table
+    layout, idtr = machine.objects, machine.idtr
+    return BaselineTable(layout.count, layout.length, (idtr.base, idtr.limit), digest_fn)
 
 
 def _check_window(
@@ -183,8 +163,7 @@ def _check_window(
     """
     n, end = table.count, start + k
     per_object = machine.objects.length * hash_ticks_per_byte
-    report = CheckReport()
-    diverged = table.fold(machine)
+    report, diverged = CheckReport(), table.diverged_ids
     # the diverged ids in [start, n), then in [0, end - n) past the wrap
     for lo, hi, first in ((start, min(end, n), start), (0, end - n, start - n)):
         ids = diverged[bisect_left(diverged, lo):bisect_left(diverged, hi)]

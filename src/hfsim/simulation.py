@@ -23,7 +23,8 @@ tampers in place. A run copies only the outcomes and the {target: label}
 map it changes, and clips an evader's windows against its own firings. An
 object tamper's byte lies on a page no strategy protects, so the run stores
 it; code and IDT writes go through the guest's mediated write. Each applied
-write refreshes the objects it overlaps by `current_digest`. A run that
+write records the `current_digest` of each object it overlaps in the
+baseline table, which learns of a write no other way. A run that
 walks its arrivals draws each source a bounded chunk at a time and merges
 the two sources' chunks as they come, so memory does not grow with events.
 Poisson arrivals stay the float seconds they were drawn as, and one is
@@ -785,8 +786,7 @@ class _ScenarioRun:
         """
         machine, table, k = self.machine, self.table, self.batch
         n = table.count
-        clean = math.inf
-        diverged = table.fold(machine)
+        clean, diverged = math.inf, table.diverged_ids
         if diverged:
             i = bisect_left(diverged, cursor)
             clean = ((diverged[i] if i < len(diverged) else diverged[0] + n) - cursor) // k
@@ -834,7 +834,11 @@ class _ScenarioRun:
             self.trace({"t": now, "kind": "attack", "label": label, "action": action})
 
     def _account_write(self, label: str, result, oids, now: Ticks) -> None:
-        """Credit a write to its script and refresh each object an applied one overlaps."""
+        """Credit a write to its script and refresh each object an applied one overlaps.
+
+        Recording each such object's `current_digest` here is the only way
+        the baseline table learns of a write.
+        """
         outcome = self.outcomes[label]
         outcome.attempted += 1
         if result.applied:
@@ -844,7 +848,6 @@ class _ScenarioRun:
                 self.target_label.setdefault(oid, label)  # unless a script targets it
                 clean = table.record(oid, table.current_digest(machine, oid))
                 self._refresh_state(oid, clean, now)
-            machine.written.difference_update(oids)  # recorded: the next fold need not read them
         else:
             outcome.trapped += 1
             outcome.note_detection(now)

@@ -51,6 +51,13 @@ def _ref_digest(machine, oid) -> int:
     return fnv1a64_ref(machine.read(*_ref_span(machine, oid)))
 
 
+def write_and_record(machine, table, addr, data) -> None:
+    """A privileged write, then each object it overlaps recorded, as the engine records it."""
+    machine.privileged_write(addr, data)
+    for oid in machine.objects.overlapping(addr, addr + len(data)):
+        table.record(oid, table.current_digest(machine, oid))
+
+
 def _idtr_ref(machine, table, now) -> list:
     """The IDTR's violation at `now` if (base, limit) differs from the snapshot, else none."""
     moved = (machine.idtr.base, machine.idtr.limit) != table.idtr_baseline
@@ -74,7 +81,7 @@ def check_batch_ref(machine, table, k, hash_ticks_per_byte=0, now=0) -> CheckRep
         if oid == n - 1:
             wrapped = True
         elapsed += _ref_span(machine, oid)[1] * hash_ticks_per_byte
-        if _ref_digest(machine, oid) != table.baseline(oid):
+        if _ref_digest(machine, oid) != table.baseline:
             report.violations.append(Violation(oid, now + elapsed))
     if wrapped:
         report.violations += _idtr_ref(machine, table, now + elapsed)
@@ -89,7 +96,7 @@ def check_all_ref(machine, table, hash_ticks_per_byte=0, now=0) -> CheckReport:
     elapsed = 0
     for oid in range(table.count):
         elapsed += _ref_span(machine, oid)[1] * hash_ticks_per_byte
-        if _ref_digest(machine, oid) != table.baseline(oid):
+        if _ref_digest(machine, oid) != table.baseline:
             report.violations.append(Violation(oid, now + elapsed))
     report.violations += _idtr_ref(machine, table, now + elapsed)
     report.diverged = len(report.violations)
@@ -235,8 +242,9 @@ def _on_attack_ref(run, now, payload) -> None:
     An IDT write's entry is found through the current IDTR; a moved IDT
     without its vector takes no write. Every object an applied write
     overlaps, by a walk over the layout, is credited to the write unless a
-    script targets it, and is refreshed by its reference digest against
-    its baseline. Only an IDTR move goes to the engine's own handler.
+    script targets it, has its reference digest recorded in the table, and
+    is refreshed by that digest against the baseline. Only an IDTR move
+    goes to the engine's own handler.
     """
     action, label, where, data = payload[:4]
     machine, outcome = run.machine, run.outcomes[label]
@@ -255,8 +263,9 @@ def _on_attack_ref(run, now, payload) -> None:
                 addr, length = _ref_span(machine, oid)
                 if addr < where + len(data) and where < addr + length:
                     run.target_label.setdefault(oid, label)
-                    clean = _ref_digest(machine, oid) == run.table.baseline(oid)
-                    run._refresh_state(oid, clean, now)
+                    digest = _ref_digest(machine, oid)
+                    run.table.record(oid, digest)
+                    run._refresh_state(oid, digest == run.table.baseline, now)
         else:
             outcome.trapped += 1
             outcome.note_detection(now)

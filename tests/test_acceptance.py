@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from conftest import assert_conservation, fnv1a64_ref, make_setup
+from conftest import assert_conservation, fnv1a64_ref, make_setup, write_and_record
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text
 from hfsim.guest import GuestMachine
@@ -289,7 +289,7 @@ def test_criterion_6_batch_oracle_equivalence():
         pristine = [m.read(addr, 8) for addr in addrs]
         rng = random.Random(n)
         for oid in rng.sample(range(n), rng.randrange(0, n + 1)):
-            m.privileged_write(addrs[oid], bytes([m.read(addrs[oid], 1)[0] ^ 0xA5]))
+            write_and_record(m, table, addrs[oid], bytes([m.read(addrs[oid], 1)[0] ^ 0xA5]))
         # brute-force full-scan oracle on the frozen machine, reference hash
         oracle = [
             oid for oid, addr in enumerate(addrs)

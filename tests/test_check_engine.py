@@ -6,15 +6,16 @@ stride that makes them overlap or leaves a gap under a page, so objects
 straddle pages and share them.
 
 Random batch sizes and cursor phases, and random write, restore and
-IDTR-move sequences, some applied before the snapshot: every batch and
-sweep must match the walk-every-object oracle in conftest. The same check
-with a drawn skip set must give that report less the skipped targets,
-with the same count and the same cursor.
+IDTR-move sequences after set-up writes on pages no object touches: every
+batch and sweep must match the walk-every-object oracle in conftest. The
+same check with a drawn skip set must give that report less the skipped
+targets, with the same count and the same cursor.
 
-Some objects on pages written before the snapshot: overlap queries,
-the page count of the window from every cursor and
-baseline digests must match a walk over every object. A layout's uniform
-window page count must be the one count all its windows map, if they do.
+The baseline digests must match a walk over every object at the
+snapshot. Then, with some object pages written: overlap queries and the
+page count of the window from every cursor must match it too. A layout's
+uniform window page count must be the one count all its windows map, if
+they do.
 """
 
 import dataclasses
@@ -22,7 +23,9 @@ import dataclasses
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_pages_ref, check_all_ref, check_batch_ref, fnv1a64_ref
+from conftest import (
+    batch_pages_ref, check_all_ref, check_batch_ref, fnv1a64_ref, write_and_record,
+)
 from hfsim.guest import GuestMachine
 from hfsim.hypervisor import on_control_register_write
 from hfsim.integrity import IDTR_TARGET, check_all, snapshot_baselines
@@ -101,8 +104,10 @@ def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_
     m = GuestMachine(PAGE_COUNT, PAGE_SIZE)
     m.set_idtr(IDT_BASE, IDT_LIMIT)
     m.register_kernel_object(base, length, count, stride)
-    for _, addr, data in early_writes:  # written before the snapshot
-        m.privileged_write(addr, data)
+    for _, addr, data in early_writes:  # set-up writes, as the planner places them: on no object
+        pages = addr // PAGE_SIZE * PAGE_SIZE, -(-(addr + len(data)) // PAGE_SIZE) * PAGE_SIZE
+        if not m.objects.overlapping(*pages):
+            m.privileged_write(addr, data)
     addrs = [base + oid * stride for oid in range(count)]
     clean = [m.read(addr, length) for addr in addrs]
     table, ref = snapshot_baselines(m), snapshot_baselines(m)
@@ -111,10 +116,10 @@ def test_engine_matches_full_walk_oracle(layout, early_writes, phase, t_hash, t_
     now = 0
     for op in operations:
         if op[0] == "write":
-            m.privileged_write(op[1], op[2])
+            write_and_record(m, table, op[1], op[2])
         elif op[0] == "restore":  # back to clean: the object's snapshot bytes
             oid = op[1] % count
-            m.privileged_write(addrs[oid], clean[oid])
+            write_and_record(m, table, addrs[oid], clean[oid])
         elif op[0] == "idtr":
             m.set_idtr(*op[1])
         elif op[0] == "batch":
@@ -162,10 +167,14 @@ def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writ
     base, stride, length, count = layout
     m = GuestMachine(LAYOUT_PAGES, PAGE_SIZE)
     m.set_idtr(IDT_BASE, IDT_LIMIT)
-    if idt_entry:  # materialises the IDT page under any object on it
-        m.privileged_write(IDT_BASE + 8, (0x1234).to_bytes(8, "little"))
     m.register_kernel_object(base, length, count, stride)
     spans = [(base + i * stride, length) for i in range(count)]
+    table = snapshot_baselines(m)
+    assert [table.baseline for oid in range(table.count)] == [
+        fnv1a64_ref(m.read(a, n)) for a, n in spans
+    ]
+    if idt_entry:  # materialises the IDT page under any object on it
+        m.privileged_write(IDT_BASE + 8, (0x1234).to_bytes(8, "little"))
     for _, addr, data in early_writes:
         if addr + len(data) <= LAYOUT_MEMORY:
             m.privileged_write(addr, data)
@@ -173,10 +182,6 @@ def test_layout_arithmetic_matches_per_object_walk(layout, idt_entry, early_writ
     for addr, length in queries:
         expected = [oid for oid, (a, n) in enumerate(spans) if a < addr + length and a + n > addr]
         assert sorted(m.objects.overlapping(addr, addr + length)) == expected
-    table = snapshot_baselines(m)
-    assert [table.baseline(oid) for oid in range(table.count)] == [
-        fnv1a64_ref(m.read(a, n)) for a, n in spans
-    ]
     for k in batch_sizes:
         for cursor in range(count):  # the window from each cursor maps the pages its objects cover
             table.cursor = cursor

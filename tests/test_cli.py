@@ -11,13 +11,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fnv1a64_ref
 from hfsim import cli
 from hfsim.cli import _load_config_text, execute_config, main
 from hfsim.config import parse_config_text, serialize_config
 from hfsim.report import build_report, diff_reports, float_sum, render_text, report_to_json
 from hfsim.errors import AddressError, ConfigFileError, ConfigurationError, ReportMismatchError
 from hfsim.guest import IDT_ENTRY_SIZE, GuestMachine
-from hfsim.simulation import HANDLER_VECTOR, IDT_VECTORS, MachineSpec, plan_layout, run_scenario
+from hfsim.integrity import snapshot_baselines
+from hfsim.simulation import (
+    HANDLER_VECTOR, IDT_VECTORS, MachineSpec, _guest, plan_layout, run_scenario,
+)
 from hfsim.threat import PersistentTamper, TransientTamper
 
 SMALL = """
@@ -368,7 +372,8 @@ def test_a_config_validate_accepts_runs(page_size, page_count, count, size_bytes
     if validated:
         return
     # the layout facts the guest takes as given: only the planner checks them
-    layout = plan_layout(parse_config_text(text).setup())
+    setup = parse_config_text(text).setup()
+    layout = plan_layout(setup)
     module, objects = layout.module_addr, layout.objects
     assert (layout.idt_base, layout.idt_limit) == (page_size, IDT_VECTORS * IDT_ENTRY_SIZE)
     assert HANDLER_VECTOR < IDT_VECTORS
@@ -376,6 +381,11 @@ def test_a_config_validate_accepts_runs(page_size, page_count, count, size_bytes
     assert objects.base >= module + page_size  # the module's code fills its one page
     assert objects.stride - objects.length < page_size
     assert objects.addr(objects.count - 1) + objects.length <= page_count * page_size
+    # set-up writes no page an object lies on, so one digest of zeros is every baseline
+    machine = _guest(setup, layout)
+    for page in machine._pages:
+        assert not objects.overlapping(page * page_size, (page + 1) * page_size), page
+    assert snapshot_baselines(machine).baseline == fnv1a64_ref(bytes(size_bytes))
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])

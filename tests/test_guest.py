@@ -164,12 +164,12 @@ def test_an_empty_interval_overlaps_no_object():
     assert layout.overlapping(3, 4) == range(0, 1)
 
 
-def test_store_byte_lands_and_marks_nothing_written():
-    # its caller refreshes the object's digest itself
+def test_store_byte_lands_on_the_one_page_it_materialises():
+    # its caller records the object's digest in the baseline table
     m = _machine_with_idt()
     m.register_kernel_object(0x3000, 8, count=2)
     m.store_byte(0x3009, 0xAB)
-    assert m.read(0x3008, 3) == b"\x00\xab\x00" and not m.written
+    assert m.read(0x3008, 3) == b"\x00\xab\x00" and list(m._pages) == [3]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import batch_pages_ref
+from conftest import batch_pages_ref, write_and_record
 from hfsim.errors import ConfigurationError
 from hfsim.guest import GuestMachine
 from hfsim.hypervisor import (
@@ -83,15 +83,15 @@ def test_unlocked_module_page_allows_handler_self_write():
 
 def test_periodic_firings():
     sched = FiringSchedule(ScheduleMode.PERIODIC, 4 * SEC)
-    assert sched.firing_times(13 * SEC) == [4 * SEC, 8 * SEC, 12 * SEC]
+    assert sched.firing_times(13 * SEC, salt=0) == [4 * SEC, 8 * SEC, 12 * SEC]
 
 
 def test_jittered_firings_deterministic_and_within_bounds():
     sched = FiringSchedule(ScheduleMode.PERIODIC_JITTERED, 4 * SEC, 1 * SEC, seed=7)
-    times = sched.firing_times(40 * SEC)
-    assert times == sched.firing_times(40 * SEC)
+    times = sched.firing_times(40 * SEC, salt=3)
+    assert times == sched.firing_times(40 * SEC, salt=3)
     # oracle: regenerate from the documented seeded-uniform formula
-    rng = random.Random("device:7")
+    rng = random.Random("device:7:3")
     expected = []
     i = 1
     while i * 4 * SEC - SEC <= 40 * SEC:
@@ -120,7 +120,7 @@ def test_guest_visible_flag():
     assert FiringSchedule(ScheduleMode.GUEST_VISIBLE, SEC).guest_visible_times
     assert not FiringSchedule(ScheduleMode.PERIODIC, SEC).guest_visible_times
     visible = FiringSchedule(ScheduleMode.GUEST_VISIBLE, SEC)
-    assert visible.firing_times(3 * SEC) == [SEC, 2 * SEC, 3 * SEC]
+    assert visible.firing_times(3 * SEC, salt=0) == [SEC, 2 * SEC, 3 * SEC]
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_clean_interrupt_duration_is_per_object_cost():
 
 def test_interrupt_detects_tampered_object_with_latency():
     m, reg, table = _hf_machine(n_objects=4, size=8)
-    m.privileged_write(m.objects.addr(2), b"\x01")
+    write_and_record(m, table, m.objects.addr(2), b"\x01")
     costs = CostModel(t_interrupt_delivery=50, t_hash_per_byte=10)
     report = fire_interrupt(m, reg, table, costs, now=1000)
     assert [v.target for v in report.violations] == [2]
@@ -160,7 +160,7 @@ def test_redirected_idt_entry_yields_subversion_detection():
     m, reg, table = _hf_machine()
     # privileged harness injection: corrupt the IDT entry under protection
     m.privileged_write(m.idtr.base + 8 * 0x20, (0x100).to_bytes(8, "little"))
-    m.privileged_write(m.objects.addr(0), b"\x01")
+    write_and_record(m, table, m.objects.addr(0), b"\x01")
     costs = CostModel(t_interrupt_delivery=50, t_hash_per_byte=10)
     report = fire_interrupt(m, reg, table, costs, now=1000)
     assert report.subverted
@@ -180,15 +180,15 @@ def test_idtr_move_also_subverts_dispatch():
 # on_control_register_write
 # ---------------------------------------------------------------------------
 
-def _tamper_all(m):
+def _tamper_all(m, table):
     # every object diverges, so each exit reports exactly what it covered
     for oid in range(m.objects.count):
-        m.privileged_write(m.objects.addr(oid), b"\x01")
+        write_and_record(m, table, m.objects.addr(oid), b"\x01")
 
 
 def test_vmexit_round_robin_covers_all_objects():
     m, reg, table = _hf_machine(n_objects=10, size=8)
-    _tamper_all(m)
+    _tamper_all(m, table)
     covered = set()
     for exit_index in range(4):  # ceil(10/3) = 4 exits, of 3 objects each
         report = on_control_register_write(m, table, CostModel(), k=3)
@@ -206,10 +206,10 @@ def test_vmexit_charges_transitions_mapping_and_hash():
     assert m.object_pages(0, 3) == batch_pages_ref(m, table, 3) == 1
     # the batch is checked after the exit and the page remap; object 2 is
     # found once all 3 are hashed, before the re-entry
-    m.privileged_write(m.objects.addr(2), b"\x01")
+    write_and_record(m, table, m.objects.addr(2), b"\x01")
     report = on_control_register_write(m, table, costs, k=3, now=5000)
     assert [v.time for v in report.violations] == [5000 + 100 + 1000 + 3 * 8 * 10]
-    m.privileged_write(m.objects.addr(3), b"\x01")
+    write_and_record(m, table, m.objects.addr(3), b"\x01")
     report = on_control_register_write(m, table, costs, k=3, now=5000)
     assert [v.time for v in report.violations] == [5000 + 100 + 1000 + 8 * 10]
 
@@ -217,7 +217,7 @@ def test_vmexit_charges_transitions_mapping_and_hash():
 def test_tamper_at_cursor_plus_one_detected_on_second_exit():
     # brute-force cursor walk: k=1 checks object 0 first, object 1 second
     m, reg, table = _hf_machine(n_objects=3, size=8)
-    m.privileged_write(m.objects.addr(1), b"\x01")
+    write_and_record(m, table, m.objects.addr(1), b"\x01")
     first = on_control_register_write(m, table, CostModel(), k=1)
     second = on_control_register_write(m, table, CostModel(), k=1)
     assert first.violations == []
@@ -227,7 +227,7 @@ def test_tamper_at_cursor_plus_one_detected_on_second_exit():
 def test_cursor_completeness_from_any_phase():
     # over any ceil(N/k) consecutive exits every object is checked at least once
     m, reg, table = _hf_machine(n_objects=10, size=8)
-    _tamper_all(m)
+    _tamper_all(m, table)
     for phase in range(7):
         on_control_register_write(m, table, CostModel(), k=3)
         covered = set()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import fnv1a64_ref
+from conftest import fnv1a64_ref, write_and_record
 from hfsim.guest import GuestMachine
 from hfsim.hypervisor import ProtectionRegistry
 from hfsim.integrity import (
@@ -71,7 +71,7 @@ def test_snapshot_then_check_all_is_clean():
 def test_single_fault_injection_yields_one_violation():
     m = _objects_machine(5)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects.addr(2), b"\x01")
+    write_and_record(m, table, m.objects.addr(2), b"\x01")
     report = check_all(m, table, hash_ticks_per_byte=1, now=100)
     # stamped when object 2's hash ends
     assert report.violations == [Violation(2, 100 + 3 * 8)]
@@ -98,11 +98,11 @@ def test_the_table_digests_each_distinct_content_once():
     table = snapshot_baselines(m, digest_fn=counting_digest)
     assert digested == [bytes(64)]  # every object reads as zeros
     for oid in range(50):  # one patch into every object, then its restore
-        m.privileged_write(m.objects.addr(oid) + 5, b"\x2a")
+        write_and_record(m, table, m.objects.addr(oid) + 5, b"\x2a")
     report = check_all(m, table)
     assert len(report.violations) == 50 and len(set(table.diverged.values())) == 1
     for oid in range(50):
-        m.privileged_write(m.objects.addr(oid) + 5, b"\x00")
+        write_and_record(m, table, m.objects.addr(oid) + 5, b"\x00")
     assert check_all(m, table).violations == []
     assert digested == [bytes(64), bytes(5) + b"\x2a" + bytes(58)]
 
@@ -119,8 +119,7 @@ def test_the_content_memo_stays_bounded_and_digests_stay_exact(length):
     sizes = []
     for i in range(3 * cap):  # more distinct contents than the memo holds
         addr = m.objects.addr(rng.randrange(100))
-        m.privileged_write(addr + rng.randrange(length), bytes([i % 255 + 1]))
-        table.fold(m)
+        write_and_record(m, table, addr + rng.randrange(length), bytes([i % 255 + 1]))
         sizes.append(len(table._memo))
     assert max(sizes) == cap
     assert table.diverged and table.diverged == {
@@ -133,17 +132,17 @@ def test_the_content_memo_stays_bounded_and_digests_stay_exact(length):
 # check_batch
 # ---------------------------------------------------------------------------
 
-def _tamper_all(m):
+def _tamper_all(m, table):
     # every object diverges, so each check reports exactly what it covered
     for oid in range(m.objects.count):
         addr = m.objects.addr(oid)
-        m.privileged_write(addr, bytes([m.read(addr, 1)[0] ^ 0xFF]))
+        write_and_record(m, table, addr, bytes([m.read(addr, 1)[0] ^ 0xFF]))
 
 
 def test_batch_round_robin_wraps():
     m = _objects_machine(5)
     table = snapshot_baselines(m)
-    _tamper_all(m)
+    _tamper_all(m, table)
     m.set_idtr(0, 512)  # found on the batch that completes a cycle
     seen, cursors = [], []
     for _ in range(3):
@@ -166,7 +165,7 @@ def test_violation_in_object_4_found_on_third_k2_call():
     # in the third window
     m = _objects_machine(5)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects.addr(4), b"\x01")
+    write_and_record(m, table, m.objects.addr(4), b"\x01")
     hits = []
     for call in range(1, 4):
         report = check_batch(m, table, 2)
@@ -177,7 +176,7 @@ def test_violation_in_object_4_found_on_third_k2_call():
 def test_k_at_least_n_behaves_as_check_all():
     m = _objects_machine(4)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects.addr(1), b"\x01")
+    write_and_record(m, table, m.objects.addr(1), b"\x01")
     m.set_idtr(0, 512)
     report = check_batch(m, table, 9, hash_ticks_per_byte=1)
     # k saturates at N: the IDTR rides along after 4 objects, not 9
@@ -188,7 +187,7 @@ def test_k_at_least_n_behaves_as_check_all():
 def test_batch_duration_charges_per_byte():
     m = _objects_machine(3, size=16)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects.addr(1), b"\x01")
+    write_and_record(m, table, m.objects.addr(1), b"\x01")
     report = check_batch(m, table, 2, hash_ticks_per_byte=100)
     # the batch's last object is found when the batch's hash time has passed
     assert report.violations == [Violation(1, 2 * 16 * 100)]
@@ -203,8 +202,8 @@ def test_double_fault_with_recompute_oracle():
     table = snapshot_baselines(m)
     addrs = [3 * 4096 + 8 * oid for oid in range(6)]  # packed 8-byte objects from page 3
     baseline_bytes = [m.read(addr, 8) for addr in addrs]
-    m.privileged_write(m.objects.addr(1), b"\xee")
-    m.privileged_write(m.objects.addr(5) + 3, b"\xdd")
+    write_and_record(m, table, m.objects.addr(1), b"\xee")
+    write_and_record(m, table, m.objects.addr(5) + 3, b"\xdd")
     report = check_all(m, table)
     # independent oracle: recompute digests of raw bytes with the reference
     expected = [
@@ -272,7 +271,7 @@ def test_batch_cycle_equals_full_scan_small():
     rng = random.Random(5)
     for oid in rng.sample(range(9), 4):
         addr = m.objects.addr(oid)
-        m.privileged_write(addr, bytes([m.read(addr, 1)[0] ^ 0xFF]))
+        write_and_record(m, table, addr, bytes([m.read(addr, 1)[0] ^ 0xFF]))
     full = sorted(v.target for v in check_all(m, table).violations)
     for k in (1, 2, 4, 9):
         table.cursor = 0
@@ -285,7 +284,7 @@ def test_batch_cycle_equals_full_scan_small():
 def test_persistent_divergence_found_in_first_covering_window():
     m = _objects_machine(6)
     table = snapshot_baselines(m)
-    m.privileged_write(m.objects.addr(3), b"\x42")
+    write_and_record(m, table, m.objects.addr(3), b"\x42")
     # first batch whose window contains object 3 must report it
     report1 = check_batch(m, table, 2)  # {0,1}
     report2 = check_batch(m, table, 2)  # {2,3}
